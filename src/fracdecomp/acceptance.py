@@ -26,6 +26,8 @@ import numpy as np
 
 from . import decomp, evaluation, problems
 from .fracterm import (
+    DEEP_MU,
+    DEEP_TERMS,
     Series,
     caputo,
     eval_series,
@@ -39,15 +41,9 @@ from .fracterm import (
     spatial_apply,
 )
 from .grammar import parse_series
-from .symx import Const, Pow, Var, poly_of, simplify
+from .symx import Const, Pow, Var, simplify
 
 __all__ = ["CheckResult", "run_all", "all_check_names", "POWER_RULE_TOL"]
-
-# Solver caps for the divergent benchmarks: the worst trace (p7 at four
-# iterations) needs thousands of distinct terms before truncation would set in,
-# and a truncated trace proves nothing.
-DEEP_TERMS = 8192
-DEEP_MU = 512.0
 
 GAMMA_TOL = 1e-13
 POWER_RULE_TOL = 1e-8
@@ -99,17 +95,13 @@ def _coeff_gap(a: Series, b: Series) -> float:
     diff = series_add(a, series_scale(b, -1.0, DEEP_TERMS, DEEP_MU), DEEP_TERMS, DEEP_MU)
     worst = 0.0
     for term in diff.terms:
-        for c in poly_of(term.coeff).values():
+        for c in term.poly.values():
             worst = max(worst, abs(c))
     return worst
 
 
 def _drop_mu0(a: Series) -> Series:
-    out = Series.zero()
-    for term in a.terms:
-        if term.mu != 0.0:
-            out = series_add(out, Series.of(term.mu, term.coeff))
-    return out
+    return Series(t for t in a.terms if t.mu != 0.0)
 
 
 def _random_series(rng: random.Random, alpha: Optional[float] = None,

@@ -34,7 +34,7 @@ from .evaluation import (
     evaluate_series_grid,
     make_grid,
 )
-from .fracterm import SeriesError
+from .fracterm import DEEP_MU, DEEP_TERMS, SeriesError
 from .grammar import GrammarError
 from .problems import ProblemError
 
@@ -42,11 +42,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_GATE = 3
-
-# Same deep caps as the verification suite so CLI results and check results
-# never disagree about a trace.
-SOLVE_TERMS = 8192
-SOLVE_MU = 512.0
 
 _CONFIG_KEYS = ("problem", "file", "alpha", "method", "iters", "mode", "weights",
                 "grid", "tmax", "out", "jobs", "allow_inconsistent")
@@ -169,9 +164,9 @@ def _run_job(packed: tuple) -> Dict[str, object]:
     spec = _build_spec(kind, ident, alpha, mode)
     if method == "mldm":
         trace = mldm_solve(spec, iters, weights=weights,
-                           max_terms=SOLVE_TERMS, max_mu=SOLVE_MU)
+                           max_terms=DEEP_TERMS, max_mu=DEEP_MU)
     else:
-        trace = ladm_solve(spec, iters, max_terms=SOLVE_TERMS, max_mu=SOLVE_MU)
+        trace = ladm_solve(spec, iters, max_terms=DEEP_TERMS, max_mu=DEEP_MU)
     grid = _grid_for(spec, counts, tmax)
 
     approx = evaluate_series_grid(trace.approximation, grid)

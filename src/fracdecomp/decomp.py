@@ -278,7 +278,7 @@ def _trace_gap(u: Series, g: Series, var: str, at: float,
 def _gap_height(gap: Series) -> float:
     worst = 0.0
     for t in gap.terms:
-        for c in poly_of(t.coeff).values():
+        for c in t.poly.values():
             worst = max(worst, abs(c))
     return worst
 
@@ -288,7 +288,7 @@ def _max_trig_scale(u: Series, var: str) -> float:
     key = ((Var(var), 1.0),)
     worst = 0.0
     for t in u.terms:
-        for mono in poly_of(t.coeff):
+        for mono in t.poly:
             for atom, _ in mono:
                 if isinstance(atom, (Sin, Cos)):
                     worst = max(worst, abs(poly_of(atom.arg).get(key, 0.0)))

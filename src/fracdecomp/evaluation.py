@@ -16,7 +16,14 @@ import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 from .symx import evaluate
-from .fracterm import Series, caputo, series_add, series_scale
+from .fracterm import (
+    RESIDUAL_MAX_MU,
+    RESIDUAL_MAX_TERMS,
+    Series,
+    caputo,
+    series_add,
+    series_scale,
+)
 
 __all__ = [
     "EvalError",
@@ -135,10 +142,6 @@ def grid_error(approx: Series, exact: Series, grid: Grid, method: str = "",
     max_abs = float(table.max())
     l2 = float(math.sqrt(float(np.mean(table ** 2))))
     return ErrorReport(table, max_abs, l2, method, alpha, iterations, mode)
-
-
-RESIDUAL_MAX_TERMS = 16384
-RESIDUAL_MAX_MU = 2048.0
 
 
 def residual(approx: Series, spec, grid: Grid) -> float:

@@ -10,6 +10,12 @@ Caputo derivative of order 0 < alpha <= 1. Both fractional operators act
 termwise through the power rule, so the Laplace round trip
 L^{-1}{s^{-alpha} L{.}} is realized exactly as I^alpha with no transform
 objects. All gamma factors come from the Lanczos evaluator below.
+
+Each term keeps its coefficient c_k as a symx normal-form poly, so the ring
+and fractional operations run on polys from end to end. An ``Expr`` is built
+only at the edges that need a tree: rendering, evaluation, ``diff``,
+``series_equal`` and ``initial_value``, through the read-only
+``TimeTerm.coeff``.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from typing import Iterable, Mapping, Tuple, Union
 
 from .symx import (
     Expr,
+    Poly,
     contains,
     diff,
     equal_sampled,
@@ -47,10 +54,13 @@ __all__ = [
     "Series",
     "MAX_TERMS",
     "MAX_MU",
+    "DEEP_TERMS",
+    "DEEP_MU",
+    "RESIDUAL_MAX_TERMS",
+    "RESIDUAL_MAX_MU",
     "series_add",
     "series_scale",
     "series_mul",
-    "series_pow",
     "spatial_apply",
     "series_substitute",
     "frac_integral",
@@ -62,8 +72,18 @@ __all__ = [
 ]
 
 MU_MERGE_TOL = 1e-12
+# Growth caps, (term count, largest exponent). The defaults cover the
+# convergent benchmarks at a few iterations.
 MAX_TERMS = 512
 MAX_MU = 64.0
+# CLI solves and the verify suite share these so their traces agree; p7 at
+# four iterations needs thousands of terms before truncation would set in.
+DEEP_TERMS = 8192
+DEEP_MU = 512.0
+# The residual defect multiplies deep partial sums (degree <= 3), so its
+# exponents and term count outgrow the deep caps.
+RESIDUAL_MAX_TERMS = 16384
+RESIDUAL_MAX_MU = 2048.0
 
 
 class GammaError(Exception):
@@ -128,10 +148,19 @@ def gamma(z: float) -> float:
 
 @dataclass(frozen=True)
 class TimeTerm:
-    """One series term: coeff(x[, y]) * t^mu with mu >= 0."""
+    """One series term: c(x[, y]) * t^mu with mu >= 0.
+
+    ``poly`` is c in symx's multinomial normal form. Series share these dicts,
+    so no operation may mutate one; ``coeff`` builds c as an ``Expr`` on
+    every access, for the edges that need a tree.
+    """
 
     mu: float
-    coeff: Expr
+    poly: Poly
+
+    @property
+    def coeff(self) -> Expr:
+        return expr_of_poly(self.poly)
 
     def __str__(self) -> str:
         c = str(self.coeff)
@@ -149,9 +178,11 @@ class Series:
     """Canonical finite sum of TimeTerms.
 
     Terms are sorted by exponent; exponents within 1e-12 are merged; zero
-    coefficients (decided by sampling against 0) are dropped. Growth caps
-    on the term count and the largest exponent truncate the high end and
-    set ``truncated`` -- never silently.
+    coefficients (decided by sampling the poly against 0) are dropped.
+    Growth caps on the term count and the largest exponent truncate the high
+    end and set ``truncated`` -- never silently. ``(mu, coeff)`` pairs given
+    here are converted once with ``poly_of``; every operation after that
+    reads and writes ``TimeTerm.poly``.
     """
 
     __slots__ = ("terms", "truncated")
@@ -161,10 +192,10 @@ class Series:
         pairs = []
         for item in terms:
             if isinstance(item, TimeTerm):
-                mu, coeff = item.mu, item.coeff
+                pairs.append((item.mu, item.poly))
             else:
                 mu, coeff = item
-            pairs.append((float(mu), poly_of(Expr.wrap(coeff))))
+                pairs.append((float(mu), poly_of(Expr.wrap(coeff))))
         built = _from_pairs(pairs, truncated, max_terms, max_mu)
         self.terms = built.terms
         self.truncated = built.truncated
@@ -190,9 +221,6 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         return self.terms == other.terms and self.truncated == other.truncated
-
-    def __hash__(self):
-        return hash((self.terms, self.truncated))
 
     def __add__(self, other):
         if isinstance(other, Series):
@@ -252,16 +280,13 @@ def _from_pairs(pairs, truncated: bool, max_terms: int, max_mu: float) -> Series
 
     terms = []
     for mu, p in merged:
-        if not p:
-            continue
-        coeff = expr_of_poly(p)
-        if is_zero_expr(coeff):
+        if is_zero_expr(p):
             continue
         if mu < 0.0:
             if mu < -MU_MERGE_TOL:
                 raise SeriesError(f"negative time exponent {mu}")
             mu = 0.0
-        terms.append(TimeTerm(mu, coeff))
+        terms.append(TimeTerm(mu, p))
 
     if terms and terms[-1].mu > max_mu:
         terms = [t for t in terms if t.mu <= max_mu]
@@ -272,10 +297,6 @@ def _from_pairs(pairs, truncated: bool, max_terms: int, max_mu: float) -> Series
     return _raw_series(tuple(terms), truncated)
 
 
-def _pairs_of(u: Series):
-    return [(t.mu, poly_of(t.coeff)) for t in u.terms]
-
-
 # ---------------------------------------------------------------------------
 # Ring operations.
 # ---------------------------------------------------------------------------
@@ -283,38 +304,27 @@ def _pairs_of(u: Series):
 
 def series_add(a: Series, b: Series, max_terms: int = MAX_TERMS,
                max_mu: float = MAX_MU) -> Series:
-    return _from_pairs(_pairs_of(a) + _pairs_of(b), a.truncated or b.truncated,
-                       max_terms, max_mu)
+    pairs = [(t.mu, t.poly) for t in a.terms] + [(t.mu, t.poly) for t in b.terms]
+    return _from_pairs(pairs, a.truncated or b.truncated, max_terms, max_mu)
 
 
 def series_scale(a: Series, k: Union[float, int, Expr], max_terms: int = MAX_TERMS,
                  max_mu: float = MAX_MU) -> Series:
     if isinstance(k, (int, float)):
-        pairs = [(mu, poly_scale(p, float(k))) for mu, p in _pairs_of(a)]
+        pairs = [(t.mu, poly_scale(t.poly, float(k))) for t in a.terms]
     else:
         kp = poly_of(k)
-        pairs = [(mu, poly_mul(p, kp)) for mu, p in _pairs_of(a)]
+        pairs = [(t.mu, poly_mul(t.poly, kp)) for t in a.terms]
     return _from_pairs(pairs, a.truncated, max_terms, max_mu)
 
 
 def series_mul(a: Series, b: Series, max_terms: int = MAX_TERMS,
                max_mu: float = MAX_MU) -> Series:
     pairs = []
-    bp = _pairs_of(b)
-    for mu_a, pa in _pairs_of(a):
-        for mu_b, pb in bp:
-            pairs.append((mu_a + mu_b, poly_mul(pa, pb)))
+    for ta in a.terms:
+        for tb in b.terms:
+            pairs.append((ta.mu + tb.mu, poly_mul(ta.poly, tb.poly)))
     return _from_pairs(pairs, a.truncated or b.truncated, max_terms, max_mu)
-
-
-def series_pow(a: Series, n: int, max_terms: int = MAX_TERMS,
-               max_mu: float = MAX_MU) -> Series:
-    if n < 1 or n != int(n):
-        raise SeriesError(f"series power wants a positive integer, got {n}")
-    out = a
-    for _ in range(int(n) - 1):
-        out = series_mul(out, a, max_terms, max_mu)
-    return out
 
 
 def spatial_apply(a: Series, order: int, var: str = "x",
@@ -339,7 +349,7 @@ def series_substitute(a: Series, name: str, value: float,
 
     Uses the exactly-rounded substitution so traces are order-independent.
     """
-    pairs = [(t.mu, poly_substitute(poly_of(t.coeff), name, value)) for t in a.terms]
+    pairs = [(t.mu, poly_substitute(t.poly, name, value)) for t in a.terms]
     return _from_pairs(pairs, a.truncated, max_terms, max_mu)
 
 
@@ -356,7 +366,7 @@ def frac_integral(a: Series, alpha: float, max_terms: int = MAX_TERMS,
     pairs = []
     for t in a.terms:
         ratio = gamma(t.mu + 1.0) / gamma(t.mu + 1.0 + alpha)
-        pairs.append((t.mu + alpha, poly_scale(poly_of(t.coeff), ratio)))
+        pairs.append((t.mu + alpha, poly_scale(t.poly, ratio)))
     return _from_pairs(pairs, a.truncated, max_terms, max_mu)
 
 
@@ -378,7 +388,7 @@ def caputo(a: Series, alpha: float, max_terms: int = MAX_TERMS,
             raise CaputoRangeError(
                 f"caputo of t^{t.mu} with alpha={alpha}: result exponent would be negative")
         ratio = gamma(t.mu + 1.0) / gamma(t.mu + 1.0 - alpha)
-        pairs.append((max(t.mu - alpha, 0.0), poly_scale(poly_of(t.coeff), ratio)))
+        pairs.append((max(t.mu - alpha, 0.0), poly_scale(t.poly, ratio)))
     return _from_pairs(pairs, a.truncated, max_terms, max_mu)
 
 

@@ -75,12 +75,11 @@ class PowerDomainError(ExprError):
 class Expr:
     """Immutable expression node with cached hash and normal form."""
 
-    __slots__ = ("_hash", "_canon", "_zero", "_skey")
+    __slots__ = ("_hash", "_canon", "_skey")
 
     def __init__(self) -> None:
         self._hash = None
         self._canon = None
-        self._zero = None
         self._skey = None
 
     # -- construction sugar --------------------------------------------
@@ -1106,26 +1105,20 @@ def _atom_sample_values(atom: Expr) -> np.ndarray:
     return arr
 
 
-def is_zero_expr(e: Expr, tol: float = ZERO_COEFF_TOL) -> bool:
-    """Semi-decision for the zero function, used to drop series coefficients."""
-    cached = e._zero
-    if cached is not None:
-        return cached
-    p = poly_of(e)
+def is_zero_expr(p: Poly, tol: float = ZERO_COEFF_TOL) -> bool:
+    """Semi-decision for the zero function of a ``poly_of`` normal form, used
+    to drop series coefficients."""
     if not p:
-        result = True
-    elif len(p) == 1 and () in p:
-        result = abs(p[()]) <= tol
-    else:
-        v = np.zeros(DEFAULT_SAMPLES)
-        for mono, c in p.items():
-            mv = np.full(DEFAULT_SAMPLES, c)
-            for atom, k in mono:
-                mv = mv * _pow_value(_atom_sample_values(atom), k)
-            v += mv
-        result = bool(np.all(np.abs(v) <= tol * (1.0 + np.abs(v))))
-    e._zero = result
-    return result
+        return True
+    if len(p) == 1 and () in p:
+        return abs(p[()]) <= tol
+    v = np.zeros(DEFAULT_SAMPLES)
+    for mono, c in p.items():
+        mv = np.full(DEFAULT_SAMPLES, c)
+        for atom, k in mono:
+            mv = mv * _pow_value(_atom_sample_values(atom), k)
+        v += mv
+    return bool(np.all(np.abs(v) <= tol * (1.0 + np.abs(v))))
 
 
 # ---------------------------------------------------------------------------

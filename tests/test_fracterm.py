@@ -8,6 +8,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracdecomp.decomp import BoundaryData, boundary_correct
 from fracdecomp.fracterm import (
     CaputoRangeError,
     GammaPoleError,
@@ -20,11 +21,14 @@ from fracdecomp.fracterm import (
     initial_value,
     series_add,
     series_equal,
+    series_mul,
     series_scale,
+    series_substitute,
+    spatial_apply,
     to_series,
 )
 from fracdecomp.grammar import parse_expr, parse_series
-from fracdecomp.symx import Const, Var, evaluate
+from fracdecomp.symx import Const, Sin, Var, evaluate, poly_of
 
 X = Var("x")
 
@@ -185,6 +189,12 @@ def test_series_sorts_exponents():
 def test_series_drops_zero_coefficients():
     assert Series([(1.0, Const(0.0))]).is_zero()
     assert Series([(1.0, X - X)]).is_zero()
+    # the sampled test drops dust below 1e-12, constant or not
+    assert Series([(1.0, Const(1e-17) * Sin(X))]).is_zero()
+    assert Series([(1.0, Const(1e-13))]).is_zero()
+    kept = Series([(1.0, Const(1e-9) * X)])
+    assert len(kept) == 1
+    assert evaluate(kept.terms[0].coeff, {"x": 2.0}) == 2e-9
 
 
 def test_term_cap_sets_truncated_flag():
@@ -203,6 +213,32 @@ def test_frac_integral_threads_caps():
     a = Series([(float(k), 1.0) for k in range(6)])
     s = frac_integral(a, 0.5, max_terms=2)
     assert s.truncated
+
+
+def test_operations_share_polys_without_mutating_them():
+    # terms hold normal-form polys that series share, so every operation must
+    # build new dicts and leave its inputs' polys untouched
+    a = parse_series("x*(2 - x)*t^2 + sin(x)*t^0.5 + 3", None)
+    b = parse_series("cos(x)*t + x^2", None)
+    g = Series.of(0.5, 1.0)
+    inputs = (a, b, g)
+    before = [[dict(t.poly) for t in s.terms] for s in inputs]
+    outputs = [
+        series_add(a, b),
+        series_scale(a, 2.5),
+        series_scale(a, X + 1.0),
+        series_mul(a, b),
+        spatial_apply(a, 2),
+        series_substitute(a, "x", 1.0),
+        frac_integral(a, 0.6),
+        caputo(b, 0.6),
+        boundary_correct(a, BoundaryData.interval(g, g), (0.0, 1.0)),
+    ]
+    assert [[dict(t.poly) for t in s.terms] for s in inputs] == before
+    for s in outputs:
+        assert s.terms
+        for term in s.terms:
+            assert poly_of(term.coeff) == term.poly
 
 
 @settings(max_examples=80, deadline=None)
