@@ -330,10 +330,9 @@ def _check_convergence() -> Tuple[bool, str]:
     for pid in problems.PROBLEM_IDS:
         spec = problems.builtin(pid, 1.0)
         grid = evaluation.default_grid(spec)
-        trace = _trace("mldm", pid, 1.0, 4)
-        errs = [evaluation.grid_error(trace.partial(n), spec.exact, grid).max_abs
-                for n in range(5)]
-        res = [evaluation.residual(trace.partial(n), spec, grid) for n in range(5)]
+        rows = evaluation.convergence_report([_trace("mldm", pid, 1.0, 4)], spec, grid)
+        errs = [row.max_abs for row in rows]
+        res = [row.residual for row in rows]
         drops = errs[4] < errs[2] or errs[4] <= FLOOR_TOL
         settles = all(res[i + 1] <= res[i] * (1.0 + 1e-9) + 1e-15 for i in range(4))
         if drops and settles:

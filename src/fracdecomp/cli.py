@@ -43,6 +43,12 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_GATE = 3
 
+# Rows of points.csv one solve may write (grid points x alphas x methods).
+# The largest builtin run on the default grid, p2 with three alphas and both
+# methods, writes 211,806; every row is held in memory as text before the
+# write, so a grid far past this cap would exhaust memory instead of failing.
+MAX_OUTPUT_ROWS = 2_000_000
+
 _CONFIG_KEYS = ("problem", "file", "alpha", "method", "iters", "mode", "weights",
                 "grid", "tmax", "out", "jobs", "allow_inconsistent")
 
@@ -148,13 +154,17 @@ def _build_spec(kind: str, ident: str, alpha: float, mode: str):
     return problems.load_problem_file(ident, alpha, mode)
 
 
+def _grid_counts(counts: Optional[Tuple[int, ...]]) -> Tuple[int, int, int]:
+    """(nx, ny, nt) from the --grid counts; ny is unused by 1D problems."""
+    if counts is None:
+        return DEFAULT_NX, DEFAULT_NY, DEFAULT_NT
+    if len(counts) == 2:
+        return counts[0], DEFAULT_NY, counts[1]
+    return counts
+
+
 def _grid_for(spec, counts: Optional[Tuple[int, ...]], tmax: float):
-    nx, ny, nt = DEFAULT_NX, DEFAULT_NY, DEFAULT_NT
-    if counts is not None:
-        if len(counts) == 2:
-            nx, nt = counts
-        else:
-            nx, ny, nt = counts
+    nx, ny, nt = _grid_counts(counts)
     return make_grid(spec.domain, spec.domain_y if spec.dimension == 2 else None,
                      nx=nx, ny=ny, nt=nt, tmax=tmax)
 
@@ -298,6 +308,14 @@ def cmd_solve(problem, file_, alpha_, method, iters, mode, weights, grid_, tmax,
         # build every spec up front: input errors surface here, and the
         # consistency gate must run before any solving starts
         specs = [_build_spec(kind, ident, a, mode) for a in alphas]
+        methods = ["ladm", "mldm"] if method == "both" else [method]
+        nx, ny, nt = _grid_counts(counts)
+        points = nx * nt * (ny if specs[0].dimension == 2 else 1)
+        rows = points * len(alphas) * len(methods)
+        if rows > MAX_OUTPUT_ROWS:
+            raise ProblemError(f"{points} grid points x {len(alphas)} alphas x "
+                               f"{len(methods)} methods = {rows} output rows, over "
+                               f"the limit of {MAX_OUTPUT_ROWS}; use a coarser --grid")
         for spec in specs:
             report = problems.validate_consistency(spec)
             if spec.mode == "paper-literal" and not allow_inconsistent \
@@ -314,7 +332,6 @@ def cmd_solve(problem, file_, alpha_, method, iters, mode, weights, grid_, tmax,
     except (ProblemError, DecompError, SeriesError, EvalError, ValueError) as exc:
         _fail(EXIT_INPUT, str(exc))
 
-    methods = ["ladm", "mldm"] if method == "both" else [method]
     packed = [(kind, ident, a, m, iters, mode, weights, counts, tmax)
               for a in alphas for m in methods]
     try:

@@ -21,6 +21,13 @@ Two iterations over the series class:
   data; each corrected partial sum interpolates the boundary exactly.
 
 The returned approximation after n iterations is sum_{i<=n} u*_i.
+
+Neither solver redoes what an earlier step already built. ``ladm_solve``
+differentiates each u_k once and forms A_n alone (``adomian_polys`` returns
+A_0..A_n through the same grade-n routine). ``mldm_solve`` keeps N(S*_n),
+which B*_n needs anyway, on ``IterationRecord.applied``;
+``evaluation.residual`` reuses it. The field is None for ladm and for
+problems without a nonlinearity.
 """
 
 from __future__ import annotations
@@ -396,6 +403,56 @@ def boundary_correct(u: Series, bd: BoundaryData, domain,
 # ---------------------------------------------------------------------------
 
 
+def _factor_keys(nonlinear: NonlinearOpSpec) -> List[Tuple[int, str]]:
+    """The distinct (order, var) spatial derivatives the products multiply."""
+    keys: List[Tuple[int, str]] = []
+    for p in nonlinear.products:
+        for f in p.factors:
+            if (f.order, f.var) not in keys:
+                keys.append((f.order, f.var))
+    return keys
+
+
+def _grade_product(a: Sequence[Series], b: Sequence[Series], g: int,
+                   max_terms: int, max_mu: float) -> Series:
+    """Grade g of the product of two graded lists: sum_{ga=0..g} a[ga] b[g-ga].
+
+    The terms are added with ga ascending, so every grade comes out of the
+    same sequence of float operations however many other grades are built.
+    """
+    out = None
+    for ga in range(g + 1):
+        prod = series_mul(a[ga], b[g - ga], max_terms, max_mu)
+        out = prod if out is None else series_add(out, prod, max_terms, max_mu)
+    return out
+
+
+def _adomian_grade(nonlinear: NonlinearOpSpec,
+                   derivs: Dict[Tuple[int, str], Sequence[Series]], n: int,
+                   max_terms: int, max_mu: float) -> Series:
+    """A_n alone, from derivs[(order, var)][k] = d^order u_k / d var^order, k <= n.
+
+    A product of degree d convolves its factors left to right; the inner
+    convolutions keep grades 0..n, the last one only grade n.
+    """
+    acc = None
+    for p in nonlinear.products:
+        chain = [derivs[(f.order, f.var)] for f in p.factors for _ in range(f.power)]
+        graded = chain[0]
+        for nxt in chain[1:-1]:
+            graded = [_grade_product(graded, nxt, g, max_terms, max_mu)
+                      for g in range(n + 1)]
+        if len(chain) > 1:
+            term = _grade_product(graded, chain[-1], n, max_terms, max_mu)
+        else:
+            term = graded[n]
+        term = series_scale(term, p.coeff, max_terms, max_mu)
+        if p.series_coeff is not None:
+            term = series_mul(term, p.series_coeff, max_terms, max_mu)
+        acc = term if acc is None else series_add(acc, term, max_terms, max_mu)
+    return acc
+
+
 def adomian_polys(nonlinear: NonlinearOpSpec, u_list: Sequence[Series],
                   max_terms: int = MAX_TERMS, max_mu: float = MAX_MU) -> List[Series]:
     """A_0..A_n for N(sum_k lambda^k u_k) by grade bookkeeping.
@@ -405,35 +462,11 @@ def adomian_polys(nonlinear: NonlinearOpSpec, u_list: Sequence[Series],
     """
     if not u_list:
         raise DecompError("adomian_polys needs at least u_0")
-    n = len(u_list) - 1
-    out: List[Dict[int, Series]] = []
-    acc: Dict[int, Series] = {}
-
-    def graded_mul(a: Dict[int, Series], b: Dict[int, Series]) -> Dict[int, Series]:
-        res: Dict[int, Series] = {}
-        for ga, sa in a.items():
-            for gb, sb in b.items():
-                g = ga + gb
-                if g > n:
-                    continue
-                prod = series_mul(sa, sb, max_terms, max_mu)
-                res[g] = series_add(res[g], prod, max_terms, max_mu) if g in res else prod
-        return res
-
-    for p in nonlinear.products:
-        term: Optional[Dict[int, Series]] = None
-        for f in p.factors:
-            graded = {k: spatial_apply(u, f.order, f.var, max_terms, max_mu)
-                      for k, u in enumerate(u_list)}
-            for _ in range(f.power):
-                term = dict(graded) if term is None else graded_mul(term, graded)
-        for g in list(term.keys()):
-            term[g] = series_scale(term[g], p.coeff, max_terms, max_mu)
-            if p.series_coeff is not None:
-                term[g] = series_mul(term[g], p.series_coeff, max_terms, max_mu)
-        for g, s in term.items():
-            acc[g] = series_add(acc[g], s, max_terms, max_mu) if g in acc else s
-    return [acc.get(j, Series.zero()) for j in range(n + 1)]
+    derivs = {(order, var): [spatial_apply(u, order, var, max_terms, max_mu)
+                             for u in u_list]
+              for order, var in _factor_keys(nonlinear)}
+    return [_adomian_grade(nonlinear, derivs, j, max_terms, max_mu)
+            for j in range(len(u_list))]
 
 
 def jafari_polys(nonlinear: NonlinearOpSpec, ustar_list: Sequence[Series],
@@ -463,12 +496,20 @@ def jafari_polys(nonlinear: NonlinearOpSpec, ustar_list: Sequence[Series],
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One step of a solve.
+
+    ``applied`` is N(partial_sum) as mldm computed it for B*_n, kept so the
+    residual need not rebuild it; it is None for ladm, which never forms
+    N of its partial sums, and for problems without a nonlinearity.
+    """
+
     n: int
     u: Series                      # raw term from the recursion
     u_star: Series                 # corrected increment (ladm: == u)
     poly: Optional[Series]         # A_n or B*_n, when a nonlinearity exists
     partial_sum: Series            # sum of u_star up to n
     seconds: float
+    applied: Optional[Series] = None   # mldm: N(S*_n)
 
 
 @dataclass(frozen=True)
@@ -500,7 +541,11 @@ def ladm_solve(problem, iterations: int, max_terms: int = MAX_TERMS,
         raise DecompError("iterations must be >= 0")
     alpha = problem.alpha
     records = []
-    u_list: List[Series] = []
+    # per (order, var) factor, the derivatives of u_0..u_n: each u_k is
+    # differentiated once, and A_n is built alone from them
+    derivs: Dict[Tuple[int, str], List[Series]] = (
+        {key: [] for key in _factor_keys(problem.nonlinear)}
+        if problem.nonlinear is not None else {})
     partial = Series.zero()
     truncated = False
     stopped = False
@@ -509,11 +554,12 @@ def ladm_solve(problem, iterations: int, max_terms: int = MAX_TERMS,
                    max_terms, max_mu)
     for n in range(iterations + 1):
         t0 = time.perf_counter()
-        u_list.append(u)
         partial = series_add(partial, u, max_terms, max_mu)
         poly = None
         if problem.nonlinear is not None:
-            poly = adomian_polys(problem.nonlinear, u_list, max_terms, max_mu)[n]
+            for (order, var), ds in derivs.items():
+                ds.append(spatial_apply(u, order, var, max_terms, max_mu))
+            poly = _adomian_grade(problem.nonlinear, derivs, n, max_terms, max_mu)
         step_trunc = _any_truncated(u, partial) or (poly is not None and poly.truncated)
         truncated = truncated or step_trunc
         records.append(IterationRecord(n, u, u, poly, partial, time.perf_counter() - t0))
@@ -568,7 +614,7 @@ def mldm_solve(problem, iterations: int, weights: str = "normalized",
                                   weights, correction_order, max_terms, max_mu)
         u_star = series_add(s_star, series_scale(s_star_prev, -1.0, max_terms, max_mu),
                             max_terms, max_mu)
-        poly = None
+        poly = applied = None
         if problem.nonlinear is not None:
             applied = problem.nonlinear.apply(s_star, max_terms, max_mu)
             poly = series_add(applied, series_scale(n_star_prev, -1.0, max_terms, max_mu),
@@ -578,7 +624,7 @@ def mldm_solve(problem, iterations: int, weights: str = "normalized",
             (poly is not None and poly.truncated)
         truncated = truncated or step_trunc
         records.append(IterationRecord(n, u, u_star, poly, s_star,
-                                       time.perf_counter() - t0))
+                                       time.perf_counter() - t0, applied))
         if step_trunc:
             stopped = n < iterations
             break

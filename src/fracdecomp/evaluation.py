@@ -144,18 +144,28 @@ def grid_error(approx: Series, exact: Series, grid: Grid, method: str = "",
     return ErrorReport(table, max_abs, l2, method, alpha, iterations, mode)
 
 
-def residual(approx: Series, spec, grid: Grid) -> float:
+def residual(approx: Series, spec, grid: Grid,
+             applied: Optional[Series] = None) -> float:
     """Sup-norm over the grid of D^alpha u + Qu + Nu - h at u = approx.
 
     The defect series is assembled under caps far above the solver defaults;
     a truncated defect would silently understate the residual, so that case
     raises instead of returning a number.
+
+    ``applied`` may carry N(approx) as the solver already built it
+    (``IterationRecord.applied``). It is used only when it is not
+    ``truncated``: caps only cut a series and set that sticky flag, so an
+    untruncated N(approx) from the solver's caps equals the one rebuilt
+    under the larger caps here, and the result is identical with or without
+    it. A truncated one is rebuilt.
     """
     mt, mm = RESIDUAL_MAX_TERMS, RESIDUAL_MAX_MU
     res = caputo(approx, spec.alpha, mt, mm)
     res = series_add(res, spec.linear.apply(approx, mt, mm), mt, mm)
     if spec.nonlinear is not None:
-        res = series_add(res, spec.nonlinear.apply(approx, mt, mm), mt, mm)
+        if applied is None or applied.truncated:
+            applied = spec.nonlinear.apply(approx, mt, mm)
+        res = series_add(res, applied, mt, mm)
     res = series_add(res, series_scale(spec.h, -1.0, mt, mm), mt, mm)
     if res.truncated and not approx.truncated:
         raise EvalError(
@@ -242,7 +252,10 @@ class ConvergenceRow:
 
 
 def convergence_report(traces: Sequence, spec, grid: Grid) -> List[ConvergenceRow]:
-    """One row per (trace, iteration): errors vs exact plus PDE residual."""
+    """One row per (trace, iteration): errors vs exact plus PDE residual.
+
+    The residual reuses the N(partial sum) an mldm record carries.
+    """
     rows: List[ConvergenceRow] = []
     for trace in traces:
         seconds = 0.0
@@ -255,6 +268,7 @@ def convergence_report(traces: Sequence, spec, grid: Grid) -> List[ConvergenceRo
             else:
                 max_abs, l2 = None, None
             rows.append(ConvergenceRow(trace.method, trace.alpha, rec.n,
-                                       max_abs, l2, residual(partial, spec, grid),
+                                       max_abs, l2,
+                                       residual(partial, spec, grid, rec.applied),
                                        seconds))
     return rows

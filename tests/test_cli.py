@@ -161,10 +161,14 @@ def test_solve_input_validation_exit_codes(runner, tmp_path):
         ["solve", "-p", "p5", "--iters", "-2", "--out", out],
         ["solve", "-p", "p5", "--tmax", "-1.0", "--out", out],
         ["solve", "-p", "p5", "--jobs", "0", "--out", out],
+        # past MAX_OUTPUT_ROWS: refused before any solve, 2D and 1D
+        ["solve", "-p", "p2", "--grid", "10001,10001,2", "--out", out],
+        ["solve", "-p", "p5", "--grid", "1000001,3", "-m", "both", "--out", out],
     ]
     for args in cases:
         r = runner.invoke(main, args)
         assert r.exit_code == 2, (args, r.output)
+        assert not (tmp_path / "o").exists(), args
 
 
 # ---------------------------------------------------------------------------

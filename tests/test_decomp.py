@@ -26,6 +26,7 @@ from fracdecomp.fracterm import (
     series_mul,
     series_scale,
     series_substitute,
+    spatial_apply,
 )
 from fracdecomp.grammar import parse_series, parse_spatial
 from fracdecomp.problems import ProblemSpec, builtin
@@ -150,6 +151,60 @@ def test_adomian_sum_matches_operator_on_partial_sum():
     for u in us:
         s = series_add(s, u)
     assert series_equal(total, SQUARE.apply(s), tol=1e-10)
+
+
+def _adomian_all_grades(nonlinear, u_list):
+    """A_0..A_n the way the full grade convolution builds them: every factor
+    graded over all of u_list, each product convolved at every grade <= n."""
+    n = len(u_list) - 1
+    acc = {}
+
+    def graded_mul(a, b):
+        res = {}
+        for ga, sa in a.items():
+            for gb, sb in b.items():
+                g = ga + gb
+                if g > n:
+                    continue
+                prod = series_mul(sa, sb)
+                res[g] = series_add(res[g], prod) if g in res else prod
+        return res
+
+    for p in nonlinear.products:
+        term = None
+        for f in p.factors:
+            graded = {k: spatial_apply(u, f.order, f.var) for k, u in enumerate(u_list)}
+            for _ in range(f.power):
+                term = dict(graded) if term is None else graded_mul(term, graded)
+        for g, s in term.items():
+            s = series_scale(s, p.coeff)
+            if p.series_coeff is not None:
+                s = series_mul(s, p.series_coeff)
+            acc[g] = series_add(acc[g], s) if g in acc else s
+    return [acc[j] for j in range(n + 1)]
+
+
+# u^2 * u_x: no builtin is of degree 3, and only a degree-3 product keeps
+# intermediate grades before the last multiplication
+CUBIC = NonlinearOpSpec((NonlinearProduct(
+    0.5, (NonlinearFactor(0, "x", 2), NonlinearFactor(1, "x"))),))
+
+
+@pytest.mark.parametrize("pid,nonlinear", [("p6", None), ("p7", None), ("p6", CUBIC)])
+def test_ladm_grade_n_adomian_matches_all_grades(pid, nonlinear):
+    # ladm builds A_n alone from derivatives it keeps across steps; it must
+    # be the same series, bit for bit, as grade n of the full convolution
+    spec = builtin(pid, alpha=0.75)
+    if nonlinear is not None:
+        spec = dataclasses.replace(spec, nonlinear=nonlinear)
+    trace = ladm_solve(spec, 4)
+    assert len(trace.records) == 5
+    us = [r.u for r in trace.records]
+    full = _adomian_all_grades(spec.nonlinear, us)
+    assert adomian_polys(spec.nonlinear, us) == full
+    for rec in trace.records:
+        assert rec.poly == full[rec.n]
+        assert rec.poly == _adomian_all_grades(spec.nonlinear, us[:rec.n + 1])[rec.n]
 
 
 def test_nonlinear_degree_cap():

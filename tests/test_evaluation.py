@@ -17,7 +17,13 @@ from fracdecomp.evaluation import (
     residual,
     rl_integral_quadrature,
 )
-from fracdecomp.fracterm import Series
+from fracdecomp.fracterm import (
+    DEEP_MU,
+    DEEP_TERMS,
+    RESIDUAL_MAX_MU,
+    RESIDUAL_MAX_TERMS,
+    Series,
+)
 from fracdecomp.grammar import parse_series
 from fracdecomp.problems import PROBLEM_IDS, builtin
 
@@ -115,6 +121,44 @@ def test_residual_decreases_along_iterations():
     trace = mldm_solve(spec, 3)
     vals = [residual(trace.records[n].partial_sum, spec, g) for n in (1, 2, 3)]
     assert vals[1] <= vals[0] and vals[2] <= vals[1]
+
+
+@pytest.mark.parametrize("pid", ["p6", "p7"])
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_residual_reuses_solver_nonlinearity_exactly(pid, alpha):
+    # the N(S*_n) an mldm record carries is, term for term, the one the
+    # residual would rebuild under its own larger caps, so reusing it
+    # changes no bit of the residual
+    spec = builtin(pid, alpha)
+    g = default_grid(spec)
+    trace = mldm_solve(spec, 4, max_terms=DEEP_TERMS, max_mu=DEEP_MU)
+    assert len(trace.records) == 5
+    for rec in trace.records:
+        partial = rec.partial_sum
+        assert not rec.applied.truncated
+        assert rec.applied == spec.nonlinear.apply(partial, RESIDUAL_MAX_TERMS,
+                                                   RESIDUAL_MAX_MU)
+        assert residual(partial, spec, g, rec.applied) == residual(partial, spec, g)
+
+
+def test_residual_rebuilds_a_truncated_nonlinearity():
+    # max_mu = 12 cuts N(S*_1) of p6 (exponents up to 22) but not S*_1 (up to 11)
+    spec = builtin("p6", 1.0)
+    g = default_grid(spec)
+    trace = mldm_solve(spec, 4, max_mu=12.0)
+    rec = trace.records[-1]
+    assert rec.applied.truncated and not rec.partial_sum.truncated
+    full = spec.nonlinear.apply(rec.partial_sum, RESIDUAL_MAX_TERMS, RESIDUAL_MAX_MU)
+    assert rec.applied != full
+    want = residual(rec.partial_sum, spec, g)
+    assert residual(rec.partial_sum, spec, g, rec.applied) == want
+    assert convergence_report([trace], spec, g)[-1].residual == want
+
+
+def test_applied_is_none_for_ladm_and_linear_problems():
+    spec = builtin("p6", 1.0)
+    assert all(r.applied is None for r in ladm_solve(spec, 2).records)
+    assert all(r.applied is None for r in mldm_solve(builtin("p5", 1.0), 2).records)
 
 
 # ---------------------------------------------------------------------------

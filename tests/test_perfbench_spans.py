@@ -1,5 +1,7 @@
-"""The span tracer in perfbench/ must find every traced name in the package."""
+"""The span tracer in perfbench/ must find every traced name in the package
+and pass a whole traced solve through."""
 
+import json
 import os
 import subprocess
 import sys
@@ -17,3 +19,20 @@ def test_span_tracer_installs():
     r = subprocess.run([sys.executable, "-c", INSTALL], cwd=ROOT, env=env,
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
+
+
+def test_traced_solve_runs_both_methods(tmp_path):
+    # a whole traced solve through the span tracer: every wrapper must pass
+    # the solver's calls through, and the solve and residual layers must
+    # show up as spans
+    env = dict(os.environ, PYTHONPATH="src")
+    counters = tmp_path / "counters.json"
+    cmd = [sys.executable, os.path.join("perfbench", "spans.py"),
+           str(tmp_path / "spans.npz"), str(counters),
+           "solve", "-p", "p7", "-m", "both", "-n", "1", "-o", str(tmp_path / "out")]
+    r = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True,
+                       timeout=300)
+    assert r.returncode == 0, r.stderr
+    names = json.loads(counters.read_text())["names"]
+    for name in ("decomp.ladm_solve", "decomp.mldm_solve", "evaluation.residual"):
+        assert name in names, name
