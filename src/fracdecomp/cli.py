@@ -17,10 +17,12 @@ from __future__ import annotations
 import concurrent.futures
 import configparser
 import os
+from itertools import repeat
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import click
+import numpy as np
 
 from . import acceptance, problems
 from .decomp import DecompError, ladm_solve, mldm_solve
@@ -183,24 +185,13 @@ def _run_job(packed: tuple) -> Dict[str, object]:
     exact = (evaluate_series_grid(spec.exact, grid)
              if spec.exact is not None else None)
 
-    points: List[str] = []
     n_final = trace.records[-1].n
-    prefix = f"{method},{_f(alpha)},{n_final}"
-    if spec.dimension == 1:
-        for i, x in enumerate(grid.xs):
-            for k, t in enumerate(grid.ts):
-                a = approx[i, k]
-                e = exact[i, k] if exact is not None else float("nan")
-                points.append(f"{prefix},{_f(x)},{_f(t)},{_f(a)},{_f(e)},"
-                              f"{_f(abs(a - e))}")
-    else:
-        for i, x in enumerate(grid.xs):
-            for j, y in enumerate(grid.ys):
-                for k, t in enumerate(grid.ts):
-                    a = approx[i, j, k]
-                    e = exact[i, j, k] if exact is not None else float("nan")
-                    points.append(f"{prefix},{_f(x)},{_f(y)},{_f(t)},{_f(a)},"
-                                  f"{_f(e)},{_f(abs(a - e))}")
+    known = exact if exact is not None else np.full(approx.shape, float("nan"))
+    # one text column per field, in row order: x outermost, then y, then t
+    axes = (grid.xs, grid.ts) if spec.dimension == 1 else (grid.xs, grid.ys, grid.ts)
+    fields = [*np.meshgrid(*axes, indexing="ij"), approx, known, np.abs(approx - known)]
+    columns = [map(repr, f.ravel().tolist()) for f in fields]
+    points = list(map(",".join, zip(repeat(f"{method},{_f(alpha)},{n_final}"), *columns)))
 
     summary: List[str] = []
     table: List[str] = []

@@ -15,7 +15,9 @@ Each term keeps its coefficient c_k as a symx normal-form poly, so the ring
 and fractional operations run on polys from end to end. An ``Expr`` is built
 only at the edges that need a tree: rendering, evaluation, ``diff``,
 ``series_equal`` and ``initial_value``, through the read-only
-``TimeTerm.coeff``.
+``TimeTerm.coeff``. ``series_mul`` forms all its term products in one
+``symx.poly_outer`` call, and ``_from_pairs`` merges same-exponent polys into
+one dict of its own, never into a poly a series holds.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ from .symx import (
     expr_of_poly,
     is_zero_expr,
     poly_add,
+    poly_add_into,
     poly_of,
+    poly_outer,
     poly_scale,
     poly_mul,
     poly_substitute,
@@ -270,12 +274,17 @@ def _from_pairs(pairs, truncated: bool, max_terms: int, max_mu: float) -> Series
     pairs.sort(key=lambda p: p[0])
     merged = []
     cur_mu, cur_poly = pairs[0]
+    owned = False   # cur_poly was built here, so later merges may update it
     for mu, p in pairs[1:]:
         if mu - cur_mu <= MU_MERGE_TOL:
-            cur_poly = poly_add(cur_poly, p)
+            if owned and cur_poly:
+                poly_add_into(cur_poly, p)
+            else:
+                cur_poly = poly_add(cur_poly, p)
+                owned = True
         else:
             merged.append((cur_mu, cur_poly))
-            cur_mu, cur_poly = mu, p
+            cur_mu, cur_poly, owned = mu, p, False
     merged.append((cur_mu, cur_poly))
 
     terms = []
@@ -320,11 +329,10 @@ def series_scale(a: Series, k: Union[float, int, Expr], max_terms: int = MAX_TER
 
 def series_mul(a: Series, b: Series, max_terms: int = MAX_TERMS,
                max_mu: float = MAX_MU) -> Series:
-    pairs = []
-    for ta in a.terms:
-        for tb in b.terms:
-            pairs.append((ta.mu + tb.mu, poly_mul(ta.poly, tb.poly)))
-    return _from_pairs(pairs, a.truncated or b.truncated, max_terms, max_mu)
+    mus = [ta.mu + tb.mu for ta in a.terms for tb in b.terms]
+    polys = poly_outer([t.poly for t in a.terms], [t.poly for t in b.terms])
+    return _from_pairs(list(zip(mus, polys)), a.truncated or b.truncated,
+                       max_terms, max_mu)
 
 
 def spatial_apply(a: Series, order: int, var: str = "x",

@@ -8,6 +8,11 @@ irreducible atoms (variables and transcendental nodes), so structural
 equality of simplified expressions doubles as semantic equality for
 polynomial content; mixtures that share no normal form are compared with
 ``equal_sampled`` on deterministic quasi-random points.
+
+Polys multiply through one kernel, ``poly_outer``, the product of every pair
+from two lists: a pair of single-base Fourier polys is multiplied by
+convolving coefficient vectors, any other pair by the generic monomial
+product with trig linearisation. ``poly_mul`` runs the same code on one pair.
 """
 
 from __future__ import annotations
@@ -320,13 +325,18 @@ def poly_add(p1: Poly, p2: Poly) -> Poly:
     if not p1:
         return dict(p2)
     out = dict(p1)
-    for mono, c in p2.items():
+    poly_add_into(out, p2)
+    return out
+
+
+def poly_add_into(out: Poly, p: Poly) -> None:
+    """Add p into ``out`` in place; ``out`` must be a dict the caller owns."""
+    for mono, c in p.items():
         s = out.get(mono, 0.0) + c
         if s == 0.0:
             out.pop(mono, None)
         else:
             out[mono] = s
-    return out
 
 
 def poly_scale(p: Poly, k: float) -> Poly:
@@ -366,10 +376,34 @@ def _mono_mul(m1: Mono, m2: Mono) -> Mono:
 
 
 def poly_mul(p1: Poly, p2: Poly) -> Poly:
-    if p1 and p2:
-        fast = _fourier_mul_fast(p1, p2)
+    f1 = _fourier_form(p1)
+    if f1 is not None:
+        fast = _fourier_product(f1, _fourier_form(p2), _ProductMemo())
         if fast is not None:
             return fast
+    return _generic_mul(p1, p2)
+
+
+def poly_outer(ps: List[Poly], qs: List[Poly]) -> List[Poly]:
+    """``[poly_mul(p, q) for p in ps for q in qs]``, bit for bit.
+
+    Each operand is decomposed onto its Fourier basis once per call rather
+    than once per pair, and common angles and product monomials are shared
+    across the pairs; anything else goes through the generic product exactly
+    where ``poly_mul`` would send it.
+    """
+    memo = _ProductMemo()
+    fps = [_fourier_form(p) for p in ps]
+    fqs = [_fourier_form(q) for q in qs]
+    out = []
+    for p, fp in zip(ps, fps):
+        for q, fq in zip(qs, fqs):
+            fast = _fourier_product(fp, fq, memo)
+            out.append(_generic_mul(p, q) if fast is None else fast)
+    return out
+
+
+def _generic_mul(p1: Poly, p2: Poly) -> Poly:
     out: Poly = {}
     for m1, c1 in p1.items():
         for m2, c2 in p2.items():
@@ -416,8 +450,9 @@ TRIG_EXPAND_MAX = 512
 TRIG_MULTIPLE_MAX = 4096
 
 _TRIG_UNSET = object()
-# id(atom) -> (is_sin, base_key, ratio, base_poly) or None; atoms are interned
-_TRIG_INFO: Dict[int, object] = {}
+# atom -> (is_sin, base_key, ratio, base_poly) or None; atoms are interned, so
+# a lookup mostly hits on identity
+_TRIG_INFO: Dict[Expr, object] = {}
 # (base_key, angle_scale, is_sin) -> interned multiple-angle atom
 _TRIG_ATOMS: Dict[tuple, Expr] = {}
 
@@ -425,7 +460,7 @@ _TRIG_ATOMS: Dict[tuple, Expr] = {}
 def _trig_info(atom: Expr):
     """Base angle of a sin/cos atom: its argument normalized so the leading
     coefficient is one, plus the ratio that recovers the argument."""
-    got = _TRIG_INFO.get(id(atom), _TRIG_UNSET)
+    got = _TRIG_INFO.get(atom, _TRIG_UNSET)
     if got is not _TRIG_UNSET:
         return got
     p = poly_of(atom.arg)
@@ -435,7 +470,7 @@ def _trig_info(atom: Expr):
         c0 = items[0][1]
         base = {m: c / c0 for m, c in p.items()}
         info = (isinstance(atom, Sin), expr_of_poly(base), c0, base)
-    _TRIG_INFO[id(atom)] = info
+    _TRIG_INFO[atom] = info
     return info
 
 
@@ -585,31 +620,89 @@ def _fourier_vectors(items, g: float):
     return a, b
 
 
-def _fourier_mul_fast(p1: Poly, p2: Poly):
-    """Product of two single-base Fourier polys via convolutions, else None.
+class _FourierForm:
+    """A single-base Fourier poly on its coefficient vectors: the
+    ``_fourier_poly_items`` decomposition, its ratio tuple (never empty, as
+    the poly has a trig monomial) and the ``(a, b)`` vectors per angle unit
+    g, built once per operand."""
+
+    __slots__ = ("base_key", "base_poly", "items", "ratios", "_vectors")
+
+    def __init__(self, base_key: Expr, base_poly: Poly, items: list):
+        self.base_key = base_key
+        self.base_poly = base_poly
+        self.items = items
+        self.ratios = tuple(r for r, _, _ in items if r is not None)
+        self._vectors: Dict[float, tuple] = {}
+
+    def vectors(self, g: float):
+        got = self._vectors.get(g)
+        if got is None:
+            got = self._vectors[g] = _fourier_vectors(self.items, g)
+        return got
+
+
+def _fourier_form(p: Poly):
+    f = _fourier_poly_items(p)
+    return None if f is None else _FourierForm(*f)
+
+
+class _ProductMemo:
+    """What the pairs of one outer product share: the common angle per pair of
+    ratio tuples, and the product monomials per (base_key, g), laid out as
+    ``[(), unused, cos g, sin g, cos 2g, sin 2g, ...]`` and built on demand."""
+
+    __slots__ = ("angles", "monos")
+
+    def __init__(self):
+        self.angles: Dict[tuple, object] = {}
+        self.monos: Dict[tuple, list] = {}
+
+
+def _fourier_product(f1, f2, memo: _ProductMemo):
+    """Product of two single-base Fourier polys, given as their forms, via
+    convolutions; None when either is not such a poly or they do not share a
+    base and a common angle.
 
     This is the same product-to-sum rewrite as ``_linearize_mono``, done on
     coefficient vectors so a series product does not grind through millions
     of monomial pairs.
     """
-    f1 = _fourier_poly_items(p1)
-    if f1 is None:
+    if f1 is None or f2 is None:
         return None
-    f2 = _fourier_poly_items(p2)
-    if f2 is None:
+    if f1.base_key is not f2.base_key and f1.base_key != f2.base_key:
         return None
-    if f1[0] is not f2[0] and f1[0] != f2[0]:
-        return None
-    base_key, base_poly, _ = f1
-    ratios = [r for r, _, _ in f1[2] if r is not None]
-    ratios += [r for r, _, _ in f2[2] if r is not None]
-    if not ratios:
-        return None
-    g = _common_angle(ratios)
+    key = (f1.ratios, f2.ratios)
+    g = memo.angles.get(key, _TRIG_UNSET)
+    if g is _TRIG_UNSET:
+        g = memo.angles[key] = _common_angle(f1.ratios + f2.ratios)
     if g is None:
         return None
-    a1, b1 = _fourier_vectors(f1[2], g)
-    a2, b2 = _fourier_vectors(f2[2], g)
+    A, B = _fourier_convolve(*f1.vectors(g), *f2.vectors(g))
+
+    # [A0, B0, A1, B1, ...] with B0 (no sin(0)) cleared: the product's
+    # monomial order is the constant, then cos before sin per multiple of g
+    C = np.empty(2 * len(A))
+    C[0::2] = A
+    C[1::2] = B
+    C[1] = 0.0
+    nz = np.flatnonzero(C).tolist()
+    mkey = (f1.base_key, g)
+    monos = memo.monos.get(mkey)
+    if monos is None:
+        monos = memo.monos[mkey] = [()]
+    if len(monos) < len(C):
+        monos.extend([None] * (len(C) - len(monos)))
+    for i in nz:
+        if monos[i] is None:
+            atom = _trig_atom_for(f1.base_key, f1.base_poly, (i >> 1) * g, bool(i & 1))
+            monos[i] = ((atom, 1.0),)
+    return dict(zip([monos[i] for i in nz], C[nz].tolist()))
+
+
+def _fourier_convolve(a1, b1, a2, b2):
+    """Cosine and sine coefficients of the product of two Fourier series
+    given by their (cos, sin) coefficient vectors over one angle unit."""
     off = len(a2) - 1
     L = len(a1) + len(a2) - 1
 
@@ -640,21 +733,7 @@ def _fourier_mul_fast(p1: Poly, p2: Poly):
     A += 0.5 * (fold_cos(cross(b1, b2)) - np.convolve(b1, b2))
     B = 0.5 * (np.convolve(b1, a2) + fold_sin(cross(b1, a2)))
     B += 0.5 * (np.convolve(a1, b2) - fold_sin(cross(a1, b2)))
-
-    out: Poly = {}
-    c0 = float(A[0])
-    if c0 != 0.0:
-        out[()] = c0
-    for m in range(1, L):
-        am = float(A[m])
-        if am != 0.0:
-            atom = _trig_atom_for(base_key, base_poly, m * g, False)
-            out[((atom, 1.0),)] = am
-        bm = float(B[m])
-        if bm != 0.0:
-            atom = _trig_atom_for(base_key, base_poly, m * g, True)
-            out[((atom, 1.0),)] = bm
-    return out
+    return A, B
 
 
 def _linearize_mono(mono: Mono, coeff: float) -> Poly:
@@ -1089,11 +1168,15 @@ def equal_sampled(a: Expr, b: Expr, domain=None, n_samples: int = DEFAULT_SAMPLE
 
 
 _ZERO_ENV = None
-_ATOM_SAMPLES: Dict[int, np.ndarray] = {}   # id(atom) -> values; atoms are interned
+# atom -> sampled values, and (atom, exponent) -> sampled power; atoms are
+# interned, so a lookup mostly hits on identity
+_ATOM_SAMPLES: Dict[Expr, np.ndarray] = {}
+_POW_SAMPLES: Dict[Tuple[Expr, float], np.ndarray] = {}
+_ONES = np.ones(DEFAULT_SAMPLES)
 
 
 def _atom_sample_values(atom: Expr) -> np.ndarray:
-    arr = _ATOM_SAMPLES.get(id(atom))
+    arr = _ATOM_SAMPLES.get(atom)
     if arr is None:
         global _ZERO_ENV
         if _ZERO_ENV is None:
@@ -1101,7 +1184,15 @@ def _atom_sample_values(atom: Expr) -> np.ndarray:
         arr = np.asarray(evaluate(atom, _ZERO_ENV), dtype=float)
         if arr.shape != (DEFAULT_SAMPLES,):
             arr = np.full(DEFAULT_SAMPLES, float(arr))
-        _ATOM_SAMPLES[id(atom)] = arr
+        _ATOM_SAMPLES[atom] = arr
+    return arr
+
+
+def _pow_sample_values(factor: Tuple[Expr, float]) -> np.ndarray:
+    arr = _POW_SAMPLES.get(factor)
+    if arr is None:
+        atom, k = factor
+        arr = _POW_SAMPLES[factor] = _pow_value(_atom_sample_values(atom), k)
     return arr
 
 
@@ -1112,13 +1203,25 @@ def is_zero_expr(p: Poly, tol: float = ZERO_COEFF_TOL) -> bool:
         return True
     if len(p) == 1 and () in p:
         return abs(p[()]) <= tol
-    v = np.zeros(DEFAULT_SAMPLES)
-    for mono, c in p.items():
-        mv = np.full(DEFAULT_SAMPLES, c)
-        for atom, k in mono:
-            mv = mv * _pow_value(_atom_sample_values(atom), k)
-        v += mv
+    v = _zero_check_samples(p)
     return bool(np.all(np.abs(v) <= tol * (1.0 + np.abs(v))))
+
+
+def _zero_check_samples(p: Poly) -> np.ndarray:
+    """The values of a non-empty p on the zero-check points, all monomials
+    at once.
+
+    Row i is c_i times the sampled factors of monomial i in order (short
+    monomials padded with ones, an exact no-op), and the rows are summed in
+    dict order starting from +0.0, so every bit, down to the sign of a zero,
+    matches a monomial-by-monomial loop.
+    """
+    cols = [[_pow_sample_values(mono[j]) if j < len(mono) else _ONES for mono in p]
+            for j in range(max(1, max(map(len, p))))]
+    v = np.fromiter(p.values(), float, len(p))[:, None] * np.array(cols[0])
+    for col in cols[1:]:
+        v *= np.array(col)
+    return v.sum(axis=0, initial=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from fracdecomp.fracterm import (
     GammaPoleError,
     Series,
     SeriesError,
+    TimeTerm,
     caputo,
     eval_series,
     frac_integral,
@@ -28,7 +29,7 @@ from fracdecomp.fracterm import (
     to_series,
 )
 from fracdecomp.grammar import parse_expr, parse_series
-from fracdecomp.symx import Const, Sin, Var, evaluate, poly_of
+from fracdecomp.symx import Const, Sin, Var, evaluate, poly_add, poly_of, poly_scale
 
 X = Var("x")
 
@@ -221,13 +222,18 @@ def test_operations_share_polys_without_mutating_them():
     a = parse_series("x*(2 - x)*t^2 + sin(x)*t^0.5 + 3", None)
     b = parse_series("cos(x)*t + x^2", None)
     g = Series.of(0.5, 1.0)
-    inputs = (a, b, g)
+    # three terms at t^0.5, t^1 and t^1.5 each, so merges chain past two polys
+    c = parse_series("x*t^0.5 + sin(x)*t + cos(2*x)*t^1.5 + 1", None)
+    d = parse_series("2*x*t^0.5 - x*t + 3*sin(x)*t^1.5 + x^3", None)
+    inputs = (a, b, g, c, d)
     before = [[dict(t.poly) for t in s.terms] for s in inputs]
     outputs = [
         series_add(a, b),
         series_scale(a, 2.5),
         series_scale(a, X + 1.0),
         series_mul(a, b),
+        series_mul(c, d),
+        Series([*c.terms, *d.terms, *g.terms, *series_scale(c, -1.0).terms]),
         spatial_apply(a, 2),
         series_substitute(a, "x", 1.0),
         frac_integral(a, 0.6),
@@ -239,6 +245,34 @@ def test_operations_share_polys_without_mutating_them():
         assert s.terms
         for term in s.terms:
             assert poly_of(term.coeff) == term.poly
+
+
+def test_merge_matches_chained_poly_add():
+    # _from_pairs merges same-exponent polys in place; it must leave the same
+    # dict, in the same order, as folding them with poly_add, including a
+    # group that cancels to {} and then meets a poly holding an underflowed
+    # 0.0 coefficient, which poly_add copies rather than pops
+    x, s1 = poly_of(X), poly_of(Sin(X))
+    tiny = poly_scale(poly_of(Const(3.0) * X + Sin(X)), 1e-320)
+    tiny = poly_scale(tiny, 1e-10)
+    assert 0.0 in tiny.values()
+    groups = [
+        [x, poly_scale(x, -1.0), tiny, s1],
+        [s1, x, poly_scale(s1, 2.0), poly_of(Const(1.0) + X * X)],
+        [poly_of(Const(2.0) * Sin(X) + X), poly_scale(s1, -2.0), poly_scale(x, -1.0)],
+    ]
+    for polys in groups:
+        want = polys[0]
+        for p in polys[1:]:
+            want = poly_add(want, p)
+        frozen = [dict(p) for p in polys]
+        s = Series([TimeTerm(1.0, p) for p in polys])
+        assert polys == frozen
+        if not want:
+            assert s.is_zero()
+            continue
+        (term,) = s.terms
+        assert term.poly == want and list(term.poly) == list(want)
 
 
 @settings(max_examples=80, deadline=None)
