@@ -20,7 +20,6 @@ from .decomp import (
     SolveTrace,
     adomian_polys,
     boundary_correct,
-    jafari_polys,
     ladm_solve,
     mldm_solve,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "gamma",
     "grid_error",
     "initial_value",
-    "jafari_polys",
     "ladm_solve",
     "load_problem_file",
     "make_grid",

@@ -327,7 +327,8 @@ def cmd_solve(problem, file_, alpha_, method, iters, mode, weights, grid_, tmax,
               for a in alphas for m in methods]
     try:
         if jobs > 1 and len(packed) > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            # the fork start method launches every worker up front
+            with concurrent.futures.ProcessPoolExecutor(min(jobs, len(packed))) as pool:
                 results = list(pool.map(_run_job, packed))
         else:
             results = [_run_job(p) for p in packed]

@@ -63,7 +63,6 @@ __all__ = [
     "SolveTrace",
     "boundary_correct",
     "adomian_polys",
-    "jafari_polys",
     "ladm_solve",
     "mldm_solve",
 ]
@@ -467,26 +466,6 @@ def adomian_polys(nonlinear: NonlinearOpSpec, u_list: Sequence[Series],
               for order, var in _factor_keys(nonlinear)}
     return [_adomian_grade(nonlinear, derivs, j, max_terms, max_mu)
             for j in range(len(u_list))]
-
-
-def jafari_polys(nonlinear: NonlinearOpSpec, ustar_list: Sequence[Series],
-                 max_terms: int = MAX_TERMS, max_mu: float = MAX_MU) -> List[Series]:
-    """Difference polynomials B*_n = N(S_n) - N(S_{n-1}) over partial sums.
-
-    Telescoping is exact: sum_{i<=n} B*_i = N(S_n).
-    """
-    if not ustar_list:
-        raise DecompError("jafari_polys needs at least u*_0")
-    out: List[Series] = []
-    partial = Series.zero()
-    prev_applied = Series.zero()
-    for u in ustar_list:
-        partial = series_add(partial, u, max_terms, max_mu)
-        applied = nonlinear.apply(partial, max_terms, max_mu)
-        out.append(series_add(applied, series_scale(prev_applied, -1.0, max_terms, max_mu),
-                              max_terms, max_mu))
-        prev_applied = applied
-    return out
 
 
 # ---------------------------------------------------------------------------

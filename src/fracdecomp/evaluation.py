@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .symx import evaluate
 from .fracterm import (
@@ -193,6 +192,8 @@ def _call_on(f: Callable[[float], float], tau: np.ndarray) -> np.ndarray:
 
 
 def _composite(f, alpha: float, t: float, n: int, panels: int) -> float:
+    # imported here: only the quadrature oracle needs scipy, not a solve
+    from scipy.special import roots_jacobi, roots_legendre
     xj, wj = roots_jacobi(n, alpha - 1.0, 0.0)
     half = t / 4.0
     tau = t - half * (1.0 - xj)

@@ -11,9 +11,9 @@ termwise through the power rule, so the Laplace round trip
 L^{-1}{s^{-alpha} L{.}} is realized exactly as I^alpha with no transform
 objects. All gamma factors come from the Lanczos evaluator below.
 
-Each term keeps its coefficient c_k as a symx normal-form poly, so the ring
-and fractional operations run on polys from end to end. An ``Expr`` is built
-only at the edges that need a tree: rendering, evaluation, ``diff``,
+Each term keeps its coefficient c_k as a symx normal-form poly, so the ring,
+spatial and fractional operations run on polys from end to end. An ``Expr``
+is built only at the edges that need a tree: rendering, evaluation,
 ``series_equal`` and ``initial_value``, through the read-only
 ``TimeTerm.coeff``. ``series_mul`` forms all its term products in one
 ``symx.poly_outer`` call, and ``_from_pairs`` merges same-exponent polys into
@@ -344,10 +344,10 @@ def spatial_apply(a: Series, order: int, var: str = "x",
         return a
     pairs = []
     for t in a.terms:
-        c = t.coeff
+        p = t.poly
         for _ in range(order):
-            c = diff(c, var)
-        pairs.append((t.mu, poly_of(c)))
+            p = diff(p, var)
+        pairs.append((t.mu, p))
     return _from_pairs(pairs, a.truncated, max_terms, max_mu)
 
 

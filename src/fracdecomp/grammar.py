@@ -180,6 +180,9 @@ class _Parser:
             return fracterm.gamma(arg.value)
         except fracterm.GammaError as exc:
             raise GrammarError(str(exc), pos, self.text) from None
+        except OverflowError:
+            raise GrammarError(f"gamma({arg.value:g}) overflows a float",
+                               pos, self.text) from None
 
     def led(self, tok: _Token, left: Expr) -> Expr:
         if tok.kind == "+":

@@ -13,6 +13,7 @@ Polys multiply through one kernel, ``poly_outer``, the product of every pair
 from two lists: a pair of single-base Fourier polys is multiplied by
 convolving coefficient vectors, any other pair by the generic monomial
 product with trig linearisation. ``poly_mul`` runs the same code on one pair.
+``diff`` differentiates a poly by the product and chain rules, with no tree.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "diff",
     "evaluate",
     "simplify",
-    "substitute",
     "contains",
     "equal_sampled",
     "sample_points",
@@ -840,12 +840,7 @@ def _poly_of(e: Expr) -> Poly:
             out = poly_add(out, poly_of(a))
         return out
     if isinstance(e, Prod):
-        out = {(): 1.0}
-        for a in e.args:
-            out = poly_mul(out, poly_of(a))
-            if not out:
-                return out
-        return out
+        return _product(poly_of(a) for a in (ONE,) + e.args)
     if isinstance(e, Pow):
         return _poly_of_pow(e)
     if isinstance(e, (Sin, Cos, Exp)):
@@ -887,10 +882,7 @@ def _poly_of_pow(e: Pow) -> Poly:
                 return _atom_poly(Pow(expr_of_poly(base), p))
             if isinstance(cp, complex) or cp != cp:
                 return _atom_poly(Pow(expr_of_poly(base), p))
-            out_mono: Poly = {(): cp}
-            for atom, k in mono:
-                out_mono = poly_mul(out_mono, _atom_poly(atom, k * p))
-            return out_mono
+            return _product([{(): cp}] + [_atom_poly(atom, k * p) for atom, k in mono])
         return _atom_poly(Pow(expr_of_poly(base), p))
     if p.is_integer() and 0 < p <= EXPAND_POW_MAX:
         return _poly_pow_int(base, int(p))
@@ -924,38 +916,69 @@ def simplify(e: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def diff(e: Expr, var: Union[str, Var]) -> Expr:
-    """Exact symbolic derivative, returned in normal form."""
+def diff(p: Poly, var: Union[str, Var]) -> Poly:
+    """Exact derivative of a normal-form poly, bit for bit the normal form of
+    the tree derivative of ``expr_of_poly(p)``: monomials in ``_mono_key``
+    order, each by the product rule as left-to-right ``poly_mul`` chains (the
+    coefficient first unless it is 1.0), summed per monomial, then in total.
+    """
     name = var.name if isinstance(var, Var) else var
     if name not in Var._ALLOWED:
         raise ExprError(f"cannot differentiate with respect to {name!r}")
-    return simplify(_diff(e, name))
+    out: Poly = {}
+    for mono, c in sorted(p.items(), key=lambda kv: _mono_key(kv[0])):
+        lead = [] if c == 1.0 else [{(): c}]
+        # {1} * a^k is poly_of(a^k): it linearises a trig power
+        factors = [poly_mul({(): 1.0}, _atom_poly(a, k)) for a, k in mono]
+        d: Poly = {}
+        for j, (atom, k) in enumerate(mono):
+            dj = _factor_diff(atom, k, name)
+            if dj:
+                # products hold no 0.0 coefficient, so adding into {} copies
+                # exactly as poly_add would
+                poly_add_into(d, _product(lead + factors[:j] + [dj] + factors[j + 1:]))
+        poly_add_into(out, d)
+    return out
 
 
-def _diff(e: Expr, name: str) -> Expr:
-    if isinstance(e, Const):
-        return ZERO
-    if isinstance(e, Var):
-        return ONE if e.name == name else ZERO
-    if isinstance(e, Sum):
-        return Sum(tuple(_diff(a, name) for a in e.args))
-    if isinstance(e, Prod):
-        parts = []
-        for i, a in enumerate(e.args):
-            da = _diff(a, name)
-            parts.append(Prod(e.args[:i] + (da,) + e.args[i + 1:]))
-        return Sum(tuple(parts))
-    if isinstance(e, Pow):
-        if e.exponent == 0.0:
-            return ZERO
-        return Prod((Const(e.exponent), Pow(e.base, e.exponent - 1.0), _diff(e.base, name)))
-    if isinstance(e, Sin):
-        return Prod((Cos(e.arg), _diff(e.arg, name)))
-    if isinstance(e, Cos):
-        return Prod((Const(-1.0), Sin(e.arg), _diff(e.arg, name)))
-    if isinstance(e, Exp):
-        return Prod((e, _diff(e.arg, name)))
-    raise ExprError(f"unsupported node {type(e).__name__}")
+def _product(polys) -> Poly:
+    """Left-to-right ``poly_mul`` over a non-empty iterable, stopping at zero."""
+    out = None
+    for q in polys:
+        out = q if out is None else poly_mul(out, q)
+        if not out:
+            break
+    return out
+
+
+# (atom, exponent, var) -> derivative of atom^exponent; atoms are interned and
+# the cached polys are only ever read
+_FACTOR_DIFF: Dict[Tuple[Expr, float, str], Poly] = {}
+
+
+def _factor_diff(atom: Expr, k: float, name: str) -> Poly:
+    """k * atom^(k-1) * atom', chaining through sin, cos, exp and opaque
+    powers; the first call per key reads the argument's normal form and
+    builds the companion atom (cos, sin or base^(p-1))."""
+    key = (atom, k, name)
+    got = _FACTOR_DIFF.get(key)
+    if got is None:
+        if k != 1.0:
+            chain = [{(): k}, poly_mul({(): 1.0}, _atom_poly(atom, k - 1.0)),
+                     _factor_diff(atom, 1.0, name)]
+        elif isinstance(atom, Var):
+            chain = [{(): 1.0} if atom.name == name else {}]
+        elif isinstance(atom, Pow):
+            darg = diff(poly_of(atom.base), name)
+            chain = [{(): atom.exponent},
+                     poly_of(Pow(atom.base, atom.exponent - 1.0)) if darg else {}, darg]
+        else:
+            darg = diff(poly_of(atom.arg), name)
+            lead = {Sin: [_atom_poly(Cos(atom.arg))], Exp: [_atom_poly(atom)],
+                    Cos: [{(): -1.0}, _atom_poly(Sin(atom.arg))]}[type(atom)]
+            chain = lead + [darg]
+        got = _FACTOR_DIFF[key] = _product(chain)
+    return got
 
 
 def _pow_value(b: EnvValue, p: float):
@@ -1009,12 +1032,6 @@ def evaluate(e: Expr, env: Mapping[str, EnvValue]) -> EnvValue:
         v = evaluate(e.arg, env)
         return np.exp(v) if isinstance(v, np.ndarray) else math.exp(v)
     raise ExprError(f"unsupported node {type(e).__name__}")
-
-
-def substitute(e: Expr, name: str, value: Union[Expr, Scalar]) -> Expr:
-    """Replace a variable and return the normal form of the result."""
-    repl = Expr.wrap(value)
-    return simplify(_substitute(e, name, repl))
 
 
 def _substitute(e: Expr, name: str, repl: Expr) -> Expr:

@@ -3,6 +3,7 @@
 import click.testing
 import pytest
 
+import fracdecomp.cli as cli
 import fracdecomp.fracterm as ft
 from fracdecomp.cli import main
 
@@ -150,6 +151,8 @@ def test_solve_bad_problem_file_grammar(runner, tmp_path):
 
 def test_solve_input_validation_exit_codes(runner, tmp_path):
     out = str(tmp_path / "o")
+    big_gamma = tmp_path / "big_gamma.txt"
+    big_gamma.write_text("alpha = 0.9\ndomain = 0, 1\nexact = t*x*gamma(200)\n")
     cases = [
         ["solve", "--out", out],                                # neither
         ["solve", "-p", "p5", "--file", "x.txt", "--out", out],  # both
@@ -164,11 +167,40 @@ def test_solve_input_validation_exit_codes(runner, tmp_path):
         # past MAX_OUTPUT_ROWS: refused before any solve, 2D and 1D
         ["solve", "-p", "p2", "--grid", "10001,10001,2", "--out", out],
         ["solve", "-p", "p5", "--grid", "1000001,3", "-m", "both", "--out", out],
+        # gamma(200) overflows a float: a grammar error, not a traceback
+        ["solve", "--file", str(big_gamma), "--out", out],
     ]
     for args in cases:
         r = runner.invoke(main, args)
         assert r.exit_code == 2, (args, r.output)
         assert not (tmp_path / "o").exists(), args
+    assert "^" in r.output and "overflows" in r.output
+
+
+def test_solve_starts_no_more_workers_than_jobs(runner, tmp_path, monkeypatch):
+    # an executor that records its size and maps in-process, so a huge -j
+    # starts no process at all
+    sizes = []
+
+    class Recording:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Recording)
+    r = runner.invoke(main, ["solve", "-p", "p5", "--alpha", "0.5,1.0", "-m", "both",
+                             "--iters", "1", "--grid", "3,3", "--jobs", "100000",
+                             "--out", str(tmp_path / "o")])
+    assert r.exit_code == 0, r.output
+    assert sizes == [4]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from fracdecomp.decomp import (
     NonlinearProduct,
     adomian_polys,
     boundary_correct,
-    jafari_polys,
     ladm_solve,
     mldm_solve,
 )
@@ -212,29 +211,19 @@ def test_nonlinear_degree_cap():
         NonlinearOpSpec((NonlinearProduct(1.0, (NonlinearFactor(0, "x", 4),)),))
 
 
-def test_jafari_telescoping():
-    rng = random.Random(99)
-    us = [_small_series(rng) for _ in range(4)]
-    b = jafari_polys(SQUARE, us)
-    assert len(b) == 4
-    # B*_0 = N(u0)
-    assert series_equal(b[0], SQUARE.apply(us[0]), tol=1e-11)
-    # B*_1 = N(u0 + u1) - N(u0) = 2 u0 u1 + u1^2
+def test_mldm_difference_polynomials():
+    # p6 has N u = u^2; B*_n is what mldm feeds the recursion
+    spec = builtin("p6")
+    assert spec.nonlinear.apply(Series.of(1.0, 3.0)) == Series.of(2.0, 9.0)
+    recs = mldm_solve(spec, 3).records
+    us = [r.u_star for r in recs]
+    assert us[0].terms and us[1].terms
+    # B*_0 = N(S*_0)
+    assert series_equal(recs[0].poly, spec.nonlinear.apply(recs[0].partial_sum), tol=1e-11)
+    # B*_1 = N(u*_0 + u*_1) - N(u*_0) = 2 u*_0 u*_1 + u*_1^2
     want1 = series_add(series_scale(series_mul(us[0], us[1]), 2.0),
                        series_mul(us[1], us[1]))
-    assert series_equal(b[1], want1, tol=1e-11)
-    # partial sums telescope exactly
-    total = Series.zero()
-    s = Series.zero()
-    for k in range(4):
-        total = series_add(total, b[k])
-        s = series_add(s, us[k])
-        assert series_equal(total, SQUARE.apply(s), tol=1e-10)
-
-
-def test_jafari_needs_a_seed():
-    with pytest.raises(DecompError):
-        jafari_polys(SQUARE, [])
+    assert series_equal(recs[1].poly, want1, tol=1e-11)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,11 +21,11 @@ from fracdecomp.symx import (
     diff,
     equal_sampled,
     evaluate,
+    expr_of_poly,
     is_zero_expr,
     poly_of,
     poly_substitute,
     simplify,
-    substitute,
 )
 
 X = Var("x")
@@ -36,19 +37,23 @@ Y = Var("y")
 # ---------------------------------------------------------------------------
 
 
+def _d(e, var="x"):
+    return expr_of_poly(diff(poly_of(e), var))
+
+
 def test_diff_constant_is_zero():
-    assert is_zero_expr(poly_of(diff(Const(5.0), "x")))
+    assert is_zero_expr(diff(poly_of(Const(5.0)), "x"))
 
 
 def test_diff_quadratic_profile():
     e = X * (Const(2.0) - X)
-    assert equal_sampled(diff(e, "x"), Const(2.0) - Const(2.0) * X, (0.0, 2.0))
+    assert equal_sampled(_d(e), Const(2.0) - Const(2.0) * X, (0.0, 2.0))
 
 
 def test_diff_sine_chain_rule():
     e = Sin(Const(2.0 * math.pi) * X)
     want = Const(2.0 * math.pi) * Cos(Const(2.0 * math.pi) * X)
-    assert equal_sampled(diff(e, "x"), want, (0.0, 1.0))
+    assert equal_sampled(_d(e), want, (0.0, 1.0))
 
 
 def _random_expr(rng):
@@ -74,7 +79,7 @@ def test_diff_matches_central_differences():
     for _ in range(32):
         e = _random_expr(rng)
         x0 = round(rng.uniform(0.1, 1.9), 3)
-        sym = evaluate(diff(e, "x"), {"x": x0})
+        sym = evaluate(_d(e), {"x": x0})
         num = (evaluate(e, {"x": x0 + h}) - evaluate(e, {"x": x0 - h})) / (2 * h)
         assert abs(sym - num) <= 1e-6
 
@@ -206,15 +211,16 @@ def test_pythagorean_identity_collapses():
 
 
 def test_poly_substitute_matches_evaluate():
+    # 50 random inputs in x alone, plus x*y + sin(x), which keeps y free
     rng = random.Random(77)
-    for _ in range(50):
-        e = simplify(_random_expr(rng) + _random_expr(rng) * _random_expr(rng))
-        x0 = round(rng.uniform(0.1, 1.9), 3)
-        got = poly_substitute(poly_of(e), "x", x0).get((), None)
-        if got is None:
-            got = 0.0
-        want = evaluate(e, {"x": x0})
-        assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+    cases = [(simplify(_random_expr(rng) + _random_expr(rng) * _random_expr(rng)),
+              round(rng.uniform(0.1, 1.9), 3)) for _ in range(50)]
+    cases.append((X * Y + Sin(X), 1.0))
+    ys = np.linspace(0.0, 2.0, 9)
+    for e, x0 in cases:
+        got = evaluate(expr_of_poly(poly_substitute(poly_of(e), "x", x0)), {"y": ys})
+        want = evaluate(e, {"x": x0, "y": ys})
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
 
 
 def test_poly_substitute_boundary_folds_exactly():
@@ -225,12 +231,6 @@ def test_poly_substitute_boundary_folds_exactly():
         p = poly_of(Const(0.8125) * Sin(Const(k) * w * X))
         assert poly_substitute(p, "x", 0.0) == {}
         assert poly_substitute(p, "x", 1.0) == {}
-
-
-def test_substitute_binds_one_variable():
-    e = X * Y + Sin(X)
-    s = substitute(e, "x", 1.0)
-    assert equal_sampled(s, Y + Const(math.sin(1.0)), ((0.0, 2.0), (0.0, 2.0)))
 
 
 # ---------------------------------------------------------------------------
