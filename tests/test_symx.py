@@ -18,6 +18,7 @@ from fracdecomp.symx import (
     PowerDomainError,
     Sin,
     Var,
+    contains,
     diff,
     equal_sampled,
     evaluate,
@@ -211,11 +212,10 @@ def test_pythagorean_identity_collapses():
 
 
 def test_poly_substitute_matches_evaluate():
-    # 50 random inputs in x alone, plus x*y + sin(x), which keeps y free
+    # 50 random inputs in x alone; the whole substituted poly is evaluated
     rng = random.Random(77)
     cases = [(simplify(_random_expr(rng) + _random_expr(rng) * _random_expr(rng)),
               round(rng.uniform(0.1, 1.9), 3)) for _ in range(50)]
-    cases.append((X * Y + Sin(X), 1.0))
     ys = np.linspace(0.0, 2.0, 9)
     for e, x0 in cases:
         got = evaluate(expr_of_poly(poly_substitute(poly_of(e), "x", x0)), {"y": ys})
@@ -231,6 +231,13 @@ def test_poly_substitute_boundary_folds_exactly():
         p = poly_of(Const(0.8125) * Sin(Const(k) * w * X))
         assert poly_substitute(p, "x", 0.0) == {}
         assert poly_substitute(p, "x", 1.0) == {}
+
+
+def test_substitute_binds_one_variable():
+    e = X * Y + Sin(X)
+    s = expr_of_poly(poly_substitute(poly_of(e), "x", 1.0))
+    assert not contains(s, "x")
+    assert equal_sampled(s, Y + Const(math.sin(1.0)), ((0.0, 2.0), (0.0, 2.0)))
 
 
 # ---------------------------------------------------------------------------
