@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 import click
 import numpy as np
 
-from . import acceptance, problems
+from . import problems
 from .decomp import DecompError, ladm_solve, mldm_solve
 from .evaluation import (
     DEFAULT_NT,
@@ -39,6 +39,7 @@ from .evaluation import (
 from .fracterm import DEEP_MU, DEEP_TERMS, SeriesError
 from .grammar import GrammarError
 from .problems import ProblemError
+from .symx import ExprError
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -266,7 +267,7 @@ def cmd_solve(problem, file_, alpha_, method, iters, mode, weights, grid_, tmax,
         cfg = _read_config(config_) if config_ else {}
         problem = _pick(problem, cfg, "problem", None, str)
         file_ = _pick(file_, cfg, "file", None, str)
-        alphas = _parse_alphas(_pick(alpha_, cfg, "alpha", "1.0", str))
+        alpha_text = _pick(alpha_, cfg, "alpha", None, str)
         method = _pick(method, cfg, "method", "mldm", str)
         iters = _pick(iters, cfg, "iters", 3, int)
         mode = _pick(mode, cfg, "mode", "manufactured", str)
@@ -295,6 +296,12 @@ def cmd_solve(problem, file_, alpha_, method, iters, mode, weights, grid_, tmax,
         if (problem is None) == (file_ is None):
             raise ProblemError("give exactly one of --problem or --file")
         kind, ident = ("builtin", problem) if problem else ("file", file_)
+        if alpha_text is not None:
+            alphas = _parse_alphas(alpha_text)
+        else:
+            # a problem file's own alpha field, else 1.0
+            own = problems.file_alpha(ident) if kind == "file" else None
+            alphas = (1.0 if own is None else own,)
 
         # build every spec up front: input errors surface here, and the
         # consistency gate must run before any solving starts
@@ -336,6 +343,9 @@ def cmd_solve(problem, file_, alpha_, method, iters, mode, weights, grid_, tmax,
         _fail(EXIT_INPUT, exc.pointer())
     except (ProblemError, DecompError, SeriesError, EvalError) as exc:
         _fail(EXIT_INPUT, str(exc))
+    except ExprError as exc:
+        # e.g. a negative power of x met at x = 0, on the grid or a boundary
+        _fail(EXIT_INPUT, f"the series cannot be evaluated on the domain: {exc}")
 
     dimension = specs[0].dimension
     point_header = ("method,alpha,iterations,x,t,approx,exact,abs_error"
@@ -392,6 +402,9 @@ def cmd_list():
               help="override the power-rule tolerance (default 1e-8)")
 def cmd_verify(only, quad_tol):
     """Run the self-check suite; exit 1 if any check fails."""
+    # imported here: only verify needs the check suite, not a solve
+    from . import acceptance
+
     names: Optional[Tuple[str, ...]] = None
     if only:
         names = tuple(s.strip() for s in only.split(",") if s.strip())

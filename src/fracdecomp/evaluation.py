@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .symx import evaluate
+from .symx import Expr, _pow_value, evaluate, poly_rows, sorted_items
 from .fracterm import (
     RESIDUAL_MAX_MU,
     RESIDUAL_MAX_TERMS,
@@ -47,6 +47,8 @@ DEFAULT_NX = 41
 DEFAULT_NY = 41
 DEFAULT_NT = 21
 DEFAULT_TMAX = 1.0
+# Values per block of monomial rows in grid evaluation (8 bytes each).
+ROW_BLOCK = 1 << 16
 
 
 class EvalError(Exception):
@@ -103,20 +105,57 @@ def default_grid(spec, nx: int = DEFAULT_NX, ny: int = DEFAULT_NY, nt: int = DEF
 
 
 def evaluate_series_grid(series: Series, grid: Grid) -> np.ndarray:
-    """Dense evaluation, shape (nx, nt) or (nx, ny, nt)."""
+    """Dense evaluation, shape (nx, nt) or (nx, ny, nt).
+
+    Coefficients are read from their polys through one factor table per
+    call: (atom, k) -> values on the space grid, with each atom evaluated
+    once by ``symx.evaluate`` and raised to k by ``symx._pow_value``. A
+    coefficient is its ``symx.poly_rows`` in ``_mono_key`` order summed from
+    +0.0, as ``evaluate(expr_of_poly(poly))`` sums them; a lone monomial is
+    not summed there, which only turns a -0.0 into +0.0, and that sign is
+    lost anyway when the term is added into the +0.0 output. So the output
+    is bit for bit the tree evaluation's, and the same ``PowerDomainError``
+    is raised on the same input. Rows are built ``ROW_BLOCK`` values at a
+    time, so a poly of many monomials on a fine grid takes bounded memory.
+    """
     if grid.ys is None:
         env = {"x": grid.xs}
         space_shape: Tuple[int, ...] = (grid.xs.size,)
     else:
         env = {"x": grid.xs[:, None], "y": grid.ys[None, :]}
         space_shape = (grid.xs.size, grid.ys.size)
+    size = math.prod(space_shape)
+    ones = np.ones(size)
+    atoms: Dict[Expr, object] = {}
+    table: Dict[Tuple[Expr, float], np.ndarray] = {}
+
+    def fill(items) -> None:
+        # row by row, factor by factor: a domain error surfaces at the same
+        # factor as in a term-by-term evaluation
+        for mono, _ in items:
+            for factor in mono:
+                if factor not in table:
+                    atom, k = factor
+                    if atom not in atoms:
+                        atoms[atom] = evaluate(atom, env)
+                    v = atoms[atom] if k == 1.0 else _pow_value(atoms[atom], k)
+                    table[factor] = np.broadcast_to(
+                        np.asarray(v, dtype=float), space_shape).reshape(size)
+
     out = np.zeros(space_shape + (grid.ts.size,))
+    block = max(1, ROW_BLOCK // size)
     for term in series.terms:
-        coeff = np.broadcast_to(np.asarray(evaluate(term.coeff, env), dtype=float),
-                                space_shape)
+        items = sorted_items(term.poly)
+        fill(items)
+        # one running sum from +0.0 across blocks; a sum started from +0.0 is
+        # never -0.0, so restarting each block from +0.0 keeps every bit
+        coeff = np.zeros(size)
+        for i in range(0, len(items), block):
+            rows = poly_rows(items[i:i + block], table.__getitem__, ones)
+            coeff = np.concatenate((coeff[None], rows)).sum(axis=0, initial=0.0)
         # np.power(0.0, 0.0) is 1.0, which is the t -> 0+ convention here
         tpow = np.power(grid.ts, term.mu)
-        out += coeff[..., None] * tpow
+        out += coeff.reshape(space_shape)[..., None] * tpow
     return out
 
 

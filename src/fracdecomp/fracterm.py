@@ -12,10 +12,10 @@ L^{-1}{s^{-alpha} L{.}} is realized exactly as I^alpha with no transform
 objects. All gamma factors come from the Lanczos evaluator below.
 
 Each term keeps its coefficient c_k as a symx normal-form poly, so the ring,
-spatial and fractional operations run on polys from end to end. An ``Expr``
-is built only at the edges that need a tree: rendering, evaluation,
-``series_equal`` and ``initial_value``, through the read-only
-``TimeTerm.coeff``. ``series_mul`` forms all its term products in one
+spatial and fractional operations, boundary substitution and grid evaluation
+run on polys from end to end. An ``Expr`` is built only at the edges that
+need a tree: rendering, point evaluation (``eval_series``), ``series_equal``
+and ``initial_value``, through the read-only ``TimeTerm.coeff``. ``series_mul`` forms all its term products in one
 ``symx.poly_outer`` call, and ``_from_pairs`` merges same-exponent polys into
 one dict of its own, never into a poly a series holds.
 """

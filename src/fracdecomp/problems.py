@@ -49,6 +49,7 @@ __all__ = [
     "manufacture_source",
     "validate_consistency",
     "load_problem_file",
+    "file_alpha",
 ]
 
 PROBLEM_IDS = ("p1", "p2", "p3", "p4", "p5", "p6", "p7")
@@ -448,12 +449,13 @@ def _parse_interval(text: str) -> Tuple[float, float]:
     return float(bits[0]), float(bits[1])
 
 
-def load_problem_file(path, alpha: Optional[float] = None,
-                      mode: str = "manufactured") -> ProblemSpec:
-    """Read a key = value problem file (see README for the field list)."""
-    path = Path(path)
+def _read_fields(path: Path) -> Dict[str, str]:
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ProblemError(f"{path}: {exc.strerror}") from None
     fields: Dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -461,7 +463,20 @@ def load_problem_file(path, alpha: Optional[float] = None,
             raise ProblemError(f"{path.name}:{lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
         fields[key.strip()] = value.strip()
+    return fields
 
+
+def file_alpha(path) -> Optional[float]:
+    """The ``alpha`` field of a problem file, or None when it has none."""
+    text = _read_fields(Path(path)).get("alpha")
+    return None if text is None else float(text)
+
+
+def load_problem_file(path, alpha: Optional[float] = None,
+                      mode: str = "manufactured") -> ProblemSpec:
+    """Read a key = value problem file (see README for the field list)."""
+    path = Path(path)
+    fields = _read_fields(path)
     if alpha is None and "alpha" in fields:
         alpha = float(fields["alpha"])
     if alpha is None:

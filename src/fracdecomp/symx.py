@@ -14,6 +14,9 @@ from two lists: a pair of single-base Fourier polys is multiplied by
 convolving coefficient vectors, any other pair by the generic monomial
 product with trig linearisation. ``poly_mul`` runs the same code on one pair.
 ``diff`` differentiates a poly by the product and chain rules, with no tree.
+Polys are evaluated numerically through one kernel, ``poly_rows``, which
+turns monomials into value rows: the zero check samples with it, and grid
+evaluation builds its rows with it.
 """
 
 from __future__ import annotations
@@ -43,7 +46,9 @@ __all__ = [
     "equal_sampled",
     "sample_points",
     "is_zero_expr",
+    "poly_rows",
     "poly_substitute",
+    "sorted_items",
     "X",
     "Y",
     "ZERO",
@@ -317,6 +322,12 @@ def _mono_key(mono: Mono):
     return (math.fsum(k for _, k in mono), tuple((_skey_of(a), k) for a, k in mono))
 
 
+def sorted_items(p: Poly) -> list:
+    """p's ``(mono, c)`` items in ``_mono_key`` order, the order in which
+    ``expr_of_poly`` lays out terms."""
+    return sorted(p.items(), key=lambda kv: _mono_key(kv[0]))
+
+
 def _mono_sorted(items) -> Mono:
     return tuple(sorted(items, key=lambda ak: _skey_of(ak[0])))
 
@@ -466,8 +477,7 @@ def _trig_info(atom: Expr):
     p = poly_of(atom.arg)
     info = None
     if p:
-        items = sorted(p.items(), key=lambda kv: _mono_key(kv[0]))
-        c0 = items[0][1]
+        c0 = sorted_items(p)[0][1]
         base = {m: c / c0 for m, c in p.items()}
         info = (isinstance(atom, Sin), expr_of_poly(base), c0, base)
     _TRIG_INFO[atom] = info
@@ -512,20 +522,69 @@ def _fgcd(a: float, b: float) -> float:
 
 def _common_angle(ratios):
     """Angle unit g with every ratio a nonzero integer multiple, or None."""
-    g = abs(ratios[0])
-    for r in ratios[1:]:
+    g = _reanchor(_fold(abs(ratios[0]), ratios[1:]), min(abs(r) for r in ratios))
+    return g if _all_multiples(ratios, g) else None
+
+
+def _fold(g: float, ratios) -> float:
+    for r in ratios:
         g = _fgcd(g, r)
+    return g
+
+
+def _reanchor(g: float, rmin: float) -> float:
     # re-anchor g on the smallest ratio so exact inputs reproduce exactly
-    rmin = min(abs(r) for r in ratios)
     q = round(rmin / g)
     if q >= 1 and abs(rmin - q * g) <= TRIG_RATIO_TOL * (rmin + g):
         g = rmin / q
+    return g
+
+
+def _all_multiples(ratios, g: float) -> bool:
     for r in ratios:
         mi = round(r / g)
         if mi == 0 or abs(mi) > TRIG_MULTIPLE_MAX \
                 or abs(r - mi * g) > TRIG_RATIO_TOL * (abs(r) + g):
-            return None
-    return g
+            return False
+    return True
+
+
+# Tables behind _pair_angle, keyed on ratio tuples (compared by value): the
+# fold of a tuple, a fold continued over a tuple, a tuple's smallest |ratio|,
+# and whether a tuple's ratios are all integer multiples of an angle unit.
+_FOLD: Dict[tuple, float] = {}
+_FOLD_ON: Dict[Tuple[float, tuple], float] = {}
+_RMIN: Dict[tuple, float] = {}
+_MULTIPLES: Dict[Tuple[tuple, float], bool] = {}
+
+
+def _pair_angle(r1: tuple, r2: tuple):
+    """``_common_angle(r1 + r2)`` for two non-empty ratio tuples, read from
+    per-operand tables: the fold runs the same ``_fgcd`` sequence, so every
+    float is the same, and most pairs of a series product cost a few
+    lookups."""
+    g1 = _FOLD.get(r1)
+    if g1 is None:
+        g1 = _FOLD[r1] = _fold(abs(r1[0]), r1[1:])
+    g = _FOLD_ON.get((g1, r2))
+    if g is None:
+        g = _FOLD_ON[g1, r2] = _fold(g1, r2)
+    g = _reanchor(g, min(_rmin(r1), _rmin(r2)))
+    return g if _multiples_of(r1, g) and _multiples_of(r2, g) else None
+
+
+def _rmin(ratios: tuple) -> float:
+    got = _RMIN.get(ratios)
+    if got is None:
+        got = _RMIN[ratios] = min(abs(r) for r in ratios)
+    return got
+
+
+def _multiples_of(ratios: tuple, g: float) -> bool:
+    got = _MULTIPLES.get((ratios, g))
+    if got is None:
+        got = _MULTIPLES[ratios, g] = _all_multiples(ratios, g)
+    return got
 
 
 def _fourier_step(F: dict, k: int, is_sin: bool) -> dict:
@@ -648,14 +707,13 @@ def _fourier_form(p: Poly):
 
 
 class _ProductMemo:
-    """What the pairs of one outer product share: the common angle per pair of
-    ratio tuples, and the product monomials per (base_key, g), laid out as
-    ``[(), unused, cos g, sin g, cos 2g, sin 2g, ...]`` and built on demand."""
+    """What the pairs of one outer product share: the product monomials per
+    (base_key, g), laid out as ``[(), unused, cos g, sin g, cos 2g, sin 2g,
+    ...]`` and built on demand."""
 
-    __slots__ = ("angles", "monos")
+    __slots__ = ("monos",)
 
     def __init__(self):
-        self.angles: Dict[tuple, object] = {}
         self.monos: Dict[tuple, list] = {}
 
 
@@ -672,10 +730,7 @@ def _fourier_product(f1, f2, memo: _ProductMemo):
         return None
     if f1.base_key is not f2.base_key and f1.base_key != f2.base_key:
         return None
-    key = (f1.ratios, f2.ratios)
-    g = memo.angles.get(key, _TRIG_UNSET)
-    if g is _TRIG_UNSET:
-        g = memo.angles[key] = _common_angle(f1.ratios + f2.ratios)
+    g = _pair_angle(f1.ratios, f2.ratios)
     if g is None:
         return None
     A, B = _fourier_convolve(*f1.vectors(g), *f2.vectors(g))
@@ -893,7 +948,7 @@ def expr_of_poly(p: Poly) -> Expr:
     if not p:
         return ZERO
     parts = []
-    for mono, c in sorted(p.items(), key=lambda kv: _mono_key(kv[0])):
+    for mono, c in sorted_items(p):
         factors = [atom if k == 1.0 else Pow(atom, k) for atom, k in mono]
         if not factors:
             parts.append(Const(c))
@@ -926,7 +981,7 @@ def diff(p: Poly, var: Union[str, Var]) -> Poly:
     if name not in Var._ALLOWED:
         raise ExprError(f"cannot differentiate with respect to {name!r}")
     out: Poly = {}
-    for mono, c in sorted(p.items(), key=lambda kv: _mono_key(kv[0])):
+    for mono, c in sorted_items(p):
         lead = [] if c == 1.0 else [{(): c}]
         # {1} * a^k is poly_of(a^k): it linearises a trig power
         factors = [poly_mul({(): 1.0}, _atom_poly(a, k)) for a, k in mono]
@@ -1062,6 +1117,21 @@ def contains(e: Expr, name: str) -> bool:
     return False
 
 
+# (var, value) -> {atom: the poly of the atom with the value substituted, or
+# _NO_VAR when the atom does not hold the variable}; keyed on the atom, never
+# on its id, and the cached polys are only ever read
+_SUBSTITUTED: Dict[Tuple[str, float], Dict[Expr, object]] = {}
+_NO_VAR = object()
+
+
+def _substituted(table: Dict[Expr, object], atom: Expr, name: str, value: float):
+    hit = table.get(atom)
+    if hit is None:
+        hit = table[atom] = (poly_of(_substitute(atom, name, Const(value)))
+                             if contains(atom, name) else _NO_VAR)
+    return hit
+
+
 def poly_substitute(p: Poly, name: str, value: float) -> Poly:
     """Substitute a number for a variable, exactly rounded per output monomial.
 
@@ -1072,8 +1142,8 @@ def poly_substitute(p: Poly, name: str, value: float) -> Poly:
     cancelling coefficients stay reproducible to the last ulp, which is what
     lets corrected partial sums interpolate their Dirichlet data.
     """
-    repl = Const(float(value))
-    cache: Dict[int, object] = {}
+    value = float(value)
+    table = _SUBSTITUTED.setdefault((name, value), {})
     buckets: Dict[Mono, List[float]] = {}
     bucket_order: List[Mono] = []
     overflow: Poly = {}
@@ -1082,12 +1152,8 @@ def poly_substitute(p: Poly, name: str, value: float) -> Poly:
         residual: List[Tuple[Expr, float]] = []
         exotic = False
         for atom, k in mono:
-            hit = cache.get(id(atom))
-            if hit is None:
-                hit = poly_of(_substitute(atom, name, repl)) \
-                    if contains(atom, name) else atom
-                cache[id(atom)] = hit
-            if hit is atom:
+            hit = _substituted(table, atom, name, value)
+            if hit is _NO_VAR:
                 residual.append((atom, k))
                 continue
             if not hit:
@@ -1111,18 +1177,18 @@ def poly_substitute(p: Poly, name: str, value: float) -> Poly:
         if exotic:
             q: Poly = {(): c}
             for atom, k in mono:
-                hit = cache.get(id(atom))
-                base = atom if hit is atom else expr_of_poly(hit)
+                hit = _substituted(table, atom, name, value)
+                base = atom if hit is _NO_VAR else expr_of_poly(hit)
                 q = poly_mul(q, poly_of(base if k == 1.0 else Pow(base, k)))
             overflow = poly_add(overflow, q)
             continue
         if factor == 0.0:
             continue
-        merged: Dict[int, List] = {}
+        merged: Dict[Expr, List] = {}
         for atom, k in residual:
-            slot = merged.get(id(atom))
+            slot = merged.get(atom)
             if slot is None:
-                merged[id(atom)] = [atom, k]
+                merged[atom] = [atom, k]
             else:
                 slot[1] = _snap(slot[1] + k)
         key = _mono_sorted((a, k) for a, k in merged.values() if k != 0.0)
@@ -1226,19 +1292,29 @@ def is_zero_expr(p: Poly, tol: float = ZERO_COEFF_TOL) -> bool:
 
 def _zero_check_samples(p: Poly) -> np.ndarray:
     """The values of a non-empty p on the zero-check points, all monomials
-    at once.
-
-    Row i is c_i times the sampled factors of monomial i in order (short
-    monomials padded with ones, an exact no-op), and the rows are summed in
-    dict order starting from +0.0, so every bit, down to the sign of a zero,
-    matches a monomial-by-monomial loop.
+    at once: its rows in dict order, summed from +0.0, so every bit, down to
+    the sign of a zero, matches a monomial-by-monomial loop.
     """
-    cols = [[_pow_sample_values(mono[j]) if j < len(mono) else _ONES for mono in p]
-            for j in range(max(1, max(map(len, p))))]
-    v = np.fromiter(p.values(), float, len(p))[:, None] * np.array(cols[0])
+    return poly_rows(list(p.items()), _pow_sample_values, _ONES).sum(axis=0, initial=0.0)
+
+
+def poly_rows(items: list, values, ones: np.ndarray) -> np.ndarray:
+    """The numeric monomial rows of a non-empty list of ``(mono, c)`` items,
+    shape (len(items), ones.size).
+
+    Row i is c_i times ``values((atom, k))`` for each factor of monomial i,
+    left to right; short monomials are padded with ``ones``, an exact no-op.
+    This is the product a ``Prod`` of the same factors evaluates to, so a
+    caller that sums the rows in its own order reproduces a term-by-term
+    evaluation bit for bit.
+    """
+    width = max(1, max(len(mono) for mono, _ in items))
+    cols = [[values(mono[j]) if j < len(mono) else ones for mono, _ in items]
+            for j in range(width)]
+    v = np.fromiter((c for _, c in items), float, len(items))[:, None] * np.array(cols[0])
     for col in cols[1:]:
         v *= np.array(col)
-    return v.sum(axis=0, initial=0.0)
+    return v
 
 
 # ---------------------------------------------------------------------------

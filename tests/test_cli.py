@@ -1,11 +1,16 @@
 """Command line contract: exit codes, file outputs, determinism."""
 
+import os
+import subprocess
+import sys
+
 import click.testing
 import pytest
 
 import fracdecomp.cli as cli
 import fracdecomp.fracterm as ft
 from fracdecomp.cli import main
+from fracdecomp.symx import PowerDomainError
 
 
 @pytest.fixture
@@ -167,6 +172,8 @@ def test_solve_input_validation_exit_codes(runner, tmp_path):
         # past MAX_OUTPUT_ROWS: refused before any solve, 2D and 1D
         ["solve", "-p", "p2", "--grid", "10001,10001,2", "--out", out],
         ["solve", "-p", "p5", "--grid", "1000001,3", "-m", "both", "--out", out],
+        # a problem file that does not exist: a message, not a traceback
+        ["solve", "--file", str(tmp_path / "missing.txt"), "--out", out],
         # gamma(200) overflows a float: a grammar error, not a traceback
         ["solve", "--file", str(big_gamma), "--out", out],
     ]
@@ -175,6 +182,66 @@ def test_solve_input_validation_exit_codes(runner, tmp_path):
         assert r.exit_code == 2, (args, r.output)
         assert not (tmp_path / "o").exists(), args
     assert "^" in r.output and "overflows" in r.output
+
+
+def test_solve_takes_alpha_from_the_problem_file(runner, tmp_path):
+    prob = tmp_path / "p.txt"
+    prob.write_text("alpha = 0.8\ndomain = 0, 1\nexact = t^2*x*(1 - x)\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"file = {prob}\nalpha = 0.6\n")
+    for args, alpha in ((["--file", str(prob)], "0.8"),
+                        (["--file", str(prob), "-a", "0.5"], "0.5"),
+                        (["--config", str(cfg)], "0.6"),
+                        (["--config", str(cfg), "-a", "0.5"], "0.5")):
+        out = tmp_path / f"run{alpha}{len(args)}"
+        r = runner.invoke(main, ["solve", *args, "--iters", "1", "--grid", "3,3",
+                                 "--out", str(out)])
+        assert r.exit_code == 0, (args, r.output)
+        rows = _lines(out / "summary.csv")[1:]
+        assert [row.split(",")[1] for row in rows] == [alpha, alpha], args
+
+
+def test_solve_grid_domain_error_exits_2(runner, tmp_path, monkeypatch):
+    # the x-derivatives of x^0.75 carry x^-1.25, which the grid meets at x = 0
+    # (mldm meets it sooner, substituting x = 0 into the partial sum)
+    prob = tmp_path / "neg.txt"
+    prob.write_text("domain = 0, 1\nexact = t^3*x^0.75*(2+x)^(-1)\n"
+                    "linear = 2x:0.5, 1x:1.0\n")
+    raised = []
+    real = cli.evaluate_series_grid
+
+    def watched(series, grid):
+        try:
+            return real(series, grid)
+        except PowerDomainError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(cli, "evaluate_series_grid", watched)
+    out = tmp_path / "o"
+    for method, through_grid in (("ladm", 1), ("mldm", 0)):
+        raised.clear()
+        r = runner.invoke(main, ["solve", "--file", str(prob), "-m", method,
+                                 "--iters", "1", "--out", str(out)])
+        assert r.exit_code == 2, r.output
+        assert len(raised) == through_grid
+        lines = r.output.strip().splitlines()
+        assert len(lines) == 1 and "zero base with negative exponent -" in lines[0]
+        if through_grid:
+            assert lines[0].endswith(str(raised[0]))
+        assert not out.exists()
+
+
+def test_cli_import_loads_neither_acceptance_nor_scipy():
+    code = ("import sys, fracdecomp.cli; "
+            "print(sorted(m for m in ('fracdecomp.acceptance', 'scipy') "
+            "if m in sys.modules))")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                       text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 def test_solve_starts_no_more_workers_than_jobs(runner, tmp_path, monkeypatch):

@@ -1,0 +1,403 @@
+"""Grid evaluation, boundary substitution and common angles on polys,
+against the routes they replaced.
+
+The old routes are kept here as references: grid evaluation through
+``evaluate(expr_of_poly(p))``, ``poly_substitute`` with a table of its own
+per call keyed on atom ids, and ``_common_angle`` over the concatenated
+ratio tuples of a pair. Every comparison is bit for bit.
+"""
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from fracdecomp import evaluation, fracterm, symx
+from fracdecomp.decomp import ladm_solve, mldm_solve
+from fracdecomp.evaluation import default_grid, evaluate_series_grid, make_grid
+from fracdecomp.fracterm import Series
+from fracdecomp.problems import builtin
+from fracdecomp.symx import (
+    Const,
+    Cos,
+    Exp,
+    PowerDomainError,
+    Pow,
+    Sin,
+    Var,
+    evaluate,
+    expr_of_poly,
+    poly_of,
+    poly_substitute,
+)
+
+X = Var("x")
+Y = Var("y")
+PIDS = ["p1", "p2", "p3", "p4", "p5", "p6", "p7"]
+
+
+# ---------------------------------------------------------------------------
+# grid evaluation
+# ---------------------------------------------------------------------------
+
+
+def _reference_grid(series, grid):
+    # evaluate_series_grid as it stood: one expression tree per term
+    if grid.ys is None:
+        env = {"x": grid.xs}
+        space_shape = (grid.xs.size,)
+    else:
+        env = {"x": grid.xs[:, None], "y": grid.ys[None, :]}
+        space_shape = (grid.xs.size, grid.ys.size)
+    out = np.zeros(space_shape + (grid.ts.size,))
+    for term in series.terms:
+        coeff = np.broadcast_to(np.asarray(evaluate(expr_of_poly(term.poly), env),
+                                           dtype=float), space_shape)
+        tpow = np.power(grid.ts, term.mu)
+        out += coeff[..., None] * tpow
+    return out
+
+
+def _assert_grid_matches(series, grid):
+    got = evaluate_series_grid(series, grid)
+    want = _reference_grid(series, grid)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def _solver_series(pid):
+    out = []
+    for alpha in (0.5, 0.75, 1.0):
+        spec = builtin(pid, alpha)
+        for solve in (ladm_solve, mldm_solve):
+            for rec in solve(spec, 3).records:
+                out.append((spec, rec.partial_sum))
+                if rec.applied is not None:
+                    out.append((spec, rec.applied))
+    return out
+
+
+@pytest.mark.parametrize("pid", PIDS)
+def test_grid_matches_tree_evaluation_on_solver_series(pid):
+    series = _solver_series(pid)
+    assert len(series) >= 24
+    for spec, s in series:
+        _assert_grid_matches(s, default_grid(spec))
+
+
+def test_grid_matches_on_a_non_square_2d_grid():
+    spec = builtin("p2", 0.75)
+    grid = make_grid(spec.domain, spec.domain_y, nx=7, ny=5, nt=4)
+    for rec in mldm_solve(spec, 3).records:
+        _assert_grid_matches(rec.partial_sum, grid)
+
+
+def test_grid_row_blocks_keep_every_bit(monkeypatch):
+    # N(S*_3) of p7 has terms of dozens of monomials; blocks of 1, 3 and 50
+    # rows must continue one running sum, not start new ones
+    spec = builtin("p7", 0.75)
+    applied = mldm_solve(spec, 3).records[-1].applied
+    assert max(len(t.poly) for t in applied.terms) > 50
+    grid = default_grid(spec)
+    want = _reference_grid(applied, grid).tobytes()
+    for rows in (1, 3, 50):
+        monkeypatch.setattr(evaluation, "ROW_BLOCK", rows * grid.xs.size)
+        assert evaluate_series_grid(applied, grid).tobytes() == want
+
+
+def _random_factor(rng, two_d):
+    picks = [
+        lambda: X,
+        lambda: Pow(X, 0.75),
+        lambda: Pow(X, float(rng.randint(2, 4))),
+        lambda: Pow(Const(1.0) + X, 0.5),                     # opaque power
+        lambda: Exp(Const(rng.choice([1.0, -0.5])) * X),
+        lambda: Sin(Const(math.pi * rng.randint(1, 3)) * X),
+        lambda: Cos(Const(0.5 * rng.randint(1, 4)) * X),
+    ]
+    if two_d:
+        picks += [lambda: Y, lambda: Pow(Y, 0.75), lambda: Sin(Const(math.pi) * Y),
+                  lambda: Exp(X * Y)]
+    return rng.choice(picks)()
+
+
+def _random_coeff(rng, two_d, monomials):
+    e = Const(0.0)
+    for _ in range(monomials):
+        m = Const(rng.choice([1.0, -1.0, 2.5, rng.uniform(-3.0, 3.0), 1e-9]))
+        for _ in range(rng.randint(0, 3)):
+            m = m * _random_factor(rng, two_d)
+        e = e + m
+    return e
+
+
+@pytest.mark.parametrize("two_d", [False, True])
+def test_grid_matches_tree_evaluation_on_random_series(two_d):
+    rng = random.Random(7130 + two_d)
+    if two_d:
+        grid = make_grid((0.0, 1.0), (0.0, 2.0), nx=6, ny=4, nt=5, tmax=1.5)
+    else:
+        grid = make_grid((0.0, 2.0), nx=9, nt=5, tmax=1.5)
+    for _ in range(60):
+        pairs = [(rng.choice([0.0, 0.5, 1.0, 1.75, rng.uniform(0.0, 9.0)]),
+                  _random_coeff(rng, two_d, rng.choice([1, 1, 2, 5, 12])))
+                 for _ in range(rng.randint(1, 4))]
+        _assert_grid_matches(Series(pairs), grid)
+    # constants alone, and one-monomial terms with coefficient 1 and -1
+    for e in (Const(3.5), X, -X, Const(-1.0) * Sin(Const(math.pi) * X),
+              Pow(Const(1.0) + X, 0.5)):
+        _assert_grid_matches(Series([(0.5, e)]), grid)
+
+
+def test_grid_raises_the_same_domain_error():
+    grid = make_grid((0.0, 1.0), nx=5, nt=3)
+    cases = [
+        Series([(1.0, Pow(X, -1.25))]),
+        Series([(0.0, Const(2.0) + X), (2.0, Const(3.0) * Pow(X, -1.25) + X)]),
+        # the first monomial in order fails at its second factor, a later one
+        # at its first: the error must come from the first monomial (the
+        # zero check samples x > 0.02, where both are defined)
+        Series([(1.0, Pow(X, 0.5) * Pow(X - Const(1e-4), 0.5)
+                 + Pow(X, -1.25) * Pow(Exp(X), 3.0))]),
+    ]
+    for s in cases:
+        with pytest.raises(PowerDomainError) as want:
+            _reference_grid(s, grid)
+        with pytest.raises(PowerDomainError) as got:
+            evaluate_series_grid(s, grid)
+        assert str(got.value) == str(want.value)
+    assert "negative base" in str(got.value)
+
+
+# ---------------------------------------------------------------------------
+# common angle
+# ---------------------------------------------------------------------------
+
+
+def _reference_common_angle(ratios):
+    # symx._common_angle as it stood
+    g = abs(ratios[0])
+    for r in ratios[1:]:
+        g = symx._fgcd(g, r)
+    rmin = min(abs(r) for r in ratios)
+    q = round(rmin / g)
+    if q >= 1 and abs(rmin - q * g) <= symx.TRIG_RATIO_TOL * (rmin + g):
+        g = rmin / q
+    for r in ratios:
+        mi = round(r / g)
+        if mi == 0 or abs(mi) > symx.TRIG_MULTIPLE_MAX \
+                or abs(r - mi * g) > symx.TRIG_RATIO_TOL * (abs(r) + g):
+            return None
+    return g
+
+
+def _assert_angle(r1, r2):
+    got = symx._pair_angle(r1, r2)
+    want = _reference_common_angle(r1 + r2)
+    assert (got is None) == (want is None), (r1, r2)
+    if want is not None:
+        assert got.hex() == want.hex(), (r1, r2)
+    single = symx._common_angle(r1 + r2)
+    assert single == want or (single is None and want is None)
+
+
+def _captured_ratio_pairs(monkeypatch):
+    calls = []
+    real = fracterm.poly_outer
+
+    def recording(ps, qs):
+        calls.append((ps, qs))
+        return real(ps, qs)
+
+    monkeypatch.setattr(fracterm, "poly_outer", recording)
+    for pid in ("p6", "p7"):
+        for alpha in (0.5, 0.75, 1.0):
+            spec = builtin(pid, alpha)
+            mldm_solve(spec, 3)
+            ladm_solve(spec, 4)
+    monkeypatch.setattr(fracterm, "poly_outer", real)
+    pairs = set()
+    for ps, qs in calls:
+        fps = [symx._fourier_form(p) for p in ps]
+        fqs = [symx._fourier_form(q) for q in qs]
+        for fp in fps:
+            for fq in fqs:
+                if fp is not None and fq is not None:
+                    pairs.add((fp.ratios, fq.ratios))
+    return sorted(pairs)
+
+
+def _fresh_angle_tables(monkeypatch):
+    for name in ("_FOLD", "_FOLD_ON", "_RMIN", "_MULTIPLES"):
+        monkeypatch.setattr(symx, name, {})
+
+
+def test_pair_angle_matches_on_captured_series_products(monkeypatch):
+    pairs = _captured_ratio_pairs(monkeypatch)
+    assert len(pairs) > 200
+    _fresh_angle_tables(monkeypatch)
+    for _ in range(2):                      # cold tables, then warm
+        for r1, r2 in pairs:
+            _assert_angle(r1, r2)
+            _assert_angle(r2, r1)
+
+
+def test_pair_angle_matches_on_random_and_incommensurate_tuples(monkeypatch):
+    _fresh_angle_tables(monkeypatch)
+    rng = random.Random(20931)
+    units = [1.0, math.pi, 0.5 * math.pi, 1.0 / 3.0, 0.1, 2.0 ** -20]
+    tuples = []
+    for _ in range(300):
+        g = rng.choice(units)
+        t = tuple(rng.choice([1, -1]) * rng.randint(1, 40) * g
+                  for _ in range(rng.randint(1, 6)))
+        if rng.random() < 0.2:
+            t += (rng.choice([math.sqrt(2.0), math.e, 5000.0 * g, g * 1e-13]),)
+        tuples.append(t)
+    for _ in range(3000):
+        _assert_angle(rng.choice(tuples), rng.choice(tuples))
+    # the angle depends on both operands: (1,) pairs with (2,) at g = 1, with
+    # (0.5,) at g = 0.5; an incommensurate pair has none
+    _assert_angle((1.0,), (2.0,))
+    _assert_angle((1.0,), (0.5,))
+    _assert_angle((1.0, 3.0), (math.sqrt(2.0),))
+    assert symx._pair_angle((1.0,), (0.5,)) == 0.5
+    assert symx._pair_angle((1.0,), (math.sqrt(2.0),)) is None
+
+
+# ---------------------------------------------------------------------------
+# boundary substitution
+# ---------------------------------------------------------------------------
+
+
+def _reference_substitute(p, name, value):
+    # poly_substitute with a fresh table per call, keyed on atom ids
+    repl = Const(float(value))
+    cache = {}
+
+    def hit_of(atom):
+        if id(atom) not in cache:
+            cache[id(atom)] = (poly_of(symx._substitute(atom, name, repl))
+                               if symx.contains(atom, name) else atom)
+        return cache[id(atom)]
+
+    buckets, order, overflow = {}, [], {}
+    for mono, c in p.items():
+        factor, residual, exotic = c, [], False
+        for atom, k in mono:
+            hit = hit_of(atom)
+            if hit is atom:
+                residual.append((atom, k))
+                continue
+            if not hit:
+                factor = symx._pow_value(0.0, k) * factor
+                continue
+            if len(hit) == 1:
+                (sm, sc), = hit.items()
+                if not sm:
+                    factor *= symx._pow_value(sc, k)
+                    continue
+                if sc == 1.0 and (float(k).is_integer() or len(sm) == 1):
+                    residual.extend((a, symx._snap(ak * k)) for a, ak in sm)
+                    continue
+            exotic = True
+            break
+        if exotic:
+            q = {(): c}
+            for atom, k in mono:
+                hit = hit_of(atom)
+                base = atom if hit is atom else expr_of_poly(hit)
+                q = symx.poly_mul(q, poly_of(base if k == 1.0 else Pow(base, k)))
+            overflow = symx.poly_add(overflow, q)
+            continue
+        if factor == 0.0:
+            continue
+        merged = {}
+        for atom, k in residual:
+            if id(atom) in merged:
+                merged[id(atom)][1] = symx._snap(merged[id(atom)][1] + k)
+            else:
+                merged[id(atom)] = [atom, k]
+        key = symx._mono_sorted((a, k) for a, k in merged.values() if k != 0.0)
+        if key not in buckets:
+            buckets[key] = []
+            order.append(key)
+        buckets[key].append(factor)
+    out = {}
+    for key in order:
+        s = math.fsum(buckets[key])
+        if s != 0.0:
+            out[key] = s
+    return symx.poly_add(out, overflow) if overflow else out
+
+
+def _assert_same_poly(got, want):
+    assert got == want
+    assert list(got) == list(want)
+    for mono, c in got.items():
+        assert c.hex() == want[mono].hex()
+
+
+def _snapshot(tables):
+    return {key: {atom: (hit if hit is symx._NO_VAR else dict(hit))
+                  for atom, hit in table.items()}
+            for key, table in tables.items()}
+
+
+def test_substitute_matches_fresh_table_on_solver_terms():
+    cases = []
+    for spec in (builtin(pid, alpha) for pid in PIDS for alpha in (0.5, 1.0)):
+        polys = [t.poly for rec in mldm_solve(spec, 2).records
+                 for s in (rec.u, rec.partial_sum, rec.applied) if s is not None
+                 for t in s.terms]
+        values = list(spec.domain) + [0.3]
+        cases += [(p, "x", v) for p in polys for v in values]
+        if spec.dimension == 2:
+            cases += [(p, "y", v) for p in polys for v in list(spec.domain_y) + [0.3]]
+    assert len(cases) > 800
+    snapshot = None
+    for _ in range(2):                      # the second pass reads a warm table
+        for p, name, value in cases:
+            got = poly_substitute(p, name, value)
+            _assert_same_poly(got, _reference_substitute(p, name, value))
+            got.clear()                     # callers own what they get back
+        if snapshot is None:
+            snapshot = _snapshot(symx._SUBSTITUTED)
+    # the cached polys were only read
+    assert _snapshot(symx._SUBSTITUTED) == snapshot
+
+
+def test_substitute_with_equal_but_distinct_atoms():
+    # atoms built outside poly_of are not interned: equal, distinct objects
+    x = symx._intern_atom(X)
+    for _ in range(3):
+        sin_y, exp_y = Sin(Var("y")), Exp(Const(2.0) * Var("y"))
+        sin_x = Sin(Const(math.pi) * Var("x"))
+        p = {((x, 1.0), (sin_y, 1.0)): 3.0,
+             ((sin_y, 2.0),): -1.5,
+             ((x, 2.0), (exp_y, 1.0)): 0.25,
+             ((sin_x, 1.0), (exp_y, 1.0)): 4.0}
+        for value in (0.0, 0.5, 2.0):
+            _assert_same_poly(poly_substitute(p, "x", value),
+                              _reference_substitute(p, "x", value))
+
+
+def test_substitute_table_outlives_freed_atoms():
+    # a table keyed on id(atom) would hand an atom allocated where a freed
+    # one lived the freed atom's entry
+    for i in range(200):
+        atom = Sin(Const(0.01 * (i + 1)) * Var("y"))
+        p = {((atom, 1.0),): 1.0}
+        _assert_same_poly(poly_substitute(p, "y", 1.0), _reference_substitute(p, "y", 1.0))
+
+
+def test_substitute_finishes_a_monomial_past_an_exotic_factor():
+    # (x*y)^0.5 at x = 2 is sqrt(2)*y^0.5, which the one-monomial algebra
+    # cannot carry; cos(pi*x) after it in the monomial must still be
+    # substituted, not read as zero
+    e = Pow(X * Y, 0.5) * Cos(Const(math.pi) * X)
+    got = expr_of_poly(poly_substitute(poly_of(e), "x", 2.0))
+    ys = np.linspace(0.1, 3.0, 7)
+    want = evaluate(e, {"x": 2.0, "y": ys})
+    assert np.allclose(evaluate(got, {"y": ys}), want, rtol=1e-14, atol=0.0)

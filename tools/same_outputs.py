@@ -1,0 +1,74 @@
+#!/usr/bin/env python3
+"""Check that two source trees write the same solve outputs.
+
+    python3 tools/same_outputs.py OLD_ROOT NEW_ROOT
+
+Each root is a checkout holding ``src/fracdecomp``. Both run the same solves
+(``CASES``) in fresh interpreters with ``PYTHONPATH=ROOT/src``, each into a
+directory of its own under a temporary directory. points.csv and plot.dat
+must be equal byte for byte, summary.csv with its wall-clock ``seconds``
+column masked, and every solve must exit with the same code. Each
+difference is printed; the exit code is 1 if there is any, else 0.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CASES = [["-p", f"p{i}", "-m", "both", "-n", "4", "-a", "0.5,0.75,1.0"]
+         for i in range(1, 8)]
+CASES.append(["-p", "p7", "-m", "ladm", "-n", "8", "-a", "0.73,0.75,0.77"])
+
+FILES = ("points.csv", "plot.dat", "summary.csv")
+
+
+def _solve(root: Path, args, out: Path) -> int:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "fracdecomp.cli", "solve", *args,
+                           "-o", str(out)], env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        print(f"  {root}: exit {proc.returncode}: {proc.stderr.strip()[-300:]}")
+    return proc.returncode
+
+
+def _content(path: Path) -> bytes:
+    if not path.exists():
+        return b"<missing>"
+    data = path.read_bytes()
+    if path.name == "summary.csv":
+        # the last column is wall-clock time
+        data = b"\n".join(line.rsplit(b",", 1)[0] for line in data.split(b"\n"))
+    return data
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print("usage: same_outputs.py OLD_ROOT NEW_ROOT", file=sys.stderr)
+        return 2
+    roots = [Path(a).resolve() for a in argv]
+    for root in roots:
+        if not (root / "src" / "fracdecomp").is_dir():
+            print(f"{root}: no src/fracdecomp", file=sys.stderr)
+            return 2
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, args in enumerate(CASES):
+            outs = [Path(tmp) / f"{side}{n}" for side in ("old", "new")]
+            codes = [_solve(root, args, out) for root, out in zip(roots, outs)]
+            found = [] if codes[0] == codes[1] else [f"exit {codes[0]} vs {codes[1]}"]
+            found += [f"{name} differs" for name in FILES
+                      if _content(outs[0] / name) != _content(outs[1] / name)]
+            print(f"solve {' '.join(args)}: {', '.join(found) if found else 'same'}")
+            differ += len(found)
+    print(f"{len(CASES)} solves, {differ} differences")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
