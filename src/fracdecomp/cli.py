@@ -118,6 +118,8 @@ def _parse_alphas(text: str) -> Tuple[float, ...]:
             raise ProblemError(f"bad alpha {part!r}") from None
         if not 0.0 < a <= 1.0:
             raise ProblemError(f"alpha must lie in (0, 1], got {a:g}")
+        if a in out:
+            raise ProblemError(f"alpha {a!r} is given twice")
         out.append(a)
     if not out:
         raise ProblemError("no alpha values given")
@@ -289,8 +291,8 @@ def cmd_solve(problem, file_, alpha_, method, iters, mode, weights, grid_, tmax,
             raise ProblemError(f"unknown weights {weights!r}")
         if iters < 0:
             raise ProblemError(f"iters must be >= 0, got {iters}")
-        if tmax <= 0.0:
-            raise ProblemError(f"tmax must be positive, got {tmax:g}")
+        if not 0.0 < tmax < float("inf"):
+            raise ProblemError(f"tmax must be positive and finite, got {tmax:g}")
         if jobs < 1:
             raise ProblemError(f"jobs must be >= 1, got {jobs}")
         if (problem is None) == (file_ is None):

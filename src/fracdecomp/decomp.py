@@ -22,12 +22,11 @@ Two iterations over the series class:
 
 The returned approximation after n iterations is sum_{i<=n} u*_i.
 
-Neither solver redoes what an earlier step already built. ``ladm_solve``
+Neither solver redoes what an earlier step already built: ``ladm_solve``
 differentiates each u_k once and forms A_n alone (``adomian_polys`` returns
-A_0..A_n through the same grade-n routine). ``mldm_solve`` keeps N(S*_n),
-which B*_n needs anyway, on ``IterationRecord.applied``;
-``evaluation.residual`` reuses it. The field is None for ladm and for
-problems without a nonlinearity.
+A_0..A_n through the same grade-n routine). Nor does either build what no
+later step reads: A_N and B*_N only feed u_{N+1}, so the final record of an
+N-iteration solve carries no polynomial.
 """
 
 from __future__ import annotations
@@ -477,18 +476,16 @@ def adomian_polys(nonlinear: NonlinearOpSpec, u_list: Sequence[Series],
 class IterationRecord:
     """One step of a solve.
 
-    ``applied`` is N(partial_sum) as mldm computed it for B*_n, kept so the
-    residual need not rebuild it; it is None for ladm, which never forms
-    N of its partial sums, and for problems without a nonlinearity.
+    ``poly`` is A_n (ladm) or B*_n (mldm), which only u_{n+1} needs: it is
+    None on the final record, and for problems without a nonlinearity.
     """
 
     n: int
     u: Series                      # raw term from the recursion
     u_star: Series                 # corrected increment (ladm: == u)
-    poly: Optional[Series]         # A_n or B*_n, when a nonlinearity exists
+    poly: Optional[Series]         # A_n or B*_n, when u_{n+1} needs it
     partial_sum: Series            # sum of u_star up to n
     seconds: float
-    applied: Optional[Series] = None   # mldm: N(S*_n)
 
 
 @dataclass(frozen=True)
@@ -535,7 +532,7 @@ def ladm_solve(problem, iterations: int, max_terms: int = MAX_TERMS,
         t0 = time.perf_counter()
         partial = series_add(partial, u, max_terms, max_mu)
         poly = None
-        if problem.nonlinear is not None:
+        if problem.nonlinear is not None and n < iterations:
             for (order, var), ds in derivs.items():
                 ds.append(spatial_apply(u, order, var, max_terms, max_mu))
             poly = _adomian_grade(problem.nonlinear, derivs, n, max_terms, max_mu)
@@ -593,17 +590,17 @@ def mldm_solve(problem, iterations: int, weights: str = "normalized",
                                   weights, correction_order, max_terms, max_mu)
         u_star = series_add(s_star, series_scale(s_star_prev, -1.0, max_terms, max_mu),
                             max_terms, max_mu)
-        poly = applied = None
-        if problem.nonlinear is not None:
-            applied = problem.nonlinear.apply(s_star, max_terms, max_mu)
-            poly = series_add(applied, series_scale(n_star_prev, -1.0, max_terms, max_mu),
+        poly = None
+        if problem.nonlinear is not None and n < iterations:
+            n_star = problem.nonlinear.apply(s_star, max_terms, max_mu)
+            poly = series_add(n_star, series_scale(n_star_prev, -1.0, max_terms, max_mu),
                               max_terms, max_mu)
-            n_star_prev = applied
+            n_star_prev = n_star
         step_trunc = _any_truncated(u, raw_sum, s_star, u_star) or \
             (poly is not None and poly.truncated)
         truncated = truncated or step_trunc
         records.append(IterationRecord(n, u, u_star, poly, s_star,
-                                       time.perf_counter() - t0, applied))
+                                       time.perf_counter() - t0))
         if step_trunc:
             stopped = n < iterations
             break

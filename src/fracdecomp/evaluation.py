@@ -22,6 +22,7 @@ from .fracterm import (
     caputo,
     series_add,
     series_scale,
+    spatial_apply,
 )
 
 __all__ = [
@@ -90,8 +91,8 @@ def make_grid(domain: Tuple[float, float], domain_y: Optional[Tuple[float, float
               tmax: float = DEFAULT_TMAX) -> Grid:
     if nx < 2 or nt < 2 or (domain_y is not None and ny < 2):
         raise EvalError("grid counts must be at least 2")
-    if tmax <= 0.0:
-        raise EvalError(f"tmax must be positive, got {tmax}")
+    if not 0.0 < tmax < math.inf:
+        raise EvalError(f"tmax must be positive and finite, got {tmax}")
     xs = np.linspace(domain[0], domain[1], nx)
     ys = np.linspace(domain_y[0], domain_y[1], ny) if domain_y is not None else None
     ts = np.linspace(0.0, tmax, nt)
@@ -110,7 +111,7 @@ def evaluate_series_grid(series: Series, grid: Grid) -> np.ndarray:
     Coefficients are read from their polys through one factor table per
     call: (atom, k) -> values on the space grid, with each atom evaluated
     once by ``symx.evaluate`` and raised to k by ``symx._pow_value``. A
-    coefficient is its ``symx.poly_rows`` in ``_mono_key`` order summed from
+    coefficient is its ``symx.poly_rows`` in ``sorted_items`` order summed from
     +0.0, as ``evaluate(expr_of_poly(poly))`` sums them; a lone monomial is
     not summed there, which only turns a -0.0 into +0.0, and that sign is
     lost anyway when the term is added into the +0.0 output. So the output
@@ -182,33 +183,58 @@ def grid_error(approx: Series, exact: Series, grid: Grid, method: str = "",
     return ErrorReport(table, max_abs, l2, method, alpha, iterations, mode)
 
 
-def residual(approx: Series, spec, grid: Grid,
-             applied: Optional[Series] = None) -> float:
+def _within_caps(series: Series, approx: Series) -> Series:
+    # a truncated defect would silently understate the residual
+    if series.truncated and not approx.truncated:
+        raise EvalError(
+            "residual series overflowed its caps; the reported sup-norm would be a lie")
+    return series
+
+
+def _nonlinear_grid(nonlinear, approx: Series, grid: Grid) -> np.ndarray:
+    """N(approx) on the grid, pointwise and with no series product.
+
+    Each distinct (order, var) derivative of approx is evaluated once; the
+    arrays are multiplied in the product and power order of
+    ``NonlinearOpSpec.apply``, then scaled by the product's coefficient and
+    by the grid values of its series coefficient.
+    """
+    mt, mm = RESIDUAL_MAX_TERMS, RESIDUAL_MAX_MU
+    derivs: Dict[Tuple[int, str], np.ndarray] = {}
+    out = np.zeros(grid.shape)
+    for p in nonlinear.products:
+        term = None
+        for f in p.factors:
+            key = (f.order, f.var)
+            d = derivs.get(key)
+            if d is None:
+                d = _within_caps(spatial_apply(approx, f.order, f.var, mt, mm), approx)
+                d = derivs[key] = evaluate_series_grid(d, grid)
+            for _ in range(f.power):
+                term = d if term is None else term * d
+        term = term * p.coeff
+        if p.series_coeff is not None:
+            term = term * evaluate_series_grid(p.series_coeff, grid)
+        out += term
+    return out
+
+
+def residual(approx: Series, spec, grid: Grid) -> float:
     """Sup-norm over the grid of D^alpha u + Qu + Nu - h at u = approx.
 
-    The defect series is assembled under caps far above the solver defaults;
-    a truncated defect would silently understate the residual, so that case
-    raises instead of returning a number.
-
-    ``applied`` may carry N(approx) as the solver already built it
-    (``IterationRecord.applied``). It is used only when it is not
-    ``truncated``: caps only cut a series and set that sticky flag, so an
-    untruncated N(approx) from the solver's caps equals the one rebuilt
-    under the larger caps here, and the result is identical with or without
-    it. A truncated one is rebuilt.
+    D^alpha u + Qu - h is assembled as one series under caps far above the
+    solver defaults, and a truncated one raises instead of returning a
+    number. Nu is added on the grid (``_nonlinear_grid``), so no series
+    product is formed.
     """
     mt, mm = RESIDUAL_MAX_TERMS, RESIDUAL_MAX_MU
     res = caputo(approx, spec.alpha, mt, mm)
     res = series_add(res, spec.linear.apply(approx, mt, mm), mt, mm)
-    if spec.nonlinear is not None:
-        if applied is None or applied.truncated:
-            applied = spec.nonlinear.apply(approx, mt, mm)
-        res = series_add(res, applied, mt, mm)
     res = series_add(res, series_scale(spec.h, -1.0, mt, mm), mt, mm)
-    if res.truncated and not approx.truncated:
-        raise EvalError(
-            "residual series overflowed its caps; the reported sup-norm would be a lie")
-    return float(np.abs(evaluate_series_grid(res, grid)).max())
+    values = evaluate_series_grid(_within_caps(res, approx), grid)
+    if spec.nonlinear is not None:
+        values += _nonlinear_grid(spec.nonlinear, approx, grid)
+    return float(np.abs(values).max())
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +318,7 @@ class ConvergenceRow:
 
 
 def convergence_report(traces: Sequence, spec, grid: Grid) -> List[ConvergenceRow]:
-    """One row per (trace, iteration): errors vs exact plus PDE residual.
-
-    The residual reuses the N(partial sum) an mldm record carries.
-    """
+    """One row per (trace, iteration): errors vs exact plus PDE residual."""
     rows: List[ConvergenceRow] = []
     for trace in traces:
         seconds = 0.0
@@ -309,6 +332,6 @@ def convergence_report(traces: Sequence, spec, grid: Grid) -> List[ConvergenceRo
                 max_abs, l2 = None, None
             rows.append(ConvergenceRow(trace.method, trace.alpha, rec.n,
                                        max_abs, l2,
-                                       residual(partial, spec, grid, rec.applied),
+                                       residual(partial, spec, grid),
                                        seconds))
     return rows

@@ -318,14 +318,25 @@ def _intern_atom(atom: Expr) -> Expr:
     return found
 
 
-def _mono_key(mono: Mono):
-    return (math.fsum(k for _, k in mono), tuple((_skey_of(a), k) for a, k in mono))
-
-
 def sorted_items(p: Poly) -> list:
-    """p's ``(mono, c)`` items in ``_mono_key`` order, the order in which
-    ``expr_of_poly`` lays out terms."""
-    return sorted(p.items(), key=lambda kv: _mono_key(kv[0]))
+    """p's ``(mono, c)`` items in monomial order, the order in which
+    ``expr_of_poly`` lays out terms: by total degree (``math.fsum`` of the
+    exponents), then factor by factor by atom sort key and exponent.
+
+    An atom enters the key as its rank among the distinct sort keys of p's
+    atoms, found once per call. Equal keys get equal ranks and the ranks
+    ascend with the keys, so ints compare as the nested keys would and the
+    order is the same.
+    """
+    rank: Dict[int, int] = {}
+    r, prev = -1, None
+    for a in sorted({id(a): a for mono in p for a, _ in mono}.values(), key=_skey_of):
+        k = _skey_of(a)
+        if k != prev:
+            r, prev = r + 1, k
+        rank[id(a)] = r
+    return sorted(p.items(), key=lambda kv: (math.fsum(k for _, k in kv[0]),
+                                              tuple((rank[id(a)], k) for a, k in kv[0])))
 
 
 def _mono_sorted(items) -> Mono:
@@ -973,7 +984,7 @@ def simplify(e: Expr) -> Expr:
 
 def diff(p: Poly, var: Union[str, Var]) -> Poly:
     """Exact derivative of a normal-form poly, bit for bit the normal form of
-    the tree derivative of ``expr_of_poly(p)``: monomials in ``_mono_key``
+    the tree derivative of ``expr_of_poly(p)``: monomials in ``sorted_items``
     order, each by the product rule as left-to-right ``poly_mul`` chains (the
     coefficient first unless it is 1.0), summed per monomial, then in total.
     """

@@ -158,6 +158,8 @@ def test_solve_input_validation_exit_codes(runner, tmp_path):
     out = str(tmp_path / "o")
     big_gamma = tmp_path / "big_gamma.txt"
     big_gamma.write_text("alpha = 0.9\ndomain = 0, 1\nexact = t*x*gamma(200)\n")
+    nan_cfg = tmp_path / "nan.cfg"
+    nan_cfg.write_text("problem = p5\ntmax = nan\n")
     cases = [
         ["solve", "--out", out],                                # neither
         ["solve", "-p", "p5", "--file", "x.txt", "--out", out],  # both
@@ -168,6 +170,12 @@ def test_solve_input_validation_exit_codes(runner, tmp_path):
         ["solve", "-p", "p5", "--grid", "5", "--out", out],
         ["solve", "-p", "p5", "--iters", "-2", "--out", out],
         ["solve", "-p", "p5", "--tmax", "-1.0", "--out", out],
+        # a non-finite end of the time window, by flag or config file
+        ["solve", "-p", "p5", "--tmax", "nan", "--out", out],
+        ["solve", "-p", "p5", "--tmax", "inf", "--out", out],
+        ["solve", "--config", str(nan_cfg), "--out", out],
+        # the same order twice, by float value
+        ["solve", "-p", "p5", "-a", "0.5,0.50", "--out", out],
         ["solve", "-p", "p5", "--jobs", "0", "--out", out],
         # past MAX_OUTPUT_ROWS: refused before any solve, 2D and 1D
         ["solve", "-p", "p2", "--grid", "10001,10001,2", "--out", out],

@@ -20,12 +20,16 @@ from fracdecomp.evaluation import (
 from fracdecomp.fracterm import (
     DEEP_MU,
     DEEP_TERMS,
+    MAX_TERMS,
     RESIDUAL_MAX_MU,
     RESIDUAL_MAX_TERMS,
     Series,
+    caputo,
+    series_add,
+    series_scale,
 )
 from fracdecomp.grammar import parse_series
-from fracdecomp.problems import PROBLEM_IDS, builtin
+from fracdecomp.problems import PROBLEM_IDS, builtin, load_problem_file
 
 
 # ---------------------------------------------------------------------------
@@ -43,10 +47,9 @@ def test_make_grid_validates_counts():
 
 
 def test_make_grid_validates_tmax():
-    with pytest.raises(EvalError):
-        make_grid((0.0, 1.0), tmax=0.0)
-    with pytest.raises(EvalError):
-        make_grid((0.0, 1.0), tmax=-2.0)
+    for tmax in (0.0, -2.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(EvalError):
+            make_grid((0.0, 1.0), tmax=tmax)
 
 
 def test_evaluate_series_grid_shapes():
@@ -123,42 +126,112 @@ def test_residual_decreases_along_iterations():
     assert vals[1] <= vals[0] and vals[2] <= vals[1]
 
 
+def _symbolic_residual(approx, spec, grid, applied=None):
+    # the residual as it stood: N(approx) as one series, from a series product
+    # under the residual caps unless given, added into the defect series
+    mt, mm = RESIDUAL_MAX_TERMS, RESIDUAL_MAX_MU
+    res = caputo(approx, spec.alpha, mt, mm)
+    res = series_add(res, spec.linear.apply(approx, mt, mm), mt, mm)
+    if applied is None:
+        applied = spec.nonlinear.apply(approx, mt, mm)
+    res = series_add(res, applied, mt, mm)
+    res = series_add(res, series_scale(spec.h, -1.0, mt, mm), mt, mm)
+    assert not res.truncated
+    return float(np.abs(evaluate_series_grid(res, grid)).max())
+
+
+def _assert_matches_symbolic(got, want):
+    assert abs(got - want) <= 1e-12 * max(1.0, want), (got, want)
+
+
+@pytest.mark.parametrize("pid", ["p6", "p7"])
+@pytest.mark.parametrize("solve", [ladm_solve, mldm_solve])
+def test_residual_matches_the_symbolic_residual(pid, solve):
+    # N evaluated on the grid adds in another order than N built as a series
+    # and then evaluated, so the two agree to rounding, not to the bit
+    for alpha in (0.5, 0.75, 1.0):
+        spec = builtin(pid, alpha)
+        g = default_grid(spec)
+        trace = solve(spec, 4, max_terms=DEEP_TERMS, max_mu=DEEP_MU)
+        assert len(trace.records) == 5
+        for rec in trace.records:
+            _assert_matches_symbolic(residual(rec.partial_sum, spec, g),
+                                     _symbolic_residual(rec.partial_sum, spec, g))
+
+
+TWO_D_FILE = """\
+domain = 0, 1
+domain_y = 0, 1
+exact = t*x*y + t^2*x
+linear = 2x:-0.5, 2y:-0.5
+nonlinear = u*u_y + 0.5*u^2*u_x - {t^alpha}*u_xx
+"""
+
+
+def test_residual_matches_the_symbolic_residual_on_a_2d_file(tmp_path):
+    # a y-derivative, a power, a degree-3 product and a time-dependent
+    # coefficient. Past n = 1 the symbolic cubic is slow, and its expanded
+    # coefficients cancel so far that the series route is the inaccurate one
+    path = tmp_path / "cubic2d.txt"
+    path.write_text(TWO_D_FILE)
+    for alpha in (0.5, 1.0):
+        spec = load_problem_file(path, alpha)
+        g = default_grid(spec)
+        for solve in (ladm_solve, mldm_solve):
+            for rec in solve(spec, 1).records:
+                _assert_matches_symbolic(residual(rec.partial_sum, spec, g),
+                                         _symbolic_residual(rec.partial_sum, spec, g))
+
+
 @pytest.mark.parametrize("pid", ["p6", "p7"])
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
 def test_residual_reuses_solver_nonlinearity_exactly(pid, alpha):
-    # the N(S*_n) an mldm record carries is, term for term, the one the
-    # residual would rebuild under its own larger caps, so reusing it
-    # changes no bit of the residual
+    # N(S*_n) under the solver's caps is, term for term, the one under the
+    # residual's larger caps, so the symbolic residual may take it as built;
+    # the grid residual agrees with that one
     spec = builtin(pid, alpha)
     g = default_grid(spec)
     trace = mldm_solve(spec, 4, max_terms=DEEP_TERMS, max_mu=DEEP_MU)
     assert len(trace.records) == 5
     for rec in trace.records:
         partial = rec.partial_sum
-        assert not rec.applied.truncated
-        assert rec.applied == spec.nonlinear.apply(partial, RESIDUAL_MAX_TERMS,
-                                                   RESIDUAL_MAX_MU)
-        assert residual(partial, spec, g, rec.applied) == residual(partial, spec, g)
+        applied = spec.nonlinear.apply(partial, DEEP_TERMS, DEEP_MU)
+        assert not applied.truncated
+        assert applied == spec.nonlinear.apply(partial, RESIDUAL_MAX_TERMS,
+                                               RESIDUAL_MAX_MU)
+        want = _symbolic_residual(partial, spec, g, applied)
+        assert want == _symbolic_residual(partial, spec, g)
+        _assert_matches_symbolic(residual(partial, spec, g), want)
 
 
 def test_residual_rebuilds_a_truncated_nonlinearity():
-    # max_mu = 12 cuts N(S*_1) of p6 (exponents up to 22) but not S*_1 (up to 11)
+    # max_mu = 12 cuts N(S*_1) of p6 (exponents up to 22) but not S*_1 (up
+    # to 11), and the solve stops there; the residual never reads a
+    # nonlinearity built under the solver's caps, so it matches the symbolic
+    # one rebuilt in full
     spec = builtin("p6", 1.0)
     g = default_grid(spec)
     trace = mldm_solve(spec, 4, max_mu=12.0)
     rec = trace.records[-1]
-    assert rec.applied.truncated and not rec.partial_sum.truncated
+    assert trace.stopped_early and rec.n == 1
+    applied = spec.nonlinear.apply(rec.partial_sum, MAX_TERMS, 12.0)
+    assert applied.truncated and not rec.partial_sum.truncated
     full = spec.nonlinear.apply(rec.partial_sum, RESIDUAL_MAX_TERMS, RESIDUAL_MAX_MU)
-    assert rec.applied != full
+    assert applied != full
     want = residual(rec.partial_sum, spec, g)
-    assert residual(rec.partial_sum, spec, g, rec.applied) == want
+    _assert_matches_symbolic(want, _symbolic_residual(rec.partial_sum, spec, g))
     assert convergence_report([trace], spec, g)[-1].residual == want
 
 
 def test_applied_is_none_for_ladm_and_linear_problems():
+    # no record keeps N of its partial sum; the final record keeps no A_N or
+    # B*_N either, and a linear problem has no poly at all
     spec = builtin("p6", 1.0)
-    assert all(r.applied is None for r in ladm_solve(spec, 2).records)
-    assert all(r.applied is None for r in mldm_solve(builtin("p5", 1.0), 2).records)
+    for solve in (ladm_solve, mldm_solve):
+        records = solve(spec, 2).records
+        assert not any(hasattr(r, "applied") for r in records)
+        assert [r.poly is None for r in records] == [False, False, True]
+    assert all(r.poly is None for r in mldm_solve(builtin("p5", 1.0), 2).records)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from fracdecomp import evaluation, fracterm, symx
-from fracdecomp.decomp import ladm_solve, mldm_solve
+from fracdecomp.decomp import adomian_polys, ladm_solve, mldm_solve
 from fracdecomp.evaluation import default_grid, evaluate_series_grid, make_grid
 from fracdecomp.fracterm import Series
 from fracdecomp.problems import builtin
@@ -67,14 +67,15 @@ def _assert_grid_matches(series, grid):
 
 
 def _solver_series(pid):
+    # partial sums, and for mldm N(S*_n) as its difference polynomials use it
     out = []
     for alpha in (0.5, 0.75, 1.0):
         spec = builtin(pid, alpha)
         for solve in (ladm_solve, mldm_solve):
             for rec in solve(spec, 3).records:
                 out.append((spec, rec.partial_sum))
-                if rec.applied is not None:
-                    out.append((spec, rec.applied))
+                if solve is mldm_solve and spec.nonlinear is not None:
+                    out.append((spec, spec.nonlinear.apply(rec.partial_sum)))
     return out
 
 
@@ -97,13 +98,58 @@ def test_grid_row_blocks_keep_every_bit(monkeypatch):
     # N(S*_3) of p7 has terms of dozens of monomials; blocks of 1, 3 and 50
     # rows must continue one running sum, not start new ones
     spec = builtin("p7", 0.75)
-    applied = mldm_solve(spec, 3).records[-1].applied
+    applied = spec.nonlinear.apply(mldm_solve(spec, 3).records[-1].partial_sum)
     assert max(len(t.poly) for t in applied.terms) > 50
     grid = default_grid(spec)
     want = _reference_grid(applied, grid).tobytes()
     for rows in (1, 3, 50):
         monkeypatch.setattr(evaluation, "ROW_BLOCK", rows * grid.xs.size)
         assert evaluate_series_grid(applied, grid).tobytes() == want
+
+
+# ---------------------------------------------------------------------------
+# monomial order
+# ---------------------------------------------------------------------------
+
+
+def _reference_sorted_items(p):
+    # sorted_items as it stood: each atom's nested sort key in the key
+    def mono_key(mono):
+        return (math.fsum(k for _, k in mono), tuple((symx._skey_of(a), k) for a, k in mono))
+    return sorted(p.items(), key=lambda kv: mono_key(kv[0]))
+
+
+def _assert_same_order(p):
+    got, want = symx.sorted_items(p), _reference_sorted_items(p)
+    assert [m for m, _ in got] == [m for m, _ in want]
+    assert all(g is w for (_, g), (_, w) in zip(got, want))
+
+
+@pytest.mark.parametrize("pid", PIDS)
+def test_sorted_items_keeps_the_order_on_solver_polys(pid):
+    polys = [t.poly for _, s in _solver_series(pid) for t in s.terms]
+    assert sum(map(len, polys)) > 40
+    for p in polys:
+        _assert_same_order(p)
+        _assert_same_order(dict(reversed(list(p.items()))))
+
+
+def test_sorted_items_keeps_the_order_on_random_polys():
+    rng = random.Random(4471)
+    for _ in range(300):
+        two_d = rng.random() < 0.5
+        p = poly_of(_random_coeff(rng, two_d, rng.choice([1, 2, 5, 12, 30])))
+        _assert_same_order(p)
+        _assert_same_order(dict(reversed(list(p.items()))))
+    # equal atoms that are distinct objects share a rank
+    sin_a, sin_b, x = Sin(Y), Sin(Y), symx._intern_atom(X)
+    assert sin_a == sin_b and sin_a is not sin_b
+    p = {((x, 1.0), (sin_b, 1.0)): 1.0, ((sin_a, 2.0),): 2.0, ((sin_a, 1.0),): 3.0,
+         ((x, 2.0),): 4.0, ((x, 1.0), (sin_a, 1.0), (Cos(Y), 1.0)): 5.0,
+         # a tie on the first factor is broken by the second
+         ((sin_b, 1.0), (Exp(Y), 1.0)): 6.0, ((sin_a, 1.0), (Cos(Y), 1.0)): 7.0}
+    _assert_same_order(p)
+    _assert_same_order(dict(reversed(list(p.items()))))
 
 
 def _random_factor(rng, two_d):
@@ -214,8 +260,10 @@ def _captured_ratio_pairs(monkeypatch):
     for pid in ("p6", "p7"):
         for alpha in (0.5, 0.75, 1.0):
             spec = builtin(pid, alpha)
-            mldm_solve(spec, 3)
-            ladm_solve(spec, 4)
+            # the products of each solve, and of the N(S*_3) and A_4 its
+            # final step leaves out
+            spec.nonlinear.apply(mldm_solve(spec, 3).records[-1].partial_sum)
+            adomian_polys(spec.nonlinear, [r.u for r in ladm_solve(spec, 4).records])
     monkeypatch.setattr(fracterm, "poly_outer", real)
     pairs = set()
     for ps, qs in calls:
@@ -348,9 +396,12 @@ def _snapshot(tables):
 def test_substitute_matches_fresh_table_on_solver_terms():
     cases = []
     for spec in (builtin(pid, alpha) for pid in PIDS for alpha in (0.5, 1.0)):
-        polys = [t.poly for rec in mldm_solve(spec, 2).records
-                 for s in (rec.u, rec.partial_sum, rec.applied) if s is not None
-                 for t in s.terms]
+        polys = []
+        for rec in mldm_solve(spec, 2).records:
+            series = [rec.u, rec.partial_sum]
+            if spec.nonlinear is not None:
+                series.append(spec.nonlinear.apply(rec.partial_sum))
+            polys += [t.poly for s in series for t in s.terms]
         values = list(spec.domain) + [0.3]
         cases += [(p, "x", v) for p in polys for v in values]
         if spec.dimension == 2:

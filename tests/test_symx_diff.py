@@ -13,8 +13,8 @@ import random
 import pytest
 
 from fracdecomp import fracterm, symx
-from fracdecomp.decomp import ladm_solve, mldm_solve
-from fracdecomp.fracterm import spatial_apply
+from fracdecomp.decomp import adomian_polys, ladm_solve, mldm_solve
+from fracdecomp.fracterm import Series, series_add, series_scale, spatial_apply
 from fracdecomp.problems import ProblemError, builtin
 from fracdecomp.symx import (
     ONE,
@@ -103,10 +103,23 @@ def _record_polys(pid):
             except ProblemError:
                 continue
             for solve in (ladm_solve, mldm_solve):
-                for rec in solve(spec, n).records:
-                    for s in (rec.u, rec.u_star, rec.poly, rec.partial_sum, rec.applied):
-                        for t in () if s is None else s.terms:
-                            polys[id(t.poly)] = t.poly
+                records = solve(spec, n).records
+                series = [s for rec in records
+                          for s in (rec.u, rec.u_star, rec.poly, rec.partial_sum)]
+                if spec.nonlinear is not None:
+                    # what the solvers do not keep: mldm's N(S*_k), and the
+                    # final record's A_n or B*_n
+                    if solve is ladm_solve:
+                        series.append(adomian_polys(spec.nonlinear,
+                                                    [r.u for r in records])[-1])
+                    else:
+                        applied = [spec.nonlinear.apply(r.partial_sum) for r in records]
+                        prev = applied[-2] if len(applied) > 1 else Series.zero()
+                        series += applied + [series_add(applied[-1],
+                                                        series_scale(prev, -1.0))]
+                for s in series:
+                    for t in () if s is None else s.terms:
+                        polys[id(t.poly)] = t.poly
     return list(polys.values())
 
 
@@ -164,7 +177,7 @@ def test_diff_matches_tree_derivative_on_trig_powers_kept_opaque():
 
 
 def test_diff_sums_like_the_tree():
-    # monomials in _mono_key order whatever the dict order ...
+    # monomials in sorted_items order whatever the dict order ...
     p = poly_of(X * X * Sin(X) + Const(3.0) * Exp(X) + Const(0.5) * X + Cos(X))
     _assert_matches_reference(dict(reversed(list(p.items()))))
     # ... and each monomial's product-rule terms summed before they join the

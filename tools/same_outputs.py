@@ -8,12 +8,16 @@ Each root is a checkout holding ``src/fracdecomp``. Both run the same solves
 directory of its own under a temporary directory. points.csv and plot.dat
 must be equal byte for byte, summary.csv with its wall-clock ``seconds``
 column masked, and every solve must exit with the same code. Each
-difference is printed; the exit code is 1 if there is any, else 0.
+difference is printed; where summary.csv differs, so are the columns that
+moved and the worst relative gap |new - old| / |old| in each, with the row
+it is on. The exit code is 1 if there is any difference, else 0.
 Standard library only.
 """
 
 from __future__ import annotations
 
+import csv
+import math
 import os
 import subprocess
 import sys
@@ -47,6 +51,36 @@ def _content(path: Path) -> bytes:
     return data
 
 
+def _gap(old: str, new: str) -> float:
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return math.inf
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(b - a) / abs(a) if a != 0.0 else math.inf
+
+
+def _summary_moves(old: Path, new: Path) -> str:
+    """The summary.csv columns that differ, each with its worst relative gap."""
+    tables = []
+    for path in (old, new):
+        with open(path, newline="") as fh:
+            tables.append(list(csv.reader(fh)))
+    (head, *rows_old), (head_new, *rows_new) = tables
+    if head != head_new or len(rows_old) != len(rows_new):
+        return f"header or row count differs ({len(rows_old)} vs {len(rows_new)} rows)"
+    worst = {}
+    for ro, rn in zip(rows_old, rows_new):
+        for name, a, b in zip(head[:-1], ro, rn):      # the last column is time
+            if a != b:
+                gap = _gap(a, b)
+                if name not in worst or gap > worst[name][0]:
+                    worst[name] = (gap, ",".join(ro[:3]))
+    return ", ".join(f"{name} worst relative gap {gap:.1e} at {where}"
+                     for name, (gap, where) in worst.items())
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print("usage: same_outputs.py OLD_ROOT NEW_ROOT", file=sys.stderr)
@@ -62,8 +96,12 @@ def main(argv) -> int:
             outs = [Path(tmp) / f"{side}{n}" for side in ("old", "new")]
             codes = [_solve(root, args, out) for root, out in zip(roots, outs)]
             found = [] if codes[0] == codes[1] else [f"exit {codes[0]} vs {codes[1]}"]
-            found += [f"{name} differs" for name in FILES
-                      if _content(outs[0] / name) != _content(outs[1] / name)]
+            for name in FILES:
+                if _content(outs[0] / name) != _content(outs[1] / name):
+                    moved = (_summary_moves(outs[0] / name, outs[1] / name)
+                             if name == "summary.csv" and all(c == 0 for c in codes)
+                             else "")
+                    found.append(f"{name} differs" + (f" ({moved})" if moved else ""))
             print(f"solve {' '.join(args)}: {', '.join(found) if found else 'same'}")
             differ += len(found)
     print(f"{len(CASES)} solves, {differ} differences")
