@@ -26,8 +26,6 @@ import numpy as np
 
 from . import decomp, evaluation, problems
 from .fracterm import (
-    DEEP_MU,
-    DEEP_TERMS,
     Series,
     caputo,
     eval_series,
@@ -83,16 +81,16 @@ def _trace(method: str, pid: str, alpha: float, iterations: int):
     if got is None:
         spec = problems.builtin(pid, alpha)
         if method == "mldm":
-            got = decomp.mldm_solve(spec, iterations, max_terms=DEEP_TERMS, max_mu=DEEP_MU)
+            got = decomp.mldm_solve(spec, iterations)
         else:
-            got = decomp.ladm_solve(spec, iterations, max_terms=DEEP_TERMS, max_mu=DEEP_MU)
+            got = decomp.ladm_solve(spec, iterations)
         _TRACES[key] = got
     return got
 
 
 def _coeff_gap(a: Series, b: Series) -> float:
     """Largest monomial coefficient of a - b, i.e. worst-case coefficient error."""
-    diff = series_add(a, series_scale(b, -1.0, DEEP_TERMS, DEEP_MU), DEEP_TERMS, DEEP_MU)
+    diff = series_add(a, series_scale(b, -1.0))
     worst = 0.0
     for term in diff.terms:
         for c in term.poly.values():
@@ -227,9 +225,7 @@ def _check_boundary() -> Tuple[bool, str]:
             s = trace.partial(n)
             for face, g in spec.bd.faces().items():
                 var, at, other = _face_geometry(face, spec)
-                gap = series_add(series_substitute(s, var, at, DEEP_TERMS, DEEP_MU),
-                                 series_scale(g, -1.0, DEEP_TERMS, DEEP_MU),
-                                 DEEP_TERMS, DEEP_MU)
+                gap = series_add(series_substitute(s, var, at), series_scale(g, -1.0))
                 d = _face_sup(gap, other, grid)
                 if d > worst:
                     worst, where = d, f"{pid} n={n} {face}"
@@ -246,8 +242,8 @@ def _check_telescoping() -> Tuple[bool, str]:
         dom = spec.sample_domain()
         running = Series.zero()
         for n in range(4):
-            running = series_add(running, trace.records[n].poly, DEEP_TERMS, DEEP_MU)
-            direct = spec.nonlinear.apply(trace.partial(n), DEEP_TERMS, DEEP_MU)
+            running = series_add(running, trace.records[n].poly)
+            direct = spec.nonlinear.apply(trace.partial(n))
             if not series_equal(running, direct, domain=dom, tol=IDENTITY_TOL):
                 return False, (f"{pid} n={n}: sum of difference polynomials does not "
                                f"telescope to N(partial sum)")
@@ -262,21 +258,19 @@ def _check_adomian() -> Tuple[bool, str]:
     worst = 0.0
     for _ in range(6):
         u_list = [_random_series(rng, None, rng.randint(1, 3)) for _ in range(4)]
-        got = decomp.adomian_polys(square, u_list, DEEP_TERMS, DEEP_MU)
+        got = decomp.adomian_polys(square, u_list)
         # independent route: grade u^2 literally, S = sum_k y^k u_k with an
         # auxiliary variable y, then A_j = (1/j!) d^j/dy^j N(S) at y = 0
         s = Series.zero()
         for k, u in enumerate(u_list):
             weight = Const(1.0) if k == 0 else Pow(Var("y"), float(k))
-            s = series_add(s, series_scale(u, weight, DEEP_TERMS, DEEP_MU),
-                           DEEP_TERMS, DEEP_MU)
-        n_of_s = series_mul(s, s, DEEP_TERMS, DEEP_MU)
+            s = series_add(s, series_scale(u, weight))
+        n_of_s = series_mul(s, s)
         fact = 1.0
         for j in range(4):
-            graded = series_scale(series_substitute(n_of_s, "y", 0.0, DEEP_TERMS, DEEP_MU),
-                                  1.0 / fact, DEEP_TERMS, DEEP_MU)
+            graded = series_scale(series_substitute(n_of_s, "y", 0.0), 1.0 / fact)
             worst = max(worst, _coeff_gap(got[j], graded))
-            n_of_s = spatial_apply(n_of_s, 1, "y", DEEP_TERMS, DEEP_MU)
+            n_of_s = spatial_apply(n_of_s, 1, "y")
             fact *= j + 1
     ok = worst <= POLY_TOL
     return ok, (f"A_0..A_3 of u^2 vs graded literal expansion, 6 random series "

@@ -36,7 +36,7 @@ from .evaluation import (
     evaluate_series_grid,
     make_grid,
 )
-from .fracterm import DEEP_MU, DEEP_TERMS, SeriesError
+from .fracterm import SeriesError
 from .grammar import GrammarError
 from .problems import ProblemError
 from .symx import ExprError
@@ -178,10 +178,9 @@ def _run_job(packed: tuple) -> Dict[str, object]:
     (kind, ident, alpha, method, iters, mode, weights, counts, tmax) = packed
     spec = _build_spec(kind, ident, alpha, mode)
     if method == "mldm":
-        trace = mldm_solve(spec, iters, weights=weights,
-                           max_terms=DEEP_TERMS, max_mu=DEEP_MU)
+        trace = mldm_solve(spec, iters, weights=weights)
     else:
-        trace = ladm_solve(spec, iters, max_terms=DEEP_TERMS, max_mu=DEEP_MU)
+        trace = ladm_solve(spec, iters)
     grid = _grid_for(spec, counts, tmax)
 
     approx = evaluate_series_grid(trace.approximation, grid)

@@ -27,6 +27,11 @@ differentiates each u_k once and forms A_n alone (``adomian_polys`` returns
 A_0..A_n through the same grade-n routine). Nor does either build what no
 later step reads: A_N and B*_N only feed u_{N+1}, so the final record of an
 N-iteration solve carries no polynomial.
+
+No solver takes a growth cap: every series is held to the one pair that
+``fracterm`` fixes, so a library solve is the CLI's solve. A step whose
+series meets a cap is still recorded, marked ``truncated``, and the solve
+stops there with ``stopped_early`` set.
 """
 
 from __future__ import annotations
@@ -38,8 +43,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .symx import Const, Cos, Expr, Sin, Var, poly_of, poly_substitute, simplify
 from .fracterm import (
-    MAX_MU,
-    MAX_TERMS,
     Series,
     frac_integral,
     series_add,
@@ -107,12 +110,11 @@ class LinearOpSpec:
     def is_empty(self) -> bool:
         return not self.terms
 
-    def apply(self, u: Series, max_terms: int = MAX_TERMS, max_mu: float = MAX_MU) -> Series:
+    def apply(self, u: Series) -> Series:
         out = Series.zero()
         for t in self.terms:
-            d = spatial_apply(u, t.order, t.var, max_terms, max_mu)
-            out = series_add(out, series_scale(d, t.coeff, max_terms, max_mu),
-                             max_terms, max_mu)
+            d = spatial_apply(u, t.order, t.var)
+            out = series_add(out, series_scale(d, t.coeff))
         return out
 
     def describe(self) -> str:
@@ -171,7 +173,7 @@ class NonlinearOpSpec:
                 raise DecompError(
                     f"nonlinearity degree {p.degree()} beyond supported {MAX_NONLINEAR_DEGREE}")
 
-    def apply(self, u: Series, max_terms: int = MAX_TERMS, max_mu: float = MAX_MU) -> Series:
+    def apply(self, u: Series) -> Series:
         out = Series.zero()
         derivs: Dict[Tuple[int, str], Series] = {}
         for p in self.products:
@@ -180,14 +182,14 @@ class NonlinearOpSpec:
                 key = (f.order, f.var)
                 d = derivs.get(key)
                 if d is None:
-                    d = spatial_apply(u, f.order, f.var, max_terms, max_mu)
+                    d = spatial_apply(u, f.order, f.var)
                     derivs[key] = d
                 for _ in range(f.power):
-                    term = d if term is None else series_mul(term, d, max_terms, max_mu)
-            term = series_scale(term, p.coeff, max_terms, max_mu)
+                    term = d if term is None else series_mul(term, d)
+            term = series_scale(term, p.coeff)
             if p.series_coeff is not None:
-                term = series_mul(term, p.series_coeff, max_terms, max_mu)
-            out = series_add(out, term, max_terms, max_mu)
+                term = series_mul(term, p.series_coeff)
+            out = series_add(out, term)
         return out
 
     def describe(self) -> str:
@@ -274,10 +276,9 @@ def _weights(lo: float, hi: float, var: str, mode: str) -> Tuple[Expr, Expr]:
     raise DecompError(f"unknown weight mode {mode!r}")
 
 
-def _trace_gap(u: Series, g: Series, var: str, at: float,
-               max_terms: int, max_mu: float) -> Series:
-    tr = series_substitute(u, var, at, max_terms, max_mu)
-    return series_add(g, series_scale(tr, -1.0, max_terms, max_mu), max_terms, max_mu)
+def _trace_gap(u: Series, g: Series, var: str, at: float) -> Series:
+    tr = series_substitute(u, var, at)
+    return series_add(g, series_scale(tr, -1.0))
 
 
 def _gap_height(gap: Series) -> float:
@@ -301,22 +302,21 @@ def _max_trig_scale(u: Series, var: str) -> float:
 
 
 def _correct_1d(u: Series, g_lo: Series, g_hi: Series, lo: float, hi: float,
-                var: str, mode: str, max_terms: int, max_mu: float) -> Series:
+                var: str, mode: str) -> Series:
     w_lo, w_hi = _weights(lo, hi, var, mode)
-    lo_gap = _trace_gap(u, g_lo, var, lo, max_terms, max_mu)
-    hi_gap = _trace_gap(u, g_hi, var, hi, max_terms, max_mu)
-    adj = series_add(series_scale(lo_gap, w_lo, max_terms, max_mu),
-                     series_scale(hi_gap, w_hi, max_terms, max_mu), max_terms, max_mu)
-    out = series_add(u, adj, max_terms, max_mu)
+    lo_gap = _trace_gap(u, g_lo, var, lo)
+    hi_gap = _trace_gap(u, g_hi, var, hi)
+    adj = series_add(series_scale(lo_gap, w_lo), series_scale(hi_gap, w_hi))
+    out = series_add(u, adj)
     if mode != "normalized":
         # the paper-literal weights only interpolate on [0, 1]; polishing
         # their residue would hide that, so return the blend as computed
         return out
-    return _polish_1d(out, g_lo, g_hi, lo, hi, var, max_terms, max_mu)
+    return _polish_1d(out, g_lo, g_hi, lo, hi, var)
 
 
 def _polish_1d(u: Series, g_lo: Series, g_hi: Series, lo: float, hi: float,
-               var: str, max_terms: int, max_mu: float) -> Series:
+               var: str) -> Series:
     """Cancel the float residue the affine blend leaves at the endpoints.
 
     When the uncorrected iterate carries coefficients around 1e16 (the
@@ -333,8 +333,8 @@ def _polish_1d(u: Series, g_lo: Series, g_hi: Series, lo: float, hi: float,
     q_step = _max_trig_scale(u, var) or math.pi
     q_next = 1.5
     for _ in range(POLISH_ROUNDS):
-        lo_gap = _trace_gap(u, g_lo, var, lo, max_terms, max_mu)
-        hi_gap = _trace_gap(u, g_hi, var, hi, max_terms, max_mu)
+        lo_gap = _trace_gap(u, g_lo, var, lo)
+        hi_gap = _trace_gap(u, g_hi, var, hi)
         if max(_gap_height(lo_gap), _gap_height(hi_gap)) <= POLISH_TOL:
             break
         # two fresh slots per round: f1 = cos(q1 (x-lo)) hits (1, v1) at the
@@ -352,10 +352,9 @@ def _polish_1d(u: Series, g_lo: Series, g_hi: Series, lo: float, hi: float,
             if abs(v2) >= 0.1:
                 break
         d1 = lo_gap
-        d2 = series_scale(series_add(hi_gap, series_scale(d1, -v1, max_terms, max_mu),
-                                     max_terms, max_mu), 1.0 / v2, max_terms, max_mu)
-        u = series_add(u, series_scale(d1, f1, max_terms, max_mu), max_terms, max_mu)
-        u = series_add(u, series_scale(d2, f2, max_terms, max_mu), max_terms, max_mu)
+        d2 = series_scale(series_add(hi_gap, series_scale(d1, -v1)), 1.0 / v2)
+        u = series_add(u, series_scale(d1, f1))
+        u = series_add(u, series_scale(d2, f2))
     return u
 
 
@@ -364,36 +363,23 @@ def _endpoint_value(f: Expr, var: str, at: float) -> float:
 
 
 def boundary_correct(u: Series, bd: BoundaryData, domain,
-                     domain_y=None, weights: str = "normalized",
-                     order: Tuple[str, ...] = ("x", "y"),
-                     max_terms: int = MAX_TERMS, max_mu: float = MAX_MU) -> Series:
+                     domain_y=None, weights: str = "normalized") -> Series:
     """Blend u onto the Dirichlet data with affine weights.
 
     1D: u* = u + w_l(x)[g0 - u(l,.)] + w_L(x)[g1 - u(L,.)], where the
     normalized weights are (L-x)/(L-l) and (x-l)/(L-l) (the paper-literal
     toggle keeps (1-x) and x, which only interpolate on [0,1]). In 2D the
-    same blend runs per direction, x first by default; with compatible
+    same blend runs in x, then in y on the x-corrected sum; with compatible
     corners the result matches all four faces exactly.
     """
+    lo, hi = float(domain[0]), float(domain[1])
     if bd.dimension == 1:
-        lo, hi = domain
-        return _correct_1d(u, bd.g0, bd.g1, float(lo), float(hi), "x", weights,
-                           max_terms, max_mu)
+        return _correct_1d(u, bd.g0, bd.g1, lo, hi, "x", weights)
     if domain_y is None:
         raise DecompError("2D correction needs domain_y")
-    out = u
-    for axis in order:
-        if axis == "x":
-            lo, hi = domain
-            out = _correct_1d(out, bd.gx0, bd.gx1, float(lo), float(hi), "x", weights,
-                              max_terms, max_mu)
-        elif axis == "y":
-            lo, hi = domain_y
-            out = _correct_1d(out, bd.gy0, bd.gy1, float(lo), float(hi), "y", weights,
-                              max_terms, max_mu)
-        else:
-            raise DecompError(f"unknown correction axis {axis!r}")
-    return out
+    out = _correct_1d(u, bd.gx0, bd.gx1, lo, hi, "x", weights)
+    return _correct_1d(out, bd.gy0, bd.gy1, float(domain_y[0]), float(domain_y[1]),
+                       "y", weights)
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +397,7 @@ def _factor_keys(nonlinear: NonlinearOpSpec) -> List[Tuple[int, str]]:
     return keys
 
 
-def _grade_product(a: Sequence[Series], b: Sequence[Series], g: int,
-                   max_terms: int, max_mu: float) -> Series:
+def _grade_product(a: Sequence[Series], b: Sequence[Series], g: int) -> Series:
     """Grade g of the product of two graded lists: sum_{ga=0..g} a[ga] b[g-ga].
 
     The terms are added with ga ascending, so every grade comes out of the
@@ -420,14 +405,13 @@ def _grade_product(a: Sequence[Series], b: Sequence[Series], g: int,
     """
     out = None
     for ga in range(g + 1):
-        prod = series_mul(a[ga], b[g - ga], max_terms, max_mu)
-        out = prod if out is None else series_add(out, prod, max_terms, max_mu)
+        prod = series_mul(a[ga], b[g - ga])
+        out = prod if out is None else series_add(out, prod)
     return out
 
 
 def _adomian_grade(nonlinear: NonlinearOpSpec,
-                   derivs: Dict[Tuple[int, str], Sequence[Series]], n: int,
-                   max_terms: int, max_mu: float) -> Series:
+                   derivs: Dict[Tuple[int, str], Sequence[Series]], n: int) -> Series:
     """A_n alone, from derivs[(order, var)][k] = d^order u_k / d var^order, k <= n.
 
     A product of degree d convolves its factors left to right; the inner
@@ -438,21 +422,19 @@ def _adomian_grade(nonlinear: NonlinearOpSpec,
         chain = [derivs[(f.order, f.var)] for f in p.factors for _ in range(f.power)]
         graded = chain[0]
         for nxt in chain[1:-1]:
-            graded = [_grade_product(graded, nxt, g, max_terms, max_mu)
-                      for g in range(n + 1)]
+            graded = [_grade_product(graded, nxt, g) for g in range(n + 1)]
         if len(chain) > 1:
-            term = _grade_product(graded, chain[-1], n, max_terms, max_mu)
+            term = _grade_product(graded, chain[-1], n)
         else:
             term = graded[n]
-        term = series_scale(term, p.coeff, max_terms, max_mu)
+        term = series_scale(term, p.coeff)
         if p.series_coeff is not None:
-            term = series_mul(term, p.series_coeff, max_terms, max_mu)
-        acc = term if acc is None else series_add(acc, term, max_terms, max_mu)
+            term = series_mul(term, p.series_coeff)
+        acc = term if acc is None else series_add(acc, term)
     return acc
 
 
-def adomian_polys(nonlinear: NonlinearOpSpec, u_list: Sequence[Series],
-                  max_terms: int = MAX_TERMS, max_mu: float = MAX_MU) -> List[Series]:
+def adomian_polys(nonlinear: NonlinearOpSpec, u_list: Sequence[Series]) -> List[Series]:
     """A_0..A_n for N(sum_k lambda^k u_k) by grade bookkeeping.
 
     Each u_k carries grade k; products convolve grades, and A_j collects
@@ -460,11 +442,9 @@ def adomian_polys(nonlinear: NonlinearOpSpec, u_list: Sequence[Series],
     """
     if not u_list:
         raise DecompError("adomian_polys needs at least u_0")
-    derivs = {(order, var): [spatial_apply(u, order, var, max_terms, max_mu)
-                             for u in u_list]
+    derivs = {(order, var): [spatial_apply(u, order, var) for u in u_list]
               for order, var in _factor_keys(nonlinear)}
-    return [_adomian_grade(nonlinear, derivs, j, max_terms, max_mu)
-            for j in range(len(u_list))]
+    return [_adomian_grade(nonlinear, derivs, j) for j in range(len(u_list))]
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +473,6 @@ class SolveTrace:
     method: str
     alpha: float
     weights: Optional[str]
-    correction_order: Optional[Tuple[str, ...]]
     records: Tuple[IterationRecord, ...]
     truncated: bool
     stopped_early: bool
@@ -510,8 +489,7 @@ def _any_truncated(*series: Series) -> bool:
     return any(s.truncated for s in series)
 
 
-def ladm_solve(problem, iterations: int, max_terms: int = MAX_TERMS,
-               max_mu: float = MAX_MU) -> SolveTrace:
+def ladm_solve(problem, iterations: int) -> SolveTrace:
     """Classical decomposition trace with iterations+1 records (n = 0..iterations)."""
     if iterations < 0:
         raise DecompError("iterations must be >= 0")
@@ -525,17 +503,15 @@ def ladm_solve(problem, iterations: int, max_terms: int = MAX_TERMS,
     partial = Series.zero()
     truncated = False
     stopped = False
-    u = series_add(Series.of(0.0, problem.f),
-                   frac_integral(problem.h, alpha, max_terms, max_mu),
-                   max_terms, max_mu)
+    u = series_add(Series.of(0.0, problem.f), frac_integral(problem.h, alpha))
     for n in range(iterations + 1):
         t0 = time.perf_counter()
-        partial = series_add(partial, u, max_terms, max_mu)
+        partial = series_add(partial, u)
         poly = None
         if problem.nonlinear is not None and n < iterations:
             for (order, var), ds in derivs.items():
-                ds.append(spatial_apply(u, order, var, max_terms, max_mu))
-            poly = _adomian_grade(problem.nonlinear, derivs, n, max_terms, max_mu)
+                ds.append(spatial_apply(u, order, var))
+            poly = _adomian_grade(problem.nonlinear, derivs, n)
         step_trunc = _any_truncated(u, partial) or (poly is not None and poly.truncated)
         truncated = truncated or step_trunc
         records.append(IterationRecord(n, u, u, poly, partial, time.perf_counter() - t0))
@@ -543,17 +519,14 @@ def ladm_solve(problem, iterations: int, max_terms: int = MAX_TERMS,
             stopped = n < iterations
             break
         if n < iterations:
-            rhs = problem.linear.apply(u, max_terms, max_mu)
+            rhs = problem.linear.apply(u)
             if poly is not None:
-                rhs = series_add(rhs, poly, max_terms, max_mu)
-            u = series_scale(frac_integral(rhs, alpha, max_terms, max_mu), -1.0,
-                             max_terms, max_mu)
-    return SolveTrace("ladm", alpha, None, None, tuple(records), truncated, stopped)
+                rhs = series_add(rhs, poly)
+            u = series_scale(frac_integral(rhs, alpha), -1.0)
+    return SolveTrace("ladm", alpha, None, tuple(records), truncated, stopped)
 
 
-def mldm_solve(problem, iterations: int, weights: str = "normalized",
-               correction_order: Tuple[str, ...] = ("x", "y"),
-               max_terms: int = MAX_TERMS, max_mu: float = MAX_MU) -> SolveTrace:
+def mldm_solve(problem, iterations: int, weights: str = "normalized") -> SolveTrace:
     """Boundary-corrected decomposition trace.
 
     Records hold the raw term u_n, the corrected increment u*_n and the
@@ -574,27 +547,22 @@ def mldm_solve(problem, iterations: int, weights: str = "normalized",
     s_star_prev = Series.zero()
     n_star_prev = Series.zero()     # N(S*_{n-1}) for the difference polynomials
     ustar_prev: Optional[Series] = None
-    u = series_add(Series.of(0.0, problem.f),
-                   frac_integral(problem.h, alpha, max_terms, max_mu),
-                   max_terms, max_mu)
+    u = series_add(Series.of(0.0, problem.f), frac_integral(problem.h, alpha))
     for n in range(iterations + 1):
         t0 = time.perf_counter()
         if n > 0:
-            rhs = problem.linear.apply(ustar_prev, max_terms, max_mu)
+            rhs = problem.linear.apply(ustar_prev)
             if problem.nonlinear is not None:
-                rhs = series_add(rhs, records[-1].poly, max_terms, max_mu)
-            u = series_scale(frac_integral(rhs, alpha, max_terms, max_mu), -1.0,
-                             max_terms, max_mu)
-        raw_sum = series_add(raw_sum, u, max_terms, max_mu)
+                rhs = series_add(rhs, records[-1].poly)
+            u = series_scale(frac_integral(rhs, alpha), -1.0)
+        raw_sum = series_add(raw_sum, u)
         s_star = boundary_correct(raw_sum, problem.bd, problem.domain, problem.domain_y,
-                                  weights, correction_order, max_terms, max_mu)
-        u_star = series_add(s_star, series_scale(s_star_prev, -1.0, max_terms, max_mu),
-                            max_terms, max_mu)
+                                  weights)
+        u_star = series_add(s_star, series_scale(s_star_prev, -1.0))
         poly = None
         if problem.nonlinear is not None and n < iterations:
-            n_star = problem.nonlinear.apply(s_star, max_terms, max_mu)
-            poly = series_add(n_star, series_scale(n_star_prev, -1.0, max_terms, max_mu),
-                              max_terms, max_mu)
+            n_star = problem.nonlinear.apply(s_star)
+            poly = series_add(n_star, series_scale(n_star_prev, -1.0))
             n_star_prev = n_star
         step_trunc = _any_truncated(u, raw_sum, s_star, u_star) or \
             (poly is not None and poly.truncated)
@@ -606,5 +574,4 @@ def mldm_solve(problem, iterations: int, weights: str = "normalized",
             break
         s_star_prev = s_star
         ustar_prev = u_star
-    order = tuple(correction_order) if problem.dimension == 2 else None
-    return SolveTrace("mldm", alpha, weights, order, tuple(records), truncated, stopped)
+    return SolveTrace("mldm", alpha, weights, tuple(records), truncated, stopped)

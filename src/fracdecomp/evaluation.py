@@ -16,8 +16,6 @@ import numpy as np
 
 from .symx import Expr, _pow_value, evaluate, poly_rows, sorted_items
 from .fracterm import (
-    RESIDUAL_MAX_MU,
-    RESIDUAL_MAX_TERMS,
     Series,
     caputo,
     series_add,
@@ -105,6 +103,8 @@ def default_grid(spec, nx: int = DEFAULT_NX, ny: int = DEFAULT_NY, nt: int = DEF
                      nx=nx, ny=ny, nt=nt, tmax=tmax)
 
 
+# overflow is reported once, by _finite, not as a RuntimeWarning per operation
+@np.errstate(all="ignore")
 def evaluate_series_grid(series: Series, grid: Grid) -> np.ndarray:
     """Dense evaluation, shape (nx, nt) or (nx, ny, nt).
 
@@ -118,6 +118,7 @@ def evaluate_series_grid(series: Series, grid: Grid) -> np.ndarray:
     is bit for bit the tree evaluation's, and the same ``PowerDomainError``
     is raised on the same input. Rows are built ``ROW_BLOCK`` values at a
     time, so a poly of many monomials on a fine grid takes bounded memory.
+    A value that is not finite raises ``EvalError``.
     """
     if grid.ys is None:
         env = {"x": grid.xs}
@@ -157,7 +158,15 @@ def evaluate_series_grid(series: Series, grid: Grid) -> np.ndarray:
         # np.power(0.0, 0.0) is 1.0, which is the t -> 0+ convention here
         tpow = np.power(grid.ts, term.mu)
         out += coeff.reshape(space_shape)[..., None] * tpow
-    return out
+    return _finite(out, "series")
+
+
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    bad = int(values.size - np.count_nonzero(np.isfinite(values)))
+    if bad:
+        raise EvalError(f"{what} is not finite at {bad} of {values.size} grid points "
+                        "(inf or nan); the values overflow a float")
+    return values
 
 
 @dataclass(frozen=True)
@@ -199,7 +208,6 @@ def _nonlinear_grid(nonlinear, approx: Series, grid: Grid) -> np.ndarray:
     ``NonlinearOpSpec.apply``, then scaled by the product's coefficient and
     by the grid values of its series coefficient.
     """
-    mt, mm = RESIDUAL_MAX_TERMS, RESIDUAL_MAX_MU
     derivs: Dict[Tuple[int, str], np.ndarray] = {}
     out = np.zeros(grid.shape)
     for p in nonlinear.products:
@@ -208,7 +216,7 @@ def _nonlinear_grid(nonlinear, approx: Series, grid: Grid) -> np.ndarray:
             key = (f.order, f.var)
             d = derivs.get(key)
             if d is None:
-                d = _within_caps(spatial_apply(approx, f.order, f.var, mt, mm), approx)
+                d = _within_caps(spatial_apply(approx, f.order, f.var), approx)
                 d = derivs[key] = evaluate_series_grid(d, grid)
             for _ in range(f.power):
                 term = d if term is None else term * d
@@ -219,22 +227,22 @@ def _nonlinear_grid(nonlinear, approx: Series, grid: Grid) -> np.ndarray:
     return out
 
 
+@np.errstate(all="ignore")
 def residual(approx: Series, spec, grid: Grid) -> float:
     """Sup-norm over the grid of D^alpha u + Qu + Nu - h at u = approx.
 
-    D^alpha u + Qu - h is assembled as one series under caps far above the
-    solver defaults, and a truncated one raises instead of returning a
-    number. Nu is added on the grid (``_nonlinear_grid``), so no series
-    product is formed.
+    D^alpha u + Qu - h is assembled as one series, and one truncated by the
+    growth caps (when approx is not) raises instead of returning a number.
+    No step here raises an exponent or multiplies series. Nu is added on
+    the grid (``_nonlinear_grid``), so no series product is formed.
     """
-    mt, mm = RESIDUAL_MAX_TERMS, RESIDUAL_MAX_MU
-    res = caputo(approx, spec.alpha, mt, mm)
-    res = series_add(res, spec.linear.apply(approx, mt, mm), mt, mm)
-    res = series_add(res, series_scale(spec.h, -1.0, mt, mm), mt, mm)
+    res = caputo(approx, spec.alpha)
+    res = series_add(res, spec.linear.apply(approx))
+    res = series_add(res, series_scale(spec.h, -1.0))
     values = evaluate_series_grid(_within_caps(res, approx), grid)
     if spec.nonlinear is not None:
         values += _nonlinear_grid(spec.nonlinear, approx, grid)
-    return float(np.abs(values).max())
+    return float(np.abs(_finite(values, "residual")).max())
 
 
 # ---------------------------------------------------------------------------

@@ -58,10 +58,6 @@ __all__ = [
     "Series",
     "MAX_TERMS",
     "MAX_MU",
-    "DEEP_TERMS",
-    "DEEP_MU",
-    "RESIDUAL_MAX_TERMS",
-    "RESIDUAL_MAX_MU",
     "series_add",
     "series_scale",
     "series_mul",
@@ -76,18 +72,15 @@ __all__ = [
 ]
 
 MU_MERGE_TOL = 1e-12
-# Growth caps, (term count, largest exponent). The defaults cover the
-# convergent benchmarks at a few iterations.
-MAX_TERMS = 512
-MAX_MU = 64.0
-# CLI solves and the verify suite share these so their traces agree; p7 at
-# four iterations needs thousands of terms before truncation would set in.
-DEEP_TERMS = 8192
-DEEP_MU = 512.0
-# The residual defect multiplies deep partial sums (degree <= 3), so its
-# exponents and term count outgrow the deep caps.
-RESIDUAL_MAX_TERMS = 16384
-RESIDUAL_MAX_MU = 2048.0
+# Growth caps, (term count, largest exponent): the memory guard of the term
+# class, read by ``_from_pairs`` alone, so every series -- a library solve, a
+# CLI solve, verify and the residual -- is held to the same pair. A series
+# that would outgrow them is cut at the high end and marked ``truncated``.
+# The deepest builtin solves measured (four iterations, both methods) hold
+# under 30 terms with exponents below 100; ``gamma`` overflows past mu ~ 171,
+# so MAX_MU is a bound on growth, not a working range.
+MAX_TERMS = 8192
+MAX_MU = 512.0
 
 
 class GammaError(Exception):
@@ -183,16 +176,15 @@ class Series:
 
     Terms are sorted by exponent; exponents within 1e-12 are merged; zero
     coefficients (decided by sampling the poly against 0) are dropped.
-    Growth caps on the term count and the largest exponent truncate the high
-    end and set ``truncated`` -- never silently. ``(mu, coeff)`` pairs given
+    The growth caps ``MAX_TERMS`` and ``MAX_MU`` truncate the high end and
+    set ``truncated`` -- never silently. ``(mu, coeff)`` pairs given
     here are converted once with ``poly_of``; every operation after that
     reads and writes ``TimeTerm.poly``.
     """
 
     __slots__ = ("terms", "truncated")
 
-    def __init__(self, terms: Iterable[TermLike] = (), truncated: bool = False,
-                 max_terms: int = MAX_TERMS, max_mu: float = MAX_MU):
+    def __init__(self, terms: Iterable[TermLike] = (), truncated: bool = False):
         pairs = []
         for item in terms:
             if isinstance(item, TimeTerm):
@@ -200,7 +192,7 @@ class Series:
             else:
                 mu, coeff = item
                 pairs.append((float(mu), poly_of(Expr.wrap(coeff))))
-        built = _from_pairs(pairs, truncated, max_terms, max_mu)
+        built = _from_pairs(pairs, truncated)
         self.terms = built.terms
         self.truncated = built.truncated
 
@@ -267,8 +259,8 @@ def _raw_series(terms: Tuple[TimeTerm, ...], truncated: bool) -> Series:
     return s
 
 
-def _from_pairs(pairs, truncated: bool, max_terms: int, max_mu: float) -> Series:
-    """Canonicalize (mu, poly) pairs: merge, drop zeros, apply caps."""
+def _from_pairs(pairs, truncated: bool) -> Series:
+    """Canonicalize (mu, poly) pairs: merge, drop zeros, apply the growth caps."""
     if not pairs:
         return _raw_series((), truncated)
     pairs.sort(key=lambda p: p[0])
@@ -297,11 +289,11 @@ def _from_pairs(pairs, truncated: bool, max_terms: int, max_mu: float) -> Series
             mu = 0.0
         terms.append(TimeTerm(mu, p))
 
-    if terms and terms[-1].mu > max_mu:
-        terms = [t for t in terms if t.mu <= max_mu]
+    if terms and terms[-1].mu > MAX_MU:
+        terms = [t for t in terms if t.mu <= MAX_MU]
         truncated = True
-    if len(terms) > max_terms:
-        terms = terms[:max_terms]
+    if len(terms) > MAX_TERMS:
+        terms = terms[:MAX_TERMS]
         truncated = True
     return _raw_series(tuple(terms), truncated)
 
@@ -311,32 +303,27 @@ def _from_pairs(pairs, truncated: bool, max_terms: int, max_mu: float) -> Series
 # ---------------------------------------------------------------------------
 
 
-def series_add(a: Series, b: Series, max_terms: int = MAX_TERMS,
-               max_mu: float = MAX_MU) -> Series:
+def series_add(a: Series, b: Series) -> Series:
     pairs = [(t.mu, t.poly) for t in a.terms] + [(t.mu, t.poly) for t in b.terms]
-    return _from_pairs(pairs, a.truncated or b.truncated, max_terms, max_mu)
+    return _from_pairs(pairs, a.truncated or b.truncated)
 
 
-def series_scale(a: Series, k: Union[float, int, Expr], max_terms: int = MAX_TERMS,
-                 max_mu: float = MAX_MU) -> Series:
+def series_scale(a: Series, k: Union[float, int, Expr]) -> Series:
     if isinstance(k, (int, float)):
         pairs = [(t.mu, poly_scale(t.poly, float(k))) for t in a.terms]
     else:
         kp = poly_of(k)
         pairs = [(t.mu, poly_mul(t.poly, kp)) for t in a.terms]
-    return _from_pairs(pairs, a.truncated, max_terms, max_mu)
+    return _from_pairs(pairs, a.truncated)
 
 
-def series_mul(a: Series, b: Series, max_terms: int = MAX_TERMS,
-               max_mu: float = MAX_MU) -> Series:
+def series_mul(a: Series, b: Series) -> Series:
     mus = [ta.mu + tb.mu for ta in a.terms for tb in b.terms]
     polys = poly_outer([t.poly for t in a.terms], [t.poly for t in b.terms])
-    return _from_pairs(list(zip(mus, polys)), a.truncated or b.truncated,
-                       max_terms, max_mu)
+    return _from_pairs(list(zip(mus, polys)), a.truncated or b.truncated)
 
 
-def spatial_apply(a: Series, order: int, var: str = "x",
-                  max_terms: int = MAX_TERMS, max_mu: float = MAX_MU) -> Series:
+def spatial_apply(a: Series, order: int, var: str = "x") -> Series:
     """Differentiate every coefficient ``order`` times with respect to var."""
     if order not in (0, 1, 2):
         raise SeriesError(f"spatial derivative order {order} unsupported (0, 1, 2)")
@@ -348,17 +335,16 @@ def spatial_apply(a: Series, order: int, var: str = "x",
         for _ in range(order):
             p = diff(p, var)
         pairs.append((t.mu, p))
-    return _from_pairs(pairs, a.truncated, max_terms, max_mu)
+    return _from_pairs(pairs, a.truncated)
 
 
-def series_substitute(a: Series, name: str, value: float,
-                      max_terms: int = MAX_TERMS, max_mu: float = MAX_MU) -> Series:
+def series_substitute(a: Series, name: str, value: float) -> Series:
     """Restrict to a spatial hyperplane, e.g. x = l for boundary traces.
 
     Uses the exactly-rounded substitution so traces are order-independent.
     """
     pairs = [(t.mu, poly_substitute(t.poly, name, value)) for t in a.terms]
-    return _from_pairs(pairs, a.truncated, max_terms, max_mu)
+    return _from_pairs(pairs, a.truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +352,7 @@ def series_substitute(a: Series, name: str, value: float,
 # ---------------------------------------------------------------------------
 
 
-def frac_integral(a: Series, alpha: float, max_terms: int = MAX_TERMS,
-                  max_mu: float = MAX_MU) -> Series:
+def frac_integral(a: Series, alpha: float) -> Series:
     """Riemann-Liouville integral: t^mu -> Gamma(mu+1)/Gamma(mu+1+alpha) t^(mu+alpha)."""
     if not alpha > 0.0:
         raise SeriesError(f"frac_integral needs alpha > 0, got {alpha}")
@@ -375,11 +360,10 @@ def frac_integral(a: Series, alpha: float, max_terms: int = MAX_TERMS,
     for t in a.terms:
         ratio = gamma(t.mu + 1.0) / gamma(t.mu + 1.0 + alpha)
         pairs.append((t.mu + alpha, poly_scale(t.poly, ratio)))
-    return _from_pairs(pairs, a.truncated, max_terms, max_mu)
+    return _from_pairs(pairs, a.truncated)
 
 
-def caputo(a: Series, alpha: float, max_terms: int = MAX_TERMS,
-           max_mu: float = MAX_MU) -> Series:
+def caputo(a: Series, alpha: float) -> Series:
     """Caputo derivative of order 0 < alpha <= 1 on the term class.
 
     Constants in t are annihilated; t^mu with mu >= alpha maps to
@@ -397,7 +381,7 @@ def caputo(a: Series, alpha: float, max_terms: int = MAX_TERMS,
                 f"caputo of t^{t.mu} with alpha={alpha}: result exponent would be negative")
         ratio = gamma(t.mu + 1.0) / gamma(t.mu + 1.0 - alpha)
         pairs.append((max(t.mu - alpha, 0.0), poly_scale(t.poly, ratio)))
-    return _from_pairs(pairs, a.truncated, max_terms, max_mu)
+    return _from_pairs(pairs, a.truncated)
 
 
 def initial_value(a: Series) -> Expr:
@@ -481,4 +465,4 @@ def to_series(e: Expr) -> Series:
         if mu < -MU_MERGE_TOL:
             raise SeriesError(f"negative time exponent t^{mu}")
         pairs.append((max(mu, 0.0), {tuple(rest): c}))
-    return _from_pairs(pairs, False, MAX_TERMS, MAX_MU)
+    return _from_pairs(pairs, False)

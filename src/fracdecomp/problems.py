@@ -54,6 +54,11 @@ __all__ = [
 
 PROBLEM_IDS = ("p1", "p2", "p3", "p4", "p5", "p6", "p7")
 MODES = ("manufactured", "paper-literal")
+# The keys a problem file may set (see README); any other key is an error, so
+# a misspelt one cannot be dropped in silence. A file is 2D when it has
+# 'domain_y'.
+FILE_KEYS = ("alpha", "domain", "domain_y", "exact", "source", "linear", "nonlinear",
+             "ic", "bc.l", "bc.L", "bc.x0", "bc.x1", "bc.y0", "bc.y1")
 
 
 class ProblemError(Exception):
@@ -446,7 +451,10 @@ def _parse_interval(text: str) -> Tuple[float, float]:
     bits = [b.strip() for b in text.split(",")]
     if len(bits) != 2:
         raise ProblemError(f"bad interval {text!r}; expected 'lo, hi'")
-    return float(bits[0]), float(bits[1])
+    lo, hi = float(bits[0]), float(bits[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ProblemError(f"bad interval {text!r}; both ends must be finite")
+    return lo, hi
 
 
 def _read_fields(path: Path) -> Dict[str, str]:
@@ -462,7 +470,11 @@ def _read_fields(path: Path) -> Dict[str, str]:
         if "=" not in line:
             raise ProblemError(f"{path.name}:{lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in FILE_KEYS:
+            raise ProblemError(f"{path.name}:{lineno}: unknown key {key!r}; "
+                               f"known: {', '.join(FILE_KEYS)}")
+        fields[key] = value.strip()
     return fields
 
 
@@ -488,9 +500,7 @@ def load_problem_file(path, alpha: Optional[float] = None,
         raise ProblemError(f"{path.name}: missing 'domain'")
     domain = _parse_interval(fields["domain"])
     domain_y = _parse_interval(fields["domain_y"]) if "domain_y" in fields else None
-    dimension = int(fields.get("dimension", 2 if domain_y is not None else 1))
-    if dimension == 2 and domain_y is None:
-        raise ProblemError(f"{path.name}: 2D problem needs 'domain_y'")
+    dimension = 1 if domain_y is None else 2
 
     try:
         linear = _parse_linear_field(fields.get("linear", ""))

@@ -160,6 +160,23 @@ def test_solve_input_validation_exit_codes(runner, tmp_path):
     big_gamma.write_text("alpha = 0.9\ndomain = 0, 1\nexact = t*x*gamma(200)\n")
     nan_cfg = tmp_path / "nan.cfg"
     nan_cfg.write_text("problem = p5\ntmax = nan\n")
+    # the dimension comes from domain_y alone; an unknown key, such as the
+    # old undocumented 'dimension' or a misspelt one, is refused by name
+    bad_files = {
+        "dim3.txt": "domain = 0, 1\ndimension = 3\nexact = t*x\n",
+        "dim1.txt": "domain = 0, 1\ndomain_y = 0, 1\ndimension = 1\nexact = t*x*y\n",
+        "typo.txt": "domain = 0, 1\nexact = t*x\nnonlinaer = u^2\n",
+        # non-finite domain bounds
+        "nan_domain.txt": "domain = 0, nan\nexact = t*x\n",
+        "inf_domain.txt": "domain = 0, inf\nexact = t*x\n",
+    }
+    for name, text in bad_files.items():
+        (tmp_path / name).write_text(text)
+    file_cases = {name: ["solve", "--file", str(tmp_path / name), "-a", "0.5",
+                         "--out", out] for name in bad_files}
+    # t^mu overflows past t = 1e308, and 0 * inf is nan at x = 0: the grid
+    # values are not finite, so nothing is written
+    huge_tmax = ["solve", "-p", "p1", "--tmax", "1e308", "--out", out]
     cases = [
         ["solve", "--out", out],                                # neither
         ["solve", "-p", "p5", "--file", "x.txt", "--out", out],  # both
@@ -190,6 +207,18 @@ def test_solve_input_validation_exit_codes(runner, tmp_path):
         assert r.exit_code == 2, (args, r.output)
         assert not (tmp_path / "o").exists(), args
     assert "^" in r.output and "overflows" in r.output
+    said = {}
+    for name, args in [*file_cases.items(), ("huge_tmax", huge_tmax)]:
+        r = runner.invoke(main, args)
+        assert r.exit_code == 2, (args, r.output)
+        assert not (tmp_path / "o").exists(), args
+        said[name] = r.output.strip().splitlines()
+        assert len(said[name]) == 1, (name, r.output)
+    assert "'dimension'" in said["dim3.txt"][0] and "'dimension'" in said["dim1.txt"][0]
+    assert "'nonlinaer'" in said["typo.txt"][0]
+    assert "finite" in said["nan_domain.txt"][0] and "finite" in said["inf_domain.txt"][0]
+    assert said["huge_tmax"] == ["series is not finite at 820 of 861 grid points "
+                                 "(inf or nan); the values overflow a float"]
 
 
 def test_solve_takes_alpha_from_the_problem_file(runner, tmp_path):

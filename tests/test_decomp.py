@@ -1,6 +1,7 @@
 """Boundary correction, decomposition polynomials, and the two solvers."""
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -29,7 +30,7 @@ from fracdecomp.fracterm import (
 )
 from fracdecomp.grammar import parse_series, parse_spatial
 from fracdecomp.problems import ProblemSpec, builtin
-from fracdecomp.symx import Var, equal_sampled
+from fracdecomp.symx import Var, equal_sampled, sorted_items
 
 SQUARE = NonlinearOpSpec((NonlinearProduct(1.0, (NonlinearFactor(0, "x", 2),)),))
 
@@ -238,6 +239,24 @@ def test_solver_records_do_not_depend_on_the_iteration_count(pid, solve):
         assert (same.poly is None) == (spec.nonlinear is None)
 
 
+def test_library_solve_is_the_deep_solve():
+    # the library solve runs under the one cap pair the CLI and verify use:
+    # p7 at four iterations is no longer cut short, and its final partial sum
+    # is, bit for bit, the one the CLI has written since the seed commit.
+    # The digest is sha256 over one line per term: mu as hex, then each
+    # (monomial, coefficient) in sorted order, the coefficient as hex
+    trace = mldm_solve(builtin("p7", 0.75), 4)
+    assert len(trace.records) == 5
+    assert not trace.truncated and not trace.stopped_early
+    final = trace.approximation
+    text = "\n".join(t.mu.hex() + " " + " ".join(f"{mono!r}:{c.hex()}"
+                                               for mono, c in sorted_items(t.poly))
+                     for t in final.terms)
+    assert (len(final.terms), final.terms[-1].mu) == (29, 87.25)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b224629a9336b116d04b5a5ee9f5927ba2806a99e51b053679d0cefe2fd4aa0c")
+
+
 def test_nonlinear_degree_cap():
     with pytest.raises(DecompError):
         NonlinearOpSpec((NonlinearProduct(1.0, (NonlinearFactor(0, "x", 4),)),))
@@ -343,17 +362,6 @@ def test_mldm_2d_faces_exact():
                                ("y", 0.0, spec.bd.gy0), ("y", 2.0, spec.bd.gy1)):
             got = series_substitute(approx, var, val)
             assert series_equal(got, face, dom, 1e-11), (alpha, var, val)
-
-
-def test_mldm_2d_reversed_correction_order():
-    spec = builtin("p2", alpha=1.0)
-    trace = mldm_solve(spec, 1, correction_order=("y", "x"))
-    assert trace.correction_order == ("y", "x")
-    dom = ((0.0, 2.0), (0.0, 2.0))
-    for var, val, face in (("x", 0.0, spec.bd.gx0), ("x", 2.0, spec.bd.gx1),
-                           ("y", 0.0, spec.bd.gy0), ("y", 2.0, spec.bd.gy1)):
-        got = series_substitute(trace.approximation, var, val)
-        assert series_equal(got, face, dom, 1e-11), (var, val)
 
 
 def test_mldm_2d_corner_incompatibility():

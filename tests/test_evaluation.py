@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fracdecomp import fracterm
 from fracdecomp.decomp import ladm_solve, mldm_solve
 from fracdecomp.evaluation import (
     EvalError,
@@ -18,11 +19,6 @@ from fracdecomp.evaluation import (
     rl_integral_quadrature,
 )
 from fracdecomp.fracterm import (
-    DEEP_MU,
-    DEEP_TERMS,
-    MAX_TERMS,
-    RESIDUAL_MAX_MU,
-    RESIDUAL_MAX_TERMS,
     Series,
     caputo,
     series_add,
@@ -126,16 +122,13 @@ def test_residual_decreases_along_iterations():
     assert vals[1] <= vals[0] and vals[2] <= vals[1]
 
 
-def _symbolic_residual(approx, spec, grid, applied=None):
-    # the residual as it stood: N(approx) as one series, from a series product
-    # under the residual caps unless given, added into the defect series
-    mt, mm = RESIDUAL_MAX_TERMS, RESIDUAL_MAX_MU
-    res = caputo(approx, spec.alpha, mt, mm)
-    res = series_add(res, spec.linear.apply(approx, mt, mm), mt, mm)
-    if applied is None:
-        applied = spec.nonlinear.apply(approx, mt, mm)
-    res = series_add(res, applied, mt, mm)
-    res = series_add(res, series_scale(spec.h, -1.0, mt, mm), mt, mm)
+def _symbolic_residual(approx, spec, grid):
+    # the residual as it stood: N(approx) as one series, from a series
+    # product, added into the defect series
+    res = caputo(approx, spec.alpha)
+    res = series_add(res, spec.linear.apply(approx))
+    res = series_add(res, spec.nonlinear.apply(approx))
+    res = series_add(res, series_scale(spec.h, -1.0))
     assert not res.truncated
     return float(np.abs(evaluate_series_grid(res, grid)).max())
 
@@ -152,7 +145,7 @@ def test_residual_matches_the_symbolic_residual(pid, solve):
     for alpha in (0.5, 0.75, 1.0):
         spec = builtin(pid, alpha)
         g = default_grid(spec)
-        trace = solve(spec, 4, max_terms=DEEP_TERMS, max_mu=DEEP_MU)
+        trace = solve(spec, 4)
         assert len(trace.records) == 5
         for rec in trace.records:
             _assert_matches_symbolic(residual(rec.partial_sum, spec, g),
@@ -183,44 +176,25 @@ def test_residual_matches_the_symbolic_residual_on_a_2d_file(tmp_path):
                                          _symbolic_residual(rec.partial_sum, spec, g))
 
 
-@pytest.mark.parametrize("pid", ["p6", "p7"])
-@pytest.mark.parametrize("alpha", [0.5, 1.0])
-def test_residual_reuses_solver_nonlinearity_exactly(pid, alpha):
-    # N(S*_n) under the solver's caps is, term for term, the one under the
-    # residual's larger caps, so the symbolic residual may take it as built;
-    # the grid residual agrees with that one
-    spec = builtin(pid, alpha)
-    g = default_grid(spec)
-    trace = mldm_solve(spec, 4, max_terms=DEEP_TERMS, max_mu=DEEP_MU)
-    assert len(trace.records) == 5
-    for rec in trace.records:
-        partial = rec.partial_sum
-        applied = spec.nonlinear.apply(partial, DEEP_TERMS, DEEP_MU)
-        assert not applied.truncated
-        assert applied == spec.nonlinear.apply(partial, RESIDUAL_MAX_TERMS,
-                                               RESIDUAL_MAX_MU)
-        want = _symbolic_residual(partial, spec, g, applied)
-        assert want == _symbolic_residual(partial, spec, g)
-        _assert_matches_symbolic(residual(partial, spec, g), want)
-
-
-def test_residual_rebuilds_a_truncated_nonlinearity():
-    # max_mu = 12 cuts N(S*_1) of p6 (exponents up to 22) but not S*_1 (up
-    # to 11), and the solve stops there; the residual never reads a
-    # nonlinearity built under the solver's caps, so it matches the symbolic
-    # one rebuilt in full
+def test_residual_rebuilds_a_truncated_nonlinearity(monkeypatch):
+    # MAX_MU = 12 cuts N(S*_1) of p6 (exponents up to 22) but not S*_1 (up
+    # to 11), and the solve stops there; the residual forms no series
+    # product, so under the same cap it matches the symbolic one rebuilt in
+    # full once the cap is lifted
     spec = builtin("p6", 1.0)
     g = default_grid(spec)
-    trace = mldm_solve(spec, 4, max_mu=12.0)
+    monkeypatch.setattr(fracterm, "MAX_MU", 12.0)
+    trace = mldm_solve(spec, 4)
     rec = trace.records[-1]
     assert trace.stopped_early and rec.n == 1
-    applied = spec.nonlinear.apply(rec.partial_sum, MAX_TERMS, 12.0)
+    applied = spec.nonlinear.apply(rec.partial_sum)
     assert applied.truncated and not rec.partial_sum.truncated
-    full = spec.nonlinear.apply(rec.partial_sum, RESIDUAL_MAX_TERMS, RESIDUAL_MAX_MU)
-    assert applied != full
     want = residual(rec.partial_sum, spec, g)
-    _assert_matches_symbolic(want, _symbolic_residual(rec.partial_sum, spec, g))
     assert convergence_report([trace], spec, g)[-1].residual == want
+    monkeypatch.undo()
+    full = spec.nonlinear.apply(rec.partial_sum)
+    assert not full.truncated and applied != full
+    _assert_matches_symbolic(want, _symbolic_residual(rec.partial_sum, spec, g))
 
 
 def test_applied_is_none_for_ladm_and_linear_problems():

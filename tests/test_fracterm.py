@@ -8,6 +8,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracdecomp import fracterm
 from fracdecomp.decomp import BoundaryData, boundary_correct
 from fracdecomp.fracterm import (
     CaputoRangeError,
@@ -198,8 +199,9 @@ def test_series_drops_zero_coefficients():
     assert evaluate(kept.terms[0].coeff, {"x": 2.0}) == 2e-9
 
 
-def test_term_cap_sets_truncated_flag():
-    s = Series([(float(k), 1.0) for k in range(10)], max_terms=3)
+def test_term_cap_sets_truncated_flag(monkeypatch):
+    monkeypatch.setattr(fracterm, "MAX_TERMS", 3)
+    s = Series([(float(k), 1.0) for k in range(10)])
     assert s.truncated
     assert len(s) <= 3
 
@@ -210,9 +212,10 @@ def test_mu_cap_sets_truncated_flag():
     assert [t.mu for t in s.terms] == [0.0]
 
 
-def test_frac_integral_threads_caps():
+def test_frac_integral_threads_caps(monkeypatch):
     a = Series([(float(k), 1.0) for k in range(6)])
-    s = frac_integral(a, 0.5, max_terms=2)
+    monkeypatch.setattr(fracterm, "MAX_TERMS", 2)
+    s = frac_integral(a, 0.5)
     assert s.truncated
 
 

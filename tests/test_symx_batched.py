@@ -14,7 +14,7 @@ import pytest
 
 from fracdecomp import symx
 from fracdecomp.decomp import mldm_solve
-from fracdecomp.fracterm import DEEP_MU, DEEP_TERMS, spatial_apply
+from fracdecomp.fracterm import spatial_apply
 from fracdecomp.problems import builtin
 from fracdecomp.symx import Const, Cos, Pow, Sin, Var, poly_of, poly_outer
 
@@ -139,11 +139,11 @@ def _assert_outer_matches(ps, qs):
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
 def test_poly_outer_matches_pairwise_on_solver_iterates(pid, alpha):
     # the operands mldm multiplies: terms of S*_n and of its x-derivatives
-    trace = mldm_solve(builtin(pid, alpha), 3, max_terms=DEEP_TERMS, max_mu=DEEP_MU)
+    trace = mldm_solve(builtin(pid, alpha), 3)
     s = trace.records[-1].partial_sum
     ps = [t.poly for t in s.terms]
-    qs = [t.poly for t in spatial_apply(s, 1, "x", DEEP_TERMS, DEEP_MU).terms]
-    rs = [t.poly for t in spatial_apply(s, 2, "x", DEEP_TERMS, DEEP_MU).terms]
+    qs = [t.poly for t in spatial_apply(s, 1, "x").terms]
+    rs = [t.poly for t in spatial_apply(s, 2, "x").terms]
     assert len(ps) >= 10
     _assert_outer_matches(ps, ps)
     _assert_outer_matches(ps, qs)

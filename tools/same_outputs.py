@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that two source trees write the same solve outputs.
+"""Check that two source trees write the same solve outputs and verify lines.
 
     python3 tools/same_outputs.py OLD_ROOT NEW_ROOT
 
@@ -10,8 +10,10 @@ must be equal byte for byte, summary.csv with its wall-clock ``seconds``
 column masked, and every solve must exit with the same code. Each
 difference is printed; where summary.csv differs, so are the columns that
 moved and the worst relative gap |new - old| / |old| in each, with the row
-it is on. The exit code is 1 if there is any difference, else 0.
-Standard library only.
+it is on. Then both roots run ``fracdecomp verify``: the exit codes must
+agree, and so must every output line once its timings (``1.23s``) are
+masked; each line that differs is printed from both sides. The exit code
+is 1 if there is any difference, else 0. Standard library only.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -30,6 +33,9 @@ CASES.append(["-p", "p7", "-m", "ladm", "-n", "8", "-a", "0.73,0.75,0.77"])
 
 FILES = ("points.csv", "plot.dat", "summary.csv")
 
+# a wall-clock figure in a verify line: the seconds column, or an over-budget note
+SECONDS = re.compile(r"\b\d+\.\d+s\b")
+
 
 def _solve(root: Path, args, out: Path) -> int:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -39,6 +45,31 @@ def _solve(root: Path, args, out: Path) -> int:
     if proc.returncode != 0:
         print(f"  {root}: exit {proc.returncode}: {proc.stderr.strip()[-300:]}")
     return proc.returncode
+
+
+def _verify(root: Path):
+    """Exit code and output lines of ``fracdecomp verify``, timings masked."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "fracdecomp.cli", "verify"], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    return proc.returncode, [SECONDS.sub("-s", line) for line in proc.stdout.splitlines()]
+
+
+def _verify_differences(roots) -> int:
+    (code_old, old), (code_new, new) = (_verify(root) for root in roots)
+    differ = 0
+    if code_old != code_new:
+        print(f"  verify exit {code_old} vs {code_new}")
+        differ += 1
+    for i in range(max(len(old), len(new))):
+        a = old[i] if i < len(old) else "<missing>"
+        b = new[i] if i < len(new) else "<missing>"
+        if a != b:
+            print(f"  - {a}\n  + {b}")
+            differ += 1
+    print(f"verify: {len(old)} lines, exit {code_old}: "
+          f"{'same' if not differ else f'{differ} differences'}")
+    return differ
 
 
 def _content(path: Path) -> bytes:
@@ -104,7 +135,8 @@ def main(argv) -> int:
                     found.append(f"{name} differs" + (f" ({moved})" if moved else ""))
             print(f"solve {' '.join(args)}: {', '.join(found) if found else 'same'}")
             differ += len(found)
-    print(f"{len(CASES)} solves, {differ} differences")
+    differ += _verify_differences(roots)
+    print(f"{len(CASES)} solves and verify, {differ} differences")
     return 1 if differ else 0
 
 
