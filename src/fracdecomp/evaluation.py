@@ -3,7 +3,10 @@
 Everything here treats a Series as data to be evaluated, never transformed;
 the one genuinely numerical object is ``rl_integral_quadrature``, an oracle
 for the fractional integral that shares no code path with the closed-form
-power rule it cross-checks.
+power rule it cross-checks. The spatial derivatives the residual's
+nonlinearity needs are assembled on the grid by the product rule from the
+value and derivative rows of each monomial factor, so no derivative series
+is built.
 """
 
 from __future__ import annotations
@@ -14,13 +17,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .symx import Expr, _pow_value, evaluate, poly_rows, sorted_items
+from .symx import Expr, _pow_value, evaluate, factor_diff, poly_rows, sorted_items
 from .fracterm import (
     Series,
     caputo,
     series_add,
     series_scale,
-    spatial_apply,
 )
 
 __all__ = [
@@ -103,62 +105,160 @@ def default_grid(spec, nx: int = DEFAULT_NX, ny: int = DEFAULT_NY, nt: int = DEF
                      nx=nx, ny=ny, nt=nt, tmax=tmax)
 
 
+class _FactorRows:
+    """Values on the flattened space grid of monomial factors (atom, k), and
+    of their first and second derivatives in x or y, each built once.
+
+    An atom is evaluated once by ``symx.evaluate`` and raised to k by
+    ``symx._pow_value``. A derivative row is the poly ``symx.factor_diff``
+    gives, summed from its monomial rows as a coefficient is (``poly_row``),
+    and is built only for the (var, order) a caller asks for.
+    """
+
+    def __init__(self, grid: Grid):
+        if grid.ys is None:
+            self.env = {"x": grid.xs}
+            self.space_shape: Tuple[int, ...] = (grid.xs.size,)
+        else:
+            self.env = {"x": grid.xs[:, None], "y": grid.ys[None, :]}
+            self.space_shape = (grid.xs.size, grid.ys.size)
+        self.size = math.prod(self.space_shape)
+        self.ones = np.ones(self.size)
+        self.zeros = np.zeros(self.size)
+        # monomials per block of rows: ROW_BLOCK values each
+        self.block = max(1, ROW_BLOCK // self.size)
+        self.values: Dict[Tuple[Expr, float], np.ndarray] = {}
+        self._derivs: Dict[Tuple[str, int], Dict[Tuple[Expr, float], np.ndarray]] = {}
+        self._atoms: Dict[Expr, object] = {}
+
+    def fill(self, items) -> None:
+        # row by row, factor by factor: a domain error surfaces at the same
+        # factor as in a term-by-term evaluation
+        for mono, _ in items:
+            for factor in mono:
+                if factor not in self.values:
+                    atom, k = factor
+                    if atom not in self._atoms:
+                        self._atoms[atom] = evaluate(atom, self.env)
+                    v = self._atoms[atom] if k == 1.0 else _pow_value(self._atoms[atom], k)
+                    self.values[factor] = np.broadcast_to(
+                        np.asarray(v, dtype=float), self.space_shape).reshape(self.size)
+
+    def fill_derivs(self, items, var: str, order: int) -> Dict[Tuple[Expr, float], np.ndarray]:
+        """The table of order-th var-derivative rows, holding every factor of items."""
+        table = self._derivs.setdefault((var, order), {})
+        for mono, _ in items:
+            for factor in mono:
+                if factor not in table:
+                    p = factor_diff(factor[0], factor[1], var, order)
+                    table[factor] = self.poly_row(sorted_items(p)) if p else self.zeros
+        return table
+
+    def poly_row(self, items) -> np.ndarray:
+        """The sum of the items' monomial rows, in the given order, from +0.0."""
+        self.fill(items)
+        coeff = self.zeros
+        for i in range(0, len(items), self.block):
+            rows = poly_rows(items[i:i + self.block], self.values.__getitem__, self.ones)
+            coeff = _add_rows(coeff, rows)
+        return coeff
+
+
+def _add_rows(running: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # one running sum from +0.0 across blocks; a sum started from +0.0 is
+    # never -0.0, so restarting each block from +0.0 keeps every bit
+    return np.concatenate((running[None], rows)).sum(axis=0, initial=0.0)
+
+
 # overflow is reported once, by _finite, not as a RuntimeWarning per operation
 @np.errstate(all="ignore")
 def evaluate_series_grid(series: Series, grid: Grid) -> np.ndarray:
     """Dense evaluation, shape (nx, nt) or (nx, ny, nt).
 
     Coefficients are read from their polys through one factor table per
-    call: (atom, k) -> values on the space grid, with each atom evaluated
-    once by ``symx.evaluate`` and raised to k by ``symx._pow_value``. A
-    coefficient is its ``symx.poly_rows`` in ``sorted_items`` order summed from
-    +0.0, as ``evaluate(expr_of_poly(poly))`` sums them; a lone monomial is
-    not summed there, which only turns a -0.0 into +0.0, and that sign is
-    lost anyway when the term is added into the +0.0 output. So the output
-    is bit for bit the tree evaluation's, and the same ``PowerDomainError``
-    is raised on the same input. Rows are built ``ROW_BLOCK`` values at a
-    time, so a poly of many monomials on a fine grid takes bounded memory.
+    call (``_FactorRows``). A coefficient is its ``symx.poly_rows`` in
+    ``sorted_items`` order summed from +0.0, as
+    ``evaluate(expr_of_poly(poly))`` sums them; a lone monomial is not summed
+    there, which only turns a -0.0 into +0.0, and that sign is lost anyway
+    when the term is added into the +0.0 output. So the output is bit for
+    bit the tree evaluation's, and the same ``PowerDomainError`` is raised on
+    the same input. Rows are built ``ROW_BLOCK`` values at a time, so a poly
+    of many monomials on a fine grid takes bounded memory. A value that is
+    not finite raises ``EvalError``.
+    """
+    rows = _FactorRows(grid)
+    out = np.zeros(rows.space_shape + (grid.ts.size,))
+    for term in series.terms:
+        coeff = rows.poly_row(sorted_items(term.poly))
+        # np.power(0.0, 0.0) is 1.0, which is the t -> 0+ convention here
+        out += coeff.reshape(rows.space_shape)[..., None] * np.power(grid.ts, term.mu)
+    return _finite(out, "series")
+
+
+@np.errstate(all="ignore")
+def _derivative_grids(series: Series, keys, grid: Grid) -> Dict[Tuple[int, str], np.ndarray]:
+    """The grid of d^order u / d var^order at u = series for each (order,
+    var) in keys, built from the monomials with no derivative series.
+
+    Each monomial c * f_1 * ... * f_m is carried factor by factor with its
+    first and second derivatives in every var a key asks for (forward
+    mode): at factor f, u'' <- u'' f + 2 u' f' + u f'', then u' <- u' f +
+    u f', then u <- u f, from u = c, u' = u'' = 0. That is the product rule
+    c * sum_i f_i' prod_(j != i) f_j, plus for order 2 the f_i'' terms and
+    the 2 f_i' f_j' cross terms. The factor rows f, f' and f'' come from
+    ``_FactorRows``, and f'' only for a var that a key asks order 2 of, so
+    no derivative past the ones asked for is evaluated. The rows are summed
+    per term, ``ROW_BLOCK`` values at a time, and scaled by t^mu, as in
+    ``evaluate_series_grid``; the order-0 grid is bit for bit its output.
     A value that is not finite raises ``EvalError``.
     """
-    if grid.ys is None:
-        env = {"x": grid.xs}
-        space_shape: Tuple[int, ...] = (grid.xs.size,)
-    else:
-        env = {"x": grid.xs[:, None], "y": grid.ys[None, :]}
-        space_shape = (grid.xs.size, grid.ys.size)
-    size = math.prod(space_shape)
-    ones = np.ones(size)
-    atoms: Dict[Expr, object] = {}
-    table: Dict[Tuple[Expr, float], np.ndarray] = {}
-
-    def fill(items) -> None:
-        # row by row, factor by factor: a domain error surfaces at the same
-        # factor as in a term-by-term evaluation
-        for mono, _ in items:
-            for factor in mono:
-                if factor not in table:
-                    atom, k = factor
-                    if atom not in atoms:
-                        atoms[atom] = evaluate(atom, env)
-                    v = atoms[atom] if k == 1.0 else _pow_value(atoms[atom], k)
-                    table[factor] = np.broadcast_to(
-                        np.asarray(v, dtype=float), space_shape).reshape(size)
-
-    out = np.zeros(space_shape + (grid.ts.size,))
-    block = max(1, ROW_BLOCK // size)
+    orders: Dict[str, int] = {}
+    for order, var in keys:
+        if order:
+            orders[var] = max(orders.get(var, 0), order)
+    rows = _FactorRows(grid)
+    ones, zeros = rows.ones, rows.zeros
+    shape = rows.space_shape + (grid.ts.size,)
+    value = np.zeros(shape)
+    grids = {(var, n): np.zeros(shape) for var, top in orders.items()
+             for n in range(1, top + 1)}
     for term in series.terms:
         items = sorted_items(term.poly)
-        fill(items)
-        # one running sum from +0.0 across blocks; a sum started from +0.0 is
-        # never -0.0, so restarting each block from +0.0 keeps every bit
-        coeff = np.zeros(size)
-        for i in range(0, len(items), block):
-            rows = poly_rows(items[i:i + block], table.__getitem__, ones)
-            coeff = np.concatenate((coeff[None], rows)).sum(axis=0, initial=0.0)
-        # np.power(0.0, 0.0) is 1.0, which is the t -> 0+ convention here
+        rows.fill(items)
+        tables = {key: rows.fill_derivs(items, *key) for key in grids}
+        coeff = zeros
+        sums = dict.fromkeys(grids, zeros)
+        for i in range(0, len(items), rows.block):
+            chunk = items[i:i + rows.block]
+            width = max(1, max(len(mono) for mono, _ in chunk))
+            c = np.fromiter((c for _, c in chunk), float, len(chunk))[:, None]
+            u = c * _column(chunk, rows.values, 0, ones)
+            jet = {key: c * _column(chunk, table, 0, zeros) for key, table in tables.items()}
+            for j in range(1, width):
+                f = _column(chunk, rows.values, j, ones)
+                for var, top in orders.items():
+                    d1 = _column(chunk, tables[var, 1], j, zeros)
+                    if top == 2:
+                        jet[var, 2] = (jet[var, 2] * f + 2.0 * jet[var, 1] * d1
+                                       + u * _column(chunk, tables[var, 2], j, zeros))
+                    jet[var, 1] = jet[var, 1] * f + u * d1
+                u *= f
+            coeff = _add_rows(coeff, u)
+            for key in grids:
+                sums[key] = _add_rows(sums[key], jet[key])
         tpow = np.power(grid.ts, term.mu)
-        out += coeff.reshape(space_shape)[..., None] * tpow
-    return _finite(out, "series")
+        value += coeff.reshape(rows.space_shape)[..., None] * tpow
+        for key, grid_values in grids.items():
+            grid_values += sums[key].reshape(rows.space_shape)[..., None] * tpow
+    out = {}
+    for order, var in keys:
+        out[order, var] = _finite(value if order == 0 else grids[var, order], "series")
+    return out
+
+
+def _column(chunk, table, j: int, pad: np.ndarray) -> np.ndarray:
+    """The rows of factor j of each monomial of chunk, pad past its end."""
+    return np.array([table[mono[j]] if j < len(mono) else pad for mono, _ in chunk])
 
 
 def _finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -187,9 +287,12 @@ def grid_error(approx: Series, exact: Series, grid: Grid, method: str = "",
                alpha: float = float("nan"), iterations: int = -1,
                mode: str = "") -> ErrorReport:
     table = np.abs(evaluate_series_grid(approx, grid) - evaluate_series_grid(exact, grid))
-    max_abs = float(table.max())
-    l2 = float(math.sqrt(float(np.mean(table ** 2))))
-    return ErrorReport(table, max_abs, l2, method, alpha, iterations, mode)
+    return ErrorReport(table, *_norms(table), method, alpha, iterations, mode)
+
+
+def _norms(table: np.ndarray) -> Tuple[float, float]:
+    """Sup and root-mean-square of a table of absolute errors."""
+    return float(table.max()), float(math.sqrt(float(np.mean(table ** 2))))
 
 
 def _within_caps(series: Series, approx: Series) -> Series:
@@ -200,48 +303,63 @@ def _within_caps(series: Series, approx: Series) -> Series:
     return series
 
 
-def _nonlinear_grid(nonlinear, approx: Series, grid: Grid) -> np.ndarray:
+def _coeff_grids(nonlinear, grid: Grid) -> List[Optional[np.ndarray]]:
+    """The grid of each product's series coefficient, in product order."""
+    if nonlinear is None:
+        return []
+    return [None if p.series_coeff is None else evaluate_series_grid(p.series_coeff, grid)
+            for p in nonlinear.products]
+
+
+def _nonlinear_grid(nonlinear, approx: Series, grid: Grid,
+                    coeff_grids: Sequence[Optional[np.ndarray]]) -> np.ndarray:
     """N(approx) on the grid, pointwise and with no series product.
 
-    Each distinct (order, var) derivative of approx is evaluated once; the
-    arrays are multiplied in the product and power order of
-    ``NonlinearOpSpec.apply``, then scaled by the product's coefficient and
-    by the grid values of its series coefficient.
+    The grid of each distinct (order, var) derivative of approx comes from
+    ``_derivative_grids``, so no derivative series is built; the grids are
+    multiplied in the product and power order of ``NonlinearOpSpec.apply``,
+    then scaled by the product's coefficient and by its series
+    coefficient's grid.
     """
-    derivs: Dict[Tuple[int, str], np.ndarray] = {}
+    derivs = _derivative_grids(
+        approx, {(f.order, f.var) for p in nonlinear.products for f in p.factors}, grid)
     out = np.zeros(grid.shape)
-    for p in nonlinear.products:
+    for p, coeff_grid in zip(nonlinear.products, coeff_grids):
         term = None
         for f in p.factors:
-            key = (f.order, f.var)
-            d = derivs.get(key)
-            if d is None:
-                d = _within_caps(spatial_apply(approx, f.order, f.var), approx)
-                d = derivs[key] = evaluate_series_grid(d, grid)
+            d = derivs[f.order, f.var]
             for _ in range(f.power):
                 term = d if term is None else term * d
         term = term * p.coeff
-        if p.series_coeff is not None:
-            term = term * evaluate_series_grid(p.series_coeff, grid)
+        if coeff_grid is not None:
+            term = term * coeff_grid
         out += term
     return out
 
 
 @np.errstate(all="ignore")
-def residual(approx: Series, spec, grid: Grid) -> float:
+def residual(approx: Series, spec, grid: Grid, *,
+             coeff_grids: Optional[Sequence[Optional[np.ndarray]]] = None) -> float:
     """Sup-norm over the grid of D^alpha u + Qu + Nu - h at u = approx.
 
     D^alpha u + Qu - h is assembled as one series, and one truncated by the
     growth caps (when approx is not) raises instead of returning a number.
     No step here raises an exponent or multiplies series. Nu is added on
-    the grid (``_nonlinear_grid``), so no series product is formed.
+    the grid (``_nonlinear_grid``): the spatial derivatives it needs are
+    assembled by the product rule from the grid rows of approx's factors,
+    so no derivative series and no series product is formed.
+    ``coeff_grids`` are the grids of the nonlinear products' series
+    coefficients, as ``convergence_report`` evaluates them once for all its
+    records; they are evaluated here when not given.
     """
     res = caputo(approx, spec.alpha)
     res = series_add(res, spec.linear.apply(approx))
     res = series_add(res, series_scale(spec.h, -1.0))
     values = evaluate_series_grid(_within_caps(res, approx), grid)
     if spec.nonlinear is not None:
-        values += _nonlinear_grid(spec.nonlinear, approx, grid)
+        if coeff_grids is None:
+            coeff_grids = _coeff_grids(spec.nonlinear, grid)
+        values += _nonlinear_grid(spec.nonlinear, approx, grid, coeff_grids)
     return float(np.abs(_finite(values, "residual")).max())
 
 
@@ -326,20 +444,26 @@ class ConvergenceRow:
 
 
 def convergence_report(traces: Sequence, spec, grid: Grid) -> List[ConvergenceRow]:
-    """One row per (trace, iteration): errors vs exact plus PDE residual."""
+    """One row per (trace, iteration): errors vs exact plus PDE residual.
+
+    The exact solution and the nonlinearity's series coefficients are
+    evaluated on the grid once per call, not once per record.
+    """
+    exact = evaluate_series_grid(spec.exact, grid) if spec.exact is not None else None
+    coeff_grids = _coeff_grids(spec.nonlinear, grid)
     rows: List[ConvergenceRow] = []
     for trace in traces:
         seconds = 0.0
         for rec in trace.records:
             seconds += rec.seconds
             partial = rec.partial_sum
-            if spec.exact is not None:
-                rep = grid_error(partial, spec.exact, grid)
-                max_abs, l2 = rep.max_abs, rep.l2
+            if exact is not None:
+                max_abs, l2 = _norms(np.abs(evaluate_series_grid(partial, grid) - exact))
             else:
                 max_abs, l2 = None, None
             rows.append(ConvergenceRow(trace.method, trace.alpha, rec.n,
                                        max_abs, l2,
-                                       residual(partial, spec, grid),
+                                       residual(partial, spec, grid,
+                                                coeff_grids=coeff_grids),
                                        seconds))
     return rows

@@ -260,27 +260,37 @@ def _raw_series(terms: Tuple[TimeTerm, ...], truncated: bool) -> Series:
 
 
 def _from_pairs(pairs, truncated: bool) -> Series:
-    """Canonicalize (mu, poly) pairs: merge, drop zeros, apply the growth caps."""
+    """Canonicalize (mu, poly) pairs: merge, drop zeros, apply the growth caps.
+
+    A pair may carry a third item, the ``TimeTerm`` of a series it was read
+    from. Every term a series holds was built here after its poly passed the
+    zero check, so such a term that no other pair merges into is kept as it
+    is, with no second check.
+    """
     if not pairs:
         return _raw_series((), truncated)
     pairs.sort(key=lambda p: p[0])
     merged = []
-    cur_mu, cur_poly = pairs[0]
+    cur_mu, cur_poly, *cur_term = pairs[0]
     owned = False   # cur_poly was built here, so later merges may update it
-    for mu, p in pairs[1:]:
+    for mu, p, *term in pairs[1:]:
         if mu - cur_mu <= MU_MERGE_TOL:
             if owned and cur_poly:
                 poly_add_into(cur_poly, p)
             else:
                 cur_poly = poly_add(cur_poly, p)
                 owned = True
+            cur_term = []
         else:
-            merged.append((cur_mu, cur_poly))
-            cur_mu, cur_poly, owned = mu, p, False
-    merged.append((cur_mu, cur_poly))
+            merged.append((cur_mu, cur_poly, cur_term))
+            cur_mu, cur_poly, cur_term, owned = mu, p, term, False
+    merged.append((cur_mu, cur_poly, cur_term))
 
     terms = []
-    for mu, p in merged:
+    for mu, p, term in merged:
+        if term:
+            terms.append(term[0])
+            continue
         if is_zero_expr(p):
             continue
         if mu < 0.0:
@@ -304,7 +314,7 @@ def _from_pairs(pairs, truncated: bool) -> Series:
 
 
 def series_add(a: Series, b: Series) -> Series:
-    pairs = [(t.mu, t.poly) for t in a.terms] + [(t.mu, t.poly) for t in b.terms]
+    pairs = [(t.mu, t.poly, t) for t in a.terms] + [(t.mu, t.poly, t) for t in b.terms]
     return _from_pairs(pairs, a.truncated or b.truncated)
 
 

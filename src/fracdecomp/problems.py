@@ -447,13 +447,21 @@ def _parse_nonlinear_field(text: str, alpha: Optional[float]) -> NonlinearOpSpec
     return NonlinearOpSpec(tuple(products))
 
 
-def _parse_interval(text: str) -> Tuple[float, float]:
+def _file_number(path: Path, key: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ProblemError(f"{path.name}: {key}: {text!r} is not a number") from None
+
+
+def _parse_interval(path: Path, key: str, text: str) -> Tuple[float, float]:
     bits = [b.strip() for b in text.split(",")]
     if len(bits) != 2:
-        raise ProblemError(f"bad interval {text!r}; expected 'lo, hi'")
-    lo, hi = float(bits[0]), float(bits[1])
+        raise ProblemError(f"{path.name}: {key}: bad interval {text!r}; expected 'lo, hi'")
+    lo, hi = (_file_number(path, key, b) for b in bits)
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ProblemError(f"bad interval {text!r}; both ends must be finite")
+        raise ProblemError(f"{path.name}: {key}: bad interval {text!r}; "
+                           "both ends must be finite")
     return lo, hi
 
 
@@ -480,8 +488,9 @@ def _read_fields(path: Path) -> Dict[str, str]:
 
 def file_alpha(path) -> Optional[float]:
     """The ``alpha`` field of a problem file, or None when it has none."""
-    text = _read_fields(Path(path)).get("alpha")
-    return None if text is None else float(text)
+    path = Path(path)
+    text = _read_fields(path).get("alpha")
+    return None if text is None else _file_number(path, "alpha", text)
 
 
 def load_problem_file(path, alpha: Optional[float] = None,
@@ -490,7 +499,7 @@ def load_problem_file(path, alpha: Optional[float] = None,
     path = Path(path)
     fields = _read_fields(path)
     if alpha is None and "alpha" in fields:
-        alpha = float(fields["alpha"])
+        alpha = _file_number(path, "alpha", fields["alpha"])
     if alpha is None:
         raise ProblemError(f"{path.name}: no alpha given (file field or --alpha)")
     if not 0.0 < alpha <= 1.0:
@@ -498,8 +507,9 @@ def load_problem_file(path, alpha: Optional[float] = None,
 
     if "domain" not in fields:
         raise ProblemError(f"{path.name}: missing 'domain'")
-    domain = _parse_interval(fields["domain"])
-    domain_y = _parse_interval(fields["domain_y"]) if "domain_y" in fields else None
+    domain = _parse_interval(path, "domain", fields["domain"])
+    domain_y = (_parse_interval(path, "domain_y", fields["domain_y"])
+                if "domain_y" in fields else None)
     dimension = 1 if domain_y is None else 2
 
     try:

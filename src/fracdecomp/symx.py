@@ -13,7 +13,8 @@ Polys multiply through one kernel, ``poly_outer``, the product of every pair
 from two lists: a pair of single-base Fourier polys is multiplied by
 convolving coefficient vectors, any other pair by the generic monomial
 product with trig linearisation. ``poly_mul`` runs the same code on one pair.
-``diff`` differentiates a poly by the product and chain rules, with no tree.
+``diff`` differentiates a poly by the product and chain rules, with no tree;
+``factor_diff`` gives the cached first or second derivative of one factor.
 Polys are evaluated numerically through one kernel, ``poly_rows``, which
 turns monomials into value rows: the zero check samples with it, and grid
 evaluation builds its rows with it.
@@ -40,6 +41,7 @@ __all__ = [
     "UnboundVariableError",
     "PowerDomainError",
     "diff",
+    "factor_diff",
     "evaluate",
     "simplify",
     "contains",
@@ -328,6 +330,8 @@ def sorted_items(p: Poly) -> list:
     ascend with the keys, so ints compare as the nested keys would and the
     order is the same.
     """
+    if len(p) < 2:
+        return list(p.items())
     rank: Dict[int, int] = {}
     r, prev = -1, None
     for a in sorted({id(a): a for mono in p for a, _ in mono}.values(), key=_skey_of):
@@ -1017,9 +1021,10 @@ def _product(polys) -> Poly:
     return out
 
 
-# (atom, exponent, var) -> derivative of atom^exponent; atoms are interned and
-# the cached polys are only ever read
-_FACTOR_DIFF: Dict[Tuple[Expr, float, str], Poly] = {}
+# (atom, exponent, var) -> derivative of atom^exponent, and (atom, exponent,
+# var, 2) -> its second derivative; atoms are interned and the cached polys
+# are only ever read
+_FACTOR_DIFF: Dict[tuple, Poly] = {}
 
 
 def _factor_diff(atom: Expr, k: float, name: str) -> Poly:
@@ -1044,6 +1049,22 @@ def _factor_diff(atom: Expr, k: float, name: str) -> Poly:
                     Cos: [{(): -1.0}, _atom_poly(Sin(atom.arg))]}[type(atom)]
             chain = lead + [darg]
         got = _FACTOR_DIFF[key] = _product(chain)
+    return got
+
+
+def factor_diff(atom: Expr, k: float, name: str, order: int) -> Poly:
+    """The first or second derivative of the factor atom^k with respect to
+    name, as a normal-form poly. Both are cached, the second under a key of
+    its own (``diff`` of the first), so callers only read them."""
+    if order not in (1, 2):
+        raise ExprError(f"factor derivative order {order} unsupported (1, 2)")
+    first = _factor_diff(atom, k, name)
+    if order == 1:
+        return first
+    key = (atom, k, name, 2)
+    got = _FACTOR_DIFF.get(key)
+    if got is None:
+        got = _FACTOR_DIFF[key] = diff(first, name)
     return got
 
 

@@ -169,11 +169,17 @@ def test_solve_input_validation_exit_codes(runner, tmp_path):
         # non-finite domain bounds
         "nan_domain.txt": "domain = 0, nan\nexact = t*x\n",
         "inf_domain.txt": "domain = 0, inf\nexact = t*x\n",
+        # a number that is not one, named with its file and key
+        "abc_domain.txt": "domain = 0, abc\nexact = t*x\n",
+        "abc_alpha.txt": "alpha = abc\ndomain = 0, 1\nexact = t*x\n",
     }
     for name, text in bad_files.items():
         (tmp_path / name).write_text(text)
     file_cases = {name: ["solve", "--file", str(tmp_path / name), "-a", "0.5",
                          "--out", out] for name in bad_files}
+    # the file's own alpha is read only when no -a is given
+    file_cases["abc_alpha.txt"] = ["solve", "--file", str(tmp_path / "abc_alpha.txt"),
+                                   "--out", out]
     # t^mu overflows past t = 1e308, and 0 * inf is nan at x = 0: the grid
     # values are not finite, so nothing is written
     huge_tmax = ["solve", "-p", "p1", "--tmax", "1e308", "--out", out]
@@ -217,6 +223,8 @@ def test_solve_input_validation_exit_codes(runner, tmp_path):
     assert "'dimension'" in said["dim3.txt"][0] and "'dimension'" in said["dim1.txt"][0]
     assert "'nonlinaer'" in said["typo.txt"][0]
     assert "finite" in said["nan_domain.txt"][0] and "finite" in said["inf_domain.txt"][0]
+    assert said["abc_domain.txt"] == ["abc_domain.txt: domain: 'abc' is not a number"]
+    assert said["abc_alpha.txt"] == ["abc_alpha.txt: alpha: 'abc' is not a number"]
     assert said["huge_tmax"] == ["series is not finite at 820 of 861 grid points "
                                  "(inf or nan); the values overflow a float"]
 

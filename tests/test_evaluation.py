@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from fracdecomp import fracterm
+from fracdecomp import evaluation, fracterm
 from fracdecomp.decomp import ladm_solve, mldm_solve
 from fracdecomp.evaluation import (
     EvalError,
     QuadratureError,
+    _derivative_grids,
+    _FactorRows,
     convergence_report,
     default_grid,
     evaluate_series_grid,
@@ -23,9 +25,11 @@ from fracdecomp.fracterm import (
     caputo,
     series_add,
     series_scale,
+    spatial_apply,
 )
 from fracdecomp.grammar import parse_series
 from fracdecomp.problems import PROBLEM_IDS, builtin, load_problem_file
+from fracdecomp.symx import PowerDomainError, poly_rows
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +199,109 @@ def test_residual_rebuilds_a_truncated_nonlinearity(monkeypatch):
     full = spec.nonlinear.apply(rec.partial_sum)
     assert not full.truncated and applied != full
     _assert_matches_symbolic(want, _symbolic_residual(rec.partial_sum, spec, g))
+
+
+def _monomial_scale(series, grid):
+    # grid sup of the sum over every monomial row of |row| * t^mu: the size
+    # of the values a rounding error of the derivative grids is relative to
+    rows = _FactorRows(grid)
+    out = np.zeros(grid.shape)
+    for term in series.terms:
+        items = list(term.poly.items())
+        rows.fill(items)
+        r = np.abs(poly_rows(items, rows.values.__getitem__, rows.ones)).sum(axis=0)
+        out += r.reshape(rows.space_shape)[..., None] * np.power(grid.ts, term.mu)
+    return float(out.max())
+
+
+def _assert_derivatives_match(series, grid):
+    # the product-rule grids against the derivative series, evaluated; the
+    # two sum the same values in other orders, so they agree to rounding,
+    # and the order-0 grid is the series' own grid bit for bit
+    variables = ("x",) if grid.ys is None else ("x", "y")
+    keys = [(order, var) for var in variables for order in (0, 1, 2)]
+    got = _derivative_grids(series, keys, grid)
+    for order, var in keys:
+        d = spatial_apply(series, order, var)
+        want = evaluate_series_grid(d, grid)
+        if order == 0:
+            assert np.array_equal(got[order, var], want)
+            continue
+        gap = float(np.abs(got[order, var] - want).max())
+        assert gap <= 1e-13 * _monomial_scale(d, grid), (order, var, gap)
+
+
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+def test_derivative_grids_match_the_derivative_series(pid):
+    for alpha in (0.5, 0.75, 1.0):
+        spec = builtin(pid, alpha)
+        g = default_grid(spec)
+        for solve in (ladm_solve, mldm_solve):
+            for rec in solve(spec, 3).records:
+                _assert_derivatives_match(rec.partial_sum, g)
+
+
+def test_derivative_grids_match_the_derivative_series_on_a_2d_file(tmp_path):
+    path = tmp_path / "cubic2d.txt"
+    path.write_text(TWO_D_FILE)
+    for alpha in (0.5, 1.0):
+        spec = load_problem_file(path, alpha)
+        g = default_grid(spec)
+        for solve in (ladm_solve, mldm_solve):
+            for rec in solve(spec, 1).records:
+                _assert_derivatives_match(rec.partial_sum, g)
+
+
+def test_derivative_grids_match_on_products_of_factors():
+    # builtin monomials hold at most one factor in each variable; these hold
+    # several, so the product rule's cross terms and chain rules are used
+    g1 = make_grid((0.0, 1.0), nx=17, nt=5)
+    _assert_derivatives_match(parse_series(
+        "x*sin(x)*t + x^2*exp(x)*cos(3*x)*t^0.5 + (1 + x)^0.5*x^3*t^2 + 2", None), g1)
+    g2 = make_grid((0.0, 1.0), (0.5, 2.0), nx=9, ny=7, nt=4)
+    _assert_derivatives_match(parse_series(
+        "x*y*sin(x + y)*t + exp(x*y)*y^2*t^0.75 + cos(x)*sin(2*y)", None), g2)
+
+
+def test_residual_evaluates_only_the_derivatives_it_needs(tmp_path):
+    # u_x of t*x^0.5 holds x^-0.5, which has no value at x = 0; u_xx of
+    # t*x^1.5 does too, but its u_x (1.5*t*x^0.5) is fine there, so only a
+    # residual that asks for the second derivative may fail
+    cases = {"ux_half": ("t*x^0.5", "u*u_x", True),
+             "uxx_three_halves": ("t*x^1.5", "u*u_xx", True),
+             "ux_three_halves": ("t*x^1.5", "u*u_x", False)}
+    for name, (exact, nonlinear, fails) in cases.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(f"domain = 0, 1\nexact = {exact}\nnonlinear = {nonlinear}\n")
+        spec = load_problem_file(path, 0.5)
+        g = default_grid(spec)
+        if fails:
+            with pytest.raises(PowerDomainError):
+                residual(spec.exact, spec, g)
+        else:
+            assert residual(spec.exact, spec, g) <= 1e-12, name
+
+
+def test_convergence_report_evaluates_fixed_series_once(monkeypatch):
+    # the exact solution and the nonlinearity's series coefficient are the
+    # same for every record, so each is evaluated once per report
+    spec = builtin("p7", 0.75)
+    g = default_grid(spec)
+    traces = [ladm_solve(spec, 2), mldm_solve(spec, 2)]
+    fixed = [spec.exact] + [p.series_coeff for p in spec.nonlinear.products
+                            if p.series_coeff is not None]
+    assert len(fixed) == 2
+    seen, real = [], evaluation.evaluate_series_grid
+    monkeypatch.setattr(evaluation, "evaluate_series_grid",
+                        lambda series, grid: seen.append(series) or real(series, grid))
+    rows = convergence_report(traces, spec, g)
+    assert len(rows) == 6
+    assert [sum(s is f for s in seen) for f in fixed] == [1, 1]
+    monkeypatch.undo()
+    for row, rec in zip(rows, [r for t in traces for r in t.records]):
+        err = grid_error(rec.partial_sum, spec.exact, g)
+        assert (row.max_abs, row.l2, row.residual) == (
+            err.max_abs, err.l2, residual(rec.partial_sum, spec, g))
 
 
 def test_applied_is_none_for_ladm_and_linear_problems():

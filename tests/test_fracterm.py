@@ -278,6 +278,25 @@ def test_merge_matches_chained_poly_add():
         assert term.poly == want and list(term.poly) == list(want)
 
 
+def test_series_add_keeps_unmerged_terms(monkeypatch):
+    # a term that no other exponent merges into passed the zero check when it
+    # was built, so series_add keeps the TimeTerm itself and checks nothing
+    a = parse_series("x*t + sin(x)*t^2.5", None)
+    b = parse_series("cos(x)*t^0.5 + x^2*t^3", None)
+    d = parse_series("x^3*t", None)
+    checked, real = [], fracterm.is_zero_expr
+    monkeypatch.setattr(fracterm, "is_zero_expr", lambda p: checked.append(p) or real(p))
+    s = series_add(a, b)
+    assert [t.mu for t in s.terms] == [0.5, 1.0, 2.5, 3.0]
+    assert all(got is want for got, want in
+               zip(s.terms, (b.terms[0], a.terms[0], a.terms[1], b.terms[1])))
+    assert checked == []
+    # a merged exponent is a new term, checked once
+    c = series_add(a, d)
+    assert c.terms[1] is a.terms[1] and c.terms[0] not in a.terms
+    assert len(checked) == 1
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=50.0,
                                     allow_nan=False),
