@@ -17,7 +17,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .symx import Expr, _pow_value, evaluate, factor_diff, poly_rows, sorted_items
+from .symx import (Expr, _pow_value, evaluate, factor_diff, poly_column, poly_rows,
+                   sorted_items)
 from .fracterm import (
     Series,
     caputo,
@@ -184,15 +185,10 @@ def evaluate_series_grid(series: Series, grid: Grid) -> np.ndarray:
     bit the tree evaluation's, and the same ``PowerDomainError`` is raised on
     the same input. Rows are built ``ROW_BLOCK`` values at a time, so a poly
     of many monomials on a fine grid takes bounded memory. A value that is
-    not finite raises ``EvalError``.
+    not finite raises ``EvalError``. This is the order-0 grid of
+    ``_derivative_grids``.
     """
-    rows = _FactorRows(grid)
-    out = np.zeros(rows.space_shape + (grid.ts.size,))
-    for term in series.terms:
-        coeff = rows.poly_row(sorted_items(term.poly))
-        # np.power(0.0, 0.0) is 1.0, which is the t -> 0+ convention here
-        out += coeff.reshape(rows.space_shape)[..., None] * np.power(grid.ts, term.mu)
-    return _finite(out, "series")
+    return _derivative_grids(series, [(0, "x")], grid)[0, "x"]
 
 
 @np.errstate(all="ignore")
@@ -208,9 +204,10 @@ def _derivative_grids(series: Series, keys, grid: Grid) -> Dict[Tuple[int, str],
     the 2 f_i' f_j' cross terms. The factor rows f, f' and f'' come from
     ``_FactorRows``, and f'' only for a var that a key asks order 2 of, so
     no derivative past the ones asked for is evaluated. The rows are summed
-    per term, ``ROW_BLOCK`` values at a time, and scaled by t^mu, as in
-    ``evaluate_series_grid``; the order-0 grid is bit for bit its output.
-    A value that is not finite raises ``EvalError``.
+    per term, ``ROW_BLOCK`` values at a time, and scaled by t^mu; the u
+    rows are ``symx.poly_rows``, so the order-0 grid is the series'
+    evaluation (``evaluate_series_grid``). A value that is not finite raises
+    ``EvalError``.
     """
     orders: Dict[str, int] = {}
     for order, var in keys:
@@ -232,20 +229,22 @@ def _derivative_grids(series: Series, keys, grid: Grid) -> Dict[Tuple[int, str],
             chunk = items[i:i + rows.block]
             width = max(1, max(len(mono) for mono, _ in chunk))
             c = np.fromiter((c for _, c in chunk), float, len(chunk))[:, None]
-            u = c * _column(chunk, rows.values, 0, ones)
-            jet = {key: c * _column(chunk, table, 0, zeros) for key, table in tables.items()}
+            u = c * poly_column(chunk, rows.values.__getitem__, 0, ones)
+            jet = {key: c * poly_column(chunk, table.__getitem__, 0, zeros)
+                   for key, table in tables.items()}
             for j in range(1, width):
-                f = _column(chunk, rows.values, j, ones)
+                f = poly_column(chunk, rows.values.__getitem__, j, ones)
                 for var, top in orders.items():
-                    d1 = _column(chunk, tables[var, 1], j, zeros)
+                    d1 = poly_column(chunk, tables[var, 1].__getitem__, j, zeros)
                     if top == 2:
-                        jet[var, 2] = (jet[var, 2] * f + 2.0 * jet[var, 1] * d1
-                                       + u * _column(chunk, tables[var, 2], j, zeros))
+                        d2 = poly_column(chunk, tables[var, 2].__getitem__, j, zeros)
+                        jet[var, 2] = jet[var, 2] * f + 2.0 * jet[var, 1] * d1 + u * d2
                     jet[var, 1] = jet[var, 1] * f + u * d1
                 u *= f
             coeff = _add_rows(coeff, u)
             for key in grids:
                 sums[key] = _add_rows(sums[key], jet[key])
+        # np.power(0.0, 0.0) is 1.0, which is the t -> 0+ convention here
         tpow = np.power(grid.ts, term.mu)
         value += coeff.reshape(rows.space_shape)[..., None] * tpow
         for key, grid_values in grids.items():
@@ -254,11 +253,6 @@ def _derivative_grids(series: Series, keys, grid: Grid) -> Dict[Tuple[int, str],
     for order, var in keys:
         out[order, var] = _finite(value if order == 0 else grids[var, order], "series")
     return out
-
-
-def _column(chunk, table, j: int, pad: np.ndarray) -> np.ndarray:
-    """The rows of factor j of each monomial of chunk, pad past its end."""
-    return np.array([table[mono[j]] if j < len(mono) else pad for mono, _ in chunk])
 
 
 def _finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -337,9 +331,7 @@ def _nonlinear_grid(nonlinear, approx: Series, grid: Grid,
     return out
 
 
-@np.errstate(all="ignore")
-def residual(approx: Series, spec, grid: Grid, *,
-             coeff_grids: Optional[Sequence[Optional[np.ndarray]]] = None) -> float:
+def residual(approx: Series, spec, grid: Grid) -> float:
     """Sup-norm over the grid of D^alpha u + Qu + Nu - h at u = approx.
 
     D^alpha u + Qu - h is assembled as one series, and one truncated by the
@@ -348,17 +340,21 @@ def residual(approx: Series, spec, grid: Grid, *,
     the grid (``_nonlinear_grid``): the spatial derivatives it needs are
     assembled by the product rule from the grid rows of approx's factors,
     so no derivative series and no series product is formed.
-    ``coeff_grids`` are the grids of the nonlinear products' series
-    coefficients, as ``convergence_report`` evaluates them once for all its
-    records; they are evaluated here when not given.
     """
+    return _residual(approx, spec, grid, _coeff_grids(spec.nonlinear, grid))
+
+
+@np.errstate(all="ignore")
+def _residual(approx: Series, spec, grid: Grid,
+              coeff_grids: Sequence[Optional[np.ndarray]]) -> float:
+    """``residual``, with the grids of the nonlinearity's series
+    coefficients (``_coeff_grids`` of spec on grid) given, so that
+    ``convergence_report`` evaluates them once for all its records."""
     res = caputo(approx, spec.alpha)
     res = series_add(res, spec.linear.apply(approx))
     res = series_add(res, series_scale(spec.h, -1.0))
     values = evaluate_series_grid(_within_caps(res, approx), grid)
     if spec.nonlinear is not None:
-        if coeff_grids is None:
-            coeff_grids = _coeff_grids(spec.nonlinear, grid)
         values += _nonlinear_grid(spec.nonlinear, approx, grid, coeff_grids)
     return float(np.abs(_finite(values, "residual")).max())
 
@@ -463,7 +459,6 @@ def convergence_report(traces: Sequence, spec, grid: Grid) -> List[ConvergenceRo
                 max_abs, l2 = None, None
             rows.append(ConvergenceRow(trace.method, trace.alpha, rec.n,
                                        max_abs, l2,
-                                       residual(partial, spec, grid,
-                                                coeff_grids=coeff_grids),
+                                       _residual(partial, spec, grid, coeff_grids),
                                        seconds))
     return rows

@@ -16,8 +16,9 @@ product with trig linearisation. ``poly_mul`` runs the same code on one pair.
 ``diff`` differentiates a poly by the product and chain rules, with no tree;
 ``factor_diff`` gives the cached first or second derivative of one factor.
 Polys are evaluated numerically through one kernel, ``poly_rows``, which
-turns monomials into value rows: the zero check samples with it, and grid
-evaluation builds its rows with it.
+turns monomials into value rows, factor column by factor column
+(``poly_column``): the zero check samples with it, and grid evaluation
+builds its rows with it.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
     "sample_points",
     "is_zero_expr",
     "poly_rows",
+    "poly_column",
     "poly_substitute",
     "sorted_items",
     "X",
@@ -1341,12 +1343,17 @@ def poly_rows(items: list, values, ones: np.ndarray) -> np.ndarray:
     evaluation bit for bit.
     """
     width = max(1, max(len(mono) for mono, _ in items))
-    cols = [[values(mono[j]) if j < len(mono) else ones for mono, _ in items]
-            for j in range(width)]
-    v = np.fromiter((c for _, c in items), float, len(items))[:, None] * np.array(cols[0])
-    for col in cols[1:]:
-        v *= np.array(col)
+    v = np.fromiter((c for _, c in items), float, len(items))[:, None] * poly_column(
+        items, values, 0, ones)
+    for j in range(1, width):
+        v *= poly_column(items, values, j, ones)
     return v
+
+
+def poly_column(items: list, values, j: int, pad: np.ndarray) -> np.ndarray:
+    """The rows ``values(mono[j])`` of factor j of each monomial of items,
+    shape (len(items), pad.size); a monomial with no factor j gives ``pad``."""
+    return np.array([values(mono[j]) if j < len(mono) else pad for mono, _ in items])
 
 
 # ---------------------------------------------------------------------------

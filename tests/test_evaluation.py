@@ -156,6 +156,7 @@ def test_residual_matches_the_symbolic_residual(pid, solve):
                                      _symbolic_residual(rec.partial_sum, spec, g))
 
 
+# tools/same_outputs.py solves a copy of this file; keep the two equal
 TWO_D_FILE = """\
 domain = 0, 1
 domain_y = 0, 1

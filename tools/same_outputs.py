@@ -4,9 +4,10 @@
     python3 tools/same_outputs.py OLD_ROOT NEW_ROOT
 
 Each root is a checkout holding ``src/fracdecomp``. Both run the same solves
-(``CASES``, and ``FILE_CASES`` on problem files written to the temporary
-directory) in fresh interpreters with ``PYTHONPATH=ROOT/src``, each into a
-directory of its own under a temporary directory. points.csv and plot.dat
+(``CASES``, and ``TWO_D_FILE`` written to the temporary directory and
+solved with ``TWO_D_ARGS``) in fresh interpreters with
+``PYTHONPATH=ROOT/src``, each into a directory of its own under a
+temporary directory. points.csv and plot.dat
 must be equal byte for byte, summary.csv with its wall-clock ``seconds``
 column masked, and every solve must exit with the same code. Each
 difference is printed; where summary.csv differs, so are the columns that
@@ -32,19 +33,17 @@ CASES = [["-p", f"p{i}", "-m", "both", "-n", "4", "-a", "0.5,0.75,1.0"]
          for i in range(1, 8)]
 CASES.append(["-p", "p7", "-m", "ladm", "-n", "8", "-a", "0.73,0.75,0.77"])
 
-# problem files written to the temporary directory and solved with --file,
-# name -> (text, solve arguments). No builtin is both 2D and nonlinear; this
-# one (the 2D file of tests/test_evaluation.py) takes y-derivatives in its
-# nonlinearity, a cubic and a time-dependent coefficient. Past -n 1 it is slow.
-FILE_CASES = {
-    "cubic2d.txt": ("""\
+# No builtin is both 2D and nonlinear. This problem file takes y-derivatives
+# in its nonlinearity, a cubic and a time-dependent coefficient; it must
+# match TWO_D_FILE of tests/test_evaluation.py. Past -n 1 it is slow.
+TWO_D_FILE = """\
 domain = 0, 1
 domain_y = 0, 1
 exact = t*x*y + t^2*x
 linear = 2x:-0.5, 2y:-0.5
 nonlinear = u*u_y + 0.5*u^2*u_x - {t^alpha}*u_xx
-""", ["-m", "both", "-n", "1", "-a", "0.5,1.0"]),
-}
+"""
+TWO_D_ARGS = ["-m", "both", "-n", "1", "-a", "0.5,1.0"]
 
 FILES = ("points.csv", "plot.dat", "summary.csv")
 
@@ -138,11 +137,9 @@ def main(argv) -> int:
             return 2
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
-        cases = list(CASES)
-        for name, (text, args) in FILE_CASES.items():
-            path = Path(tmp) / name
-            path.write_text(text)
-            cases.append(["--file", str(path), *args])
+        path = Path(tmp) / "cubic2d.txt"
+        path.write_text(TWO_D_FILE)
+        cases = CASES + [["--file", str(path), *TWO_D_ARGS]]
         for n, args in enumerate(cases):
             outs = [Path(tmp) / f"{side}{n}" for side in ("old", "new")]
             codes = [_solve(root, args, out) for root, out in zip(roots, outs)]
@@ -156,7 +153,7 @@ def main(argv) -> int:
             print(f"solve {' '.join(args)}: {', '.join(found) if found else 'same'}")
             differ += len(found)
     differ += _verify_differences(roots)
-    print(f"{len(CASES) + len(FILE_CASES)} solves and verify, {differ} differences")
+    print(f"{len(cases)} solves and verify, {differ} differences")
     return 1 if differ else 0
 
 
