@@ -207,9 +207,6 @@ class Series:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __iter__(self):
-        return iter(self.terms)
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -217,31 +214,6 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         return self.terms == other.terms and self.truncated == other.truncated
-
-    def __add__(self, other):
-        if isinstance(other, Series):
-            return series_add(self, other)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, Series):
-            return series_add(self, series_scale(other, -1.0))
-        return NotImplemented
-
-    def __neg__(self):
-        return series_scale(self, -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, Series):
-            return series_mul(self, other)
-        if isinstance(other, (int, float, Expr)):
-            return series_scale(self, other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, Expr)):
-            return series_scale(self, other)
-        return NotImplemented
 
     def __str__(self) -> str:
         if not self.terms:

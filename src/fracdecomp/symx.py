@@ -12,7 +12,9 @@ polynomial content; mixtures that share no normal form are compared with
 Polys multiply through one kernel, ``poly_outer``, the product of every pair
 from two lists: a pair of single-base Fourier polys is multiplied by
 convolving coefficient vectors, any other pair by the generic monomial
-product with trig linearisation. ``poly_mul`` runs the same code on one pair.
+product, whose products of sin/cos over one base angle are rewritten onto
+multiple angles by the same convolution. ``poly_mul`` runs the same code on
+one pair.
 ``diff`` differentiates a poly by the product and chain rules, with no tree;
 ``factor_diff`` gives the cached first or second derivative of one factor.
 Polys are evaluated numerically through one kernel, ``poly_rows``, which
@@ -115,9 +117,6 @@ class Expr:
     def __sub__(self, other):
         return Sum((self, Prod((Const(-1.0), Expr.wrap(other)))))
 
-    def __rsub__(self, other):
-        return Sum((Expr.wrap(other), Prod((Const(-1.0), self))))
-
     def __mul__(self, other):
         return Prod((self, Expr.wrap(other)))
 
@@ -134,12 +133,6 @@ class Expr:
                 raise ZeroDivisionError("division by constant zero")
             return Prod((self, Const(1.0 / den.value)))
         return Prod((self, Pow(den, -1.0)))
-
-    def __rtruediv__(self, other):
-        return Prod((Expr.wrap(other), Pow(self, -1.0)))
-
-    def __pow__(self, exponent: Scalar):
-        return Pow(self, float(exponent))
 
     # -- identity --------------------------------------------------------
 
@@ -325,24 +318,11 @@ def _intern_atom(atom: Expr) -> Expr:
 def sorted_items(p: Poly) -> list:
     """p's ``(mono, c)`` items in monomial order, the order in which
     ``expr_of_poly`` lays out terms: by total degree (``math.fsum`` of the
-    exponents), then factor by factor by atom sort key and exponent.
-
-    An atom enters the key as its rank among the distinct sort keys of p's
-    atoms, found once per call. Equal keys get equal ranks and the ranks
-    ascend with the keys, so ints compare as the nested keys would and the
-    order is the same.
-    """
+    exponents), then factor by factor by atom sort key and exponent."""
     if len(p) < 2:
         return list(p.items())
-    rank: Dict[int, int] = {}
-    r, prev = -1, None
-    for a in sorted({id(a): a for mono in p for a, _ in mono}.values(), key=_skey_of):
-        k = _skey_of(a)
-        if k != prev:
-            r, prev = r + 1, k
-        rank[id(a)] = r
     return sorted(p.items(), key=lambda kv: (math.fsum(k for _, k in kv[0]),
-                                              tuple((rank[id(a)], k) for a, k in kv[0])))
+                                              tuple((_skey_of(a), k) for a, k in kv[0])))
 
 
 def _mono_sorted(items) -> Mono:
@@ -432,6 +412,15 @@ def poly_outer(ps: List[Poly], qs: List[Poly]) -> List[Poly]:
 
 
 def _generic_mul(p1: Poly, p2: Poly) -> Poly:
+    out = _mono_products(p1, p2)
+    for mono in out:
+        if _mono_has_trig_product(mono):
+            return _linearize_poly(out)
+    return out
+
+
+def _mono_products(p1: Poly, p2: Poly) -> Poly:
+    """The product of p1 and p2 monomial by monomial, with no rewrite."""
     out: Poly = {}
     for m1, c1 in p1.items():
         for m2, c2 in p2.items():
@@ -444,9 +433,6 @@ def _generic_mul(p1: Poly, p2: Poly) -> Poly:
                 out.pop(m, None)
             else:
                 out[m] = s
-    for mono in out:
-        if _mono_has_trig_product(mono):
-            return _linearize_poly(out)
     return out
 
 
@@ -468,8 +454,16 @@ def _poly_pow_int(p: Poly, n: int) -> Poly:
 # rewritten onto the multiple-angle basis, where every monomial carries at
 # most one trig atom per base angle, at the first power. Without this the
 # monomial count under repeated multiplication grows with the square of the
-# trig degree; on the multiple-angle basis it stays linear. The rewrite is
-# exact up to one rounding per combination coefficient (dyadic halves).
+# trig degree; on the multiple-angle basis it stays linear.
+#
+# One kernel does the rewrite. Each factor becomes its cosine and sine
+# coefficient vectors over a common angle unit g (``_fourier_vectors``),
+# ``_fourier_convolve`` multiplies two such pairs, and ``_fourier_poly`` turns
+# the product's vectors back into monomials. ``_fourier_product`` multiplies
+# two single-base Fourier polys this way; ``_linearize_mono`` multiplies out
+# the integer sin/cos powers of one monomial, base angle by base angle. The
+# coefficients are integers over 2^d at total trig degree d, so the rewrite
+# is exact while d stays below the 53 bits of a float's mantissa.
 
 TRIG_RATIO_TOL = 1e-9
 TRIG_EXPAND_MAX = 512
@@ -537,12 +531,6 @@ def _fgcd(a: float, b: float) -> float:
     return a
 
 
-def _common_angle(ratios):
-    """Angle unit g with every ratio a nonzero integer multiple, or None."""
-    g = _reanchor(_fold(abs(ratios[0]), ratios[1:]), min(abs(r) for r in ratios))
-    return g if _all_multiples(ratios, g) else None
-
-
 def _fold(g: float, ratios) -> float:
     for r in ratios:
         g = _fgcd(g, r)
@@ -576,10 +564,10 @@ _MULTIPLES: Dict[Tuple[tuple, float], bool] = {}
 
 
 def _pair_angle(r1: tuple, r2: tuple):
-    """``_common_angle(r1 + r2)`` for two non-empty ratio tuples, read from
-    per-operand tables: the fold runs the same ``_fgcd`` sequence, so every
-    float is the same, and most pairs of a series product cost a few
-    lookups."""
+    """The angle unit g of which every ratio in r1 + r2 (two non-empty ratio
+    tuples) is a nonzero integer multiple, or None. The fold of r1 and its
+    continuation over r2 are read from per-operand tables, so most pairs of
+    a series product cost a few lookups."""
     g1 = _FOLD.get(r1)
     if g1 is None:
         g1 = _FOLD[r1] = _fold(abs(r1[0]), r1[1:])
@@ -604,30 +592,6 @@ def _multiples_of(ratios: tuple, g: float) -> bool:
     return got
 
 
-def _fourier_step(F: dict, k: int, is_sin: bool) -> dict:
-    """Multiply sum_m c_m cos(m th) + s_m sin(m th) by cos(k th) or sin(k th)."""
-    out: dict = {}
-
-    def bump(m: int, dc: float, ds: float) -> None:
-        if m < 0:
-            m = -m
-            ds = -ds
-        c, s = out.get(m, (0.0, 0.0))
-        if m == 0:
-            out[m] = (c + dc, 0.0)
-        else:
-            out[m] = (c + dc, s + ds)
-
-    for m, (c, s) in F.items():
-        if is_sin:
-            bump(m + k, -0.5 * s, 0.5 * c)
-            bump(m - k, 0.5 * s, -0.5 * c)
-        else:
-            bump(m + k, 0.5 * c, 0.5 * s)
-            bump(m - k, 0.5 * c, 0.5 * s)
-    return out
-
-
 def _trig_atom_for(base_key: Expr, base_poly: Poly, angle_scale: float,
                    want_sin: bool) -> Expr:
     key = (base_key, angle_scale, want_sin)
@@ -637,14 +601,6 @@ def _trig_atom_for(base_key: Expr, base_poly: Poly, angle_scale: float,
         atom = _intern_atom(Sin(arg) if want_sin else Cos(arg))
         _TRIG_ATOMS[key] = atom
     return atom
-
-
-def _merge_term(p: Poly, mono: Mono, c: float) -> None:
-    v = p.get(mono, 0.0) + c
-    if v == 0.0:
-        p.pop(mono, None)
-    else:
-        p[mono] = v
 
 
 def _fourier_poly_items(p: Poly):
@@ -737,12 +693,8 @@ class _ProductMemo:
 def _fourier_product(f1, f2, memo: _ProductMemo):
     """Product of two single-base Fourier polys, given as their forms, via
     convolutions; None when either is not such a poly or they do not share a
-    base and a common angle.
-
-    This is the same product-to-sum rewrite as ``_linearize_mono``, done on
-    coefficient vectors so a series product does not grind through millions
-    of monomial pairs.
-    """
+    base and a common angle. Working on coefficient vectors keeps a series
+    product from grinding through millions of monomial pairs."""
     if f1 is None or f2 is None:
         return None
     if f1.base_key is not f2.base_key and f1.base_key != f2.base_key:
@@ -751,7 +703,13 @@ def _fourier_product(f1, f2, memo: _ProductMemo):
     if g is None:
         return None
     A, B = _fourier_convolve(*f1.vectors(g), *f2.vectors(g))
+    return _fourier_poly(A, B, f1.base_key, f1.base_poly, g, memo)
 
+
+def _fourier_poly(A, B, base_key: Expr, base_poly: Poly, g: float,
+                  memo: _ProductMemo) -> Poly:
+    """The poly sum_m A[m] cos(m g th) + B[m] sin(m g th) over the base
+    angle th, its monomials taken from or added to ``memo``."""
     # [A0, B0, A1, B1, ...] with B0 (no sin(0)) cleared: the product's
     # monomial order is the constant, then cos before sin per multiple of g
     C = np.empty(2 * len(A))
@@ -759,7 +717,7 @@ def _fourier_product(f1, f2, memo: _ProductMemo):
     C[1::2] = B
     C[1] = 0.0
     nz = np.flatnonzero(C).tolist()
-    mkey = (f1.base_key, g)
+    mkey = (base_key, g)
     monos = memo.monos.get(mkey)
     if monos is None:
         monos = memo.monos[mkey] = [()]
@@ -767,7 +725,7 @@ def _fourier_product(f1, f2, memo: _ProductMemo):
         monos.extend([None] * (len(C) - len(monos)))
     for i in nz:
         if monos[i] is None:
-            atom = _trig_atom_for(f1.base_key, f1.base_poly, (i >> 1) * g, bool(i & 1))
+            atom = _trig_atom_for(base_key, base_poly, (i >> 1) * g, bool(i & 1))
             monos[i] = ((atom, 1.0),)
     return dict(zip([monos[i] for i in nz], C[nz].tolist()))
 
@@ -809,6 +767,8 @@ def _fourier_convolve(a1, b1, a2, b2):
 
 
 def _linearize_mono(mono: Mono, coeff: float) -> Poly:
+    """coeff * mono with the integer sin/cos powers over each base angle
+    multiplied out onto that base's multiple-angle basis."""
     inert = []
     groups: Dict[Expr, list] = {}
     for atom, k in mono:
@@ -819,40 +779,25 @@ def _linearize_mono(mono: Mono, coeff: float) -> Poly:
         if info is None:
             inert.append((atom, k))
         else:
-            groups.setdefault(info[1], []).append((atom, int(k), info))
+            groups.setdefault(info[1], []).append((atom, k, info))
     poly: Poly = {tuple(inert): coeff}
     for base_key, members in groups.items():
-        if len(members) == 1 and members[0][1] == 1:
-            a = members[0][0]
-            poly = {_mono_mul(m, ((a, 1.0),)): c for m, c in poly.items()}
-            continue
-        g = _common_angle([info[2] for _, _, info in members])
+        ratios = tuple(info[2] for _, _, info in members)
+        if len(members) > 1:
+            g = _pair_angle(ratios[:1], ratios[1:])
+        else:
+            g = abs(ratios[0]) if members[0][1] != 1.0 else None
         if g is None:
-            # not integer multiples of a common angle; keep the product opaque
-            for atom, e, _ in members:
-                poly = {_mono_mul(m, ((atom, float(e)),)): c for m, c in poly.items()}
-            continue
-        mults = [(info[0], round(info[2] / g), e) for _, e, info in members]
-        F = {0: (1.0, 0.0)}
-        for is_sin, mi, e in mults:
-            for _ in range(e):
-                F = _fourier_step(F, mi, is_sin)
-        base_poly = members[0][2][3]
-        new_poly: Poly = {}
-        for m0, c0 in poly.items():
-            for m, (cc, ss) in F.items():
-                if m == 0:
-                    if cc != 0.0:
-                        _merge_term(new_poly, m0, c0 * cc)
-                    continue
-                scale = m * g
-                if cc != 0.0:
-                    a = _trig_atom_for(base_key, base_poly, scale, False)
-                    _merge_term(new_poly, _mono_mul(m0, ((a, 1.0),)), c0 * cc)
-                if ss != 0.0:
-                    a = _trig_atom_for(base_key, base_poly, scale, True)
-                    _merge_term(new_poly, _mono_mul(m0, ((a, 1.0),)), c0 * ss)
-        poly = new_poly
+            # a lone first power, or no common angle: keep the factors
+            factor = {tuple((atom, k) for atom, k, _ in members): 1.0}
+        else:
+            A, B = np.ones(1), np.zeros(1)
+            for _, k, (is_sin, _, r, _) in members:
+                a, b = _fourier_vectors([(r, is_sin, 1.0)], g)
+                for _ in range(int(k)):
+                    A, B = _fourier_convolve(A, B, a, b)
+            factor = _fourier_poly(A, B, base_key, members[0][2][3], g, _ProductMemo())
+        poly = _mono_products(poly, factor)
     return poly
 
 
@@ -1315,12 +1260,17 @@ def _pow_sample_values(factor: Tuple[Expr, float]) -> np.ndarray:
 
 def is_zero_expr(p: Poly, tol: float = ZERO_COEFF_TOL) -> bool:
     """Semi-decision for the zero function of a ``poly_of`` normal form, used
-    to drop series coefficients."""
+    to drop series coefficients. A p that cannot be evaluated on the sampling
+    box (a fractional power of a base negative there) is not zero: the term
+    is kept, and evaluation on the problem's own domain decides."""
     if not p:
         return True
     if len(p) == 1 and () in p:
         return abs(p[()]) <= tol
-    v = _zero_check_samples(p)
+    try:
+        v = _zero_check_samples(p)
+    except PowerDomainError:
+        return False
     return bool(np.all(np.abs(v) <= tol * (1.0 + np.abs(v))))
 
 

@@ -277,6 +277,30 @@ def test_solve_grid_domain_error_exits_2(runner, tmp_path, monkeypatch):
         assert not out.exists()
 
 
+def test_solve_fractional_power_negative_on_the_zero_check_box(runner, tmp_path):
+    # the zero check samples (0, 2), where 1 - x and x - 3 go negative; the
+    # files are defined on their own domains and solve exactly, and a
+    # derivative that does meet a zero base exits 2 with one line
+    files = {
+        "left.txt": ("domain = 0, 1\nexact = t*(1 - x)^0.5*x\n", 0),
+        "right.txt": ("domain = 3, 4\nexact = t*(x - 3)^0.5\n", 0),
+        "deriv.txt": ("domain = 0, 1\nexact = t*(1 - x)^0.5*x\nlinear = 2x:-0.5\n", 2),
+    }
+    for name, (text, code) in files.items():
+        (tmp_path / name).write_text(text)
+        out = tmp_path / f"o_{name}"
+        r = runner.invoke(main, ["solve", "--file", str(tmp_path / name), "-m", "both",
+                                 "--out", str(out)])
+        assert r.exit_code == code, (name, r.output)
+        assert "Traceback" not in r.output and not isinstance(r.exception, PowerDomainError)
+        if code == 0:
+            rows = _lines(out / "summary.csv")[1:]
+            assert rows and all(float(row.split(",")[3]) <= 1e-12 for row in rows), rows
+        else:
+            lines = r.output.strip().splitlines()
+            assert len(lines) == 1 and "cannot be evaluated on the domain" in lines[0]
+
+
 def test_cli_import_loads_neither_acceptance_nor_scipy():
     code = ("import sys, fracdecomp.cli; "
             "print(sorted(m for m in ('fracdecomp.acceptance', 'scipy') "

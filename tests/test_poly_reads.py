@@ -3,8 +3,9 @@ against the routes they replaced.
 
 The old routes are kept here as references: grid evaluation through
 ``evaluate(expr_of_poly(p))``, ``poly_substitute`` with a table of its own
-per call keyed on atom ids, and ``_common_angle`` over the concatenated
-ratio tuples of a pair. Every comparison is bit for bit.
+per call keyed on atom ids, and the common angle of the concatenated ratio
+tuples of a pair (``_reference_common_angle``, which other tests import).
+Every comparison is bit for bit.
 """
 
 import math
@@ -222,7 +223,8 @@ def test_grid_raises_the_same_domain_error():
 
 
 def _reference_common_angle(ratios):
-    # symx._common_angle as it stood
+    # the common angle of a ratio list as symx computed it before _pair_angle:
+    # the angle unit g with every ratio a nonzero integer multiple, or None
     g = abs(ratios[0])
     for r in ratios[1:]:
         g = symx._fgcd(g, r)
@@ -244,8 +246,6 @@ def _assert_angle(r1, r2):
     assert (got is None) == (want is None), (r1, r2)
     if want is not None:
         assert got.hex() == want.hex(), (r1, r2)
-    single = symx._common_angle(r1 + r2)
-    assert single == want or (single is None and want is None)
 
 
 def _captured_ratio_pairs(monkeypatch):

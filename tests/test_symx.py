@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracdecomp.fracterm import Series
 from fracdecomp.grammar import GrammarError, parse_expr, parse_spatial
 from fracdecomp.symx import (
     Const,
@@ -26,6 +27,7 @@ from fracdecomp.symx import (
     is_zero_expr,
     poly_of,
     poly_substitute,
+    sample_points,
     simplify,
 )
 
@@ -111,6 +113,16 @@ def test_evaluate_unbound_variable():
 def test_evaluate_negative_base_fractional_power():
     with pytest.raises(PowerDomainError):
         evaluate(Pow(X, 0.5), {"x": -1.0})
+
+
+def test_zero_check_keeps_a_poly_it_cannot_sample():
+    # the zero check samples the box (0, 2)^2, where 1 - x and x - 3 go
+    # negative: such a coefficient is kept, not raised on
+    for e in (Pow(Const(1.0) - X, 0.5) * X, Pow(X - Const(3.0), 0.5)):
+        with pytest.raises(PowerDomainError):
+            evaluate(e, sample_points(None))
+        assert is_zero_expr(poly_of(e)) is False
+        assert len(Series([(1.0, e)]).terms) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +262,14 @@ def test_parse_round_trip_value():
     x0 = 0.3
     want = 2 * x0 + math.sin(math.pi * x0) ** 2 - math.exp(-x0)
     assert abs(evaluate(e, {"x": x0}) - want) <= 1e-14
+
+
+def test_parse_expands_powers_of_sums_and_trig_products():
+    # problem-file text reaches the integer power of a sum and, through the
+    # generic product, the rewrite of a trig power times another factor
+    assert str(simplify(parse_expr("(1 + x)^3", alpha=0.5))) == "1 + 3*x + 3*x^2 + x^3"
+    assert str(simplify(parse_expr("(x*sin(pi*x))^2", alpha=0.5))) == \
+        "0.5*x^2 - 0.5*x^2*cos(6.283185307179586*x)"
 
 
 def test_parse_alpha_and_gamma_fold_to_constants():

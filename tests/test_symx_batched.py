@@ -17,6 +17,7 @@ from fracdecomp.decomp import mldm_solve
 from fracdecomp.fracterm import spatial_apply
 from fracdecomp.problems import builtin
 from fracdecomp.symx import Const, Cos, Pow, Sin, Var, poly_of, poly_outer
+from test_poly_reads import _reference_common_angle
 
 X = Var("x")
 Y = Var("y")
@@ -41,7 +42,7 @@ def _reference_fourier_mul(p1, p2):
     ratios += [r for r, _, _ in f2[2] if r is not None]
     if not ratios:
         return None
-    g = symx._common_angle(ratios)
+    g = _reference_common_angle(ratios)
     if g is None:
         return None
     a1, b1 = symx._fourier_vectors(f1[2], g)

@@ -4,15 +4,16 @@
     python3 tools/same_outputs.py OLD_ROOT NEW_ROOT
 
 Each root is a checkout holding ``src/fracdecomp``. Both run the same solves
-(``CASES``, and ``TWO_D_FILE`` written to the temporary directory and
-solved with ``TWO_D_ARGS``) in fresh interpreters with
+(``CASES``, and each problem file of ``FILE_CASES`` written to the temporary
+directory and solved with its arguments) in fresh interpreters with
 ``PYTHONPATH=ROOT/src``, each into a directory of its own under a
 temporary directory. points.csv and plot.dat
 must be equal byte for byte, summary.csv with its wall-clock ``seconds``
 column masked, and every solve must exit with the same code. Each
-difference is printed; where summary.csv differs, so are the columns that
-moved and the worst relative gap |new - old| / |old| in each, with the row
-it is on. Then both roots run ``fracdecomp verify``: the exit codes must
+difference is printed; where an output file differs, so are the columns
+that moved and the worst relative gap |new - old| / |old| in each, with the
+line it is on, and the largest change |new - old| against the column's
+largest |old|. Then both roots run ``fracdecomp verify``: the exit codes must
 agree, and so must every output line once its timings (``1.23s``) are
 masked; each line that differs is printed from both sides. The exit code
 is 1 if there is any difference, else 0. Standard library only.
@@ -44,6 +45,20 @@ linear = 2x:-0.5, 2y:-0.5
 nonlinear = u*u_y + 0.5*u^2*u_x - {t^alpha}*u_xx
 """
 TWO_D_ARGS = ["-m", "both", "-n", "1", "-a", "0.5,1.0"]
+
+# Squaring x*sin(pi*x) gives x^2*sin(pi*x)^2, which no Fourier-pair product
+# covers: the generic product rewrites it onto multiple angles
+# (symx._linearize_mono). No builtin reaches that rewrite. It must match
+# TRIG_FILE of tests/test_symx_linearize.py.
+TRIG_FILE = """\
+domain = 0, 1
+exact = t^alpha*x*sin(pi*x) + t*x*(1 - x)
+linear = 2x:-0.1
+nonlinear = u^2
+"""
+TRIG_ARGS = ["-m", "both", "-n", "2", "-a", "0.5,0.75,1.0"]
+
+FILE_CASES = (("cubic2d.txt", TWO_D_FILE, TWO_D_ARGS), ("trig.txt", TRIG_FILE, TRIG_ARGS))
 
 FILES = ("points.csv", "plot.dat", "summary.csv")
 
@@ -96,6 +111,13 @@ def _content(path: Path) -> bytes:
     return data
 
 
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
 def _gap(old: str, new: str) -> float:
     try:
         a, b = float(old), float(new)
@@ -106,24 +128,43 @@ def _gap(old: str, new: str) -> float:
     return abs(b - a) / abs(a) if a != 0.0 else math.inf
 
 
-def _summary_moves(old: Path, new: Path) -> str:
-    """The summary.csv columns that differ, each with its worst relative gap."""
-    tables = []
-    for path in (old, new):
+def _rows(path: Path):
+    if path.suffix == ".csv":
         with open(path, newline="") as fh:
-            tables.append(list(csv.reader(fh)))
-    (head, *rows_old), (head_new, *rows_new) = tables
-    if head != head_new or len(rows_old) != len(rows_new):
-        return f"header or row count differs ({len(rows_old)} vs {len(rows_new)} rows)"
+            return list(csv.reader(fh))
+    return [line.split() for line in path.read_text().splitlines()]
+
+
+def _moves(old: Path, new: Path) -> str:
+    """The columns of an output file that differ (summary.csv's time column
+    aside), each with its worst relative gap and the line it is on, and its
+    largest change |new - old| against the column's largest |old|: a value
+    near zero, such as the boundary trace of a sine, can move by a large
+    relative gap while its change is one rounding of the column's scale."""
+    rows_old, rows_new = _rows(old), _rows(new)
+    if len(rows_old) != len(rows_new):
+        return f"line count differs ({len(rows_old)} vs {len(rows_new)})"
+    head = rows_old[0] if old.suffix == ".csv" else None
+    timed = old.name == "summary.csv"
     worst = {}
-    for ro, rn in zip(rows_old, rows_new):
-        for name, a, b in zip(head[:-1], ro, rn):      # the last column is time
-            if a != b:
-                gap = _gap(a, b)
-                if name not in worst or gap > worst[name][0]:
-                    worst[name] = (gap, ",".join(ro[:3]))
-    return ", ".join(f"{name} worst relative gap {gap:.1e} at {where}"
-                     for name, (gap, where) in worst.items())
+    for i, (ro, rn) in enumerate(zip(rows_old, rows_new), 1):
+        if len(ro) != len(rn):
+            return f"line {i} has {len(ro)} vs {len(rn)} fields"
+        for j, a in enumerate(ro[:-1] if timed else ro):
+            if a != rn[j]:
+                name = head[j] if head else f"column {j + 1}"
+                gap, step = _gap(a, rn[j]), abs(_number(rn[j]) - _number(a))
+                got = worst.setdefault(name, [0.0, "", j, 0.0])
+                if gap >= got[0]:
+                    got[:2] = gap, f"line {i} ({' '.join(ro[:3])})"
+                got[3] = max(got[3], step)
+    out = []
+    for name, (gap, where, j, step) in worst.items():
+        top = max((abs(v) for v in (_number(r[j]) for r in rows_old if j < len(r))
+                   if not math.isnan(v)), default=0.0)
+        out.append(f"{name} worst relative gap {gap:.1e} at {where}, "
+                   f"largest change {step:.1e} against a column max {top:.1e}")
+    return ", ".join(out)
 
 
 def main(argv) -> int:
@@ -137,18 +178,19 @@ def main(argv) -> int:
             return 2
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "cubic2d.txt"
-        path.write_text(TWO_D_FILE)
-        cases = CASES + [["--file", str(path), *TWO_D_ARGS]]
+        cases = list(CASES)
+        for name, text, args in FILE_CASES:
+            path = Path(tmp) / name
+            path.write_text(text)
+            cases.append(["--file", str(path), *args])
         for n, args in enumerate(cases):
             outs = [Path(tmp) / f"{side}{n}" for side in ("old", "new")]
             codes = [_solve(root, args, out) for root, out in zip(roots, outs)]
             found = [] if codes[0] == codes[1] else [f"exit {codes[0]} vs {codes[1]}"]
             for name in FILES:
                 if _content(outs[0] / name) != _content(outs[1] / name):
-                    moved = (_summary_moves(outs[0] / name, outs[1] / name)
-                             if name == "summary.csv" and all(c == 0 for c in codes)
-                             else "")
+                    moved = (_moves(outs[0] / name, outs[1] / name)
+                             if all(c == 0 for c in codes) else "")
                     found.append(f"{name} differs" + (f" ({moved})" if moved else ""))
             print(f"solve {' '.join(args)}: {', '.join(found) if found else 'same'}")
             differ += len(found)
