@@ -33,7 +33,6 @@ from .evaluation import (
     DEFAULT_TMAX,
     EvalError,
     convergence_report,
-    evaluate_series_grid,
     make_grid,
 )
 from .fracterm import SeriesError
@@ -182,10 +181,10 @@ def _run_job(packed: tuple) -> Dict[str, object]:
     else:
         trace = ladm_solve(spec, iters)
     grid = _grid_for(spec, counts, tmax)
-
-    approx = evaluate_series_grid(trace.approximation, grid)
-    exact = (evaluate_series_grid(spec.exact, grid)
-             if spec.exact is not None else None)
+    # the report evaluates every series once; its last row holds the final
+    # partial sum's grid and the exact grid the files are written from
+    report = convergence_report([trace], spec, grid)
+    approx, exact = report[-1].values, report[-1].exact
 
     n_final = trace.records[-1].n
     known = exact if exact is not None else np.full(approx.shape, float("nan"))
@@ -197,7 +196,7 @@ def _run_job(packed: tuple) -> Dict[str, object]:
 
     summary: List[str] = []
     table: List[str] = []
-    for row in convergence_report([trace], spec, grid):
+    for row in report:
         max_abs = float("nan") if row.max_abs is None else row.max_abs
         l2 = float("nan") if row.l2 is None else row.l2
         summary.append(f"{row.method},{_f(row.alpha)},{row.iterations},"

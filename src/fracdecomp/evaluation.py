@@ -12,7 +12,7 @@ is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -305,18 +305,22 @@ def _coeff_grids(nonlinear, grid: Grid) -> List[Optional[np.ndarray]]:
             for p in nonlinear.products]
 
 
-def _nonlinear_grid(nonlinear, approx: Series, grid: Grid,
+def _nonlinear_keys(nonlinear) -> List[Tuple[int, str]]:
+    """The (order, var) derivatives of u the nonlinearity takes, in order."""
+    products = nonlinear.products if nonlinear is not None else ()
+    return list(dict.fromkeys((f.order, f.var) for p in products for f in p.factors))
+
+
+def _nonlinear_grid(nonlinear, derivs: Dict[Tuple[int, str], np.ndarray], grid: Grid,
                     coeff_grids: Sequence[Optional[np.ndarray]]) -> np.ndarray:
     """N(approx) on the grid, pointwise and with no series product.
 
-    The grid of each distinct (order, var) derivative of approx comes from
-    ``_derivative_grids``, so no derivative series is built; the grids are
-    multiplied in the product and power order of ``NonlinearOpSpec.apply``,
-    then scaled by the product's coefficient and by its series
-    coefficient's grid.
+    ``derivs`` holds the grid of each (order, var) derivative of approx the
+    products take, from ``_derivative_grids``, so no derivative series is
+    built; the grids are multiplied in the product and power order of
+    ``NonlinearOpSpec.apply``, then scaled by the product's coefficient and
+    by its series coefficient's grid.
     """
-    derivs = _derivative_grids(
-        approx, {(f.order, f.var) for p in nonlinear.products for f in p.factors}, grid)
     out = np.zeros(grid.shape)
     for p, coeff_grid in zip(nonlinear.products, coeff_grids):
         term = None
@@ -346,16 +350,20 @@ def residual(approx: Series, spec, grid: Grid) -> float:
 
 @np.errstate(all="ignore")
 def _residual(approx: Series, spec, grid: Grid,
-              coeff_grids: Sequence[Optional[np.ndarray]]) -> float:
+              coeff_grids: Sequence[Optional[np.ndarray]],
+              derivs: Optional[Dict[Tuple[int, str], np.ndarray]] = None) -> float:
     """``residual``, with the grids of the nonlinearity's series
-    coefficients (``_coeff_grids`` of spec on grid) given, so that
-    ``convergence_report`` evaluates them once for all its records."""
+    coefficients (``_coeff_grids`` of spec on grid) given, and optionally
+    the ``_derivative_grids`` of approx that the nonlinearity takes, so
+    that ``convergence_report`` evaluates each series once."""
     res = caputo(approx, spec.alpha)
     res = series_add(res, spec.linear.apply(approx))
     res = series_add(res, series_scale(spec.h, -1.0))
     values = evaluate_series_grid(_within_caps(res, approx), grid)
     if spec.nonlinear is not None:
-        values += _nonlinear_grid(spec.nonlinear, approx, grid, coeff_grids)
+        if derivs is None:
+            derivs = _derivative_grids(approx, _nonlinear_keys(spec.nonlinear), grid)
+        values += _nonlinear_grid(spec.nonlinear, derivs, grid, coeff_grids)
     return float(np.abs(_finite(values, "residual")).max())
 
 
@@ -437,28 +445,38 @@ class ConvergenceRow:
     l2: Optional[float]
     residual: float
     seconds: float
+    # the partial sum and the exact solution on the report's grid (exact is
+    # None without one, and every row of a report shares its array)
+    values: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    exact: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
 def convergence_report(traces: Sequence, spec, grid: Grid) -> List[ConvergenceRow]:
     """One row per (trace, iteration): errors vs exact plus PDE residual.
 
-    The exact solution and the nonlinearity's series coefficients are
-    evaluated on the grid once per call, not once per record.
+    Each series is evaluated on the grid once per call: the exact solution
+    and the nonlinearity's series coefficients for all records, and each
+    partial sum by one ``_derivative_grids`` pass that also gives the
+    derivatives its residual takes. Rows keep those grids (``values``,
+    ``exact``) for a caller that writes them.
     """
     exact = evaluate_series_grid(spec.exact, grid) if spec.exact is not None else None
     coeff_grids = _coeff_grids(spec.nonlinear, grid)
+    keys = list(dict.fromkeys([(0, "x")] + _nonlinear_keys(spec.nonlinear)))
     rows: List[ConvergenceRow] = []
     for trace in traces:
         seconds = 0.0
         for rec in trace.records:
             seconds += rec.seconds
             partial = rec.partial_sum
+            grids = _derivative_grids(partial, keys, grid)
+            values = grids[0, "x"]
             if exact is not None:
-                max_abs, l2 = _norms(np.abs(evaluate_series_grid(partial, grid) - exact))
+                max_abs, l2 = _norms(np.abs(values - exact))
             else:
                 max_abs, l2 = None, None
             rows.append(ConvergenceRow(trace.method, trace.alpha, rec.n,
                                        max_abs, l2,
-                                       _residual(partial, spec, grid, coeff_grids),
-                                       seconds))
+                                       _residual(partial, spec, grid, coeff_grids, grids),
+                                       seconds, values, exact))
     return rows

@@ -15,9 +15,14 @@ Each term keeps its coefficient c_k as a symx normal-form poly, so the ring,
 spatial and fractional operations, boundary substitution and grid evaluation
 run on polys from end to end. An ``Expr`` is built only at the edges that
 need a tree: rendering, point evaluation (``eval_series``), ``series_equal``
-and ``initial_value``, through the read-only ``TimeTerm.coeff``. ``series_mul`` forms all its term products in one
-``symx.poly_outer`` call, and ``_from_pairs`` merges same-exponent polys into
-one dict of its own, never into a poly a series holds.
+and ``initial_value``, through the read-only ``TimeTerm.coeff``.
+
+Exponents merge by one rule, ``_mu_groups``. ``_from_pairs`` sums each
+group's polys into a dict of its own, never into a poly a series holds.
+``series_mul`` on Fourier coefficients groups its term pairs by the same
+rule and forms every group's sum of products in one ``symx.fourier_sums``
+call, a fixed-order kernel, so a product is the same whatever BLAS kernel
+runs.
 """
 
 from __future__ import annotations
@@ -34,11 +39,11 @@ from .symx import (
     equal_sampled,
     evaluate,
     expr_of_poly,
+    fourier_sums,
     is_zero_expr,
     poly_add,
     poly_add_into,
     poly_of,
-    poly_outer,
     poly_scale,
     poly_mul,
     poly_substitute,
@@ -231,36 +236,40 @@ def _raw_series(terms: Tuple[TimeTerm, ...], truncated: bool) -> Series:
     return s
 
 
+def _mu_groups(mus) -> list:
+    """Indices of mus grouped as series merge exponents: stably sorted by mu,
+    each group holding the mus within ``MU_MERGE_TOL`` of its first."""
+    groups = []
+    first = 0.0
+    for i in sorted(range(len(mus)), key=mus.__getitem__):
+        if groups and mus[i] - first <= MU_MERGE_TOL:
+            groups[-1].append(i)
+        else:
+            first = mus[i]
+            groups.append([i])
+    return groups
+
+
 def _from_pairs(pairs, truncated: bool) -> Series:
     """Canonicalize (mu, poly) pairs: merge, drop zeros, apply the growth caps.
 
-    A pair may carry a third item, the ``TimeTerm`` of a series it was read
-    from. Every term a series holds was built here after its poly passed the
-    zero check, so such a term that no other pair merges into is kept as it
-    is, with no second check.
+    A group of ``_mu_groups`` takes the mu of its first pair and the sum of
+    its polys. A pair may carry a third item, the ``TimeTerm`` of a series it
+    was read from. Every term a series holds was built here after its poly
+    passed the zero check, so such a term that no other pair merges into is
+    kept as it is, with no second check.
     """
-    if not pairs:
-        return _raw_series((), truncated)
-    pairs.sort(key=lambda p: p[0])
-    merged = []
-    cur_mu, cur_poly, *cur_term = pairs[0]
-    owned = False   # cur_poly was built here, so later merges may update it
-    for mu, p, *term in pairs[1:]:
-        if mu - cur_mu <= MU_MERGE_TOL:
-            if owned and cur_poly:
-                poly_add_into(cur_poly, p)
-            else:
-                cur_poly = poly_add(cur_poly, p)
-                owned = True
-            cur_term = []
-        else:
-            merged.append((cur_mu, cur_poly, cur_term))
-            cur_mu, cur_poly, cur_term, owned = mu, p, term, False
-    merged.append((cur_mu, cur_poly, cur_term))
-
     terms = []
-    for mu, p, term in merged:
-        if term:
+    for group in _mu_groups([pair[0] for pair in pairs]):
+        mu, p, *term = pairs[group[0]]
+        if len(group) > 1:
+            p = poly_add(p, pairs[group[1]][1])    # a dict of its own
+            for i in group[2:]:
+                if p:
+                    poly_add_into(p, pairs[i][1])
+                else:
+                    p = poly_add(p, pairs[i][1])
+        elif term:
             terms.append(term[0])
             continue
         if is_zero_expr(p):
@@ -300,9 +309,19 @@ def series_scale(a: Series, k: Union[float, int, Expr]) -> Series:
 
 
 def series_mul(a: Series, b: Series) -> Series:
+    """The product series. On Fourier coefficients the term pairs are
+    grouped by exponent as ``_from_pairs`` merges them, and one
+    ``fourier_sums`` call forms every group's sum of products; otherwise
+    each pair is multiplied by ``poly_mul`` and ``_from_pairs`` merges."""
     mus = [ta.mu + tb.mu for ta in a.terms for tb in b.terms]
-    polys = poly_outer([t.poly for t in a.terms], [t.poly for t in b.terms])
-    return _from_pairs(list(zip(mus, polys)), a.truncated or b.truncated)
+    ps, qs = [t.poly for t in a.terms], [t.poly for t in b.terms]
+    groups = _mu_groups(mus)
+    sums = fourier_sums(ps, qs, groups)
+    if sums is None:
+        pairs = list(zip(mus, (poly_mul(p, q) for p in ps for q in qs)))
+    else:
+        pairs = [(mus[group[0]], p) for group, p in zip(groups, sums)]
+    return _from_pairs(pairs, a.truncated or b.truncated)
 
 
 def spatial_apply(a: Series, order: int, var: str = "x") -> Series:

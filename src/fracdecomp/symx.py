@@ -9,12 +9,16 @@ equality of simplified expressions doubles as semantic equality for
 polynomial content; mixtures that share no normal form are compared with
 ``equal_sampled`` on deterministic quasi-random points.
 
-Polys multiply through one kernel, ``poly_outer``, the product of every pair
-from two lists: a pair of single-base Fourier polys is multiplied by
-convolving coefficient vectors, any other pair by the generic monomial
-product, whose products of sin/cos over one base angle are rewritten onto
-multiple angles by the same convolution. ``poly_mul`` runs the same code on
-one pair.
+Single-base Fourier polys on one angle unit multiply through one harmonic
+kernel, ``fourier_sums``: sums over groups of pairs from two lists, as a
+series product sums its term products per exponent. It forms every product
+elementwise, sums each group's products with ``np.add.reduceat`` and adds
+the sums into their multiple-angle slots with ``np.bincount``, all in a fixed
+order and with no BLAS routine, so the sums are the same whatever BLAS
+kernel runs. ``poly_mul`` runs it on one pair, and
+takes any other pair through the generic monomial product, whose products of
+sin/cos over one base angle are rewritten onto multiple angles by the same
+kernel.
 ``diff`` differentiates a poly by the product and chain rules, with no tree;
 ``factor_diff`` gives the cached first or second derivative of one factor.
 Polys are evaluated numerically through one kernel, ``poly_rows``, which
@@ -45,6 +49,7 @@ __all__ = [
     "PowerDomainError",
     "diff",
     "factor_diff",
+    "fourier_sums",
     "evaluate",
     "simplify",
     "contains",
@@ -384,31 +389,8 @@ def _mono_mul(m1: Mono, m2: Mono) -> Mono:
 
 
 def poly_mul(p1: Poly, p2: Poly) -> Poly:
-    f1 = _fourier_form(p1)
-    if f1 is not None:
-        fast = _fourier_product(f1, _fourier_form(p2), _ProductMemo())
-        if fast is not None:
-            return fast
-    return _generic_mul(p1, p2)
-
-
-def poly_outer(ps: List[Poly], qs: List[Poly]) -> List[Poly]:
-    """``[poly_mul(p, q) for p in ps for q in qs]``, bit for bit.
-
-    Each operand is decomposed onto its Fourier basis once per call rather
-    than once per pair, and common angles and product monomials are shared
-    across the pairs; anything else goes through the generic product exactly
-    where ``poly_mul`` would send it.
-    """
-    memo = _ProductMemo()
-    fps = [_fourier_form(p) for p in ps]
-    fqs = [_fourier_form(q) for q in qs]
-    out = []
-    for p, fp in zip(ps, fps):
-        for q, fq in zip(qs, fqs):
-            fast = _fourier_product(fp, fq, memo)
-            out.append(_generic_mul(p, q) if fast is None else fast)
-    return out
+    got = fourier_sums([p1], [p2], [[0]])
+    return _generic_mul(p1, p2) if got is None else got[0]
 
 
 def _generic_mul(p1: Poly, p2: Poly) -> Poly:
@@ -456,11 +438,12 @@ def _poly_pow_int(p: Poly, n: int) -> Poly:
 # monomial count under repeated multiplication grows with the square of the
 # trig degree; on the multiple-angle basis it stays linear.
 #
-# One kernel does the rewrite. Each factor becomes its cosine and sine
-# coefficient vectors over a common angle unit g (``_fourier_vectors``),
-# ``_fourier_convolve`` multiplies two such pairs, and ``_fourier_poly`` turns
-# the product's vectors back into monomials. ``_fourier_product`` multiplies
-# two single-base Fourier polys this way; ``_linearize_mono`` multiplies out
+# One kernel does the rewrite. Single-base Fourier polys become rows of a
+# harmonic array of cosine and sine coefficients over a common angle unit g
+# (``_harmonics``), ``_harmonic_sums`` multiplies pairs of rows and sums the
+# products per output row in a fixed order, and ``_fourier_polys`` turns the
+# rows back into monomials. ``fourier_sums`` runs every product of a series
+# product through it at once; ``_linearize_mono`` multiplies out
 # the integer sin/cos powers of one monomial, base angle by base angle. The
 # coefficients are integers over 2^d at total trig degree d, so the rewrite
 # is exact while d stays below the 53 bits of a float's mantissa.
@@ -554,42 +537,12 @@ def _all_multiples(ratios, g: float) -> bool:
     return True
 
 
-# Tables behind _pair_angle, keyed on ratio tuples (compared by value): the
-# fold of a tuple, a fold continued over a tuple, a tuple's smallest |ratio|,
-# and whether a tuple's ratios are all integer multiples of an angle unit.
-_FOLD: Dict[tuple, float] = {}
-_FOLD_ON: Dict[Tuple[float, tuple], float] = {}
-_RMIN: Dict[tuple, float] = {}
-_MULTIPLES: Dict[Tuple[tuple, float], bool] = {}
-
-
 def _pair_angle(r1: tuple, r2: tuple):
     """The angle unit g of which every ratio in r1 + r2 (two non-empty ratio
-    tuples) is a nonzero integer multiple, or None. The fold of r1 and its
-    continuation over r2 are read from per-operand tables, so most pairs of
-    a series product cost a few lookups."""
-    g1 = _FOLD.get(r1)
-    if g1 is None:
-        g1 = _FOLD[r1] = _fold(abs(r1[0]), r1[1:])
-    g = _FOLD_ON.get((g1, r2))
-    if g is None:
-        g = _FOLD_ON[g1, r2] = _fold(g1, r2)
-    g = _reanchor(g, min(_rmin(r1), _rmin(r2)))
-    return g if _multiples_of(r1, g) and _multiples_of(r2, g) else None
-
-
-def _rmin(ratios: tuple) -> float:
-    got = _RMIN.get(ratios)
-    if got is None:
-        got = _RMIN[ratios] = min(abs(r) for r in ratios)
-    return got
-
-
-def _multiples_of(ratios: tuple, g: float) -> bool:
-    got = _MULTIPLES.get((ratios, g))
-    if got is None:
-        got = _MULTIPLES[ratios, g] = _all_multiples(ratios, g)
-    return got
+    tuples) is a nonzero integer multiple, or None."""
+    ratios = r1 + r2
+    g = _reanchor(_fold(abs(ratios[0]), ratios[1:]), min(abs(r) for r in ratios))
+    return g if _all_multiples(ratios, g) else None
 
 
 def _trig_atom_for(base_key: Expr, base_poly: Poly, angle_scale: float,
@@ -631,139 +584,143 @@ def _fourier_poly_items(p: Poly):
     return base_key, base_poly, items
 
 
-def _fourier_vectors(items, g: float):
-    ms = [abs(round(r / g)) for r, _, _ in items if r is not None]
-    M = max(ms) if ms else 0
-    a = np.zeros(M + 1)
-    b = np.zeros(M + 1)
-    for r, is_sin, c in items:
-        if r is None:
-            a[0] += c
-            continue
-        m = round(r / g)
-        if m < 0:
-            m = -m
-            if is_sin:
-                c = -c
-        if is_sin:
-            b[m] += c
-        else:
-            a[m] += c
-    return a, b
-
-
-class _FourierForm:
-    """A single-base Fourier poly on its coefficient vectors: the
-    ``_fourier_poly_items`` decomposition, its ratio tuple (never empty, as
-    the poly has a trig monomial) and the ``(a, b)`` vectors per angle unit
-    g, built once per operand."""
-
-    __slots__ = ("base_key", "base_poly", "items", "ratios", "_vectors")
-
-    def __init__(self, base_key: Expr, base_poly: Poly, items: list):
-        self.base_key = base_key
-        self.base_poly = base_poly
-        self.items = items
-        self.ratios = tuple(r for r, _, _ in items if r is not None)
-        self._vectors: Dict[float, tuple] = {}
-
-    def vectors(self, g: float):
-        got = self._vectors.get(g)
-        if got is None:
-            got = self._vectors[g] = _fourier_vectors(self.items, g)
-        return got
-
-
-def _fourier_form(p: Poly):
-    f = _fourier_poly_items(p)
-    return None if f is None else _FourierForm(*f)
-
-
-class _ProductMemo:
-    """What the pairs of one outer product share: the product monomials per
-    (base_key, g), laid out as ``[(), unused, cos g, sin g, cos 2g, sin 2g,
-    ...]`` and built on demand."""
-
-    __slots__ = ("monos",)
-
-    def __init__(self):
-        self.monos: Dict[tuple, list] = {}
-
-
-def _fourier_product(f1, f2, memo: _ProductMemo):
-    """Product of two single-base Fourier polys, given as their forms, via
-    convolutions; None when either is not such a poly or they do not share a
-    base and a common angle. Working on coefficient vectors keeps a series
-    product from grinding through millions of monomial pairs."""
-    if f1 is None or f2 is None:
+def fourier_sums(ps: List[Poly], qs: List[Poly], groups: List[List[int]]):
+    """For each group, a list of indices ``i * len(qs) + j`` into the outer
+    product, the sum of the products ps[i] * qs[j] over the group, all from
+    one call of the harmonic kernel; None unless every poly of both lists is
+    a single-base Fourier poly on one base and their ratios, together, are
+    integer multiples of one angle unit g."""
+    if not ps or not qs:
         return None
-    if f1.base_key is not f2.base_key and f1.base_key != f2.base_key:
-        return None
-    g = _pair_angle(f1.ratios, f2.ratios)
+    forms = []
+    for p in ps + qs:
+        f = _fourier_poly_items(p)
+        if f is None or (forms and f[0] is not forms[0][0] and f[0] != forms[0][0]):
+            return None
+        forms.append(f)
+    g = _pair_angle(_form_ratios(forms[:len(ps)]), _form_ratios(forms[len(ps):]))
     if g is None:
         return None
-    A, B = _fourier_convolve(*f1.vectors(g), *f2.vectors(g))
-    return _fourier_poly(A, B, f1.base_key, f1.base_poly, g, memo)
+    flat = np.array([f for group in groups for f in group], dtype=np.intp)
+    rows = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
+    H = _harmonic_sums(_harmonics(forms[:len(ps)], g), _harmonics(forms[len(ps):], g),
+                       flat // len(qs), flat % len(qs), rows, len(groups))
+    return _fourier_polys(H, forms[0][0], forms[0][1], g)
 
 
-def _fourier_poly(A, B, base_key: Expr, base_poly: Poly, g: float,
-                  memo: _ProductMemo) -> Poly:
-    """The poly sum_m A[m] cos(m g th) + B[m] sin(m g th) over the base
-    angle th, its monomials taken from or added to ``memo``."""
-    # [A0, B0, A1, B1, ...] with B0 (no sin(0)) cleared: the product's
-    # monomial order is the constant, then cos before sin per multiple of g
-    C = np.empty(2 * len(A))
-    C[0::2] = A
-    C[1::2] = B
-    C[1] = 0.0
-    nz = np.flatnonzero(C).tolist()
-    mkey = (base_key, g)
-    monos = memo.monos.get(mkey)
-    if monos is None:
-        monos = memo.monos[mkey] = [()]
-    if len(monos) < len(C):
-        monos.extend([None] * (len(C) - len(monos)))
-    for i in nz:
-        if monos[i] is None:
-            atom = _trig_atom_for(base_key, base_poly, (i >> 1) * g, bool(i & 1))
-            monos[i] = ((atom, 1.0),)
-    return dict(zip([monos[i] for i in nz], C[nz].tolist()))
+def _form_ratios(forms) -> tuple:
+    """The distinct ratios of ``_fourier_poly_items`` forms, in first-seen
+    order; never empty, as each form holds a trig monomial."""
+    return tuple(dict.fromkeys(r for _, _, items in forms for r, _, _ in items
+                               if r is not None))
 
 
-def _fourier_convolve(a1, b1, a2, b2):
-    """Cosine and sine coefficients of the product of two Fourier series
-    given by their (cos, sin) coefficient vectors over one angle unit."""
-    off = len(a2) - 1
-    L = len(a1) + len(a2) - 1
+def _harmonics(forms, g: float) -> np.ndarray:
+    """The harmonic array of ``_fourier_poly_items`` forms on the angle unit
+    g, shape (len(forms), 2, M + 1): [i, 0, m] is form i's coefficient of
+    cos(m g th) (the constant at m = 0) and [i, 1, m] that of sin(m g th).
+    A negative multiple folds onto m > 0, flipping the sign of a sine."""
+    rows, sines, ratios, coeffs = [], [], [], []
+    for i, (_, _, items) in enumerate(forms):
+        for r, is_sin, c in items:
+            rows.append(i)
+            sines.append(is_sin)
+            ratios.append(0.0 if r is None else r)
+            coeffs.append(c)
+    m = np.rint(np.array(ratios) / g)
+    sines = np.array(sines, dtype=bool)
+    coeffs = np.where(sines & (m < 0.0), np.negative(coeffs), coeffs)
+    m = np.abs(m).astype(np.intp)
+    width = int(m.max()) + 1
+    cells = (np.array(rows, dtype=np.intp) * 2 + sines) * width + m
+    return np.bincount(cells, coeffs, 2 * width * len(forms)).reshape(len(forms), 2, width)
 
-    def plus_part(X):
-        # P[n] = X at m - k = n
-        out = np.zeros(L)
-        out[:L - off] = X[off:]
-        return out
 
-    def minus_part(X):
-        # Q[n] = X at m - k = -n
-        out = np.zeros(L)
-        out[:off + 1] = X[off::-1]
-        return out
+# Products per block of ``_harmonic_sums`` (8 bytes each; one block of
+# products is alive at a time, beside sums no larger than it).
+HARMONIC_BLOCK = 1 << 15
 
-    def fold_cos(X):
-        F = plus_part(X) + minus_part(X)
-        F[0] = X[off]
-        return F
 
-    def fold_sin(X):
-        return plus_part(X) - minus_part(X)
+def _harmonic_sums(H1: np.ndarray, H2: np.ndarray, i1: np.ndarray, i2: np.ndarray,
+                   rows: np.ndarray, nrows: int) -> np.ndarray:
+    """Sums of products of Fourier series on harmonic arrays: row r of the
+    result, shape (nrows, 2, width), is the sum over the pairs p with
+    rows[p] == r of the product of series H1[i1[p]] and H2[i2[p]].
 
-    def cross(u, v):
-        return np.convolve(u, v[::-1])
+    Only the harmonics m of H1 and k of H2 that are nonzero in some series
+    take part. Each run of adjacent pairs of one row is summed per (m, k)
+    first, then each sum goes to slots m + k and |m - k| by
 
-    A = 0.5 * (np.convolve(a1, a2) + fold_cos(cross(a1, a2)))
-    A += 0.5 * (fold_cos(cross(b1, b2)) - np.convolve(b1, b2))
-    B = 0.5 * (np.convolve(b1, a2) + fold_sin(cross(b1, a2)))
-    B += 0.5 * (np.convolve(a1, b2) - fold_sin(cross(a1, b2)))
-    return A, B
+        cos m cos k = (cos(m+k) + cos(m-k)) / 2,
+        sin m sin k = (cos(m-k) - cos(m+k)) / 2,
+        sin m cos k = (sin(m+k) + sin(m-k)) / 2,
+        cos m sin k = (sin(m+k) - sin(m-k)) / 2.
+
+    The products are elementwise multiplies, ``HARMONIC_BLOCK`` at a time,
+    summed over a row's pairs by ``np.add.reduceat``; ``np.bincount`` then
+    adds each slot's terms in input order. No BLAS routine takes part, so
+    the sums do not depend on which BLAS kernel runs.
+    """
+    m = np.flatnonzero(H1.any(axis=(0, 1)))
+    k = np.flatnonzero(H2.any(axis=(0, 1)))
+    if not m.size or not k.size:
+        return np.zeros((nrows, 2, 1))
+    width = int(m[-1] + k[-1]) + 1
+    # harmonics by series, so that a block's pairs lie along its last axis
+    a1, b1 = H1[:, 0, m].T[:, None, :], H1[:, 1, m].T[:, None, :]
+    a2, b2 = H2[:, 0, k].T[None], H2[:, 1, k].T[None]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    out = np.zeros(nrows * 2 * width)
+    pstep = max(1, HARMONIC_BLOCK // m.size)
+    kstep = max(1, HARMONIC_BLOCK // (m.size * min(pstep, len(rows))))
+    for s in range(0, len(rows), pstep):
+        p, q = i1[s:s + pstep], i2[s:s + pstep]
+        head = first[s:s + pstep].copy()
+        head[0] = True
+        starts = np.flatnonzero(head)
+        base = rows[s + starts] * (2 * width)
+        A, B = a1[:, :, p], b1[:, :, p]
+
+        def summed(X, Y):
+            return np.add.reduceat(X * Y, starts, axis=2)
+
+        for j in range(0, k.size, kstep):
+            C, D = a2[:, j:j + kstep, q], b2[:, j:j + kstep, q]
+            AC, BD, BC, AD = summed(A, C), summed(B, D), summed(B, C), summed(A, D)
+            gap = m[:, None, None] - k[None, j:j + kstep, None]
+            plus = m[:, None, None] + k[None, j:j + kstep, None] + base
+            minus = np.abs(gap) + base
+            # cos at m + k, cos at |m - k|, sin at m + k, sin at |m - k|
+            cells = np.concatenate((plus, minus, plus + width, minus + width))
+            w = np.concatenate((AC - BD, AC + BD, BC + AD, np.sign(gap) * (BC - AD)))
+            w *= 0.5
+            out += np.bincount(cells.ravel(), w.ravel(), out.size)
+    return out.reshape(nrows, 2, width)
+
+
+def _fourier_polys(H: np.ndarray, base_key: Expr, base_poly: Poly, g: float) -> List[Poly]:
+    """The polys sum_m H[r, 0, m] cos(m g th) + H[r, 1, m] sin(m g th) over
+    the base angle th, one per row r of a harmonic array: the constant
+    first, then cos before sin per multiple of g, zeros left out."""
+    n, _, width = H.shape
+    # [A0, B0, A1, B1, ...] per row, with B0 (no sin(0)) cleared
+    C = H.transpose(0, 2, 1).reshape(n, 2 * width)
+    C[:, 1] = 0.0
+    rows, cols = np.nonzero(C)
+    values = C[rows, cols].tolist()
+    cols = cols.tolist()
+    monos: Dict[int, Mono] = {0: ()}
+    for i in set(cols).difference(monos):
+        atom = _trig_atom_for(base_key, base_poly, (i >> 1) * g, bool(i & 1))
+        monos[i] = ((atom, 1.0),)
+    keys = [monos[i] for i in cols]
+    ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
+    out, lo = [], 0
+    for hi in ends:
+        out.append(dict(zip(keys[lo:hi], values[lo:hi])))
+        lo = hi
+    return out
 
 
 def _linearize_mono(mono: Mono, coeff: float) -> Poly:
@@ -781,6 +738,7 @@ def _linearize_mono(mono: Mono, coeff: float) -> Poly:
         else:
             groups.setdefault(info[1], []).append((atom, k, info))
     poly: Poly = {tuple(inert): coeff}
+    zero = np.zeros(1, dtype=np.intp)
     for base_key, members in groups.items():
         ratios = tuple(info[2] for _, _, info in members)
         if len(members) > 1:
@@ -791,12 +749,14 @@ def _linearize_mono(mono: Mono, coeff: float) -> Poly:
             # a lone first power, or no common angle: keep the factors
             factor = {tuple((atom, k) for atom, k, _ in members): 1.0}
         else:
-            A, B = np.ones(1), np.zeros(1)
-            for _, k, (is_sin, _, r, _) in members:
-                a, b = _fourier_vectors([(r, is_sin, 1.0)], g)
+            # one harmonic row per factor, multiplied in k times
+            F = _harmonics([(None, None, [(info[2], info[0], 1.0)])
+                            for _, _, info in members], g)
+            H = np.array([[[1.0], [0.0]]])
+            for row, (_, k, _) in enumerate(members):
                 for _ in range(int(k)):
-                    A, B = _fourier_convolve(A, B, a, b)
-            factor = _fourier_poly(A, B, base_key, members[0][2][3], g, _ProductMemo())
+                    H = _harmonic_sums(H, F, zero, zero + row, zero, 1)
+            factor = _fourier_polys(H, base_key, members[0][2][3], g)[0]
         poly = _mono_products(poly, factor)
     return poly
 

@@ -8,6 +8,7 @@ import click.testing
 import pytest
 
 import fracdecomp.cli as cli
+import fracdecomp.evaluation as evaluation
 import fracdecomp.fracterm as ft
 from fracdecomp.cli import main
 from fracdecomp.symx import PowerDomainError
@@ -253,16 +254,16 @@ def test_solve_grid_domain_error_exits_2(runner, tmp_path, monkeypatch):
     prob.write_text("domain = 0, 1\nexact = t^3*x^0.75*(2+x)^(-1)\n"
                     "linear = 2x:0.5, 1x:1.0\n")
     raised = []
-    real = cli.evaluate_series_grid
+    real = evaluation._derivative_grids
 
-    def watched(series, grid):
+    def watched(series, keys, grid):
         try:
-            return real(series, grid)
+            return real(series, keys, grid)
         except PowerDomainError as exc:
             raised.append(exc)
             raise
 
-    monkeypatch.setattr(cli, "evaluate_series_grid", watched)
+    monkeypatch.setattr(evaluation, "_derivative_grids", watched)
     out = tmp_path / "o"
     for method, through_grid in (("ladm", 1), ("mldm", 0)):
         raised.clear()
@@ -275,6 +276,36 @@ def test_solve_grid_domain_error_exits_2(runner, tmp_path, monkeypatch):
         if through_grid:
             assert lines[0].endswith(str(raised[0]))
         assert not out.exists()
+
+
+def test_solve_evaluates_each_series_once(runner, tmp_path, monkeypatch):
+    # a job evaluates every series on the grid once: each partial sum gives
+    # its error, its residual's nonlinear part and, for the last, the
+    # written approx column; the exact solution and the nonlinearity's
+    # series coefficient are evaluated once for all records
+    seen, specs, traces = [], [], []
+    real_grids, real_spec, real_solve = (evaluation._derivative_grids, cli._build_spec,
+                                         cli.mldm_solve)
+    monkeypatch.setattr(evaluation, "_derivative_grids",
+                        lambda series, keys, grid: seen.append(series)
+                        or real_grids(series, keys, grid))
+    monkeypatch.setattr(cli, "_build_spec",
+                        lambda *args: specs.append(real_spec(*args)) or specs[-1])
+    monkeypatch.setattr(cli, "mldm_solve",
+                        lambda *args, **kw: traces.append(real_solve(*args, **kw))
+                        or traces[-1])
+    r = runner.invoke(main, ["solve", "-p", "p7", "-m", "mldm", "-n", "3", "-a", "0.75",
+                             "-o", str(tmp_path / "o")])
+    assert r.exit_code == 0, r.output
+    job_spec = specs[-1]                # an earlier one is the input check's
+    partials = [rec.partial_sum for rec in traces[0].records]
+    fixed = [job_spec.exact] + [p.series_coeff for p in job_spec.nonlinear.products
+                                if p.series_coeff is not None]
+    assert len(partials) == 4 and len(fixed) == 2
+    for series in partials + fixed:
+        assert sum(s is series for s in seen) == 1
+    # every other evaluation is a residual series, each of its own
+    assert len({id(s) for s in seen}) == len(seen)
 
 
 def test_solve_fractional_power_negative_on_the_zero_check_box(runner, tmp_path):

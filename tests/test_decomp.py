@@ -2,8 +2,12 @@
 
 import dataclasses
 import hashlib
+import os
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from fracdecomp.decomp import (
@@ -32,6 +36,7 @@ from fracdecomp.grammar import parse_series, parse_spatial
 from fracdecomp.problems import ProblemSpec, builtin
 from fracdecomp.symx import Var, equal_sampled, sorted_items
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SQUARE = NonlinearOpSpec((NonlinearProduct(1.0, (NonlinearFactor(0, "x", 2),)),))
 
 
@@ -239,22 +244,56 @@ def test_solver_records_do_not_depend_on_the_iteration_count(pid, solve):
         assert (same.poly is None) == (spec.nonlinear is None)
 
 
+def _p7_final_digest():
+    # sha256 over one line per term of the p7 mldm (alpha 0.75, n = 4) final
+    # partial sum: mu as hex, then each (monomial, coefficient) in sorted
+    # order, the coefficient as hex
+    trace = mldm_solve(builtin("p7", 0.75), 4)
+    final = trace.approximation
+    text = "\n".join(t.mu.hex() + " " + " ".join(f"{mono!r}:{c.hex()}"
+                                                for mono, c in sorted_items(t.poly))
+                     for t in final.terms)
+    return trace, hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_library_solve_is_the_deep_solve():
     # the library solve runs under the one cap pair the CLI and verify use:
     # p7 at four iterations is no longer cut short, and its final partial sum
-    # is, bit for bit, the one the CLI has written since the seed commit.
-    # The digest is sha256 over one line per term: mu as hex, then each
-    # (monomial, coefficient) in sorted order, the coefficient as hex
-    trace = mldm_solve(builtin("p7", 0.75), 4)
+    # is, bit for bit, the one the CLI writes
+    trace, digest = _p7_final_digest()
     assert len(trace.records) == 5
     assert not trace.truncated and not trace.stopped_early
     final = trace.approximation
-    text = "\n".join(t.mu.hex() + " " + " ".join(f"{mono!r}:{c.hex()}"
-                                               for mono, c in sorted_items(t.poly))
-                     for t in final.terms)
     assert (len(final.terms), final.terms[-1].mu) == (29, 87.25)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "b224629a9336b116d04b5a5ee9f5927ba2806a99e51b053679d0cefe2fd4aa0c")
+    assert digest == "a595ffb582a35bd4d49ab1525cae2b1acb8f090f7e6cf2839432e58bcaef1198"
+
+
+def _numpy_blas_is_openblas():
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:                      # numpy < 1.26 prints only
+        return False
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(not _numpy_blas_is_openblas(), reason="numpy's BLAS is not OpenBLAS")
+def test_final_sum_does_not_depend_on_the_blas_kernel():
+    # OpenBLAS picks its CPU kernel at start-up, and OPENBLAS_CORETYPE forces
+    # one; series products use no BLAS routine, so the p7 final sum has one
+    # digest whichever kernel the process runs on
+    script = ("import test_decomp; "
+              "print(test_decomp._p7_final_digest()[1])")
+    path = os.pathsep.join([os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")])
+    digests = []
+    for coretype in ("Prescott", "Nehalem"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE=coretype)
+        r = subprocess.run([sys.executable, "-c", script], env=env, cwd=ROOT,
+                           capture_output=True, text=True, timeout=300)
+        assert r.returncode == 0, r.stderr
+        digests.append(r.stdout.strip())
+    assert digests[0] == digests[1]
+    assert digests[0] == _p7_final_digest()[1]
 
 
 def test_nonlinear_degree_cap():

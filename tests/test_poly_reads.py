@@ -250,13 +250,13 @@ def _assert_angle(r1, r2):
 
 def _captured_ratio_pairs(monkeypatch):
     calls = []
-    real = fracterm.poly_outer
+    real = fracterm.fourier_sums
 
-    def recording(ps, qs):
+    def recording(ps, qs, groups):
         calls.append((ps, qs))
-        return real(ps, qs)
+        return real(ps, qs, groups)
 
-    monkeypatch.setattr(fracterm, "poly_outer", recording)
+    monkeypatch.setattr(fracterm, "fourier_sums", recording)
     for pid in ("p6", "p7"):
         for alpha in (0.5, 0.75, 1.0):
             spec = builtin(pid, alpha)
@@ -264,35 +264,31 @@ def _captured_ratio_pairs(monkeypatch):
             # final step leaves out
             spec.nonlinear.apply(mldm_solve(spec, 3).records[-1].partial_sum)
             adomian_polys(spec.nonlinear, [r.u for r in ladm_solve(spec, 4).records])
-    monkeypatch.setattr(fracterm, "poly_outer", real)
+    monkeypatch.setattr(fracterm, "fourier_sums", real)
+    # the ratio tuples the kernel takes its angle from: one per operand list
+    # for a whole series product, one per poly for a product of one pair
     pairs = set()
     for ps, qs in calls:
-        fps = [symx._fourier_form(p) for p in ps]
-        fqs = [symx._fourier_form(q) for q in qs]
+        fps = [symx._fourier_poly_items(p) for p in ps]
+        fqs = [symx._fourier_poly_items(q) for q in qs]
+        if None not in fps + fqs:
+            pairs.add((symx._form_ratios(fps), symx._form_ratios(fqs)))
         for fp in fps:
             for fq in fqs:
                 if fp is not None and fq is not None:
-                    pairs.add((fp.ratios, fq.ratios))
+                    pairs.add((symx._form_ratios([fp]), symx._form_ratios([fq])))
     return sorted(pairs)
-
-
-def _fresh_angle_tables(monkeypatch):
-    for name in ("_FOLD", "_FOLD_ON", "_RMIN", "_MULTIPLES"):
-        monkeypatch.setattr(symx, name, {})
 
 
 def test_pair_angle_matches_on_captured_series_products(monkeypatch):
     pairs = _captured_ratio_pairs(monkeypatch)
     assert len(pairs) > 200
-    _fresh_angle_tables(monkeypatch)
-    for _ in range(2):                      # cold tables, then warm
-        for r1, r2 in pairs:
-            _assert_angle(r1, r2)
-            _assert_angle(r2, r1)
+    for r1, r2 in pairs:
+        _assert_angle(r1, r2)
+        _assert_angle(r2, r1)
 
 
-def test_pair_angle_matches_on_random_and_incommensurate_tuples(monkeypatch):
-    _fresh_angle_tables(monkeypatch)
+def test_pair_angle_matches_on_random_and_incommensurate_tuples():
     rng = random.Random(20931)
     units = [1.0, math.pi, 0.5 * math.pi, 1.0 / 3.0, 0.1, 2.0 ** -20]
     tuples = []

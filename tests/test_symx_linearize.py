@@ -1,8 +1,8 @@
 """Trig linearisation on coefficient vectors, against the stepwise rewrite it
 replaced.
 
-``_linearize_mono`` multiplies each base angle's sin/cos powers out by
-convolving coefficient vectors, the kernel series products use. The rewrite
+``_linearize_mono`` multiplies each base angle's sin/cos powers out on
+harmonic arrays, with the kernel series products use. The rewrite
 it replaced stepped one factor at a time through a dict of multiple-angle
 coefficients; that code is kept here as the reference, with the common
 angle it took from ``test_poly_reads``. Both must give equal
@@ -190,6 +190,9 @@ def test_linearize_matches_on_signs_and_lone_factors():
         _monomial([(s1, 1.0), (_atom(Sin(Y)), 1.0)]),            # two lone factors
         _monomial([(s1, 1.0), (_atom(Sin(Const(math.sqrt(2.0)) * X)), 2.0)]),
         _monomial([(s1, 2.0), (_atom(Pow(Const(1.0) + X, 0.5)), 1.0)]),
+        # far-apart multiples of one angle: (x*sin(x)*sin(1000x))^12, whose
+        # harmonics spread over 0..12012 with fewer than a hundred nonzero
+        _monomial([(x, 12.0), (s1, 12.0), (_atom(Sin(Const(1000.0) * X)), 12.0)]),
     ]
     for mono in cases:
         for coeff in (1.0, -3.0):

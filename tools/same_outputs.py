@@ -1,9 +1,15 @@
 #!/usr/bin/env python3
 """Check that two source trees write the same solve outputs and verify lines.
 
-    python3 tools/same_outputs.py OLD_ROOT NEW_ROOT
+    python3 tools/same_outputs.py OLD_ROOT NEW_ROOT [--env NAME=VALUE ...]
 
-Each root is a checkout holding ``src/fracdecomp``. Both run the same solves
+Each root is a checkout holding ``src/fracdecomp``. Each ``--env`` sets a
+variable for every process run from NEW_ROOT only, so one tree can be
+compared with itself under another setting, for example another BLAS
+kernel:
+
+    python3 tools/same_outputs.py . . --env OPENBLAS_CORETYPE=Prescott
+ Both run the same solves
 (``CASES``, and each problem file of ``FILE_CASES`` written to the temporary
 directory and solved with its arguments) in fresh interpreters with
 ``PYTHONPATH=ROOT/src``, each into a directory of its own under a
@@ -21,6 +27,7 @@ is 1 if there is any difference, else 0. Standard library only.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import math
 import os
@@ -66,8 +73,8 @@ FILES = ("points.csv", "plot.dat", "summary.csv")
 SECONDS = re.compile(r"\b\d+\.\d+s\b")
 
 
-def _solve(root: Path, args, out: Path) -> int:
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+def _solve(root: Path, extra, args, out: Path) -> int:
+    env = dict(os.environ, **extra, PYTHONPATH=str(root / "src"))
     proc = subprocess.run([sys.executable, "-m", "fracdecomp.cli", "solve", *args,
                            "-o", str(out)], env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.PIPE, text=True)
@@ -76,16 +83,16 @@ def _solve(root: Path, args, out: Path) -> int:
     return proc.returncode
 
 
-def _verify(root: Path):
+def _verify(root: Path, extra):
     """Exit code and output lines of ``fracdecomp verify``, timings masked."""
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env = dict(os.environ, **extra, PYTHONPATH=str(root / "src"))
     proc = subprocess.run([sys.executable, "-m", "fracdecomp.cli", "verify"], env=env,
                           stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     return proc.returncode, [SECONDS.sub("-s", line) for line in proc.stdout.splitlines()]
 
 
-def _verify_differences(roots) -> int:
-    (code_old, old), (code_new, new) = (_verify(root) for root in roots)
+def _verify_differences(sides) -> int:
+    (code_old, old), (code_new, new) = (_verify(*side) for side in sides)
     differ = 0
     if code_old != code_new:
         print(f"  verify exit {code_old} vs {code_new}")
@@ -167,15 +174,29 @@ def _moves(old: Path, new: Path) -> str:
     return ", ".join(out)
 
 
+def _assignment(text: str):
+    name, sep, value = text.partition("=")
+    if not sep or not name:
+        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
+    return name, value
+
+
 def main(argv) -> int:
-    if len(argv) != 2:
-        print("usage: same_outputs.py OLD_ROOT NEW_ROOT", file=sys.stderr)
-        return 2
-    roots = [Path(a).resolve() for a in argv]
+    ap = argparse.ArgumentParser(prog="same_outputs.py",
+                                 description="Compare the solve outputs and verify "
+                                             "lines of two source trees.")
+    ap.add_argument("old_root")
+    ap.add_argument("new_root")
+    ap.add_argument("--env", type=_assignment, action="append", default=[],
+                    metavar="NAME=VALUE",
+                    help="set in the environment of every NEW_ROOT process; repeatable")
+    opts = ap.parse_args(argv)
+    roots = [Path(a).resolve() for a in (opts.old_root, opts.new_root)]
     for root in roots:
         if not (root / "src" / "fracdecomp").is_dir():
             print(f"{root}: no src/fracdecomp", file=sys.stderr)
             return 2
+    sides = list(zip(roots, ({}, dict(opts.env))))
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         cases = list(CASES)
@@ -185,7 +206,7 @@ def main(argv) -> int:
             cases.append(["--file", str(path), *args])
         for n, args in enumerate(cases):
             outs = [Path(tmp) / f"{side}{n}" for side in ("old", "new")]
-            codes = [_solve(root, args, out) for root, out in zip(roots, outs)]
+            codes = [_solve(*side, args, out) for side, out in zip(sides, outs)]
             found = [] if codes[0] == codes[1] else [f"exit {codes[0]} vs {codes[1]}"]
             for name in FILES:
                 if _content(outs[0] / name) != _content(outs[1] / name):
@@ -194,7 +215,7 @@ def main(argv) -> int:
                     found.append(f"{name} differs" + (f" ({moved})" if moved else ""))
             print(f"solve {' '.join(args)}: {', '.join(found) if found else 'same'}")
             differ += len(found)
-    differ += _verify_differences(roots)
+    differ += _verify_differences(sides)
     print(f"{len(cases)} solves and verify, {differ} differences")
     return 1 if differ else 0
 
