@@ -186,21 +186,6 @@ def _check_semigroup() -> Tuple[bool, str]:
                 f"{worst:.2e} (tol {IDENTITY_TOL:.0e})")
 
 
-def _face_geometry(face: str, spec) -> Tuple[str, float, Optional[str]]:
-    """Map a face key to (substituted var, its value, remaining spatial var)."""
-    if face == "g0":
-        return "x", spec.domain[0], None
-    if face == "g1":
-        return "x", spec.domain[1], None
-    if face == "gx0":
-        return "x", spec.domain[0], "y"
-    if face == "gx1":
-        return "x", spec.domain[1], "y"
-    if face == "gy0":
-        return "y", spec.domain_y[0], "x"
-    return "y", spec.domain_y[1], "x"
-
-
 def _face_sup(gap: Series, other: Optional[str], grid) -> float:
     worst = 0.0
     if other is None:
@@ -221,10 +206,13 @@ def _check_boundary() -> Tuple[bool, str]:
         spec = problems.builtin(pid, 1.0)
         trace = _trace("mldm", pid, 1.0, 4)
         grid = evaluation.default_grid(spec)
+        geometry = problems.face_geometry(spec.domain, spec.domain_y)
         for n in range(5):
             s = trace.partial(n)
             for face, g in spec.bd.faces().items():
-                var, at, other = _face_geometry(face, spec)
+                _, var, at = geometry[face]
+                # a box face still varies along the other axis
+                other = None if spec.dimension == 1 else "xy".replace(var, "")
                 gap = series_add(series_substitute(s, var, at), series_scale(g, -1.0))
                 d = _face_sup(gap, other, grid)
                 if d > worst:

@@ -174,23 +174,8 @@ class NonlinearOpSpec:
                     f"nonlinearity degree {p.degree()} beyond supported {MAX_NONLINEAR_DEGREE}")
 
     def apply(self, u: Series) -> Series:
-        out = Series.zero()
-        derivs: Dict[Tuple[int, str], Series] = {}
-        for p in self.products:
-            term = None
-            for f in p.factors:
-                key = (f.order, f.var)
-                d = derivs.get(key)
-                if d is None:
-                    d = spatial_apply(u, f.order, f.var)
-                    derivs[key] = d
-                for _ in range(f.power):
-                    term = d if term is None else series_mul(term, d)
-            term = series_scale(term, p.coeff)
-            if p.series_coeff is not None:
-                term = series_mul(term, p.series_coeff)
-            out = series_add(out, term)
-        return out
+        # N(u) is grade 0 of the Adomian bookkeeping with u as the only grade
+        return _adomian_grade(self, {k: [spatial_apply(u, *k)] for k in _factor_keys(self)}, 0)
 
     def describe(self) -> str:
         bits = []

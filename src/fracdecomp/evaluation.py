@@ -392,14 +392,14 @@ def _composite(f, alpha: float, t: float, n: int, panels: int) -> float:
     xj, wj = roots_jacobi(n, alpha - 1.0, 0.0)
     half = t / 4.0
     tau = t - half * (1.0 - xj)
-    total = half ** alpha * float(wj @ _call_on(f, tau))
+    total = half ** alpha * math.fsum(wj * _call_on(f, tau))
     xl, wl = roots_legendre(n)
     hi = t / 2.0
     for k in range(panels - 1):
         lo = hi / 2.0 if k < panels - 2 else 0.0
         mid, rad = (hi + lo) / 2.0, (hi - lo) / 2.0
         tau = mid + rad * xl
-        total += rad * float(wl @ ((t - tau) ** (alpha - 1.0) * _call_on(f, tau)))
+        total += rad * math.fsum(wl * ((t - tau) ** (alpha - 1.0) * _call_on(f, tau)))
         hi = lo
     return total / math.gamma(alpha)
 

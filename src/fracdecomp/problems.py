@@ -4,18 +4,22 @@ A ProblemSpec fixes one initial-boundary value problem
 
     D^alpha u + Qu + Nu = h,   u(., 0) = f,   Dirichlet data on the boundary
 
-on an interval or a box. Seven builtin benchmarks (p1..p7) ship in two
-source modes:
+on an interval or a box. A problem file states one (see README): its
+domain, operators and exact solution, and the source, initial trace and
+boundary data as printed. Each of the seven builtin benchmarks (p1..p7) is
+such a record, and ``builtin`` and ``load_problem_file`` build their specs
+through the same loader, in one of two source modes:
 
-* ``manufactured`` -- h is recomputed from the registered exact solution by
-  the method of manufactured solutions, and f and the boundary data are the
-  exact solution's restrictions, so the problem is consistent by
-  construction at every alpha.
-* ``paper-literal`` -- h, f and the boundary data are transcribed exactly as
-  printed in the benchmark's original statement. Several of those printed
-  sources do not solve their own problem; ``validate_consistency`` reports
-  the defect and the CLI refuses to solve such a spec without an explicit
-  override.
+* ``manufactured`` -- h is recomputed from the exact solution by the method
+  of manufactured solutions, and f and the boundary data are the exact
+  solution's restrictions, so the problem is consistent by construction at
+  every alpha.
+* ``paper-literal`` -- h, f and the boundary data are taken as given (for a
+  builtin: as printed in the benchmark's original statement); a face or
+  trace the record omits is derived from the exact solution. Several of the
+  printed sources do not solve their own problem; ``validate_consistency``
+  reports the defect and the CLI refuses to solve such a spec without an
+  explicit override.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .symx import Expr, equal_sampled
 from .fracterm import Series, caputo, initial_value, series_add, series_equal, \
-    series_scale, series_substitute
+    series_mul, series_scale, series_substitute
 from .decomp import (
     BoundaryData,
     LinearOpSpec,
@@ -50,9 +54,9 @@ __all__ = [
     "validate_consistency",
     "load_problem_file",
     "file_alpha",
+    "face_geometry",
 ]
 
-PROBLEM_IDS = ("p1", "p2", "p3", "p4", "p5", "p6", "p7")
 MODES = ("manufactured", "paper-literal")
 # The keys a problem file may set (see README); any other key is an error, so
 # a misspelt one cannot be dropped in silence. A file is 2D when it has
@@ -106,185 +110,101 @@ def manufacture_source(exact: Series, linear: LinearOpSpec,
     return h
 
 
+def face_geometry(domain: Tuple[float, float], domain_y: Optional[Tuple[float, float]]
+                  ) -> Dict[str, Tuple[str, str, float]]:
+    """Each Dirichlet face of an interval (``domain_y`` None) or a box:
+    BoundaryData key -> (problem-file key, the variable it fixes, its value)."""
+    if domain_y is None:
+        return {"g0": ("bc.l", "x", domain[0]), "g1": ("bc.L", "x", domain[1])}
+    return {"gx0": ("bc.x0", "x", domain[0]), "gx1": ("bc.x1", "x", domain[1]),
+            "gy0": ("bc.y0", "y", domain_y[0]), "gy1": ("bc.y1", "y", domain_y[1])}
+
+
 # ---------------------------------------------------------------------------
-# Builtin benchmark definitions. Sources, data and exact solutions are kept
-# as grammar strings so the registry doubles as parser exercise; `h` is the
-# literal printed source, reproduced verbatim including its defects.
+# Builtin benchmarks: (title, problem-file record, note). ``ic``, ``bc.*`` and
+# ``source`` are the literal printed data, reproduced verbatim including
+# their defects; manufactured mode derives all three from ``exact``.
 # ---------------------------------------------------------------------------
 
-
-def _nl_square() -> NonlinearOpSpec:
-    return NonlinearOpSpec((NonlinearProduct(1.0, (NonlinearFactor(0, "x", 2),)),))
-
-
-def _nl_advect_diffuse_forced() -> NonlinearOpSpec:
-    # u*u_x - u*u_xx - 4 pi^2 t^2 sin(2 pi x) u; the last product is the
-    # time-dependent linear term carried by a Series coefficient.
-    return NonlinearOpSpec((
-        NonlinearProduct(1.0, (NonlinearFactor(0, "x"), NonlinearFactor(1, "x"))),
-        NonlinearProduct(-1.0, (NonlinearFactor(0, "x"), NonlinearFactor(2, "x"))),
-        NonlinearProduct(-4.0 * math.pi ** 2, (NonlinearFactor(0, "x"),),
-                         series_coeff=parse_series("t^2*sin(2*pi*x)")),
-    ))
-
-
-@dataclass(frozen=True)
-class _BuiltinDef:
-    title: str
-    dimension: int
-    domain: Tuple[float, float]
-    domain_y: Optional[Tuple[float, float]]
-    linear: Tuple[Tuple[int, str, float], ...]
-    nonlinear: Optional[str]            # key into _NONLINEAR
-    exact: str
-    f: str
-    bc: Dict[str, str]
-    h: str
-    note: str = ""
-
-
-_NONLINEAR = {
-    "square": _nl_square,
-    "advect_diffuse_forced": _nl_advect_diffuse_forced,
+_BUILTINS: Dict[str, Tuple[str, str, str]] = {
+    "p1": ("linear reaction-diffusion, homogeneous box data", """
+        domain = 0, 2
+        linear = 0:1.0, 2x:-1.0
+        exact = t^2 * x*(2 - x)
+        ic = 0
+        bc.l = 0
+        bc.L = 0
+        source = 2/gamma(3 - alpha) * x*(2 - x) + 2*t^2
+        """, "literal source drops the t^(2-alpha) factor and the u term"),
+    "p2": ("linear reaction-diffusion on a square", """
+        domain = 0, 2
+        domain_y = 0, 2
+        linear = 0:1.0, 2x:-1.0, 2y:-1.0
+        exact = t^2*(x*(2 - x) + y*(2 - y))
+        ic = 0
+        bc.x0 = t^2 * y*(2 - y)
+        bc.x1 = t^2 * y*(2 - y)
+        bc.y0 = t^2 * x*(2 - x)
+        bc.y1 = t^2 * x*(2 - x)
+        source = 2*t^(2 - alpha)/gamma(3 - alpha)*(x*(2 - x) + y*(2 - y)) + t^2*(x*(2 - x) + y*(2 - y)) + 4*t^2
+        """, ""),
+    "p3": ("linear advection with transcendental data", """
+        domain = 0, 1
+        linear = 1x:-1.0
+        exact = t^3*cos(x) + exp(x)
+        ic = exp(x)
+        bc.l = t^3 + 1
+        bc.L = t^3*cos(1) + exp(1)
+        source = (6*t^(3 - alpha)/gamma(4 - alpha) + t^3)*cos(x) - exp(x)
+        """, "literal source forces sin(x) on the t^3 term but prints cos(x)"),
+    "p4": ("advection-diffusion with alpha-dependent exact solution", """
+        domain = 0, 1
+        linear = 1x:1.0, 2x:1.0
+        exact = t^(3 + alpha)*sin(x) + 1
+        ic = x^2
+        bc.l = 1
+        bc.L = t^(3 + alpha)*sin(1) + 1
+        source = (1/6*gamma(4 + alpha)*t^3 + t^(3 + alpha))*sin(x)
+        """, "literal initial data conflicts with the exact solution at t=0;"
+             " literal source misses the advection contribution"),
+    "p5": ("linear advection, trigonometric exact solution", """
+        domain = 0, 1
+        linear = 1x:1.0
+        exact = t*sin(x)
+        ic = 0
+        bc.l = 0
+        bc.L = t*sin(1)
+        source = t^(1 - alpha)*sin(x)/gamma(2 - alpha) + t*cos(x)
+        """, ""),
+    "p6": ("quadratic nonlinearity, polynomial exact solution", """
+        domain = 0, 1
+        nonlinear = u^2
+        exact = x^2*t^2
+        ic = 0
+        bc.l = 0
+        bc.L = t^2
+        source = x^2*(2*t^(2 - alpha)/gamma(3 - alpha) + x^2*t^4)
+        """, ""),
+    "p7": ("advective-diffusive nonlinearity with oscillatory forcing", """
+        domain = 0, 1
+        nonlinear = u*u_x - u*u_xx - 4*pi^2*{t^2*sin(2*pi*x)}*u
+        exact = t^2*sin(2*pi*x)
+        ic = 0
+        bc.l = 0
+        bc.L = 0
+        source = 2*t*sin(2*pi*x) + 2*pi*t^4*sin(2*pi*x)*cos(2*pi*x)
+        """, "literal source is printed in its alpha=1 form only"),
 }
 
-_BUILTINS: Dict[str, _BuiltinDef] = {
-    "p1": _BuiltinDef(
-        title="linear reaction-diffusion, homogeneous box data",
-        dimension=1, domain=(0.0, 2.0), domain_y=None,
-        linear=((0, "x", 1.0), (2, "x", -1.0)),
-        nonlinear=None,
-        exact="t^2 * x*(2 - x)",
-        f="0",
-        bc={"g0": "0", "g1": "0"},
-        h="2/gamma(3 - alpha) * x*(2 - x) + 2*t^2",
-        note="literal source drops the t^(2-alpha) factor and the u term",
-    ),
-    "p2": _BuiltinDef(
-        title="linear reaction-diffusion on a square",
-        dimension=2, domain=(0.0, 2.0), domain_y=(0.0, 2.0),
-        linear=((0, "x", 1.0), (2, "x", -1.0), (2, "y", -1.0)),
-        nonlinear=None,
-        exact="t^2*(x*(2 - x) + y*(2 - y))",
-        f="0",
-        bc={
-            "gx0": "t^2 * y*(2 - y)",
-            "gx1": "t^2 * y*(2 - y)",
-            "gy0": "t^2 * x*(2 - x)",
-            "gy1": "t^2 * x*(2 - x)",
-        },
-        h="2*t^(2 - alpha)/gamma(3 - alpha)*(x*(2 - x) + y*(2 - y))"
-          " + t^2*(x*(2 - x) + y*(2 - y)) + 4*t^2",
-    ),
-    "p3": _BuiltinDef(
-        title="linear advection with transcendental data",
-        dimension=1, domain=(0.0, 1.0), domain_y=None,
-        linear=((1, "x", -1.0),),
-        nonlinear=None,
-        exact="t^3*cos(x) + exp(x)",
-        f="exp(x)",
-        bc={"g0": "t^3 + 1", "g1": "t^3*cos(1) + exp(1)"},
-        h="(6*t^(3 - alpha)/gamma(4 - alpha) + t^3)*cos(x) - exp(x)",
-        note="literal source forces sin(x) on the t^3 term but prints cos(x)",
-    ),
-    "p4": _BuiltinDef(
-        title="advection-diffusion with alpha-dependent exact solution",
-        dimension=1, domain=(0.0, 1.0), domain_y=None,
-        linear=((1, "x", 1.0), (2, "x", 1.0)),
-        nonlinear=None,
-        exact="t^(3 + alpha)*sin(x) + 1",
-        f="x^2",
-        bc={"g0": "1", "g1": "t^(3 + alpha)*sin(1) + 1"},
-        h="(1/6*gamma(4 + alpha)*t^3 + t^(3 + alpha))*sin(x)",
-        note="literal initial data conflicts with the exact solution at t=0;"
-             " literal source misses the advection contribution",
-    ),
-    "p5": _BuiltinDef(
-        title="linear advection, trigonometric exact solution",
-        dimension=1, domain=(0.0, 1.0), domain_y=None,
-        linear=((1, "x", 1.0),),
-        nonlinear=None,
-        exact="t*sin(x)",
-        f="0",
-        bc={"g0": "0", "g1": "t*sin(1)"},
-        h="t^(1 - alpha)*sin(x)/gamma(2 - alpha) + t*cos(x)",
-    ),
-    "p6": _BuiltinDef(
-        title="quadratic nonlinearity, polynomial exact solution",
-        dimension=1, domain=(0.0, 1.0), domain_y=None,
-        linear=(),
-        nonlinear="square",
-        exact="x^2*t^2",
-        f="0",
-        bc={"g0": "0", "g1": "t^2"},
-        h="x^2*(2*t^(2 - alpha)/gamma(3 - alpha) + x^2*t^4)",
-    ),
-    "p7": _BuiltinDef(
-        title="advective-diffusive nonlinearity with oscillatory forcing",
-        dimension=1, domain=(0.0, 1.0), domain_y=None,
-        linear=(),
-        nonlinear="advect_diffuse_forced",
-        exact="t^2*sin(2*pi*x)",
-        f="0",
-        bc={"g0": "0", "g1": "0"},
-        h="2*t*sin(2*pi*x) + 2*pi*t^4*sin(2*pi*x)*cos(2*pi*x)",
-        note="literal source is printed in its alpha=1 form only",
-    ),
-}
-
-
-def _derived_boundary(exact: Series, d: _BuiltinDef) -> BoundaryData:
-    if d.dimension == 1:
-        lo, hi = d.domain
-        return BoundaryData.interval(series_substitute(exact, "x", lo),
-                                     series_substitute(exact, "x", hi))
-    lx, Lx = d.domain
-    ly, Ly = d.domain_y
-    return BoundaryData.box(
-        series_substitute(exact, "x", lx),
-        series_substitute(exact, "x", Lx),
-        series_substitute(exact, "y", ly),
-        series_substitute(exact, "y", Ly),
-    )
-
-
-def _literal_boundary(d: _BuiltinDef, alpha: float) -> BoundaryData:
-    if d.dimension == 1:
-        return BoundaryData.interval(parse_series(d.bc["g0"], alpha),
-                                     parse_series(d.bc["g1"], alpha))
-    return BoundaryData.box(
-        parse_series(d.bc["gx0"], alpha),
-        parse_series(d.bc["gx1"], alpha),
-        parse_series(d.bc["gy0"], alpha),
-        parse_series(d.bc["gy1"], alpha),
-    )
+PROBLEM_IDS = tuple(_BUILTINS)
 
 
 def builtin(pid: str, alpha: float = 1.0, mode: str = "manufactured") -> ProblemSpec:
     """Construct a builtin benchmark at a given order and source mode."""
     if pid not in _BUILTINS:
         raise ProblemError(f"unknown problem id {pid!r}; available: {', '.join(PROBLEM_IDS)}")
-    if mode not in MODES:
-        raise ProblemError(f"unknown mode {mode!r}; available: {', '.join(MODES)}")
-    if not 0.0 < alpha <= 1.0:
-        raise ProblemError(f"alpha must lie in (0, 1], got {alpha}")
-    d = _BUILTINS[pid]
-    linear = LinearOpSpec.of(*d.linear)
-    nonlinear = _NONLINEAR[d.nonlinear]() if d.nonlinear else None
-    exact = parse_series(d.exact, alpha)
-    if mode == "manufactured":
-        f = initial_value(exact)
-        bd = _derived_boundary(exact, d)
-        h = manufacture_source(exact, linear, nonlinear, alpha)
-    else:
-        f = parse_spatial(d.f, alpha)
-        bd = _literal_boundary(d, alpha)
-        h = parse_series(d.h, alpha)
-    spec = ProblemSpec(pid, d.title, d.dimension, d.domain, d.domain_y, alpha, mode,
-                       f, bd, linear, nonlinear, h, exact, d.note)
-    if spec.dimension == 2:
-        check_corner_compatibility(bd, spec.domain, spec.domain_y)
-    return spec
+    title, record, note = _BUILTINS[pid]
+    return _spec(pid, title, pid, _parse_fields(pid, record), alpha, mode, note)
 
 
 # ---------------------------------------------------------------------------
@@ -347,21 +267,10 @@ def validate_consistency(spec: ProblemSpec, source_tol: float = 1e-9,
 
     ic_ok = equal_sampled(spec.f, initial_value(spec.exact), dom, tol=data_tol)
 
-    bc_ok = True
-    if spec.dimension == 1:
-        lo, hi = spec.domain
-        pairs = [(spec.bd.g0, series_substitute(spec.exact, "x", lo)),
-                 (spec.bd.g1, series_substitute(spec.exact, "x", hi))]
-    else:
-        (lx, Lx), (ly, Ly) = spec.domain, spec.domain_y
-        pairs = [(spec.bd.gx0, series_substitute(spec.exact, "x", lx)),
-                 (spec.bd.gx1, series_substitute(spec.exact, "x", Lx)),
-                 (spec.bd.gy0, series_substitute(spec.exact, "y", ly)),
-                 (spec.bd.gy1, series_substitute(spec.exact, "y", Ly))]
-    for given, derived in pairs:
-        if not series_equal(given, derived, domain=dom, tol=data_tol):
-            bc_ok = False
-            break
+    faces = spec.bd.faces()
+    bc_ok = all(series_equal(faces[face], series_substitute(spec.exact, var, at),
+                             domain=dom, tol=data_tol)
+                for face, (_, var, at) in face_geometry(spec.domain, spec.domain_y).items())
 
     detail = ""
     if not source_ok:
@@ -427,7 +336,7 @@ def _parse_nonlinear_field(text: str, alpha: Optional[float]) -> NonlinearOpSpec
                 continue
             if tok.startswith("{") and tok.endswith("}"):
                 s = parse_series(tok[1:-1], alpha)
-                series_coeff = s if series_coeff is None else series_coeff * s
+                series_coeff = s if series_coeff is None else series_mul(series_coeff, s)
                 continue
             m = _FACTOR.match(tok)
             if m is not None:
@@ -447,22 +356,39 @@ def _parse_nonlinear_field(text: str, alpha: Optional[float]) -> NonlinearOpSpec
     return NonlinearOpSpec(tuple(products))
 
 
-def _file_number(path: Path, key: str, text: str) -> float:
+def _file_number(name: str, key: str, text: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise ProblemError(f"{path.name}: {key}: {text!r} is not a number") from None
+        raise ProblemError(f"{name}: {key}: {text!r} is not a number") from None
 
 
-def _parse_interval(path: Path, key: str, text: str) -> Tuple[float, float]:
+def _parse_interval(name: str, key: str, text: str) -> Tuple[float, float]:
     bits = [b.strip() for b in text.split(",")]
     if len(bits) != 2:
-        raise ProblemError(f"{path.name}: {key}: bad interval {text!r}; expected 'lo, hi'")
-    lo, hi = (_file_number(path, key, b) for b in bits)
+        raise ProblemError(f"{name}: {key}: bad interval {text!r}; expected 'lo, hi'")
+    lo, hi = (_file_number(name, key, b) for b in bits)
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ProblemError(f"{path.name}: {key}: bad interval {text!r}; "
+        raise ProblemError(f"{name}: {key}: bad interval {text!r}; "
                            "both ends must be finite")
     return lo, hi
+
+
+def _parse_fields(name: str, text: str) -> Dict[str, str]:
+    fields: Dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ProblemError(f"{name}:{lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if key not in FILE_KEYS:
+            raise ProblemError(f"{name}:{lineno}: unknown key {key!r}; "
+                               f"known: {', '.join(FILE_KEYS)}")
+        fields[key] = value.strip()
+    return fields
 
 
 def _read_fields(path: Path) -> Dict[str, str]:
@@ -470,27 +396,69 @@ def _read_fields(path: Path) -> Dict[str, str]:
         text = path.read_text()
     except OSError as exc:
         raise ProblemError(f"{path}: {exc.strerror}") from None
-    fields: Dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ProblemError(f"{path.name}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if key not in FILE_KEYS:
-            raise ProblemError(f"{path.name}:{lineno}: unknown key {key!r}; "
-                               f"known: {', '.join(FILE_KEYS)}")
-        fields[key] = value.strip()
-    return fields
+    return _parse_fields(path.name, text)
+
+
+def _spec(pid: str, title: str, name: str, fields: Dict[str, str], alpha: float,
+          mode: str, note: str = "") -> ProblemSpec:
+    """The spec that a problem file's fields state, at one order; ``name``
+    (a file name, or a builtin's id) heads the messages of its errors."""
+    if not 0.0 < alpha <= 1.0:
+        raise ProblemError(f"alpha must lie in (0, 1], got {alpha}")
+    if "domain" not in fields:
+        raise ProblemError(f"{name}: missing 'domain'")
+    domain = _parse_interval(name, "domain", fields["domain"])
+    domain_y = (_parse_interval(name, "domain_y", fields["domain_y"])
+                if "domain_y" in fields else None)
+    dimension = 1 if domain_y is None else 2
+
+    def parsed(key: str, parse):
+        if key not in fields:
+            return None
+        try:
+            return parse(fields[key], alpha)
+        except GrammarError as exc:
+            raise ProblemError(f"{name}: {key}:\n{exc.pointer()}") from None
+
+    linear = _parse_linear_field(fields.get("linear", ""))
+    nonlinear = parsed("nonlinear", _parse_nonlinear_field)
+    exact = parsed("exact", parse_series)
+    source = parsed("source", parse_series)
+    if exact is None and source is None:
+        raise ProblemError(f"{name}: need 'exact' (manufactured) or 'source' (literal)")
+    if exact is None:
+        mode = "paper-literal"
+    if mode not in MODES:
+        raise ProblemError(f"unknown mode {mode!r}; available: {', '.join(MODES)}")
+    literal = mode == "paper-literal"
+    if literal and source is None:
+        raise ProblemError(f"{name}: paper-literal mode needs 'source'")
+
+    def data(key: str, parse, derive):
+        """A literal field as given, else the exact solution's restriction."""
+        if literal and key in fields:
+            return parsed(key, parse)
+        if exact is None:
+            raise ProblemError(f"{name}: missing '{key}' and no exact to derive it from")
+        return derive()
+
+    f = data("ic", parse_spatial, lambda: initial_value(exact))
+    bd = BoundaryData(dimension, **{
+        face: data(key, parse_series, lambda: series_substitute(exact, var, at))
+        for face, (key, var, at) in face_geometry(domain, domain_y).items()})
+    h = source if literal else manufacture_source(exact, linear, nonlinear, alpha)
+    spec = ProblemSpec(pid, title, dimension, domain, domain_y, alpha, mode,
+                       f, bd, linear, nonlinear, h, exact, note)
+    if dimension == 2:
+        check_corner_compatibility(bd, domain, domain_y)
+    return spec
 
 
 def file_alpha(path) -> Optional[float]:
     """The ``alpha`` field of a problem file, or None when it has none."""
     path = Path(path)
     text = _read_fields(path).get("alpha")
-    return None if text is None else _file_number(path, "alpha", text)
+    return None if text is None else _file_number(path.name, "alpha", text)
 
 
 def load_problem_file(path, alpha: Optional[float] = None,
@@ -499,82 +467,7 @@ def load_problem_file(path, alpha: Optional[float] = None,
     path = Path(path)
     fields = _read_fields(path)
     if alpha is None and "alpha" in fields:
-        alpha = _file_number(path, "alpha", fields["alpha"])
+        alpha = _file_number(path.name, "alpha", fields["alpha"])
     if alpha is None:
         raise ProblemError(f"{path.name}: no alpha given (file field or --alpha)")
-    if not 0.0 < alpha <= 1.0:
-        raise ProblemError(f"alpha must lie in (0, 1], got {alpha}")
-
-    if "domain" not in fields:
-        raise ProblemError(f"{path.name}: missing 'domain'")
-    domain = _parse_interval(path, "domain", fields["domain"])
-    domain_y = (_parse_interval(path, "domain_y", fields["domain_y"])
-                if "domain_y" in fields else None)
-    dimension = 1 if domain_y is None else 2
-
-    try:
-        linear = _parse_linear_field(fields.get("linear", ""))
-        nonlinear = (_parse_nonlinear_field(fields["nonlinear"], alpha)
-                     if "nonlinear" in fields else None)
-        exact = parse_series(fields["exact"], alpha) if "exact" in fields else None
-        source = parse_series(fields["source"], alpha) if "source" in fields else None
-    except GrammarError as exc:
-        raise ProblemError(f"{path.name}:\n{exc.pointer()}") from None
-
-    if exact is None and source is None:
-        raise ProblemError(f"{path.name}: need 'exact' (manufactured) or 'source' (literal)")
-    if exact is None:
-        mode = "paper-literal"
-    if mode not in MODES:
-        raise ProblemError(f"unknown mode {mode!r}; available: {', '.join(MODES)}")
-
-    def face(key: str, derive_var: str, at: float) -> Series:
-        if key in fields:
-            try:
-                return parse_series(fields[key], alpha)
-            except GrammarError as exc:
-                raise ProblemError(f"{path.name}: {key}:\n{exc.pointer()}") from None
-        if exact is not None:
-            return series_substitute(exact, derive_var, at)
-        raise ProblemError(f"{path.name}: missing '{key}' and no exact to derive it from")
-
-    if mode == "manufactured":
-        if exact is None:
-            raise ProblemError(f"{path.name}: manufactured mode needs 'exact'")
-        f = initial_value(exact)
-        if dimension == 1:
-            bd = BoundaryData.interval(series_substitute(exact, "x", domain[0]),
-                                       series_substitute(exact, "x", domain[1]))
-        else:
-            bd = BoundaryData.box(series_substitute(exact, "x", domain[0]),
-                                  series_substitute(exact, "x", domain[1]),
-                                  series_substitute(exact, "y", domain_y[0]),
-                                  series_substitute(exact, "y", domain_y[1]))
-        h = manufacture_source(exact, linear, nonlinear, alpha)
-    else:
-        if source is None:
-            raise ProblemError(f"{path.name}: paper-literal mode needs 'source'")
-        h = source
-        if "ic" in fields:
-            try:
-                f = parse_spatial(fields["ic"], alpha)
-            except GrammarError as exc:
-                raise ProblemError(f"{path.name}: ic:\n{exc.pointer()}") from None
-        elif exact is not None:
-            f = initial_value(exact)
-        else:
-            raise ProblemError(f"{path.name}: missing 'ic' and no exact to derive it from")
-        if dimension == 1:
-            bd = BoundaryData.interval(face("bc.l", "x", domain[0]),
-                                       face("bc.L", "x", domain[1]))
-        else:
-            bd = BoundaryData.box(face("bc.x0", "x", domain[0]),
-                                  face("bc.x1", "x", domain[1]),
-                                  face("bc.y0", "y", domain_y[0]),
-                                  face("bc.y1", "y", domain_y[1]))
-
-    spec = ProblemSpec(path.stem, f"custom problem {path.name}", dimension, domain,
-                       domain_y, alpha, mode, f, bd, linear, nonlinear, h, exact)
-    if dimension == 2:
-        check_corner_compatibility(bd, domain, domain_y)
-    return spec
+    return _spec(path.stem, f"custom problem {path.name}", path.name, fields, alpha, mode)

@@ -224,6 +224,40 @@ def _bits(series):
                               for t in series.terms]
 
 
+def _apply_product_by_product(nonlinear, u):
+    """N(u) as products of cached derivative series, left to right, each
+    scaled, times its series coefficient, and added to a running zero."""
+    out = Series.zero()
+    derivs = {}
+    for p in nonlinear.products:
+        term = None
+        for f in p.factors:
+            d = derivs.setdefault((f.order, f.var), spatial_apply(u, f.order, f.var))
+            for _ in range(f.power):
+                term = d if term is None else series_mul(term, d)
+        term = series_scale(term, p.coeff)
+        if p.series_coeff is not None:
+            term = series_mul(term, p.series_coeff)
+        out = series_add(out, term)
+    return out
+
+
+@pytest.mark.parametrize("pid,nonlinear,solve", [
+    ("p6", None, ladm_solve), ("p6", None, mldm_solve), ("p7", None, ladm_solve),
+    ("p7", None, mldm_solve), ("p6", CUBIC, ladm_solve)])
+def test_nonlinear_apply_matches_product_by_product(pid, nonlinear, solve):
+    # apply runs through the Adomian grade routine; on every partial sum it
+    # gives the direct product-by-product N(u), bit for bit (the cubic's mldm
+    # sums grow too fast to take here)
+    spec = builtin(pid, alpha=0.75)
+    if nonlinear is not None:
+        spec = dataclasses.replace(spec, nonlinear=nonlinear)
+    for rec in solve(spec, 3).records:
+        u = rec.partial_sum
+        assert _bits(spec.nonlinear.apply(u)) == \
+            _bits(_apply_product_by_product(spec.nonlinear, u)), rec.n
+
+
 @pytest.mark.parametrize("pid", ["p2", "p5", "p6", "p7"])
 @pytest.mark.parametrize("solve", [ladm_solve, mldm_solve])
 def test_solver_records_do_not_depend_on_the_iteration_count(pid, solve):
@@ -294,6 +328,28 @@ def test_final_sum_does_not_depend_on_the_blas_kernel():
         digests.append(r.stdout.strip())
     assert digests[0] == digests[1]
     assert digests[0] == _p7_final_digest()[1]
+
+
+@pytest.mark.skipif(not _numpy_blas_is_openblas(), reason="numpy's BLAS is not OpenBLAS")
+def test_quadrature_oracle_does_not_depend_on_the_blas_kernel():
+    # the oracle behind verify's power-rule check sums its weighted samples
+    # with math.fsum, so its values on the check's lattice are the same to
+    # the bit under any kernel
+    script = ("from fracdecomp import acceptance as a, evaluation as e; "
+              "print([e.rl_integral_quadrature(lambda tau, lam=lam: tau ** lam, al, t).hex() "
+              "for lam in a._POWER_LAMBDAS for al in a._POWER_ALPHAS "
+              "for t in a._POWER_TIMES])")
+    outs = []
+    for coretype in (None, "Prescott", "Nehalem"):
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        r = subprocess.run([sys.executable, "-c", script], env=env, cwd=ROOT,
+                           capture_output=True, text=True, timeout=300)
+        assert r.returncode == 0, r.stderr
+        outs.append(r.stdout.strip())
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_nonlinear_degree_cap():

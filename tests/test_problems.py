@@ -1,21 +1,32 @@
 """Benchmark registry, manufactured sources, consistency audit, file loader."""
 
 import math
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import pytest
 
-from fracdecomp.decomp import LinearOpSpec
-from fracdecomp.fracterm import eval_series, initial_value, series_equal
-from fracdecomp.grammar import parse_series
+from fracdecomp.decomp import (
+    BoundaryData,
+    LinearOpSpec,
+    NonlinearFactor,
+    NonlinearOpSpec,
+    NonlinearProduct,
+    check_corner_compatibility,
+)
+from fracdecomp.fracterm import eval_series, initial_value, series_equal, series_substitute
+from fracdecomp.grammar import parse_series, parse_spatial
 from fracdecomp.problems import (
+    MODES,
     PROBLEM_IDS,
     ProblemError,
+    ProblemSpec,
     builtin,
     load_problem_file,
     manufacture_source,
     validate_consistency,
 )
-from fracdecomp.symx import evaluate
+from fracdecomp.symx import evaluate, poly_of
 
 PI = math.pi
 
@@ -83,6 +94,190 @@ def test_builtin_manufactured_data_is_compatible():
             face0 = eval_series(g, {other: 0.7}, 0.0)
             f0 = evaluate(spec.f, pt)
             assert abs(face0 - f0) <= 1e-12, (pid, key)
+
+
+# ---------------------------------------------------------------------------
+# reference: the builtins as Python definitions, built without the
+# problem-file loader (each registry record must give the same spec)
+# ---------------------------------------------------------------------------
+
+
+def _nl_square() -> NonlinearOpSpec:
+    return NonlinearOpSpec((NonlinearProduct(1.0, (NonlinearFactor(0, "x", 2),)),))
+
+
+def _nl_advect_diffuse_forced() -> NonlinearOpSpec:
+    # u*u_x - u*u_xx - 4 pi^2 t^2 sin(2 pi x) u
+    return NonlinearOpSpec((
+        NonlinearProduct(1.0, (NonlinearFactor(0, "x"), NonlinearFactor(1, "x"))),
+        NonlinearProduct(-1.0, (NonlinearFactor(0, "x"), NonlinearFactor(2, "x"))),
+        NonlinearProduct(-4.0 * math.pi ** 2, (NonlinearFactor(0, "x"),),
+                         series_coeff=parse_series("t^2*sin(2*pi*x)")),
+    ))
+
+
+@dataclass(frozen=True)
+class _BuiltinDef:
+    title: str
+    dimension: int
+    domain: Tuple[float, float]
+    domain_y: Optional[Tuple[float, float]]
+    linear: Tuple[Tuple[int, str, float], ...]
+    nonlinear: Optional[str]            # key into _NONLINEAR
+    exact: str
+    f: str
+    bc: Dict[str, str]
+    h: str
+    note: str = ""
+
+
+_NONLINEAR = {
+    "square": _nl_square,
+    "advect_diffuse_forced": _nl_advect_diffuse_forced,
+}
+
+_REFERENCE: Dict[str, _BuiltinDef] = {
+    "p1": _BuiltinDef(
+        title="linear reaction-diffusion, homogeneous box data",
+        dimension=1, domain=(0.0, 2.0), domain_y=None,
+        linear=((0, "x", 1.0), (2, "x", -1.0)),
+        nonlinear=None,
+        exact="t^2 * x*(2 - x)",
+        f="0",
+        bc={"g0": "0", "g1": "0"},
+        h="2/gamma(3 - alpha) * x*(2 - x) + 2*t^2",
+        note="literal source drops the t^(2-alpha) factor and the u term",
+    ),
+    "p2": _BuiltinDef(
+        title="linear reaction-diffusion on a square",
+        dimension=2, domain=(0.0, 2.0), domain_y=(0.0, 2.0),
+        linear=((0, "x", 1.0), (2, "x", -1.0), (2, "y", -1.0)),
+        nonlinear=None,
+        exact="t^2*(x*(2 - x) + y*(2 - y))",
+        f="0",
+        bc={
+            "gx0": "t^2 * y*(2 - y)",
+            "gx1": "t^2 * y*(2 - y)",
+            "gy0": "t^2 * x*(2 - x)",
+            "gy1": "t^2 * x*(2 - x)",
+        },
+        h="2*t^(2 - alpha)/gamma(3 - alpha)*(x*(2 - x) + y*(2 - y))"
+          " + t^2*(x*(2 - x) + y*(2 - y)) + 4*t^2",
+    ),
+    "p3": _BuiltinDef(
+        title="linear advection with transcendental data",
+        dimension=1, domain=(0.0, 1.0), domain_y=None,
+        linear=((1, "x", -1.0),),
+        nonlinear=None,
+        exact="t^3*cos(x) + exp(x)",
+        f="exp(x)",
+        bc={"g0": "t^3 + 1", "g1": "t^3*cos(1) + exp(1)"},
+        h="(6*t^(3 - alpha)/gamma(4 - alpha) + t^3)*cos(x) - exp(x)",
+        note="literal source forces sin(x) on the t^3 term but prints cos(x)",
+    ),
+    "p4": _BuiltinDef(
+        title="advection-diffusion with alpha-dependent exact solution",
+        dimension=1, domain=(0.0, 1.0), domain_y=None,
+        linear=((1, "x", 1.0), (2, "x", 1.0)),
+        nonlinear=None,
+        exact="t^(3 + alpha)*sin(x) + 1",
+        f="x^2",
+        bc={"g0": "1", "g1": "t^(3 + alpha)*sin(1) + 1"},
+        h="(1/6*gamma(4 + alpha)*t^3 + t^(3 + alpha))*sin(x)",
+        note="literal initial data conflicts with the exact solution at t=0;"
+             " literal source misses the advection contribution",
+    ),
+    "p5": _BuiltinDef(
+        title="linear advection, trigonometric exact solution",
+        dimension=1, domain=(0.0, 1.0), domain_y=None,
+        linear=((1, "x", 1.0),),
+        nonlinear=None,
+        exact="t*sin(x)",
+        f="0",
+        bc={"g0": "0", "g1": "t*sin(1)"},
+        h="t^(1 - alpha)*sin(x)/gamma(2 - alpha) + t*cos(x)",
+    ),
+    "p6": _BuiltinDef(
+        title="quadratic nonlinearity, polynomial exact solution",
+        dimension=1, domain=(0.0, 1.0), domain_y=None,
+        linear=(),
+        nonlinear="square",
+        exact="x^2*t^2",
+        f="0",
+        bc={"g0": "0", "g1": "t^2"},
+        h="x^2*(2*t^(2 - alpha)/gamma(3 - alpha) + x^2*t^4)",
+    ),
+    "p7": _BuiltinDef(
+        title="advective-diffusive nonlinearity with oscillatory forcing",
+        dimension=1, domain=(0.0, 1.0), domain_y=None,
+        linear=(),
+        nonlinear="advect_diffuse_forced",
+        exact="t^2*sin(2*pi*x)",
+        f="0",
+        bc={"g0": "0", "g1": "0"},
+        h="2*t*sin(2*pi*x) + 2*pi*t^4*sin(2*pi*x)*cos(2*pi*x)",
+        note="literal source is printed in its alpha=1 form only",
+    ),
+}
+
+
+def _reference_boundary(exact, d: _BuiltinDef, alpha: float, mode: str) -> BoundaryData:
+    if mode == "manufactured":
+        if d.dimension == 1:
+            lo, hi = d.domain
+            return BoundaryData.interval(series_substitute(exact, "x", lo),
+                                         series_substitute(exact, "x", hi))
+        (lx, Lx), (ly, Ly) = d.domain, d.domain_y
+        return BoundaryData.box(series_substitute(exact, "x", lx),
+                                series_substitute(exact, "x", Lx),
+                                series_substitute(exact, "y", ly),
+                                series_substitute(exact, "y", Ly))
+    if d.dimension == 1:
+        return BoundaryData.interval(parse_series(d.bc["g0"], alpha),
+                                     parse_series(d.bc["g1"], alpha))
+    return BoundaryData.box(*(parse_series(d.bc[k], alpha)
+                              for k in ("gx0", "gx1", "gy0", "gy1")))
+
+
+def _reference_builtin(pid: str, alpha: float, mode: str) -> ProblemSpec:
+    d = _REFERENCE[pid]
+    linear = LinearOpSpec.of(*d.linear)
+    nonlinear = _NONLINEAR[d.nonlinear]() if d.nonlinear else None
+    exact = parse_series(d.exact, alpha)
+    bd = _reference_boundary(exact, d, alpha, mode)
+    if mode == "manufactured":
+        f = initial_value(exact)
+        h = manufacture_source(exact, linear, nonlinear, alpha)
+    else:
+        f = parse_spatial(d.f, alpha)
+        h = parse_series(d.h, alpha)
+    if d.dimension == 2:
+        check_corner_compatibility(bd, d.domain, d.domain_y)
+    return ProblemSpec(pid, d.title, d.dimension, d.domain, d.domain_y, alpha, mode,
+                       f, bd, linear, nonlinear, h, exact, d.note)
+
+
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+def test_builtin_records_match_the_reference_definitions(pid):
+    # bit for bit: Series ==, nonlinear products with their float
+    # coefficients compared exactly, the initial trace as a poly
+    assert tuple(_REFERENCE) == PROBLEM_IDS
+    for mode in MODES:
+        for alpha in (0.3, 0.5, 0.7, 0.75, 1.0):
+            got, want = builtin(pid, alpha, mode), _reference_builtin(pid, alpha, mode)
+            where = (pid, mode, alpha)
+            assert (got.pid, got.title, got.note, got.mode) == \
+                (want.pid, want.title, want.note, want.mode), where
+            assert (got.dimension, got.domain, got.domain_y, got.alpha) == \
+                (want.dimension, want.domain, want.domain_y, want.alpha), where
+            assert got.exact == want.exact and got.h == want.h, where
+            assert poly_of(got.f) == poly_of(want.f), where
+            assert got.bd.faces() == want.bd.faces(), where
+            assert got.linear == want.linear, where
+            assert got.nonlinear == want.nonlinear, where
+            if got.nonlinear is not None:
+                assert [p.coeff for p in got.nonlinear.products] == \
+                    [p.coeff for p in want.nonlinear.products], where
 
 
 # ---------------------------------------------------------------------------
@@ -243,3 +438,29 @@ def test_load_problem_file_grammar_error_points_at_column(tmp_path):
         load_problem_file(p)
     msg = str(err.value)
     assert "^" in msg and "column" in msg
+
+
+def test_two_brace_coefficients_multiply(tmp_path):
+    # {t}*{x}*u carries the product of its brace series, as {t*x}*u does
+    specs = []
+    for name, nonlinear in (("two", "{t}*{x}*u"), ("one", "{t*x}*u")):
+        p = tmp_path / f"{name}.txt"
+        p.write_text(f"alpha = 0.6\ndomain = 0, 1\nexact = t*x^2\nnonlinear = {nonlinear}\n")
+        specs.append(load_problem_file(p))
+    two, one = specs
+    assert two.nonlinear == one.nonlinear
+    assert two.h == one.h
+
+
+def test_literal_file_derives_omitted_data_from_exact(tmp_path):
+    # paper-literal mode takes the given source, initial trace and faces, and
+    # derives what the file leaves out from the exact solution
+    p = tmp_path / "part.txt"
+    p.write_text("alpha = 0.5\ndomain = 0, 1\nexact = t*x + 1\nsource = x\n"
+                 "bc.L = 7\n")
+    spec = load_problem_file(p, mode="paper-literal")
+    assert spec.h == parse_series("x")
+    assert poly_of(spec.f) == poly_of(parse_spatial("1"))
+    assert spec.bd.g0 == parse_series("1")
+    assert spec.bd.g1 == parse_series("7")
+    assert validate_consistency(spec).labels() == ["bc", "source"]

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that two source trees write the same solve outputs and verify lines.
+"""Check that two source trees write the same solve outputs, list and verify lines.
 
     python3 tools/same_outputs.py OLD_ROOT NEW_ROOT [--env NAME=VALUE ...]
 
@@ -9,18 +9,19 @@ compared with itself under another setting, for example another BLAS
 kernel:
 
     python3 tools/same_outputs.py . . --env OPENBLAS_CORETYPE=Prescott
- Both run the same solves
-(``CASES``, and each problem file of ``FILE_CASES`` written to the temporary
-directory and solved with its arguments) in fresh interpreters with
+
+Both run the same solves (``CASES``, paper-literal ones among them, and
+each problem file of ``FILE_CASES`` written to the temporary directory and
+solved with its arguments) in fresh interpreters with
 ``PYTHONPATH=ROOT/src``, each into a directory of its own under a
-temporary directory. points.csv and plot.dat
-must be equal byte for byte, summary.csv with its wall-clock ``seconds``
-column masked, and every solve must exit with the same code. Each
-difference is printed; where an output file differs, so are the columns
-that moved and the worst relative gap |new - old| / |old| in each, with the
-line it is on, and the largest change |new - old| against the column's
-largest |old|. Then both roots run ``fracdecomp verify``: the exit codes must
-agree, and so must every output line once its timings (``1.23s``) are
+temporary directory. points.csv and plot.dat must be equal byte for byte,
+summary.csv with its wall-clock ``seconds`` column masked, and every solve
+must exit with the same code. Each difference is printed; where an output
+file differs, so are the columns that moved and the worst relative gap
+|new - old| / |old| in each, with the line it is on, and the largest change
+|new - old| against the column's largest |old|. Then both roots run
+``fracdecomp list`` and ``fracdecomp verify``: for each, the exit codes
+must agree, and so must every output line once its timings (``1.23s``) are
 masked; each line that differs is printed from both sides. The exit code
 is 1 if there is any difference, else 0. Standard library only.
 """
@@ -40,6 +41,11 @@ from pathlib import Path
 CASES = [["-p", f"p{i}", "-m", "both", "-n", "4", "-a", "0.5,0.75,1.0"]
          for i in range(1, 8)]
 CASES.append(["-p", "p7", "-m", "ladm", "-n", "8", "-a", "0.73,0.75,0.77"])
+# the printed source, initial trace and faces: p5's are consistent, p1's
+# source is not and solves only with the override
+CASES.append(["-p", "p5", "--mode", "paper-literal", "-m", "both", "-n", "2"])
+CASES.append(["-p", "p1", "--mode", "paper-literal", "--allow-inconsistent",
+              "-m", "both", "-n", "2"])
 
 # No builtin is both 2D and nonlinear. This problem file takes y-derivatives
 # in its nonlinearity, a cubic and a time-dependent coefficient; it must
@@ -83,19 +89,19 @@ def _solve(root: Path, extra, args, out: Path) -> int:
     return proc.returncode
 
 
-def _verify(root: Path, extra):
-    """Exit code and output lines of ``fracdecomp verify``, timings masked."""
+def _command(root: Path, extra, command: str):
+    """Exit code and output lines of ``fracdecomp COMMAND``, timings masked."""
     env = dict(os.environ, **extra, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run([sys.executable, "-m", "fracdecomp.cli", "verify"], env=env,
+    proc = subprocess.run([sys.executable, "-m", "fracdecomp.cli", command], env=env,
                           stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     return proc.returncode, [SECONDS.sub("-s", line) for line in proc.stdout.splitlines()]
 
 
-def _verify_differences(sides) -> int:
-    (code_old, old), (code_new, new) = (_verify(*side) for side in sides)
+def _command_differences(sides, command: str) -> int:
+    (code_old, old), (code_new, new) = (_command(*side, command) for side in sides)
     differ = 0
     if code_old != code_new:
-        print(f"  verify exit {code_old} vs {code_new}")
+        print(f"  {command} exit {code_old} vs {code_new}")
         differ += 1
     for i in range(max(len(old), len(new))):
         a = old[i] if i < len(old) else "<missing>"
@@ -103,7 +109,7 @@ def _verify_differences(sides) -> int:
         if a != b:
             print(f"  - {a}\n  + {b}")
             differ += 1
-    print(f"verify: {len(old)} lines, exit {code_old}: "
+    print(f"{command}: {len(old)} lines, exit {code_old}: "
           f"{'same' if not differ else f'{differ} differences'}")
     return differ
 
@@ -183,8 +189,8 @@ def _assignment(text: str):
 
 def main(argv) -> int:
     ap = argparse.ArgumentParser(prog="same_outputs.py",
-                                 description="Compare the solve outputs and verify "
-                                             "lines of two source trees.")
+                                 description="Compare the solve outputs, list and "
+                                             "verify lines of two source trees.")
     ap.add_argument("old_root")
     ap.add_argument("new_root")
     ap.add_argument("--env", type=_assignment, action="append", default=[],
@@ -215,8 +221,9 @@ def main(argv) -> int:
                     found.append(f"{name} differs" + (f" ({moved})" if moved else ""))
             print(f"solve {' '.join(args)}: {', '.join(found) if found else 'same'}")
             differ += len(found)
-    differ += _verify_differences(sides)
-    print(f"{len(cases)} solves and verify, {differ} differences")
+    for command in ("list", "verify"):
+        differ += _command_differences(sides, command)
+    print(f"{len(cases)} solves, list and verify, {differ} differences")
     return 1 if differ else 0
 
 
