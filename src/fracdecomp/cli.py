@@ -33,7 +33,7 @@ from .evaluation import (
     DEFAULT_TMAX,
     EvalError,
     convergence_report,
-    make_grid,
+    default_grid,
 )
 from .fracterm import SeriesError
 from .grammar import GrammarError
@@ -167,12 +167,6 @@ def _grid_counts(counts: Optional[Tuple[int, ...]]) -> Tuple[int, int, int]:
     return counts
 
 
-def _grid_for(spec, counts: Optional[Tuple[int, ...]], tmax: float):
-    nx, ny, nt = _grid_counts(counts)
-    return make_grid(spec.domain, spec.domain_y if spec.dimension == 2 else None,
-                     nx=nx, ny=ny, nt=nt, tmax=tmax)
-
-
 def _run_job(packed: tuple) -> Dict[str, object]:
     (kind, ident, alpha, method, iters, mode, weights, counts, tmax) = packed
     spec = _build_spec(kind, ident, alpha, mode)
@@ -180,7 +174,7 @@ def _run_job(packed: tuple) -> Dict[str, object]:
         trace = mldm_solve(spec, iters, weights=weights)
     else:
         trace = ladm_solve(spec, iters)
-    grid = _grid_for(spec, counts, tmax)
+    grid = default_grid(spec, *_grid_counts(counts), tmax=tmax)
     # the report evaluates every series once; its last row holds the final
     # partial sum's grid and the exact grid the files are written from
     report = convergence_report([trace], spec, grid)

@@ -175,7 +175,13 @@ class NonlinearOpSpec:
 
     def apply(self, u: Series) -> Series:
         # N(u) is grade 0 of the Adomian bookkeeping with u as the only grade
-        return _adomian_grade(self, {k: [spatial_apply(u, *k)] for k in _factor_keys(self)}, 0)
+        return _adomian_grade(self, {k: [spatial_apply(u, *k)] for k in self.factor_keys()}, 0)
+
+    def factor_keys(self) -> List[Tuple[int, str]]:
+        """The distinct (order, var) spatial derivatives the products multiply,
+        in first-seen order."""
+        return list(dict.fromkeys((f.order, f.var)
+                                  for p in self.products for f in p.factors))
 
     def describe(self) -> str:
         bits = []
@@ -372,16 +378,6 @@ def boundary_correct(u: Series, bd: BoundaryData, domain,
 # ---------------------------------------------------------------------------
 
 
-def _factor_keys(nonlinear: NonlinearOpSpec) -> List[Tuple[int, str]]:
-    """The distinct (order, var) spatial derivatives the products multiply."""
-    keys: List[Tuple[int, str]] = []
-    for p in nonlinear.products:
-        for f in p.factors:
-            if (f.order, f.var) not in keys:
-                keys.append((f.order, f.var))
-    return keys
-
-
 def _grade_product(a: Sequence[Series], b: Sequence[Series], g: int) -> Series:
     """Grade g of the product of two graded lists: sum_{ga=0..g} a[ga] b[g-ga].
 
@@ -428,7 +424,7 @@ def adomian_polys(nonlinear: NonlinearOpSpec, u_list: Sequence[Series]) -> List[
     if not u_list:
         raise DecompError("adomian_polys needs at least u_0")
     derivs = {(order, var): [spatial_apply(u, order, var) for u in u_list]
-              for order, var in _factor_keys(nonlinear)}
+              for order, var in nonlinear.factor_keys()}
     return [_adomian_grade(nonlinear, derivs, j) for j in range(len(u_list))]
 
 
@@ -483,12 +479,12 @@ def ladm_solve(problem, iterations: int) -> SolveTrace:
     # per (order, var) factor, the derivatives of u_0..u_n: each u_k is
     # differentiated once, and A_n is built alone from them
     derivs: Dict[Tuple[int, str], List[Series]] = (
-        {key: [] for key in _factor_keys(problem.nonlinear)}
+        {key: [] for key in problem.nonlinear.factor_keys()}
         if problem.nonlinear is not None else {})
     partial = Series.zero()
     truncated = False
     stopped = False
-    u = series_add(Series.of(0.0, problem.f), frac_integral(problem.h, alpha))
+    u = series_add(problem.f, frac_integral(problem.h, alpha))
     for n in range(iterations + 1):
         t0 = time.perf_counter()
         partial = series_add(partial, u)
@@ -532,7 +528,7 @@ def mldm_solve(problem, iterations: int, weights: str = "normalized") -> SolveTr
     s_star_prev = Series.zero()
     n_star_prev = Series.zero()     # N(S*_{n-1}) for the difference polynomials
     ustar_prev: Optional[Series] = None
-    u = series_add(Series.of(0.0, problem.f), frac_integral(problem.h, alpha))
+    u = series_add(problem.f, frac_integral(problem.h, alpha))
     for n in range(iterations + 1):
         t0 = time.perf_counter()
         if n > 0:

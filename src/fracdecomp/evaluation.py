@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .symx import (Expr, _pow_value, evaluate, factor_diff, poly_column, poly_rows,
+from .symx import (Expr, FactorTable, add_rows, factor_diff, poly_column,
                    sorted_items)
 from .fracterm import (
     Series,
@@ -49,8 +49,6 @@ DEFAULT_NX = 41
 DEFAULT_NY = 41
 DEFAULT_NT = 21
 DEFAULT_TMAX = 1.0
-# Values per block of monomial rows in grid evaluation (8 bytes each).
-ROW_BLOCK = 1 << 16
 
 
 class EvalError(Exception):
@@ -102,48 +100,22 @@ def make_grid(domain: Tuple[float, float], domain_y: Optional[Tuple[float, float
 
 def default_grid(spec, nx: int = DEFAULT_NX, ny: int = DEFAULT_NY, nt: int = DEFAULT_NT,
                  tmax: float = DEFAULT_TMAX) -> Grid:
-    return make_grid(spec.domain, spec.domain_y if spec.dimension == 2 else None,
-                     nx=nx, ny=ny, nt=nt, tmax=tmax)
+    return make_grid(spec.domain, spec.domain_y, nx=nx, ny=ny, nt=nt, tmax=tmax)
 
 
-class _FactorRows:
-    """Values on the flattened space grid of monomial factors (atom, k), and
-    of their first and second derivatives in x or y, each built once.
+class _FactorRows(FactorTable):
+    """``symx.FactorTable`` on the flattened space grid, plus the rows of the
+    factors' first and second derivatives in x or y, each built once.
 
-    An atom is evaluated once by ``symx.evaluate`` and raised to k by
-    ``symx._pow_value``. A derivative row is the poly ``symx.factor_diff``
-    gives, summed from its monomial rows as a coefficient is (``poly_row``),
-    and is built only for the (var, order) a caller asks for.
+    A derivative row is the poly ``symx.factor_diff`` gives, summed from its
+    monomial rows as a coefficient is (``poly_row``), and is built only for
+    the (var, order) a caller asks for.
     """
 
     def __init__(self, grid: Grid):
-        if grid.ys is None:
-            self.env = {"x": grid.xs}
-            self.space_shape: Tuple[int, ...] = (grid.xs.size,)
-        else:
-            self.env = {"x": grid.xs[:, None], "y": grid.ys[None, :]}
-            self.space_shape = (grid.xs.size, grid.ys.size)
-        self.size = math.prod(self.space_shape)
-        self.ones = np.ones(self.size)
-        self.zeros = np.zeros(self.size)
-        # monomials per block of rows: ROW_BLOCK values each
-        self.block = max(1, ROW_BLOCK // self.size)
-        self.values: Dict[Tuple[Expr, float], np.ndarray] = {}
+        super().__init__({"x": grid.xs} if grid.ys is None else
+                         {"x": grid.xs[:, None], "y": grid.ys[None, :]})
         self._derivs: Dict[Tuple[str, int], Dict[Tuple[Expr, float], np.ndarray]] = {}
-        self._atoms: Dict[Expr, object] = {}
-
-    def fill(self, items) -> None:
-        # row by row, factor by factor: a domain error surfaces at the same
-        # factor as in a term-by-term evaluation
-        for mono, _ in items:
-            for factor in mono:
-                if factor not in self.values:
-                    atom, k = factor
-                    if atom not in self._atoms:
-                        self._atoms[atom] = evaluate(atom, self.env)
-                    v = self._atoms[atom] if k == 1.0 else _pow_value(self._atoms[atom], k)
-                    self.values[factor] = np.broadcast_to(
-                        np.asarray(v, dtype=float), self.space_shape).reshape(self.size)
 
     def fill_derivs(self, items, var: str, order: int) -> Dict[Tuple[Expr, float], np.ndarray]:
         """The table of order-th var-derivative rows, holding every factor of items."""
@@ -155,21 +127,6 @@ class _FactorRows:
                     table[factor] = self.poly_row(sorted_items(p)) if p else self.zeros
         return table
 
-    def poly_row(self, items) -> np.ndarray:
-        """The sum of the items' monomial rows, in the given order, from +0.0."""
-        self.fill(items)
-        coeff = self.zeros
-        for i in range(0, len(items), self.block):
-            rows = poly_rows(items[i:i + self.block], self.values.__getitem__, self.ones)
-            coeff = _add_rows(coeff, rows)
-        return coeff
-
-
-def _add_rows(running: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    # one running sum from +0.0 across blocks; a sum started from +0.0 is
-    # never -0.0, so restarting each block from +0.0 keeps every bit
-    return np.concatenate((running[None], rows)).sum(axis=0, initial=0.0)
-
 
 # overflow is reported once, by _finite, not as a RuntimeWarning per operation
 @np.errstate(all="ignore")
@@ -177,15 +134,15 @@ def evaluate_series_grid(series: Series, grid: Grid) -> np.ndarray:
     """Dense evaluation, shape (nx, nt) or (nx, ny, nt).
 
     Coefficients are read from their polys through one factor table per
-    call (``_FactorRows``). A coefficient is its ``symx.poly_rows`` in
+    call (``symx.FactorTable``). A coefficient is its ``symx.poly_rows`` in
     ``sorted_items`` order summed from +0.0, as
     ``evaluate(expr_of_poly(poly))`` sums them; a lone monomial is not summed
     there, which only turns a -0.0 into +0.0, and that sign is lost anyway
     when the term is added into the +0.0 output. So the output is bit for
     bit the tree evaluation's, and the same ``PowerDomainError`` is raised on
-    the same input. Rows are built ``ROW_BLOCK`` values at a time, so a poly
-    of many monomials on a fine grid takes bounded memory. A value that is
-    not finite raises ``EvalError``. This is the order-0 grid of
+    the same input. Rows are built ``symx.ROW_BLOCK`` values at a time, so a
+    poly of many monomials on a fine grid takes bounded memory. A value that
+    is not finite raises ``EvalError``. This is the order-0 grid of
     ``_derivative_grids``.
     """
     return _derivative_grids(series, [(0, "x")], grid)[0, "x"]
@@ -204,7 +161,7 @@ def _derivative_grids(series: Series, keys, grid: Grid) -> Dict[Tuple[int, str],
     the 2 f_i' f_j' cross terms. The factor rows f, f' and f'' come from
     ``_FactorRows``, and f'' only for a var that a key asks order 2 of, so
     no derivative past the ones asked for is evaluated. The rows are summed
-    per term, ``ROW_BLOCK`` values at a time, and scaled by t^mu; the u
+    per term, ``symx.ROW_BLOCK`` values at a time, and scaled by t^mu; the u
     rows are ``symx.poly_rows``, so the order-0 grid is the series'
     evaluation (``evaluate_series_grid``). A value that is not finite raises
     ``EvalError``.
@@ -241,9 +198,9 @@ def _derivative_grids(series: Series, keys, grid: Grid) -> Dict[Tuple[int, str],
                         jet[var, 2] = jet[var, 2] * f + 2.0 * jet[var, 1] * d1 + u * d2
                     jet[var, 1] = jet[var, 1] * f + u * d1
                 u *= f
-            coeff = _add_rows(coeff, u)
+            coeff = add_rows(coeff, u)
             for key in grids:
-                sums[key] = _add_rows(sums[key], jet[key])
+                sums[key] = add_rows(sums[key], jet[key])
         # np.power(0.0, 0.0) is 1.0, which is the t -> 0+ convention here
         tpow = np.power(grid.ts, term.mu)
         value += coeff.reshape(rows.space_shape)[..., None] * tpow
@@ -270,18 +227,11 @@ class ErrorReport:
     table: np.ndarray
     max_abs: float
     l2: float
-    method: str = ""
-    alpha: float = float("nan")
-    iterations: int = -1
-    mode: str = ""
-    residual: Optional[float] = None
 
 
-def grid_error(approx: Series, exact: Series, grid: Grid, method: str = "",
-               alpha: float = float("nan"), iterations: int = -1,
-               mode: str = "") -> ErrorReport:
+def grid_error(approx: Series, exact: Series, grid: Grid) -> ErrorReport:
     table = np.abs(evaluate_series_grid(approx, grid) - evaluate_series_grid(exact, grid))
-    return ErrorReport(table, *_norms(table), method, alpha, iterations, mode)
+    return ErrorReport(table, *_norms(table))
 
 
 def _norms(table: np.ndarray) -> Tuple[float, float]:
@@ -303,12 +253,6 @@ def _coeff_grids(nonlinear, grid: Grid) -> List[Optional[np.ndarray]]:
         return []
     return [None if p.series_coeff is None else evaluate_series_grid(p.series_coeff, grid)
             for p in nonlinear.products]
-
-
-def _nonlinear_keys(nonlinear) -> List[Tuple[int, str]]:
-    """The (order, var) derivatives of u the nonlinearity takes, in order."""
-    products = nonlinear.products if nonlinear is not None else ()
-    return list(dict.fromkeys((f.order, f.var) for p in products for f in p.factors))
 
 
 def _nonlinear_grid(nonlinear, derivs: Dict[Tuple[int, str], np.ndarray], grid: Grid,
@@ -362,7 +306,7 @@ def _residual(approx: Series, spec, grid: Grid,
     values = evaluate_series_grid(_within_caps(res, approx), grid)
     if spec.nonlinear is not None:
         if derivs is None:
-            derivs = _derivative_grids(approx, _nonlinear_keys(spec.nonlinear), grid)
+            derivs = _derivative_grids(approx, spec.nonlinear.factor_keys(), grid)
         values += _nonlinear_grid(spec.nonlinear, derivs, grid, coeff_grids)
     return float(np.abs(_finite(values, "residual")).max())
 
@@ -462,7 +406,9 @@ def convergence_report(traces: Sequence, spec, grid: Grid) -> List[ConvergenceRo
     """
     exact = evaluate_series_grid(spec.exact, grid) if spec.exact is not None else None
     coeff_grids = _coeff_grids(spec.nonlinear, grid)
-    keys = list(dict.fromkeys([(0, "x")] + _nonlinear_keys(spec.nonlinear)))
+    keys = [(0, "x")]
+    if spec.nonlinear is not None:
+        keys = list(dict.fromkeys(keys + spec.nonlinear.factor_keys()))
     rows: List[ConvergenceRow] = []
     for trace in traces:
         seconds = 0.0

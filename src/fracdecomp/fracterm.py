@@ -12,10 +12,12 @@ L^{-1}{s^{-alpha} L{.}} is realized exactly as I^alpha with no transform
 objects. All gamma factors come from the Lanczos evaluator below.
 
 Each term keeps its coefficient c_k as a symx normal-form poly, so the ring,
-spatial and fractional operations, boundary substitution and grid evaluation
-run on polys from end to end. An ``Expr`` is built only at the edges that
-need a tree: rendering, point evaluation (``eval_series``), ``series_equal``
-and ``initial_value``, through the read-only ``TimeTerm.coeff``.
+spatial and fractional operations, boundary substitution, the initial trace
+(``initial_value``, a Series) and every sampled read run on polys from end
+to end: ``series_equal`` compares coefficients through one
+``symx.FactorTable`` on the domain's sample points. An ``Expr`` is built
+only to render a term and by ``eval_series``, which evaluates at one point
+on the tree, through the read-only ``TimeTerm.coeff``.
 
 Exponents merge by one rule, ``_mu_groups``. ``_from_pairs`` sums each
 group's polys into a dict of its own, never into a poly a series holds.
@@ -33,10 +35,10 @@ from typing import Iterable, Mapping, Tuple, Union
 
 from .symx import (
     Expr,
+    FactorTable,
     Poly,
     contains,
     diff,
-    equal_sampled,
     evaluate,
     expr_of_poly,
     fourier_sums,
@@ -47,8 +49,8 @@ from .symx import (
     poly_scale,
     poly_mul,
     poly_substitute,
+    sample_points,
     fmt_number,
-    ZERO,
 )
 
 __all__ = [
@@ -154,7 +156,7 @@ class TimeTerm:
 
     ``poly`` is c in symx's multinomial normal form. Series share these dicts,
     so no operation may mutate one; ``coeff`` builds c as an ``Expr`` on
-    every access, for the edges that need a tree.
+    every access, to render the term and for ``eval_series``.
     """
 
     mu: float
@@ -385,12 +387,12 @@ def caputo(a: Series, alpha: float) -> Series:
     return _from_pairs(pairs, a.truncated)
 
 
-def initial_value(a: Series) -> Expr:
-    """The t = 0 trace of a series (its mu = 0 coefficient)."""
-    for t in a.terms:
-        if t.mu <= MU_MERGE_TOL:
-            return t.coeff
-    return ZERO
+def initial_value(a: Series) -> Series:
+    """The t = 0 trace of a series: its mu = 0 term, as a series."""
+    head = a.terms[:1]
+    if head and head[0].mu <= MU_MERGE_TOL:
+        return _raw_series((TimeTerm(0.0, head[0].poly),), False)
+    return Series.zero()
 
 
 # ---------------------------------------------------------------------------
@@ -414,29 +416,30 @@ def eval_series(a: Series, point: Mapping[str, float], t: float) -> float:
     return total
 
 
-def series_equal(a: Series, b: Series, domain=None, tol: float = 1e-10,
-                 n_samples: int = 64) -> bool:
-    """Termwise comparison: exponents matched within 1e-12, coefficients sampled.
+def series_equal(a: Series, b: Series, domain=None, tol: float = 1e-10) -> bool:
+    """Termwise comparison: exponents matched within 1e-12, coefficients
+    sampled as ``symx.equal_sampled`` samples them, through one factor table
+    on the domain's sample points.
 
     A term missing on one side is compared against the zero function, so
     canonically dropped near-zero terms never produce spurious mismatches.
     """
-    ta, tb = list(a.terms), list(b.terms)
+    ta, tb = a.terms, b.terms
+    table = FactorTable(sample_points(domain))
     i = j = 0
     while i < len(ta) or j < len(tb):
         if i < len(ta) and j < len(tb) and abs(ta[i].mu - tb[j].mu) <= MU_MERGE_TOL:
-            if not equal_sampled(ta[i].coeff, tb[j].coeff, domain, n_samples, tol):
-                return False
+            pair = ta[i].poly, tb[j].poly
             i += 1
             j += 1
         elif j >= len(tb) or (i < len(ta) and ta[i].mu < tb[j].mu):
-            if not equal_sampled(ta[i].coeff, ZERO, domain, n_samples, tol):
-                return False
+            pair = ta[i].poly, {}
             i += 1
         else:
-            if not equal_sampled(tb[j].coeff, ZERO, domain, n_samples, tol):
-                return False
+            pair = tb[j].poly, {}
             j += 1
+        if not table.close(*pair, tol):
+            return False
     return True
 
 

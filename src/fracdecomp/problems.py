@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .symx import Expr, equal_sampled
 from .fracterm import Series, caputo, initial_value, series_add, series_equal, \
     series_mul, series_scale, series_substitute
 from .decomp import (
@@ -78,7 +77,7 @@ class ProblemSpec:
     domain_y: Optional[Tuple[float, float]]
     alpha: float
     mode: str
-    f: Expr
+    f: Series
     bd: BoundaryData
     linear: LinearOpSpec
     nonlinear: Optional[NonlinearOpSpec]
@@ -265,7 +264,7 @@ def validate_consistency(spec: ProblemSpec, source_tol: float = 1e-9,
     source_ok = series_equal(spec.h, manufactured, domain=dom, tol=source_tol)
     residual = None if source_ok else series_add(spec.h, series_scale(manufactured, -1.0))
 
-    ic_ok = equal_sampled(spec.f, initial_value(spec.exact), dom, tol=data_tol)
+    ic_ok = series_equal(spec.f, initial_value(spec.exact), domain=dom, tol=data_tol)
 
     faces = spec.bd.faces()
     bc_ok = all(series_equal(faces[face], series_substitute(spec.exact, var, at),
@@ -285,19 +284,23 @@ def validate_consistency(spec: ProblemSpec, source_tol: float = 1e-9,
 
 _LINEAR_ENTRY = re.compile(r"^\s*([012])\s*([xy]?)\s*:\s*([-+0-9.eE]+)\s*$")
 _FACTOR = re.compile(r"^u(?:_(x{1,2}|y{1,2}))?(?:\^(\d+))?$")
+# a number's exponent sign, from the digit or point two places before it
+_EXPONENT_SIGN = re.compile(r"[0-9.][eE][+-][0-9]")
 
 
 def _split_top(text: str, seps: str) -> List[str]:
-    """Split on separators at brace/paren depth zero."""
+    """Split on separators at brace/paren depth zero; the sign of a number's
+    exponent (``1e-3``, read as one literal by the grammar) splits nothing."""
     parts = []
     depth = 0
     cur = []
-    for ch in text:
+    for i, ch in enumerate(text):
         if ch in "({":
             depth += 1
         elif ch in ")}":
             depth -= 1
-        if depth == 0 and ch in seps:
+        exponent = i >= 2 and _EXPONENT_SIGN.match(text, i - 2)
+        if depth == 0 and ch in seps and not exponent:
             parts.append("".join(cur))
             cur = [ch] if ch in "+-" else []
             continue
@@ -442,7 +445,8 @@ def _spec(pid: str, title: str, name: str, fields: Dict[str, str], alpha: float,
             raise ProblemError(f"{name}: missing '{key}' and no exact to derive it from")
         return derive()
 
-    f = data("ic", parse_spatial, lambda: initial_value(exact))
+    f = data("ic", lambda text, a: Series.of(0.0, parse_spatial(text, a)),
+             lambda: initial_value(exact))
     bd = BoundaryData(dimension, **{
         face: data(key, parse_series, lambda: series_substitute(exact, var, at))
         for face, (key, var, at) in face_geometry(domain, domain_y).items()})

@@ -6,7 +6,7 @@ powers with a real exponent, and ``sin``/``cos``/``exp``. Expressions are
 immutable. ``simplify`` rewrites to a multinomial normal form over
 irreducible atoms (variables and transcendental nodes), so structural
 equality of simplified expressions doubles as semantic equality for
-polynomial content; mixtures that share no normal form are compared with
+polynomial content; polys that share no normal form are compared with
 ``equal_sampled`` on deterministic quasi-random points.
 
 Single-base Fourier polys on one angle unit multiply through one harmonic
@@ -21,10 +21,12 @@ sin/cos over one base angle are rewritten onto multiple angles by the same
 kernel.
 ``diff`` differentiates a poly by the product and chain rules, with no tree;
 ``factor_diff`` gives the cached first or second derivative of one factor.
-Polys are evaluated numerically through one kernel, ``poly_rows``, which
-turns monomials into value rows, factor column by factor column
-(``poly_column``): the zero check samples with it, and grid evaluation
-builds its rows with it.
+Polys are read numerically through one factor table, ``FactorTable``: a
+row of values per factor (atom, k) on the points of an env, multiplied into
+monomial rows and summed in the caller's order. The zero check keeps one on
+its points, ``equal_sampled`` and ``series_equal`` build one on a domain's
+sample points and grid evaluation one on the space grid. ``evaluate`` walks
+a tree: it fills the atom rows and serves ``fracterm.eval_series``.
 """
 
 from __future__ import annotations
@@ -56,8 +58,10 @@ __all__ = [
     "equal_sampled",
     "sample_points",
     "is_zero_expr",
+    "FactorTable",
     "poly_rows",
     "poly_column",
+    "add_rows",
     "poly_substitute",
     "sorted_items",
     "X",
@@ -73,7 +77,8 @@ EnvValue = Union[float, np.ndarray]
 EXPONENT_SNAP = 1e-12
 # Largest integer power that gets expanded over a sum.
 EXPAND_POW_MAX = 12
-DEFAULT_SAMPLES = 64
+# Points of a sampled comparison.
+SAMPLES = 64
 DEFAULT_TOL = 1e-10
 # Fallback sampling box for zero detection; any interval works for the
 # analytic node set (zero on 64 quasi-random points of a box ~ zero function).
@@ -1146,100 +1151,11 @@ def poly_substitute(p: Poly, name: str, value: float) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Sampled comparison.
+# Numeric values of polys.
 # ---------------------------------------------------------------------------
 
-# Kronecker sequences: golden ratio for 1D, the plastic-number pair for 2D.
-_GOLDEN = 0.6180339887498949
-_PLASTIC_1 = 0.7548776662466927
-_PLASTIC_2 = 0.5698402909980532
-
-
-def _normalize_domain(domain):
-    if domain is None:
-        return ZERO_CHECK_DOMAIN
-    lo = domain[0]
-    if isinstance(lo, (tuple, list)):
-        (lx, hx), (ly, hy) = domain
-        return ((float(lx), float(hx)), (float(ly), float(hy)))
-    lx, hx = domain
-    return ((float(lx), float(hx)),)
-
-
-def sample_points(domain, n_samples: int = DEFAULT_SAMPLES) -> dict:
-    """Deterministic quasi-random sample environment for a 1D/2D box."""
-    dom = _normalize_domain(domain)
-    idx = np.arange(1, n_samples + 1, dtype=float)
-    if len(dom) == 1:
-        (lx, hx), = dom
-        frac = np.mod(idx * _GOLDEN, 1.0)
-        return {"x": lx + frac * (hx - lx)}
-    (lx, hx), (ly, hy) = dom
-    fx = np.mod(idx * _PLASTIC_1, 1.0)
-    fy = np.mod(idx * _PLASTIC_2, 1.0)
-    return {"x": lx + fx * (hx - lx), "y": ly + fy * (hy - ly)}
-
-
-def equal_sampled(a: Expr, b: Expr, domain=None, n_samples: int = DEFAULT_SAMPLES,
-                  tol: float = DEFAULT_TOL) -> bool:
-    """True iff |a - b| <= tol * (1 + |a|) at every sample point."""
-    env = sample_points(domain, n_samples)
-    va = np.asarray(evaluate(a, env), dtype=float)
-    vb = np.asarray(evaluate(b, env), dtype=float)
-    return bool(np.all(np.abs(va - vb) <= tol * (1.0 + np.abs(va))))
-
-
-_ZERO_ENV = None
-# atom -> sampled values, and (atom, exponent) -> sampled power; atoms are
-# interned, so a lookup mostly hits on identity
-_ATOM_SAMPLES: Dict[Expr, np.ndarray] = {}
-_POW_SAMPLES: Dict[Tuple[Expr, float], np.ndarray] = {}
-_ONES = np.ones(DEFAULT_SAMPLES)
-
-
-def _atom_sample_values(atom: Expr) -> np.ndarray:
-    arr = _ATOM_SAMPLES.get(atom)
-    if arr is None:
-        global _ZERO_ENV
-        if _ZERO_ENV is None:
-            _ZERO_ENV = sample_points(ZERO_CHECK_DOMAIN, DEFAULT_SAMPLES)
-        arr = np.asarray(evaluate(atom, _ZERO_ENV), dtype=float)
-        if arr.shape != (DEFAULT_SAMPLES,):
-            arr = np.full(DEFAULT_SAMPLES, float(arr))
-        _ATOM_SAMPLES[atom] = arr
-    return arr
-
-
-def _pow_sample_values(factor: Tuple[Expr, float]) -> np.ndarray:
-    arr = _POW_SAMPLES.get(factor)
-    if arr is None:
-        atom, k = factor
-        arr = _POW_SAMPLES[factor] = _pow_value(_atom_sample_values(atom), k)
-    return arr
-
-
-def is_zero_expr(p: Poly, tol: float = ZERO_COEFF_TOL) -> bool:
-    """Semi-decision for the zero function of a ``poly_of`` normal form, used
-    to drop series coefficients. A p that cannot be evaluated on the sampling
-    box (a fractional power of a base negative there) is not zero: the term
-    is kept, and evaluation on the problem's own domain decides."""
-    if not p:
-        return True
-    if len(p) == 1 and () in p:
-        return abs(p[()]) <= tol
-    try:
-        v = _zero_check_samples(p)
-    except PowerDomainError:
-        return False
-    return bool(np.all(np.abs(v) <= tol * (1.0 + np.abs(v))))
-
-
-def _zero_check_samples(p: Poly) -> np.ndarray:
-    """The values of a non-empty p on the zero-check points, all monomials
-    at once: its rows in dict order, summed from +0.0, so every bit, down to
-    the sign of a zero, matches a monomial-by-monomial loop.
-    """
-    return poly_rows(list(p.items()), _pow_sample_values, _ONES).sum(axis=0, initial=0.0)
+# Values per block of monomial rows (8 bytes each).
+ROW_BLOCK = 1 << 16
 
 
 def poly_rows(items: list, values, ones: np.ndarray) -> np.ndarray:
@@ -1264,6 +1180,140 @@ def poly_column(items: list, values, j: int, pad: np.ndarray) -> np.ndarray:
     """The rows ``values(mono[j])`` of factor j of each monomial of items,
     shape (len(items), pad.size); a monomial with no factor j gives ``pad``."""
     return np.array([values(mono[j]) if j < len(mono) else pad for mono, _ in items])
+
+
+def add_rows(running: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """running + rows[0] + rows[1] + ..., in order from +0.0, for rows of two
+    values or more (numpy sums one-value rows pairwise). A sum started from
+    +0.0 is never -0.0, so one running sum continues across blocks."""
+    return np.concatenate((running[None], rows)).sum(axis=0, initial=0.0)
+
+
+class FactorTable:
+    """The values of monomial factors (atom, k) at the points of one env, one
+    row per factor, each built once.
+
+    An atom is evaluated once by ``evaluate``, raised to k by ``_pow_value``
+    and broadcast over the shape of the env's values (``space_shape``),
+    flattened to ``size`` values. Rows are filled monomial by monomial,
+    factor by factor, so a domain error is raised at the same factor as in a
+    term-by-term evaluation. ``poly_row`` sums a poly's rows in the order of
+    the items it is given.
+    """
+
+    def __init__(self, env: Mapping[str, EnvValue]):
+        self.env = env
+        self.space_shape: Tuple[int, ...] = np.broadcast_shapes(
+            *(np.shape(v) for v in env.values()))
+        self.size = math.prod(self.space_shape)
+        self.ones = np.ones(self.size)
+        self.zeros = np.zeros(self.size)
+        # monomials per block of rows: ROW_BLOCK values each
+        self.block = max(1, ROW_BLOCK // self.size)
+        self.values: Dict[Tuple[Expr, float], np.ndarray] = {}
+        self._atoms: Dict[Expr, np.ndarray] = {}
+
+    def fill(self, items) -> None:
+        """Build the row of every factor of the items' monomials."""
+        values = self.values
+        for mono, _ in items:
+            for factor in mono:
+                if factor not in values:
+                    atom, k = factor
+                    v = self._atoms.get(atom)
+                    if v is None:
+                        v = self._atoms[atom] = np.asarray(evaluate(atom, self.env),
+                                                           dtype=float)
+                    if k != 1.0:
+                        v = _pow_value(v, k)
+                    values[factor] = np.broadcast_to(v, self.space_shape).reshape(self.size)
+
+    def poly_row(self, items) -> np.ndarray:
+        """The sum of the items' monomial rows, in the given order, from +0.0;
+        ``zeros`` for no items."""
+        self.fill(items)
+        total = None
+        for i in range(0, len(items), self.block):
+            rows = poly_rows(items[i:i + self.block], self.values.__getitem__, self.ones)
+            # the first block is summed alone: adding it to zeros gives the same bits
+            total = rows.sum(axis=0, initial=0.0) if total is None else add_rows(total, rows)
+        return self.zeros if total is None else total
+
+    def close(self, a: Poly, b: Poly, tol: float) -> bool:
+        """True iff |a - b| <= tol * (1 + |a|) at every point, each poly summed
+        in ``sorted_items`` order, as ``evaluate(expr_of_poly(p))`` sums it."""
+        va = self.poly_row(sorted_items(a))
+        vb = self.poly_row(sorted_items(b))
+        return bool(np.all(np.abs(va - vb) <= tol * (1.0 + np.abs(va))))
+
+
+# ---------------------------------------------------------------------------
+# Sampled comparison.
+# ---------------------------------------------------------------------------
+
+# Kronecker sequences: golden ratio for 1D, the plastic-number pair for 2D.
+_GOLDEN = 0.6180339887498949
+_PLASTIC_1 = 0.7548776662466927
+_PLASTIC_2 = 0.5698402909980532
+
+
+def _normalize_domain(domain):
+    if domain is None:
+        return ZERO_CHECK_DOMAIN
+    lo = domain[0]
+    if isinstance(lo, (tuple, list)):
+        (lx, hx), (ly, hy) = domain
+        return ((float(lx), float(hx)), (float(ly), float(hy)))
+    lx, hx = domain
+    return ((float(lx), float(hx)),)
+
+
+def sample_points(domain) -> dict:
+    """Deterministic quasi-random sample environment of ``SAMPLES`` points
+    in a 1D/2D box (the zero-check box for None)."""
+    dom = _normalize_domain(domain)
+    idx = np.arange(1, SAMPLES + 1, dtype=float)
+    if len(dom) == 1:
+        (lx, hx), = dom
+        frac = np.mod(idx * _GOLDEN, 1.0)
+        return {"x": lx + frac * (hx - lx)}
+    (lx, hx), (ly, hy) = dom
+    fx = np.mod(idx * _PLASTIC_1, 1.0)
+    fy = np.mod(idx * _PLASTIC_2, 1.0)
+    return {"x": lx + fx * (hx - lx), "y": ly + fy * (hy - ly)}
+
+
+def equal_sampled(a: Poly, b: Poly, domain=None, tol: float = DEFAULT_TOL) -> bool:
+    """True iff |a - b| <= tol * (1 + |a|) at every sample point of domain."""
+    return FactorTable(sample_points(domain)).close(a, b, tol)
+
+
+# the factor rows on the zero-check points, kept for the life of the process
+_ZERO_CHECK = FactorTable(sample_points(ZERO_CHECK_DOMAIN))
+
+
+def is_zero_expr(p: Poly) -> bool:
+    """Semi-decision for the zero function of a ``poly_of`` normal form, used
+    to drop series coefficients: |p| <= 1e-12 (1 + |p|) on the zero-check
+    points. A p that cannot be evaluated on the sampling box (a fractional
+    power of a base negative there) is not zero: the term is kept, and
+    evaluation on the problem's own domain decides."""
+    if not p:
+        return True
+    if len(p) == 1 and () in p:
+        return abs(p[()]) <= ZERO_COEFF_TOL
+    try:
+        v = _zero_check_samples(p)
+    except PowerDomainError:
+        return False
+    return bool(np.all(np.abs(v) <= ZERO_COEFF_TOL * (1.0 + np.abs(v))))
+
+
+def _zero_check_samples(p: Poly) -> np.ndarray:
+    """The values of p on the zero-check points, its rows summed in dict
+    order from +0.0, so every bit, down to the sign of a zero, matches a
+    monomial-by-monomial loop."""
+    return _ZERO_CHECK.poly_row(list(p.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,9 @@ from fracdecomp.fracterm import (
     series_substitute,
     spatial_apply,
 )
-from fracdecomp.grammar import parse_series, parse_spatial
+from fracdecomp.grammar import parse_series
 from fracdecomp.problems import ProblemSpec, builtin
-from fracdecomp.symx import Var, equal_sampled, sorted_items
+from fracdecomp.symx import Var, sorted_items
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SQUARE = NonlinearOpSpec((NonlinearProduct(1.0, (NonlinearFactor(0, "x", 2),)),))
@@ -79,7 +79,7 @@ def test_boundary_correct_preserves_initial_trace():
     u = parse_series("x + x^2*t^2")
     bd = BoundaryData.interval(Series.zero(), parse_series("1 + t^3"))
     got = boundary_correct(u, bd, (0.0, 1.0))
-    assert equal_sampled(initial_value(got), initial_value(u), (0.0, 1.0))
+    assert series_equal(initial_value(got), initial_value(u), (0.0, 1.0))
 
 
 def test_paper_literal_weights_match_on_unit_interval():
@@ -425,7 +425,7 @@ def test_mldm_reduces_to_ladm_without_boundary_defect():
     # a problem whose uncorrected iterates already satisfy the data: the
     # correction must be the identity and the two methods coincide
     exact = parse_series("(1 + t^2)*sin(pi*x)")
-    f = parse_spatial("sin(pi*x)")
+    f = parse_series("sin(pi*x)")
     h = parse_series("2*t*sin(pi*x)")
     bd = BoundaryData.interval(Series.zero(), Series.zero())
     spec = ProblemSpec(

@@ -168,8 +168,9 @@ def test_integral_inverts_caputo_up_to_initial_value():
 def test_initial_value_reads_constant_term():
     s = parse_series("t^(3 + alpha)*sin(x) + 1", 0.7)
     iv = initial_value(s)
-    assert evaluate(iv, {"x": 0.83}) == 1.0
-    assert evaluate(initial_value(Series.of(0.5, X)), {"x": 2.0}) == 0.0
+    assert iv == Series.of(0.0, 1.0)
+    assert eval_series(iv, {"x": 0.83}, 0.0) == 1.0
+    assert initial_value(Series.of(0.5, X)) == Series.zero()
 
 
 # ---------------------------------------------------------------------------

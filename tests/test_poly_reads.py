@@ -1,11 +1,13 @@
-"""Grid evaluation, boundary substitution and common angles on polys,
-against the routes they replaced.
+"""Grid evaluation, sampled reads, boundary substitution and common angles
+on polys, against the routes they replaced.
 
-The old routes are kept here as references: grid evaluation through
-``evaluate(expr_of_poly(p))``, ``poly_substitute`` with a table of its own
-per call keyed on atom ids, and the common angle of the concatenated ratio
-tuples of a pair (``_reference_common_angle``, which other tests import).
-Every comparison is bit for bit.
+The old routes are kept here as references: grid evaluation and sampled
+comparison through ``evaluate(expr_of_poly(p))`` (``equal_sampled`` and
+``series_equal`` as they stood on expression trees), ``poly_substitute``
+with a table of its own per call keyed on atom ids, and the common angle of
+the concatenated ratio tuples of a pair (``_reference_common_angle``, which
+other tests import). Every comparison is bit for bit, up to the sign of a
+zero where a tree does not sum a lone monomial.
 """
 
 import math
@@ -14,11 +16,11 @@ import random
 import numpy as np
 import pytest
 
-from fracdecomp import evaluation, fracterm, symx
+from fracdecomp import fracterm, symx
 from fracdecomp.decomp import adomian_polys, ladm_solve, mldm_solve
 from fracdecomp.evaluation import default_grid, evaluate_series_grid, make_grid
 from fracdecomp.fracterm import Series
-from fracdecomp.problems import builtin
+from fracdecomp.problems import MODES, builtin, face_geometry, manufacture_source
 from fracdecomp.symx import (
     Const,
     Cos,
@@ -104,8 +106,112 @@ def test_grid_row_blocks_keep_every_bit(monkeypatch):
     grid = default_grid(spec)
     want = _reference_grid(applied, grid).tobytes()
     for rows in (1, 3, 50):
-        monkeypatch.setattr(evaluation, "ROW_BLOCK", rows * grid.xs.size)
+        monkeypatch.setattr(symx, "ROW_BLOCK", rows * grid.xs.size)
         assert evaluate_series_grid(applied, grid).tobytes() == want
+
+
+# ---------------------------------------------------------------------------
+# sampled reads
+# ---------------------------------------------------------------------------
+
+
+def _reference_equal_sampled(a, b, domain, tol):
+    # equal_sampled as it stood: both expression trees evaluated
+    env = symx.sample_points(domain)
+    va = np.asarray(evaluate(a, env), dtype=float)
+    vb = np.asarray(evaluate(b, env), dtype=float)
+    return bool(np.all(np.abs(va - vb) <= tol * (1.0 + np.abs(va))))
+
+
+def _reference_series_equal(a, b, domain, tol):
+    # series_equal as it stood: term coefficients read as trees (.coeff)
+    ta, tb = list(a.terms), list(b.terms)
+    i = j = 0
+    while i < len(ta) or j < len(tb):
+        if i < len(ta) and j < len(tb) and abs(ta[i].mu - tb[j].mu) <= 1e-12:
+            if not _reference_equal_sampled(ta[i].coeff, tb[j].coeff, domain, tol):
+                return False
+            i += 1
+            j += 1
+        elif j >= len(tb) or (i < len(ta) and ta[i].mu < tb[j].mu):
+            if not _reference_equal_sampled(ta[i].coeff, Const(0.0), domain, tol):
+                return False
+            i += 1
+        else:
+            if not _reference_equal_sampled(tb[j].coeff, Const(0.0), domain, tol):
+                return False
+            j += 1
+    return True
+
+
+def _reference_zero_samples(p):
+    # the zero check's values as they stood: each atom evaluated on the
+    # zero-check points, monomials added in dict order
+    env = symx.sample_points(symx.ZERO_CHECK_DOMAIN)
+    v = np.zeros(symx.SAMPLES)
+    for mono, c in p.items():
+        mv = np.full(symx.SAMPLES, c)
+        for atom, k in mono:
+            mv = mv * symx._pow_value(np.asarray(evaluate(atom, env), dtype=float), k)
+        v += mv
+    return v
+
+
+def _sampled_corpus(pid):
+    """(spec, [(name, series)]) per builtin spec at alpha 0.5, 0.75 and 1 in
+    both modes: h, exact, f, the faces, and for both solvers at n = 3 each
+    partial sum and decomposition polynomial."""
+    out = []
+    for mode in MODES:
+        for alpha in (0.5, 0.75, 1.0):
+            spec = builtin(pid, alpha, mode)
+            named = [("h", spec.h), ("exact", spec.exact), ("f", spec.f)]
+            named += list(spec.bd.faces().items())
+            for solve in (ladm_solve, mldm_solve):
+                for rec in solve(spec, 3).records:
+                    named.append((f"{solve.__name__} S{rec.n}", rec.partial_sum))
+                    if rec.poly is not None:
+                        named.append((f"{solve.__name__} poly{rec.n}", rec.poly))
+            out.append((spec, named))
+    return out
+
+
+@pytest.mark.parametrize("pid", PIDS)
+def test_sampled_reads_match_tree_evaluation_on_the_corpus(pid):
+    polys = 0
+    decisions = set()
+    for spec, named in _sampled_corpus(pid):
+        dom = spec.sample_domain()
+        env = symx.sample_points(dom)
+        table = symx.FactorTable(env)
+        for name, s in named:
+            for term in s.terms:
+                got = table.poly_row(symx.sorted_items(term.poly))
+                want = np.broadcast_to(np.asarray(
+                    evaluate(expr_of_poly(term.poly), env), dtype=float), got.shape)
+                where = (spec.pid, spec.mode, spec.alpha, name, term.mu)
+                assert np.abs(got).tobytes() == np.abs(want).tobytes(), where
+                zero = symx._zero_check_samples(term.poly)
+                assert zero.tobytes() == _reference_zero_samples(term.poly).tobytes(), where
+                polys += 1
+        # the decisions of the consistency audit, and of each partial sum
+        # against the exact solution and the sum before it
+        exact = spec.exact
+        pairs = [(spec.h, manufacture_source(exact, spec.linear, spec.nonlinear,
+                                             spec.alpha)),
+                 (spec.f, fracterm.initial_value(exact))]
+        geometry = face_geometry(spec.domain, spec.domain_y)
+        pairs += [(g, fracterm.series_substitute(exact, *geometry[face][1:]))
+                  for face, g in spec.bd.faces().items()]
+        sums = [s for name, s in named if " S" in name]
+        pairs += [(s, exact) for s in sums] + list(zip(sums[1:], sums))
+        for a, b in pairs:
+            for tol in (1e-12, 1e-10, 1e-9, 1e-6):
+                want = _reference_series_equal(a, b, dom, tol)
+                assert fracterm.series_equal(a, b, dom, tol) == want
+                decisions.add(want)
+    assert polys >= 100
+    assert decisions == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from fracdecomp.decomp import (
     NonlinearProduct,
     check_corner_compatibility,
 )
-from fracdecomp.fracterm import eval_series, initial_value, series_equal, series_substitute
+from fracdecomp.fracterm import Series, eval_series, initial_value, series_equal, \
+    series_substitute
 from fracdecomp.grammar import parse_series, parse_spatial
 from fracdecomp.problems import (
     MODES,
@@ -26,7 +27,6 @@ from fracdecomp.problems import (
     manufacture_source,
     validate_consistency,
 )
-from fracdecomp.symx import evaluate, poly_of
 
 PI = math.pi
 
@@ -92,7 +92,7 @@ def test_builtin_manufactured_data_is_compatible():
             other = "x" if var == "y" else "y"
             pt = {var: at, other: 0.7}
             face0 = eval_series(g, {other: 0.7}, 0.0)
-            f0 = evaluate(spec.f, pt)
+            f0 = eval_series(spec.f, pt, 0.0)
             assert abs(face0 - f0) <= 1e-12, (pid, key)
 
 
@@ -249,7 +249,7 @@ def _reference_builtin(pid: str, alpha: float, mode: str) -> ProblemSpec:
         f = initial_value(exact)
         h = manufacture_source(exact, linear, nonlinear, alpha)
     else:
-        f = parse_spatial(d.f, alpha)
+        f = Series.of(0.0, parse_spatial(d.f, alpha))
         h = parse_series(d.h, alpha)
     if d.dimension == 2:
         check_corner_compatibility(bd, d.domain, d.domain_y)
@@ -260,7 +260,7 @@ def _reference_builtin(pid: str, alpha: float, mode: str) -> ProblemSpec:
 @pytest.mark.parametrize("pid", PROBLEM_IDS)
 def test_builtin_records_match_the_reference_definitions(pid):
     # bit for bit: Series ==, nonlinear products with their float
-    # coefficients compared exactly, the initial trace as a poly
+    # coefficients compared exactly, the initial trace as a series
     assert tuple(_REFERENCE) == PROBLEM_IDS
     for mode in MODES:
         for alpha in (0.3, 0.5, 0.7, 0.75, 1.0):
@@ -271,7 +271,7 @@ def test_builtin_records_match_the_reference_definitions(pid):
             assert (got.dimension, got.domain, got.domain_y, got.alpha) == \
                 (want.dimension, want.domain, want.domain_y, want.alpha), where
             assert got.exact == want.exact and got.h == want.h, where
-            assert poly_of(got.f) == poly_of(want.f), where
+            assert got.f == want.f, where
             assert got.bd.faces() == want.bd.faces(), where
             assert got.linear == want.linear, where
             assert got.nonlinear == want.nonlinear, where
@@ -452,6 +452,22 @@ def test_two_brace_coefficients_multiply(tmp_path):
     assert two.h == one.h
 
 
+def test_nonlinear_constants_in_scientific_notation(tmp_path):
+    # the sign of an exponent does not split a nonlinear term
+    specs = []
+    for name, nonlinear in (("sci", "1e-3*u^2 + 2e+0*u*u_x - 2.5E-1*u"),
+                            ("dec", "0.001*u^2 + 2*u*u_x - 0.25*u")):
+        p = tmp_path / f"{name}.txt"
+        p.write_text(f"alpha = 0.5\ndomain = 0, 1\nexact = t*x\nnonlinear = {nonlinear}\n")
+        specs.append(load_problem_file(p))
+    sci, dec = specs
+    assert sci.nonlinear == dec.nonlinear
+    assert [p.coeff.hex() for p in sci.nonlinear.products] == \
+        [p.coeff.hex() for p in dec.nonlinear.products] == \
+        [(0.001).hex(), (2.0).hex(), (-0.25).hex()]
+    assert sci.h == dec.h
+
+
 def test_literal_file_derives_omitted_data_from_exact(tmp_path):
     # paper-literal mode takes the given source, initial trace and faces, and
     # derives what the file leaves out from the exact solution
@@ -460,7 +476,7 @@ def test_literal_file_derives_omitted_data_from_exact(tmp_path):
                  "bc.L = 7\n")
     spec = load_problem_file(p, mode="paper-literal")
     assert spec.h == parse_series("x")
-    assert poly_of(spec.f) == poly_of(parse_spatial("1"))
+    assert spec.f == parse_series("1")
     assert spec.bd.g0 == parse_series("1")
     assert spec.bd.g1 == parse_series("7")
     assert validate_consistency(spec).labels() == ["bc", "source"]

@@ -50,13 +50,13 @@ def test_diff_constant_is_zero():
 
 def test_diff_quadratic_profile():
     e = X * (Const(2.0) - X)
-    assert equal_sampled(_d(e), Const(2.0) - Const(2.0) * X, (0.0, 2.0))
+    assert equal_sampled(diff(poly_of(e), "x"), poly_of(Const(2.0) - Const(2.0) * X), (0.0, 2.0))
 
 
 def test_diff_sine_chain_rule():
     e = Sin(Const(2.0 * math.pi) * X)
     want = Const(2.0 * math.pi) * Cos(Const(2.0 * math.pi) * X)
-    assert equal_sampled(_d(e), want, (0.0, 1.0))
+    assert equal_sampled(diff(poly_of(e), "x"), poly_of(want), (0.0, 1.0))
 
 
 def _random_expr(rng):
@@ -138,7 +138,7 @@ def test_simplify_zero_annihilation():
 def test_simplify_polynomial_collection():
     expanded = simplify(X * (Const(2.0) - X))
     want = Const(2.0) * X - X * X
-    assert equal_sampled(expanded, want, (0.0, 2.0))
+    assert equal_sampled(poly_of(expanded), poly_of(want), (0.0, 2.0))
 
 
 def test_simplify_unit_factor():
@@ -188,17 +188,21 @@ def test_simplify_idempotent_and_value_preserving(e):
 
 
 def test_equal_sampled_algebraic_identity():
-    assert equal_sampled(Const(2.0) * X - X * X, X * (Const(2.0) - X),
-                         (0.0, 2.0), 64, 1e-10)
+    assert equal_sampled(poly_of(Const(2.0) * X - X * X), poly_of(X * (Const(2.0) - X)),
+                         (0.0, 2.0), 1e-10)
+    # two normal forms of one function: exp(x)^2 and exp(2 x)
+    a, b = poly_of(Exp(X) * Exp(X)), poly_of(Exp(Const(2.0) * X))
+    assert a != b
+    assert equal_sampled(a, b, (0.0, 2.0), 1e-10)
 
 
 def test_equal_sampled_distinguishes():
-    assert not equal_sampled(Sin(X), Cos(X), (0.0, 1.0), 64, 1e-10)
+    assert not equal_sampled(poly_of(Sin(X)), poly_of(Cos(X)), (0.0, 1.0), 1e-10)
 
 
 def test_equal_sampled_reflexive_symmetric():
-    a = Sin(X) * Exp(X) + X
-    b = Cos(X) - X * X
+    a = poly_of(Sin(X) * Exp(X) + X)
+    b = poly_of(Cos(X) - X * X)
     assert equal_sampled(a, a, (0.0, 1.0))
     assert equal_sampled(a, b, (0.0, 1.0)) == equal_sampled(b, a, (0.0, 1.0))
 
@@ -249,7 +253,8 @@ def test_substitute_binds_one_variable():
     e = X * Y + Sin(X)
     s = expr_of_poly(poly_substitute(poly_of(e), "x", 1.0))
     assert not contains(s, "x")
-    assert equal_sampled(s, Y + Const(math.sin(1.0)), ((0.0, 2.0), (0.0, 2.0)))
+    assert equal_sampled(poly_of(s), poly_of(Y + Const(math.sin(1.0))),
+                         ((0.0, 2.0), (0.0, 2.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from fracdecomp.fracterm import _mu_groups, spatial_apply
 from fracdecomp.problems import builtin
 from fracdecomp.symx import Const, Cos, Pow, Sin, Var, fourier_sums, poly_of
 from test_poly_reads import _reference_common_angle
+from test_poly_reads import _reference_zero_samples as _reference_samples
 
 X = Var("x")
 Y = Var("y")
@@ -348,16 +349,6 @@ def test_harmonic_sums_skip_zero_harmonics():
 # ---------------------------------------------------------------------------
 # zero test
 # ---------------------------------------------------------------------------
-
-
-def _reference_samples(p):
-    v = np.zeros(symx.DEFAULT_SAMPLES)
-    for mono, c in p.items():
-        mv = np.full(symx.DEFAULT_SAMPLES, c)
-        for atom, k in mono:
-            mv = mv * symx._pow_value(symx._atom_sample_values(atom), k)
-        v += mv
-    return v
 
 
 def _zero_test_cases():
