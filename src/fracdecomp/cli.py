@@ -323,6 +323,9 @@ def cmd_solve(problem, file_, alpha_, method, iters, mode, weights, grid_, tmax,
         _fail(EXIT_INPUT, exc.pointer())
     except (ProblemError, DecompError, SeriesError, EvalError, ValueError) as exc:
         _fail(EXIT_INPUT, str(exc))
+    except ExprError as exc:
+        # e.g. a face of the exact solution with no value on the boundary
+        _fail(EXIT_INPUT, f"the series cannot be evaluated on the domain: {exc}")
 
     packed = [(kind, ident, a, m, iters, mode, weights, counts, tmax)
               for a in alphas for m in methods]

@@ -233,8 +233,7 @@ class BoundaryData:
         return {"gx0": self.gx0, "gx1": self.gx1, "gy0": self.gy0, "gy1": self.gy1}
 
 
-def check_corner_compatibility(bd: BoundaryData, domain_x, domain_y,
-                               tol: float = CORNER_TOL) -> None:
+def check_corner_compatibility(bd: BoundaryData, domain_x, domain_y) -> None:
     """The four faces must agree where they meet (tol 1e-12), else correcting
     x then y cannot hit all faces."""
     if bd.dimension != 2:
@@ -250,7 +249,7 @@ def check_corner_compatibility(bd: BoundaryData, domain_x, domain_y,
     for fa, va, pa, fb, vb, pb in corners:
         a = series_substitute(fa, va, pa)
         b = series_substitute(fb, vb, pb)
-        if not series_equal(a, b, tol=tol):
+        if not series_equal(a, b, tol=CORNER_TOL):
             raise DecompError(
                 f"incompatible corner data at ({vb}={pb}, {va}={pa}): {a} vs {b}")
 

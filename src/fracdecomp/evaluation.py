@@ -3,10 +3,12 @@
 Everything here treats a Series as data to be evaluated, never transformed;
 the one genuinely numerical object is ``rl_integral_quadrature``, an oracle
 for the fractional integral that shares no code path with the closed-form
-power rule it cross-checks. The spatial derivatives the residual's
-nonlinearity needs are assembled on the grid by the product rule from the
-value and derivative rows of each monomial factor, so no derivative series
-is built.
+power rule it cross-checks. A series is read on the grid through one
+``symx.FactorTable`` per call, which builds the factor rows and sums them
+into each term's values and, for the residual's nonlinearity, its spatial
+derivatives by the product rule (``FactorTable.jet_sums``), so no
+derivative series is built; this module only scales each term's sums by
+t^mu and checks that they are finite.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .symx import (Expr, FactorTable, add_rows, factor_diff, poly_column,
-                   sorted_items)
+from .symx import FactorTable, sorted_items
 from .fracterm import (
     Series,
     caputo,
@@ -103,47 +104,20 @@ def default_grid(spec, nx: int = DEFAULT_NX, ny: int = DEFAULT_NY, nt: int = DEF
     return make_grid(spec.domain, spec.domain_y, nx=nx, ny=ny, nt=nt, tmax=tmax)
 
 
-class _FactorRows(FactorTable):
-    """``symx.FactorTable`` on the flattened space grid, plus the rows of the
-    factors' first and second derivatives in x or y, each built once.
-
-    A derivative row is the poly ``symx.factor_diff`` gives, summed from its
-    monomial rows as a coefficient is (``poly_row``), and is built only for
-    the (var, order) a caller asks for.
-    """
-
-    def __init__(self, grid: Grid):
-        super().__init__({"x": grid.xs} if grid.ys is None else
-                         {"x": grid.xs[:, None], "y": grid.ys[None, :]})
-        self._derivs: Dict[Tuple[str, int], Dict[Tuple[Expr, float], np.ndarray]] = {}
-
-    def fill_derivs(self, items, var: str, order: int) -> Dict[Tuple[Expr, float], np.ndarray]:
-        """The table of order-th var-derivative rows, holding every factor of items."""
-        table = self._derivs.setdefault((var, order), {})
-        for mono, _ in items:
-            for factor in mono:
-                if factor not in table:
-                    p = factor_diff(factor[0], factor[1], var, order)
-                    table[factor] = self.poly_row(sorted_items(p)) if p else self.zeros
-        return table
-
-
 # overflow is reported once, by _finite, not as a RuntimeWarning per operation
 @np.errstate(all="ignore")
 def evaluate_series_grid(series: Series, grid: Grid) -> np.ndarray:
     """Dense evaluation, shape (nx, nt) or (nx, ny, nt).
 
     Coefficients are read from their polys through one factor table per
-    call (``symx.FactorTable``). A coefficient is its ``symx.poly_rows`` in
+    call (``symx.FactorTable``). A coefficient is its monomial rows in
     ``sorted_items`` order summed from +0.0, as
     ``evaluate(expr_of_poly(poly))`` sums them; a lone monomial is not summed
     there, which only turns a -0.0 into +0.0, and that sign is lost anyway
     when the term is added into the +0.0 output. So the output is bit for
     bit the tree evaluation's, and the same ``PowerDomainError`` is raised on
-    the same input. Rows are built ``symx.ROW_BLOCK`` values at a time, so a
-    poly of many monomials on a fine grid takes bounded memory. A value that
-    is not finite raises ``EvalError``. This is the order-0 grid of
-    ``_derivative_grids``.
+    the same input. A value that is not finite raises ``EvalError``. This is
+    the order-0 grid of ``_derivative_grids``.
     """
     return _derivative_grids(series, [(0, "x")], grid)[0, "x"]
 
@@ -153,63 +127,32 @@ def _derivative_grids(series: Series, keys, grid: Grid) -> Dict[Tuple[int, str],
     """The grid of d^order u / d var^order at u = series for each (order,
     var) in keys, built from the monomials with no derivative series.
 
-    Each monomial c * f_1 * ... * f_m is carried factor by factor with its
-    first and second derivatives in every var a key asks for (forward
-    mode): at factor f, u'' <- u'' f + 2 u' f' + u f'', then u' <- u' f +
-    u f', then u <- u f, from u = c, u' = u'' = 0. That is the product rule
-    c * sum_i f_i' prod_(j != i) f_j, plus for order 2 the f_i'' terms and
-    the 2 f_i' f_j' cross terms. The factor rows f, f' and f'' come from
-    ``_FactorRows``, and f'' only for a var that a key asks order 2 of, so
-    no derivative past the ones asked for is evaluated. The rows are summed
-    per term, ``symx.ROW_BLOCK`` values at a time, and scaled by t^mu; the u
-    rows are ``symx.poly_rows``, so the order-0 grid is the series'
-    evaluation (``evaluate_series_grid``). A value that is not finite raises
-    ``EvalError``.
+    Each term's value and derivative sums come from one factor table on the
+    space grid (``symx.FactorTable.jet_sums``, which carries each monomial's
+    derivatives by the product rule), asked for no derivative past the
+    highest order a key takes in each var; they are scaled by t^mu. The
+    order-0 grid is the series' evaluation (``evaluate_series_grid``). A
+    value that is not finite raises ``EvalError``.
     """
     orders: Dict[str, int] = {}
     for order, var in keys:
         if order:
             orders[var] = max(orders.get(var, 0), order)
-    rows = _FactorRows(grid)
-    ones, zeros = rows.ones, rows.zeros
-    shape = rows.space_shape + (grid.ts.size,)
-    value = np.zeros(shape)
-    grids = {(var, n): np.zeros(shape) for var, top in orders.items()
+    table = FactorTable({"x": grid.xs} if grid.ys is None else
+                        {"x": grid.xs[:, None], "y": grid.ys[None, :]})
+    space = table.space_shape
+    value = np.zeros(space + (grid.ts.size,))
+    grids = {(var, n): np.zeros_like(value) for var, top in orders.items()
              for n in range(1, top + 1)}
     for term in series.terms:
-        items = sorted_items(term.poly)
-        rows.fill(items)
-        tables = {key: rows.fill_derivs(items, *key) for key in grids}
-        coeff = zeros
-        sums = dict.fromkeys(grids, zeros)
-        for i in range(0, len(items), rows.block):
-            chunk = items[i:i + rows.block]
-            width = max(1, max(len(mono) for mono, _ in chunk))
-            c = np.fromiter((c for _, c in chunk), float, len(chunk))[:, None]
-            u = c * poly_column(chunk, rows.values.__getitem__, 0, ones)
-            jet = {key: c * poly_column(chunk, table.__getitem__, 0, zeros)
-                   for key, table in tables.items()}
-            for j in range(1, width):
-                f = poly_column(chunk, rows.values.__getitem__, j, ones)
-                for var, top in orders.items():
-                    d1 = poly_column(chunk, tables[var, 1].__getitem__, j, zeros)
-                    if top == 2:
-                        d2 = poly_column(chunk, tables[var, 2].__getitem__, j, zeros)
-                        jet[var, 2] = jet[var, 2] * f + 2.0 * jet[var, 1] * d1 + u * d2
-                    jet[var, 1] = jet[var, 1] * f + u * d1
-                u *= f
-            coeff = add_rows(coeff, u)
-            for key in grids:
-                sums[key] = add_rows(sums[key], jet[key])
+        coeff, sums = table.jet_sums(sorted_items(term.poly), orders)
         # np.power(0.0, 0.0) is 1.0, which is the t -> 0+ convention here
         tpow = np.power(grid.ts, term.mu)
-        value += coeff.reshape(rows.space_shape)[..., None] * tpow
+        value += coeff.reshape(space)[..., None] * tpow
         for key, grid_values in grids.items():
-            grid_values += sums[key].reshape(rows.space_shape)[..., None] * tpow
-    out = {}
-    for order, var in keys:
-        out[order, var] = _finite(value if order == 0 else grids[var, order], "series")
-    return out
+            grid_values += sums[key].reshape(space)[..., None] * tpow
+    return {(order, var): _finite(value if order == 0 else grids[var, order], "series")
+            for order, var in keys}
 
 
 def _finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -330,7 +273,7 @@ def _call_on(f: Callable[[float], float], tau: np.ndarray) -> np.ndarray:
     return np.array([float(f(float(v))) for v in tau])
 
 
-def _composite(f, alpha: float, t: float, n: int, panels: int) -> float:
+def _composite(f, alpha: float, t: float, n: int) -> float:
     # imported here: only the quadrature oracle needs scipy, not a solve
     from scipy.special import roots_jacobi, roots_legendre
     xj, wj = roots_jacobi(n, alpha - 1.0, 0.0)
@@ -339,8 +282,8 @@ def _composite(f, alpha: float, t: float, n: int, panels: int) -> float:
     total = half ** alpha * math.fsum(wj * _call_on(f, tau))
     xl, wl = roots_legendre(n)
     hi = t / 2.0
-    for k in range(panels - 1):
-        lo = hi / 2.0 if k < panels - 2 else 0.0
+    for k in range(QUAD_PANELS - 1):
+        lo = hi / 2.0 if k < QUAD_PANELS - 2 else 0.0
         mid, rad = (hi + lo) / 2.0, (hi - lo) / 2.0
         tau = mid + rad * xl
         total += rad * math.fsum(wl * ((t - tau) ** (alpha - 1.0) * _call_on(f, tau)))
@@ -348,14 +291,13 @@ def _composite(f, alpha: float, t: float, n: int, panels: int) -> float:
     return total / math.gamma(alpha)
 
 
-def rl_integral_quadrature(f: Callable[[float], float], alpha: float, t: float,
-                           n: int = QUAD_NODES, panels: int = QUAD_PANELS,
-                           self_check_tol: float = QUAD_SELF_CHECK_TOL) -> float:
+def rl_integral_quadrature(f: Callable[[float], float], alpha: float, t: float) -> float:
     """(1/Gamma(alpha)) * integral_0^t (t - tau)^(alpha-1) f(tau) dtau.
 
-    Runs the rule twice (n and n/2 nodes per panel) and refuses to return a
-    value the two node counts disagree on, so an integrand beyond the fixed
-    budget fails loudly instead of silently.
+    Runs the rule twice (``QUAD_NODES`` and half as many nodes per panel)
+    and refuses to return a value the two node counts disagree on beyond
+    ``QUAD_SELF_CHECK_TOL``, so an integrand beyond the fixed budget fails
+    loudly instead of silently.
     """
     if not 0.0 < alpha <= 1.0:
         raise EvalError(f"alpha must lie in (0, 1], got {alpha}")
@@ -363,14 +305,14 @@ def rl_integral_quadrature(f: Callable[[float], float], alpha: float, t: float,
         raise EvalError(f"t must be nonnegative, got {t}")
     if t == 0.0:
         return 0.0
-    value = _composite(f, alpha, t, n, panels)
-    check = _composite(f, alpha, t, max(n // 2, 2), panels)
+    value = _composite(f, alpha, t, QUAD_NODES)
+    check = _composite(f, alpha, t, QUAD_NODES // 2)
     spread = abs(value - check) / (1.0 + abs(value))
-    if spread > self_check_tol:
+    if spread > QUAD_SELF_CHECK_TOL:
         raise QuadratureError(
             f"quadrature self-check failed at alpha={alpha}, t={t}: "
-            f"{n} nodes/panel give {value!r} but {n // 2} give {check!r} "
-            f"(spread {spread:.3e} > {self_check_tol:.1e}); "
+            f"{QUAD_NODES} nodes/panel give {value!r} but {QUAD_NODES // 2} give {check!r} "
+            f"(spread {spread:.3e} > {QUAD_SELF_CHECK_TOL:.1e}); "
             "the integrand varies faster than the fixed node budget resolves")
     return value
 

@@ -41,6 +41,7 @@ from .decomp import (
     check_corner_compatibility,
 )
 from .grammar import GrammarError, parse_expr, parse_series, parse_spatial
+from .symx import ExprError
 
 __all__ = [
     "ProblemError",
@@ -210,6 +211,11 @@ def builtin(pid: str, alpha: float = 1.0, mode: str = "manufactured") -> Problem
 # Consistency audit.
 # ---------------------------------------------------------------------------
 
+# The audit's sampled tolerances: the source against the manufactured one,
+# the initial trace and faces against the exact solution's restrictions.
+SOURCE_TOL = 1e-9
+DATA_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class ConsistencyReport:
@@ -248,8 +254,7 @@ class ConsistencyReport:
         return "inconsistent (" + ", ".join(self.labels()) + ")"
 
 
-def validate_consistency(spec: ProblemSpec, source_tol: float = 1e-9,
-                         data_tol: float = 1e-10) -> ConsistencyReport:
+def validate_consistency(spec: ProblemSpec) -> ConsistencyReport:
     """Audit a spec's source and data against its exact solution.
 
     The source is compared with the manufactured one coefficient by
@@ -261,14 +266,14 @@ def validate_consistency(spec: ProblemSpec, source_tol: float = 1e-9,
                                  "no exact solution supplied")
     dom = spec.sample_domain()
     manufactured = manufacture_source(spec.exact, spec.linear, spec.nonlinear, spec.alpha)
-    source_ok = series_equal(spec.h, manufactured, domain=dom, tol=source_tol)
+    source_ok = series_equal(spec.h, manufactured, domain=dom, tol=SOURCE_TOL)
     residual = None if source_ok else series_add(spec.h, series_scale(manufactured, -1.0))
 
-    ic_ok = series_equal(spec.f, initial_value(spec.exact), domain=dom, tol=data_tol)
+    ic_ok = series_equal(spec.f, initial_value(spec.exact), domain=dom, tol=DATA_TOL)
 
     faces = spec.bd.faces()
     bc_ok = all(series_equal(faces[face], series_substitute(spec.exact, var, at),
-                             domain=dom, tol=data_tol)
+                             domain=dom, tol=DATA_TOL)
                 for face, (_, var, at) in face_geometry(spec.domain, spec.domain_y).items())
 
     detail = ""
@@ -309,7 +314,7 @@ def _split_top(text: str, seps: str) -> List[str]:
     return [p for p in (s.strip() for s in parts) if p]
 
 
-def _parse_linear_field(text: str) -> LinearOpSpec:
+def _parse_linear_field(name: str, text: str) -> LinearOpSpec:
     triples = []
     for entry in text.split(","):
         if not entry.strip():
@@ -317,12 +322,13 @@ def _parse_linear_field(text: str) -> LinearOpSpec:
         m = _LINEAR_ENTRY.match(entry)
         if m is None:
             raise ProblemError(f"bad linear entry {entry.strip()!r}; expected order[var]:coeff")
-        order, var, coeff = int(m.group(1)), m.group(2) or "x", float(m.group(3))
-        triples.append((order, var, coeff))
+        triples.append((int(m.group(1)), m.group(2) or "x",
+                        _file_number(name, "linear", m.group(3))))
     return LinearOpSpec.of(*triples)
 
 
-def _parse_nonlinear_field(text: str, alpha: Optional[float]) -> NonlinearOpSpec:
+def _parse_nonlinear_field(name: str, text: str,
+                           alpha: Optional[float]) -> NonlinearOpSpec:
     products = []
     for term in _split_top(text, "+-"):
         sign = 1.0
@@ -355,26 +361,29 @@ def _parse_nonlinear_field(text: str, alpha: Optional[float]) -> NonlinearOpSpec
             coeff *= e.value
         if not factors:
             raise ProblemError(f"nonlinear term {term!r} has no factor of u")
+        if not math.isfinite(coeff):
+            raise ProblemError(f"{name}: nonlinear: the constant of term {term!r} "
+                               "is not finite")
         products.append(NonlinearProduct(coeff, tuple(factors), series_coeff))
     return NonlinearOpSpec(tuple(products))
 
 
 def _file_number(name: str, key: str, text: str) -> float:
+    """A finite number, else an error that names the file and key."""
     try:
-        return float(text)
+        v = float(text)
     except ValueError:
         raise ProblemError(f"{name}: {key}: {text!r} is not a number") from None
+    if not math.isfinite(v):
+        raise ProblemError(f"{name}: {key}: {text!r} is not finite")
+    return v
 
 
 def _parse_interval(name: str, key: str, text: str) -> Tuple[float, float]:
     bits = [b.strip() for b in text.split(",")]
     if len(bits) != 2:
         raise ProblemError(f"{name}: {key}: bad interval {text!r}; expected 'lo, hi'")
-    lo, hi = (_file_number(name, key, b) for b in bits)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ProblemError(f"{name}: {key}: bad interval {text!r}; "
-                           "both ends must be finite")
-    return lo, hi
+    return tuple(_file_number(name, key, b) for b in bits)
 
 
 def _parse_fields(name: str, text: str) -> Dict[str, str]:
@@ -422,9 +431,11 @@ def _spec(pid: str, title: str, name: str, fields: Dict[str, str], alpha: float,
             return parse(fields[key], alpha)
         except GrammarError as exc:
             raise ProblemError(f"{name}: {key}:\n{exc.pointer()}") from None
+        except ExprError as exc:
+            raise ProblemError(f"{name}: {key}: {exc}") from None
 
-    linear = _parse_linear_field(fields.get("linear", ""))
-    nonlinear = parsed("nonlinear", _parse_nonlinear_field)
+    linear = _parse_linear_field(name, fields.get("linear", ""))
+    nonlinear = parsed("nonlinear", lambda text, a: _parse_nonlinear_field(name, text, a))
     exact = parsed("exact", parse_series)
     source = parsed("source", parse_series)
     if exact is None and source is None:

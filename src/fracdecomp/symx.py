@@ -22,11 +22,15 @@ kernel.
 ``diff`` differentiates a poly by the product and chain rules, with no tree;
 ``factor_diff`` gives the cached first or second derivative of one factor.
 Polys are read numerically through one factor table, ``FactorTable``: a
-row of values per factor (atom, k) on the points of an env, multiplied into
-monomial rows and summed in the caller's order. The zero check keeps one on
-its points, ``equal_sampled`` and ``series_equal`` build one on a domain's
-sample points and grid evaluation one on the space grid. ``evaluate`` walks
-a tree: it fills the atom rows and serves ``fracterm.eval_series``.
+row of values per factor (atom, k) on the points of an env and, on request,
+rows of its first and second x or y derivatives (from ``factor_diff``). One
+block loop, ``FactorTable.jet_sums``, multiplies them into monomial rows,
+carrying the derivatives by the product rule, and sums the rows in the
+caller's order; no row helper is exported. The zero check keeps one table
+on its points, ``equal_sampled`` and ``series_equal`` build one on a
+domain's sample points, and grid evaluation one on the space grid.
+``evaluate`` walks a tree: it fills the atom rows and serves
+``fracterm.eval_series``.
 """
 
 from __future__ import annotations
@@ -59,9 +63,6 @@ __all__ = [
     "sample_points",
     "is_zero_expr",
     "FactorTable",
-    "poly_rows",
-    "poly_column",
-    "add_rows",
     "poly_substitute",
     "sorted_items",
     "X",
@@ -829,7 +830,10 @@ def _poly_of(e: Expr) -> Poly:
         arg = expr_of_poly(poly_of(e.arg))
         if isinstance(arg, Const):
             fn = {Sin: math.sin, Cos: math.cos, Exp: math.exp}[type(e)]
-            v = fn(arg.value)
+            try:
+                v = fn(arg.value)
+            except OverflowError:
+                raise ExprError(f"{fn.__name__}({arg.value:g}) overflows a float") from None
             if isinstance(e, (Sin, Cos)) and abs(v) <= 4.0 * math.ulp(arg.value):
                 # a value within the argument's own rounding noise is the zero
                 # the exact argument would have produced (sin at multiples of
@@ -1158,86 +1162,123 @@ def poly_substitute(p: Poly, name: str, value: float) -> Poly:
 ROW_BLOCK = 1 << 16
 
 
-def poly_rows(items: list, values, ones: np.ndarray) -> np.ndarray:
-    """The numeric monomial rows of a non-empty list of ``(mono, c)`` items,
-    shape (len(items), ones.size).
-
-    Row i is c_i times ``values((atom, k))`` for each factor of monomial i,
-    left to right; short monomials are padded with ``ones``, an exact no-op.
-    This is the product a ``Prod`` of the same factors evaluates to, so a
-    caller that sums the rows in its own order reproduces a term-by-term
-    evaluation bit for bit.
-    """
-    width = max(1, max(len(mono) for mono, _ in items))
-    v = np.fromiter((c for _, c in items), float, len(items))[:, None] * poly_column(
-        items, values, 0, ones)
-    for j in range(1, width):
-        v *= poly_column(items, values, j, ones)
-    return v
-
-
-def poly_column(items: list, values, j: int, pad: np.ndarray) -> np.ndarray:
-    """The rows ``values(mono[j])`` of factor j of each monomial of items,
-    shape (len(items), pad.size); a monomial with no factor j gives ``pad``."""
-    return np.array([values(mono[j]) if j < len(mono) else pad for mono, _ in items])
-
-
-def add_rows(running: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """running + rows[0] + rows[1] + ..., in order from +0.0, for rows of two
-    values or more (numpy sums one-value rows pairwise). A sum started from
-    +0.0 is never -0.0, so one running sum continues across blocks."""
+def _add_rows(running, rows: np.ndarray) -> np.ndarray:
+    """running + rows[0] + rows[1] + ..., in order from +0.0 (rows alone for
+    no running sum), for rows of two values or more (numpy sums one-value
+    rows pairwise). A sum started from +0.0 is never -0.0, so one running
+    sum continues across blocks."""
+    if running is None:
+        return rows.sum(axis=0, initial=0.0)
     return np.concatenate((running[None], rows)).sum(axis=0, initial=0.0)
 
 
 class FactorTable:
-    """The values of monomial factors (atom, k) at the points of one env, one
-    row per factor, each built once.
+    """The rows of monomial factors (atom, k) at the points of one env, each
+    built once: values, and first or second x/y derivatives on request.
 
     An atom is evaluated once by ``evaluate``, raised to k by ``_pow_value``
     and broadcast over the shape of the env's values (``space_shape``),
-    flattened to ``size`` values. Rows are filled monomial by monomial,
-    factor by factor, so a domain error is raised at the same factor as in a
-    term-by-term evaluation. ``poly_row`` sums a poly's rows in the order of
-    the items it is given.
+    flattened. A derivative row is its ``factor_diff`` poly summed as a
+    coefficient is. A read builds the value rows of its items, monomial by
+    monomial and factor by factor, before any derivative row, so a domain
+    error is raised at the same factor as in a term-by-term evaluation.
     """
 
     def __init__(self, env: Mapping[str, EnvValue]):
-        self.env = env
+        self._env = env
         self.space_shape: Tuple[int, ...] = np.broadcast_shapes(
             *(np.shape(v) for v in env.values()))
-        self.size = math.prod(self.space_shape)
-        self.ones = np.ones(self.size)
-        self.zeros = np.zeros(self.size)
+        size = math.prod(self.space_shape)
+        self._ones = np.ones(size)
+        self._zeros = np.zeros(size)
         # monomials per block of rows: ROW_BLOCK values each
-        self.block = max(1, ROW_BLOCK // self.size)
-        self.values: Dict[Tuple[Expr, float], np.ndarray] = {}
+        self._block = max(1, ROW_BLOCK // size)
+        # factor -> its rows: the value under 0, a derivative under (var, order)
+        self._rows: Dict[Tuple[Expr, float], dict] = {}
         self._atoms: Dict[Expr, np.ndarray] = {}
 
-    def fill(self, items) -> None:
-        """Build the row of every factor of the items' monomials."""
-        values = self.values
+    def _fill(self, items) -> List[List[dict]]:
+        """The rows of each factor of each monomial of items, the value row
+        built if missing; each factor is looked up once."""
+        table = self._rows
+        out = []
         for mono, _ in items:
+            rows = []
             for factor in mono:
-                if factor not in values:
-                    atom, k = factor
-                    v = self._atoms.get(atom)
-                    if v is None:
-                        v = self._atoms[atom] = np.asarray(evaluate(atom, self.env),
-                                                           dtype=float)
-                    if k != 1.0:
-                        v = _pow_value(v, k)
-                    values[factor] = np.broadcast_to(v, self.space_shape).reshape(self.size)
+                got = table.get(factor)
+                if got is None:
+                    got = table[factor] = {0: self._value_row(*factor)}
+                rows.append(got)
+            out.append(rows)
+        return out
+
+    # an atom that overflows gives inf, which the caller judges (not zero,
+    # not close, not finite on the grid), not a RuntimeWarning
+    @np.errstate(all="ignore")
+    def _value_row(self, atom: Expr, k: float) -> np.ndarray:
+        v = self._atoms.get(atom)
+        if v is None:
+            v = self._atoms[atom] = np.asarray(evaluate(atom, self._env), dtype=float)
+        if k != 1.0:
+            v = _pow_value(v, k)
+        return np.broadcast_to(v, self.space_shape).reshape(-1)
+
+    def _column(self, rows: List[List[dict]], j: int, key) -> np.ndarray:
+        """Row ``key`` of factor j of each monomial; past its last factor, a
+        monomial takes ones for a value and zeros for a derivative."""
+        pad = self._ones if key == 0 else self._zeros
+        return np.array([r[j][key] if j < len(r) else pad for r in rows])
+
+    def jet_sums(self, items, orders: Mapping[str, int]):
+        """The sum of the items' monomial rows, and for each var in orders the
+        sums of their derivative rows in var up to order orders[var], keyed
+        (var, order): each summed in the order of the items from +0.0,
+        ``ROW_BLOCK`` values at a time.
+
+        A monomial c * f_1 * ... * f_m is carried factor by factor with its
+        derivatives by the product rule: at factor f, u'' <- u'' f + 2 u' f'
+        + u f'', then u' <- u' f + u f', then u <- u f, from u = c and
+        u' = u'' = 0. The u rows are the products a ``Prod`` of the same
+        factors evaluates to, so items in ``sorted_items`` order sum as
+        ``evaluate(expr_of_poly(poly))`` does, bit for bit.
+        """
+        rows = self._fill(items)
+        keys = [(var, n) for var, top in orders.items() for n in range(1, top + 1)]
+        for key in keys:
+            for (mono, _), factor_rows in zip(items, rows):
+                for factor, got in zip(mono, factor_rows):
+                    if key not in got:
+                        p = factor_diff(factor[0], factor[1], *key)
+                        got[key] = self.poly_row(sorted_items(p)) if p else self._zeros
+        total = None
+        sums = dict.fromkeys(keys)
+        for i in range(0, len(items), self._block):
+            block = rows[i:i + self._block]
+            width = max(1, max(map(len, block)))
+            c = np.fromiter((c for _, c in items[i:i + self._block]), float,
+                            len(block))[:, None]
+            u = c * self._column(block, 0, 0)
+            jet = {key: c * self._column(block, 0, key) for key in keys}
+            for j in range(1, width):
+                f = self._column(block, j, 0)
+                for var, top in orders.items():
+                    d1 = self._column(block, j, (var, 1))
+                    if top == 2:
+                        jet[var, 2] = (jet[var, 2] * f + 2.0 * jet[var, 1] * d1
+                                       + u * self._column(block, j, (var, 2)))
+                    jet[var, 1] = jet[var, 1] * f + u * d1
+                u *= f
+            total = _add_rows(total, u)
+            for key in keys:
+                sums[key] = _add_rows(sums[key], jet[key])
+        if total is None:
+            return self._zeros, dict.fromkeys(keys, self._zeros)
+        return total, sums
 
     def poly_row(self, items) -> np.ndarray:
         """The sum of the items' monomial rows, in the given order, from +0.0;
         ``zeros`` for no items."""
-        self.fill(items)
-        total = None
-        for i in range(0, len(items), self.block):
-            rows = poly_rows(items[i:i + self.block], self.values.__getitem__, self.ones)
-            # the first block is summed alone: adding it to zeros gives the same bits
-            total = rows.sum(axis=0, initial=0.0) if total is None else add_rows(total, rows)
-        return self.zeros if total is None else total
+        return self.jet_sums(items, {})[0]
 
     def close(self, a: Poly, b: Poly, tol: float) -> bool:
         """True iff |a - b| <= tol * (1 + |a|) at every point, each poly summed
@@ -1297,16 +1338,18 @@ def is_zero_expr(p: Poly) -> bool:
     to drop series coefficients: |p| <= 1e-12 (1 + |p|) on the zero-check
     points. A p that cannot be evaluated on the sampling box (a fractional
     power of a base negative there) is not zero: the term is kept, and
-    evaluation on the problem's own domain decides."""
+    evaluation on the problem's own domain decides. Nor is a p with a sample
+    that is not finite (an infinite coefficient, or a value that overflows)."""
     if not p:
         return True
     if len(p) == 1 and () in p:
         return abs(p[()]) <= ZERO_COEFF_TOL
     try:
-        v = _zero_check_samples(p)
+        v = np.abs(_zero_check_samples(p))
     except PowerDomainError:
         return False
-    return bool(np.all(np.abs(v) <= ZERO_COEFF_TOL * (1.0 + np.abs(v))))
+    # inf <= 1e-12 * (1 + inf) holds, so an infinite sample is refused apart
+    return bool(np.all((v <= ZERO_COEFF_TOL * (1.0 + v)) & (v < math.inf)))
 
 
 def _zero_check_samples(p: Poly) -> np.ndarray:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import click.testing
 import pytest
@@ -173,6 +174,19 @@ def test_solve_input_validation_exit_codes(runner, tmp_path):
         # a number that is not one, named with its file and key
         "abc_domain.txt": "domain = 0, abc\nexact = t*x\n",
         "abc_alpha.txt": "alpha = abc\ndomain = 0, 1\nexact = t*x\n",
+        # a face of the exact solution with no value at x = 0, and constants
+        # that overflow a float when folded (exact's face at x = 1, a source,
+        # a nonlinear constant): each once ended in a traceback and exit 1
+        "pole.txt": "domain = 0, 1\nexact = t*x^(-1)\n",
+        "exp_exact.txt": "domain = 0, 1\nexact = t*exp(800*x)\n",
+        "exp_source.txt": "domain = 0, 1\nsource = exp(800)*t\nic = 0\nbc.l = 0\nbc.L = 0\n",
+        "exp_nonlinear.txt": "domain = 0, 1\nexact = t*x\nnonlinear = exp(800)*u\n",
+        # an infinite coefficient once solved with exit 0 and a 0.0 error and
+        # residual (the zero check dropped the infinite terms)
+        "inf_linear.txt": "domain = 0, 1\nexact = t*x^3\nlinear = 2x:1e999\n",
+        "inf_nonlinear.txt": "domain = 0, 1\nexact = t*x^3\nnonlinear = 1e999*u^2\n",
+        "big_nonlinear.txt": "domain = 0, 1\nexact = t*x^3\nnonlinear = u - 1e200*1e200*u\n",
+        "short_linear.txt": "domain = 0, 1\nexact = t*x^3\nlinear = 2x:1e\n",
     }
     for name, text in bad_files.items():
         (tmp_path / name).write_text(text)
@@ -216,7 +230,10 @@ def test_solve_input_validation_exit_codes(runner, tmp_path):
     assert "^" in r.output and "overflows" in r.output
     said = {}
     for name, args in [*file_cases.items(), ("huge_tmax", huge_tmax)]:
-        r = runner.invoke(main, args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            r = runner.invoke(main, args)
+        assert not caught, (name, [str(w.message) for w in caught])
         assert r.exit_code == 2, (args, r.output)
         assert not (tmp_path / "o").exists(), args
         said[name] = r.output.strip().splitlines()
@@ -226,6 +243,18 @@ def test_solve_input_validation_exit_codes(runner, tmp_path):
     assert "finite" in said["nan_domain.txt"][0] and "finite" in said["inf_domain.txt"][0]
     assert said["abc_domain.txt"] == ["abc_domain.txt: domain: 'abc' is not a number"]
     assert said["abc_alpha.txt"] == ["abc_alpha.txt: alpha: 'abc' is not a number"]
+    domain = "the series cannot be evaluated on the domain: "
+    assert said["pole.txt"] == [domain + "zero base with negative exponent -1.0"]
+    assert said["exp_exact.txt"] == [domain + "exp(800) overflows a float"]
+    for key in ("source", "nonlinear"):
+        name = f"exp_{key}.txt"
+        assert said[name] == [f"{name}: {key}: exp(800) overflows a float"]
+    assert said["inf_linear.txt"] == ["inf_linear.txt: linear: '1e999' is not finite"]
+    assert said["short_linear.txt"] == ["short_linear.txt: linear: '1e' is not a number"]
+    for name, term in (("inf_nonlinear.txt", "1e999*u^2"),
+                       ("big_nonlinear.txt", "1e200*1e200*u")):
+        assert said[name] == [f"{name}: nonlinear: the constant of term {term!r} "
+                              "is not finite"]
     assert said["huge_tmax"] == ["series is not finite at 820 of 861 grid points "
                                  "(inf or nan); the values overflow a float"]
 

@@ -11,7 +11,6 @@ from fracdecomp.evaluation import (
     EvalError,
     QuadratureError,
     _derivative_grids,
-    _FactorRows,
     convergence_report,
     default_grid,
     evaluate_series_grid,
@@ -29,7 +28,7 @@ from fracdecomp.fracterm import (
 )
 from fracdecomp.grammar import parse_series
 from fracdecomp.problems import PROBLEM_IDS, builtin, load_problem_file
-from fracdecomp.symx import PowerDomainError, poly_rows
+from fracdecomp.symx import FactorTable, PowerDomainError
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +204,12 @@ def test_residual_rebuilds_a_truncated_nonlinearity(monkeypatch):
 def _monomial_scale(series, grid):
     # grid sup of the sum over every monomial row of |row| * t^mu: the size
     # of the values a rounding error of the derivative grids is relative to
-    rows = _FactorRows(grid)
+    table = FactorTable({"x": grid.xs} if grid.ys is None else
+                        {"x": grid.xs[:, None], "y": grid.ys[None, :]})
     out = np.zeros(grid.shape)
     for term in series.terms:
-        items = list(term.poly.items())
-        rows.fill(items)
-        r = np.abs(poly_rows(items, rows.values.__getitem__, rows.ones)).sum(axis=0)
-        out += r.reshape(rows.space_shape)[..., None] * np.power(grid.ts, term.mu)
+        r = sum(np.abs(table.poly_row([item])) for item in term.poly.items())
+        out += r.reshape(table.space_shape)[..., None] * np.power(grid.ts, term.mu)
     return float(out.max())
 
 

@@ -16,11 +16,13 @@ import random
 import numpy as np
 import pytest
 
-from fracdecomp import fracterm, symx
+from fracdecomp import evaluation, fracterm, symx
 from fracdecomp.decomp import adomian_polys, ladm_solve, mldm_solve
 from fracdecomp.evaluation import default_grid, evaluate_series_grid, make_grid
 from fracdecomp.fracterm import Series
-from fracdecomp.problems import MODES, builtin, face_geometry, manufacture_source
+from fracdecomp.grammar import parse_series
+from fracdecomp.problems import (MODES, builtin, face_geometry, load_problem_file,
+                                 manufacture_source)
 from fracdecomp.symx import (
     Const,
     Cos,
@@ -34,6 +36,7 @@ from fracdecomp.symx import (
     poly_of,
     poly_substitute,
 )
+from test_evaluation import TWO_D_FILE
 
 X = Var("x")
 Y = Var("y")
@@ -108,6 +111,152 @@ def test_grid_row_blocks_keep_every_bit(monkeypatch):
     for rows in (1, 3, 50):
         monkeypatch.setattr(symx, "ROW_BLOCK", rows * grid.xs.size)
         assert evaluate_series_grid(applied, grid).tobytes() == want
+
+
+def _reference_derivative_grids(series, keys, grid):
+    # _derivative_grids as it stood: a factor-row table with derivative row
+    # tables on top, read through a block loop of its own
+    if grid.ys is None:
+        env = {"x": grid.xs}
+    else:
+        env = {"x": grid.xs[:, None], "y": grid.ys[None, :]}
+    space = np.broadcast_shapes(*(np.shape(v) for v in env.values()))
+    size = math.prod(space)
+    ones, zeros = np.ones(size), np.zeros(size)
+    block = max(1, symx.ROW_BLOCK // size)
+    values, derivs = {}, {}
+
+    def fill(items):
+        for mono, _ in items:
+            for factor in mono:
+                if factor not in values:
+                    atom, k = factor
+                    v = np.asarray(evaluate(atom, env), dtype=float)
+                    if k != 1.0:
+                        v = symx._pow_value(v, k)
+                    values[factor] = np.broadcast_to(v, space).reshape(size)
+
+    def column(chunk, table, j, pad):
+        return np.array([table[mono[j]] if j < len(mono) else pad for mono, _ in chunk])
+
+    def add_rows(running, rows):
+        return np.concatenate((running[None], rows)).sum(axis=0, initial=0.0)
+
+    def poly_row(items):
+        fill(items)
+        total = None
+        for i in range(0, len(items), block):
+            chunk = items[i:i + block]
+            width = max(1, max(len(mono) for mono, _ in chunk))
+            v = np.fromiter((c for _, c in chunk), float, len(chunk))[:, None] * column(
+                chunk, values, 0, ones)
+            for j in range(1, width):
+                v *= column(chunk, values, j, ones)
+            total = v.sum(axis=0, initial=0.0) if total is None else add_rows(total, v)
+        return zeros if total is None else total
+
+    def fill_derivs(items, var, order):
+        table = derivs.setdefault((var, order), {})
+        for mono, _ in items:
+            for factor in mono:
+                if factor not in table:
+                    p = symx.factor_diff(factor[0], factor[1], var, order)
+                    table[factor] = poly_row(symx.sorted_items(p)) if p else zeros
+        return table
+
+    orders = {}
+    for order, var in keys:
+        if order:
+            orders[var] = max(orders.get(var, 0), order)
+    shape = space + (grid.ts.size,)
+    value = np.zeros(shape)
+    grids = {(var, n): np.zeros(shape) for var, top in orders.items()
+             for n in range(1, top + 1)}
+    for term in series.terms:
+        items = symx.sorted_items(term.poly)
+        fill(items)
+        tables = {key: fill_derivs(items, *key) for key in grids}
+        coeff = zeros
+        sums = dict.fromkeys(grids, zeros)
+        for i in range(0, len(items), block):
+            chunk = items[i:i + block]
+            width = max(1, max(len(mono) for mono, _ in chunk))
+            c = np.fromiter((c for _, c in chunk), float, len(chunk))[:, None]
+            u = c * column(chunk, values, 0, ones)
+            jet = {key: c * column(chunk, table, 0, zeros) for key, table in tables.items()}
+            for j in range(1, width):
+                f = column(chunk, values, j, ones)
+                for var, top in orders.items():
+                    d1 = column(chunk, tables[var, 1], j, zeros)
+                    if top == 2:
+                        d2 = column(chunk, tables[var, 2], j, zeros)
+                        jet[var, 2] = jet[var, 2] * f + 2.0 * jet[var, 1] * d1 + u * d2
+                    jet[var, 1] = jet[var, 1] * f + u * d1
+                u *= f
+            coeff = add_rows(coeff, u)
+            for key in grids:
+                sums[key] = add_rows(sums[key], jet[key])
+        tpow = np.power(grid.ts, term.mu)
+        value += coeff.reshape(space)[..., None] * tpow
+        for key, grid_values in grids.items():
+            grid_values += sums[key].reshape(space)[..., None] * tpow
+    return {(order, var): value if order == 0 else grids[var, order] for order, var in keys}
+
+
+def _assert_derivative_grids_match(series, grid):
+    variables = ("x",) if grid.ys is None else ("x", "y")
+    # every derivative, and first derivatives alone
+    for top in (2, 1):
+        keys = [(order, var) for var in variables for order in range(top + 1)]
+        with np.errstate(all="ignore"):
+            want = _reference_derivative_grids(series, keys, grid)
+        got = evaluation._derivative_grids(series, keys, grid)
+        assert list(got) == keys
+        for key in keys:
+            assert got[key].tobytes() == want[key].tobytes(), key
+
+
+@pytest.mark.parametrize("pid", PIDS)
+def test_derivative_grids_match_the_block_loop_they_replaced(pid):
+    for alpha in (0.5, 0.75, 1.0):
+        spec = builtin(pid, alpha)
+        grid = default_grid(spec)
+        for solve in (ladm_solve, mldm_solve):
+            for rec in solve(spec, 3).records:
+                _assert_derivative_grids_match(rec.partial_sum, grid)
+
+
+def test_derivative_grids_match_the_block_loop_on_a_2d_file(tmp_path):
+    path = tmp_path / "cubic2d.txt"
+    path.write_text(TWO_D_FILE)
+    for alpha in (0.5, 1.0):
+        spec = load_problem_file(path, alpha)
+        grid = default_grid(spec)
+        for solve in (ladm_solve, mldm_solve):
+            for rec in solve(spec, 1).records:
+                _assert_derivative_grids_match(rec.partial_sum, grid)
+
+
+def test_derivative_grids_match_the_block_loop_on_products_of_factors():
+    # monomials of several factors in one variable use the cross terms
+    g1 = make_grid((0.0, 1.0), nx=17, nt=5)
+    _assert_derivative_grids_match(parse_series(
+        "x*sin(x)*t + x^2*exp(x)*cos(3*x)*t^0.5 + (1 + x)^0.5*x^3*t^2 + 2", None), g1)
+    g2 = make_grid((0.0, 1.0), (0.5, 2.0), nx=9, ny=7, nt=4)
+    _assert_derivative_grids_match(parse_series(
+        "x*y*sin(x + y)*t + exp(x*y)*y^2*t^0.75 + cos(x)*sin(2*y)", None), g2)
+
+
+def test_derivative_grid_blocks_keep_every_bit(monkeypatch):
+    # blocks of 1 and 3 monomials must continue every running sum, the
+    # derivative sums as well as the values
+    spec = builtin("p7", 0.75)
+    partial = mldm_solve(spec, 3).records[-1].partial_sum
+    assert max(len(t.poly) for t in partial.terms) > 3
+    grid = default_grid(spec)
+    for rows in (1, 3):
+        monkeypatch.setattr(symx, "ROW_BLOCK", rows * grid.xs.size)
+        _assert_derivative_grids_match(partial, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,29 @@ def test_zero_check_keeps_a_poly_it_cannot_sample():
         assert len(Series([(1.0, e)]).terms) == 1
 
 
+def test_zero_check_never_calls_a_non_finite_sample_zero():
+    # inf <= 1e-12 * (1 + inf) holds, so an infinite coefficient, or an atom
+    # whose value overflows on the zero-check box, once read as zero and the
+    # term was dropped from its series
+    for p in ({((X, 1.0),): math.inf}, {((X, 1.0),): -math.inf},
+              poly_of(Exp(Const(800.0) * X)), {((X, 1.0),): math.nan}):
+        assert is_zero_expr(p) is False, p
+    assert len(Series([(1.0, Const(math.inf) * X)]).terms) == 1
+    # finite samples decide as before: dust is zero, a small term is not
+    assert is_zero_expr(poly_of(Const(1e-14) * X + Const(1e-14) * Sin(X))) is True
+    assert is_zero_expr(poly_of(Const(1e-9) * X)) is False
+
+
+def test_folding_a_constant_that_overflows_names_the_function():
+    with pytest.raises(ExprError) as err:
+        poly_of(Exp(Const(800.0)))
+    assert str(err.value) == "exp(800) overflows a float"
+    # folded where a substitution makes the argument constant
+    with pytest.raises(ExprError, match=r"exp\(800\) overflows"):
+        poly_substitute(poly_of(Exp(Const(800.0) * X)), "x", 1.0)
+    assert poly_of(Exp(Const(700.0))) == {(): math.exp(700.0)}
+
+
 # ---------------------------------------------------------------------------
 # simplify
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ solved with its arguments) in fresh interpreters with
 ``PYTHONPATH=ROOT/src``, each into a directory of its own under a
 temporary directory. points.csv and plot.dat must be equal byte for byte,
 summary.csv with its wall-clock ``seconds`` column masked, and every solve
-must exit with the same code. Each difference is printed; where an output
+must exit with the same code; a solve that exits 2 (an input error) must
+print the same stderr. Each difference is printed; where an output
 file differs, so are the columns that moved and the worst relative gap
 |new - old| / |old| in each, with the line it is on, and the largest change
 |new - old| against the column's largest |old|. Then both roots run
@@ -74,7 +75,20 @@ nonlinear = u^2
 """
 TRIG_ARGS = ["-m", "both", "-n", "2", "-a", "0.5,0.75,1.0"]
 
-FILE_CASES = (("cubic2d.txt", TWO_D_FILE, TWO_D_ARGS), ("trig.txt", TRIG_FILE, TRIG_ARGS))
+# The residual of this file takes u_xx, whose factor row 0.75*x^-0.5 has no
+# value at x = 0, so every solve of it exits 2 with the one line of the
+# first factor that raises. It must match the "uxx_three_halves" case of
+# test_residual_evaluates_only_the_derivatives_it_needs in
+# tests/test_evaluation.py.
+POLE_FILE = """\
+domain = 0, 1
+exact = t*x^1.5
+nonlinear = u*u_xx
+"""
+POLE_ARGS = ["-m", "both", "-n", "1", "-a", "0.5"]
+
+FILE_CASES = (("cubic2d.txt", TWO_D_FILE, TWO_D_ARGS), ("trig.txt", TRIG_FILE, TRIG_ARGS),
+              ("pole.txt", POLE_FILE, POLE_ARGS))
 
 FILES = ("points.csv", "plot.dat", "summary.csv")
 
@@ -82,14 +96,17 @@ FILES = ("points.csv", "plot.dat", "summary.csv")
 SECONDS = re.compile(r"\b\d+\.\d+s\b")
 
 
-def _solve(root: Path, extra, args, out: Path) -> int:
+def _solve(root: Path, extra, args, out: Path):
+    """Exit code and stderr of one solve; the stderr of an exit other than
+    0 or 2 (an input error's one line) is printed."""
     env = dict(os.environ, **extra, PYTHONPATH=str(root / "src"))
     proc = subprocess.run([sys.executable, "-m", "fracdecomp.cli", "solve", *args,
                            "-o", str(out)], env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.PIPE, text=True)
-    if proc.returncode != 0:
-        print(f"  {root}: exit {proc.returncode}: {proc.stderr.strip()[-300:]}")
-    return proc.returncode
+    err = proc.stderr.strip()
+    if proc.returncode not in (0, 2):
+        print(f"  {root}: exit {proc.returncode}: {err[-300:]}")
+    return proc.returncode, err
 
 
 def _command(root: Path, extra, command: str):
@@ -215,14 +232,18 @@ def main(argv) -> int:
             cases.append(["--file", str(path), *args])
         for n, args in enumerate(cases):
             outs = [Path(tmp) / f"{side}{n}" for side in ("old", "new")]
-            codes = [_solve(*side, args, out) for side, out in zip(sides, outs)]
-            found = [] if codes[0] == codes[1] else [f"exit {codes[0]} vs {codes[1]}"]
+            (code_old, err_old), (code_new, err_new) = (
+                _solve(*side, args, out) for side, out in zip(sides, outs))
+            found = [] if code_old == code_new else [f"exit {code_old} vs {code_new}"]
+            if code_old == code_new == 2 and err_old != err_new:
+                found.append(f"stderr differs ({err_old!r} vs {err_new!r})")
             for name in FILES:
                 if _content(outs[0] / name) != _content(outs[1] / name):
                     moved = (_moves(outs[0] / name, outs[1] / name)
-                             if all(c == 0 for c in codes) else "")
+                             if code_old == code_new == 0 else "")
                     found.append(f"{name} differs" + (f" ({moved})" if moved else ""))
-            print(f"solve {' '.join(args)}: {', '.join(found) if found else 'same'}")
+            same = f"same, exit 2: {err_old}" if code_old == 2 else "same"
+            print(f"solve {' '.join(args)}: {', '.join(found) if found else same}")
             differ += len(found)
     for command in ("list", "verify"):
         differ += _command_differences(sides, command)
