@@ -23,10 +23,11 @@ Two iterations over the series class:
 The returned approximation after n iterations is sum_{i<=n} u*_i.
 
 Neither solver redoes what an earlier step already built: ``ladm_solve``
-differentiates each u_k once and forms A_n alone (``adomian_polys`` returns
-A_0..A_n through the same grade-n routine). Nor does either build what no
-later step reads: A_N and B*_N only feed u_{N+1}, so the final record of an
-N-iteration solve carries no polynomial.
+differentiates each u_k once and forms A_n alone, each grade of a product
+in one ``series_dot`` call (``adomian_polys`` returns A_0..A_n through the
+same grade-n routine). Nor does either build what no later step reads: A_N
+and B*_N only feed u_{N+1}, so the final record of an N-iteration solve
+carries no polynomial.
 
 No solver takes a growth cap: every series is held to the one pair that
 ``fracterm`` fixes, so a library solve is the CLI's solve. A step whose
@@ -46,6 +47,7 @@ from .fracterm import (
     Series,
     frac_integral,
     series_add,
+    series_dot,
     series_equal,
     series_mul,
     series_scale,
@@ -380,14 +382,12 @@ def boundary_correct(u: Series, bd: BoundaryData, domain,
 def _grade_product(a: Sequence[Series], b: Sequence[Series], g: int) -> Series:
     """Grade g of the product of two graded lists: sum_{ga=0..g} a[ga] b[g-ga].
 
-    The terms are added with ga ascending, so every grade comes out of the
-    same sequence of float operations however many other grades are built.
+    One ``series_dot`` call forms it: each exponent group of the grade is
+    summed in one reduction over its term pairs, ga ascending, so a grade
+    comes out of the same float operations however many other grades are
+    built. Its rounding is not that of adding the g + 1 products one by one.
     """
-    out = None
-    for ga in range(g + 1):
-        prod = series_mul(a[ga], b[g - ga])
-        out = prod if out is None else series_add(out, prod)
-    return out
+    return series_dot(a[:g + 1], b[g::-1])
 
 
 def _adomian_grade(nonlinear: NonlinearOpSpec,

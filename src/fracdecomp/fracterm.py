@@ -21,17 +21,21 @@ on the tree, through the read-only ``TimeTerm.coeff``.
 
 Exponents merge by one rule, ``_mu_groups``. ``_from_pairs`` sums each
 group's polys into a dict of its own, never into a poly a series holds.
-``series_mul`` on Fourier coefficients groups its term pairs by the same
-rule and forms every group's sum of products in one ``symx.fourier_sums``
-call, a fixed-order kernel, so a product is the same whatever BLAS kernel
-runs.
+Every series product is a ``series_dot``, a sum of products sum_k xs[k] *
+ys[k] formed in one pass: the term pairs of all k are grouped by the same
+rule, and on Fourier coefficients one ``symx.fourier_sums`` call, a
+fixed-order kernel, forms every group's sum of products, so a product is
+the same whatever BLAS kernel runs. ``series_mul`` is its one-pair case; a
+sum over several pairs is summed per group in one reduction, not product by
+product, so its rounding differs from a chain of ``series_mul`` and
+``series_add``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Tuple, Union
+from typing import Iterable, Mapping, Sequence, Tuple, Union
 
 from .symx import (
     Expr,
@@ -68,6 +72,7 @@ __all__ = [
     "series_add",
     "series_scale",
     "series_mul",
+    "series_dot",
     "spatial_apply",
     "series_substitute",
     "frac_integral",
@@ -311,19 +316,36 @@ def series_scale(a: Series, k: Union[float, int, Expr]) -> Series:
 
 
 def series_mul(a: Series, b: Series) -> Series:
-    """The product series. On Fourier coefficients the term pairs are
-    grouped by exponent as ``_from_pairs`` merges them, and one
-    ``fourier_sums`` call forms every group's sum of products; otherwise
-    each pair is multiplied by ``poly_mul`` and ``_from_pairs`` merges."""
-    mus = [ta.mu + tb.mu for ta in a.terms for tb in b.terms]
-    ps, qs = [t.poly for t in a.terms], [t.poly for t in b.terms]
+    """The product series: ``series_dot`` of one pair."""
+    return series_dot((a,), (b,))
+
+
+def series_dot(xs: Sequence[Series], ys: Sequence[Series]) -> Series:
+    """sum_k xs[k] * ys[k] from one product pass. The term pairs of every k
+    are grouped by exponent as ``_from_pairs`` merges them, pairs of a lower
+    k first within a group; on Fourier coefficients one ``fourier_sums``
+    call over the operands of every k forms each group's sum of products,
+    otherwise each pair is multiplied by ``poly_mul`` and one
+    ``_from_pairs`` merges. A k whose operands hold no terms adds nothing."""
+    mus, ps, qs, index = [], [], [], []
+    truncated = False
+    for a, b in zip(xs, ys):
+        truncated = truncated or a.truncated or b.truncated
+        if not (a.terms and b.terms):
+            continue
+        i0, j0 = len(ps), len(qs)
+        ps += [t.poly for t in a.terms]
+        qs += [t.poly for t in b.terms]
+        mus += [ta.mu + tb.mu for ta in a.terms for tb in b.terms]
+        index += [(i, j) for i in range(i0, len(ps)) for j in range(j0, len(qs))]
     groups = _mu_groups(mus)
-    sums = fourier_sums(ps, qs, groups)
+    flat = [i * len(qs) + j for i, j in index]
+    sums = fourier_sums(ps, qs, [[flat[f] for f in group] for group in groups])
     if sums is None:
-        pairs = list(zip(mus, (poly_mul(p, q) for p in ps for q in qs)))
+        pairs = [(mu, poly_mul(ps[i], qs[j])) for mu, (i, j) in zip(mus, index)]
     else:
         pairs = [(mus[group[0]], p) for group, p in zip(groups, sums)]
-    return _from_pairs(pairs, a.truncated or b.truncated)
+    return _from_pairs(pairs, truncated)
 
 
 def spatial_apply(a: Series, order: int, var: str = "x") -> Series:

@@ -35,6 +35,7 @@ domain's sample points, and grid evaluation one on the space grid.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Dict, List, Mapping, Tuple, Union
 
@@ -1161,6 +1162,9 @@ def poly_substitute(p: Poly, name: str, value: float) -> Poly:
 # Values per block of monomial rows (8 bytes each).
 ROW_BLOCK = 1 << 16
 
+# the context of a read whose products cannot overflow
+_UNGUARDED = contextlib.nullcontext()
+
 
 def _add_rows(running, rows: np.ndarray) -> np.ndarray:
     """running + rows[0] + rows[1] + ..., in order from +0.0 (rows alone for
@@ -1196,6 +1200,9 @@ class FactorTable:
         # factor -> its rows: the value under 0, a derivative under (var, order)
         self._rows: Dict[Tuple[Expr, float], dict] = {}
         self._atoms: Dict[Expr, np.ndarray] = {}
+        # the largest |value| in any row built, ones and zeros included; a
+        # nan row makes it nan for good
+        self._peak = 1.0
 
     def _fill(self, items) -> List[List[dict]]:
         """The rows of each factor of each monomial of items, the value row
@@ -1221,7 +1228,13 @@ class FactorTable:
             v = self._atoms[atom] = np.asarray(evaluate(atom, self._env), dtype=float)
         if k != 1.0:
             v = _pow_value(v, k)
+        self._raise_peak(v)
         return np.broadcast_to(v, self.space_shape).reshape(-1)
+
+    def _raise_peak(self, row: np.ndarray) -> None:
+        top = float(np.abs(row).max(initial=0.0))
+        if not top <= self._peak:
+            self._peak = top
 
     def _column(self, rows: List[List[dict]], j: int, key) -> np.ndarray:
         """Row ``key`` of factor j of each monomial; past its last factor, a
@@ -1250,27 +1263,40 @@ class FactorTable:
                     if key not in got:
                         p = factor_diff(factor[0], factor[1], *key)
                         got[key] = self.poly_row(sorted_items(p)) if p else self._zeros
+                        self._raise_peak(got[key])
+        coeffs = [c for _, c in items]
         total = None
         sums = dict.fromkeys(keys)
+        bound = 0.0
         for i in range(0, len(items), self._block):
             block = rows[i:i + self._block]
             width = max(1, max(map(len, block)))
-            c = np.fromiter((c for _, c in items[i:i + self._block]), float,
-                            len(block))[:, None]
-            u = c * self._column(block, 0, 0)
-            jet = {key: c * self._column(block, 0, key) for key in keys}
-            for j in range(1, width):
-                f = self._column(block, j, 0)
-                for var, top in orders.items():
-                    d1 = self._column(block, j, (var, 1))
-                    if top == 2:
-                        jet[var, 2] = (jet[var, 2] * f + 2.0 * jet[var, 1] * d1
-                                       + u * self._column(block, j, (var, 2)))
-                    jet[var, 1] = jet[var, 1] * f + u * d1
-                u *= f
-            total = _add_rows(total, u)
-            for key in keys:
-                sums[key] = _add_rows(sums[key], jet[key])
+            c = coeffs[i:i + self._block]
+            # with every row value at most P in size, the m factors of c * f_1
+            # * ... * f_m carry |u| <= |c| P^m and |u'|, |u''| <= m^2 |c| P^m,
+            # so the running sums stay below bound; only a read whose bound
+            # nears the float range pays for np.errstate
+            block_bound = sum(map(abs, c)) * width * width
+            for _ in range(width):
+                block_bound *= self._peak   # a float product overflows to inf, never raises
+            bound += block_bound
+            with (_UNGUARDED if bound < 1e300 else
+                  np.errstate(over="ignore", invalid="ignore")):
+                c = np.array(c, dtype=float)[:, None]
+                u = c * self._column(block, 0, 0)
+                jet = {key: c * self._column(block, 0, key) for key in keys}
+                for j in range(1, width):
+                    f = self._column(block, j, 0)
+                    for var, top in orders.items():
+                        d1 = self._column(block, j, (var, 1))
+                        if top == 2:
+                            jet[var, 2] = (jet[var, 2] * f + 2.0 * jet[var, 1] * d1
+                                           + u * self._column(block, j, (var, 2)))
+                        jet[var, 1] = jet[var, 1] * f + u * d1
+                    u *= f
+                total = _add_rows(total, u)
+                for key in keys:
+                    sums[key] = _add_rows(sums[key], jet[key])
         if total is None:
             return self._zeros, dict.fromkeys(keys, self._zeros)
         return total, sums
@@ -1285,7 +1311,9 @@ class FactorTable:
         in ``sorted_items`` order, as ``evaluate(expr_of_poly(p))`` sums it."""
         va = self.poly_row(sorted_items(a))
         vb = self.poly_row(sorted_items(b))
-        return bool(np.all(np.abs(va - vb) <= tol * (1.0 + np.abs(va))))
+        # inf - inf is nan, which is not close, and no RuntimeWarning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return bool(np.all(np.abs(va - vb) <= tol * (1.0 + np.abs(va))))
 
 
 # ---------------------------------------------------------------------------

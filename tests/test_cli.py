@@ -361,6 +361,29 @@ def test_solve_fractional_power_negative_on_the_zero_check_box(runner, tmp_path)
             assert len(lines) == 1 and "cannot be evaluated on the domain" in lines[0]
 
 
+def test_solve_whose_samples_overflow_raises_no_warning(tmp_path):
+    # 1e300*x^200 overflows on the zero-check box (0, 2): on the domain
+    # (0, 1) the solve writes its files; on (0, 2) the consistency check's
+    # samples are inf on both sides and the grid overflows, so it exits 2
+    # with one line. With RuntimeWarning as an error, neither run warns
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    for hi, code in (("1", 0), ("2", 2)):
+        path, out = tmp_path / f"big{hi}.txt", tmp_path / f"o{hi}"
+        path.write_text(f"domain = 0, {hi}\nexact = 1e300*t*x^200\n")
+        r = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                            "fracdecomp.cli", "solve", "-f", str(path), "-o", str(out)],
+                           env=env, capture_output=True, text=True, timeout=120)
+        assert r.returncode == code, r.stderr
+        assert "Warning" not in r.stderr, r.stderr
+        if code == 0:
+            assert (out / "summary.csv").exists()
+        else:
+            assert r.stderr.strip().splitlines() == [
+                "series is not finite at 399 of 861 grid points (inf or nan); "
+                "the values overflow a float"]
+
+
 def test_cli_import_loads_neither_acceptance_nor_scipy():
     code = ("import sys, fracdecomp.cli; "
             "print(sorted(m for m in ('fracdecomp.acceptance', 'scipy') "

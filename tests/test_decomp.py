@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from fracdecomp import decomp, fracterm
 from fracdecomp.decomp import (
     BoundaryData,
     DecompError,
@@ -195,25 +196,65 @@ CUBIC = NonlinearOpSpec((NonlinearProduct(
     0.5, (NonlinearFactor(0, "x", 2), NonlinearFactor(1, "x"))),))
 
 
+def _assert_close_series(got, want, tol=1e-14):
+    # the same exponents, and per monomial a gap within tol of the largest
+    # |coefficient| of want's term (a monomial on one side only counts as 0)
+    assert [t.mu for t in got.terms] == [t.mu for t in want.terms]
+    assert got.truncated == want.truncated
+    for tg, tw in zip(got.terms, want.terms):
+        scale = max(abs(c) for c in tw.poly.values())
+        for mono in set(tg.poly) | set(tw.poly):
+            gap = abs(tg.poly.get(mono, 0.0) - tw.poly.get(mono, 0.0))
+            assert gap <= tol * scale, (tw.mu, mono, gap / scale)
+
+
 @pytest.mark.parametrize("pid,nonlinear", [("p6", None), ("p7", None), ("p6", CUBIC)])
 def test_ladm_grade_n_adomian_matches_all_grades(pid, nonlinear):
-    # ladm builds A_n alone from derivatives it keeps across steps; it must
-    # be the same series, bit for bit, as grade n of the full convolution
+    # ladm builds A_n alone from derivatives it keeps across steps: it is the
+    # grade-n routine's series, bit for bit, and grade n of the full
+    # convolution up to the order in which one grade's products are summed
     spec = builtin(pid, alpha=0.75)
     if nonlinear is not None:
         spec = dataclasses.replace(spec, nonlinear=nonlinear)
     trace = ladm_solve(spec, 4)
     assert len(trace.records) == 5
     us = [r.u for r in trace.records]
+    grades = adomian_polys(spec.nonlinear, us)
     full = _adomian_all_grades(spec.nonlinear, us)
-    assert adomian_polys(spec.nonlinear, us) == full
     # the final record carries no A_4; build it as the solver's own
     # grade-n routine would have
     assert trace.records[-1].poly is None
-    polys = [r.poly for r in trace.records[:-1]] + [adomian_polys(spec.nonlinear, us)[-1]]
-    for n, poly in enumerate(polys):
-        assert poly == full[n]
-        assert poly == _adomian_all_grades(spec.nonlinear, us[:n + 1])[n]
+    for n, poly in enumerate([r.poly for r in trace.records[:-1]] + [grades[-1]]):
+        assert _bits(poly) == _bits(grades[n]) == _bits(adomian_polys(spec.nonlinear,
+                                                                      us[:n + 1])[n])
+        _assert_close_series(poly, full[n])
+        _assert_close_series(poly, _adomian_all_grades(spec.nonlinear, us[:n + 1])[n])
+
+
+def test_ladm_forms_each_adomian_grade_in_one_product_call(monkeypatch):
+    # grade g of a degree-2 product is one series_dot over its g + 1 pairs,
+    # not a chain of products each re-merged into a running sum: p7's two
+    # degree-2 products take 16 calls over A_0..A_7, and the Fourier kernel
+    # runs once for each and once for each of the 8 products by the forcing
+    # coefficient (p7 at n = 8 made 80 multi-pair kernel calls as a chain)
+    spec = builtin("p7", alpha=0.75)
+    dots, kernel = [], []
+    real_dot, real_sums = decomp.series_dot, fracterm.fourier_sums
+
+    def dot(xs, ys):
+        dots.append(len(xs))
+        return real_dot(xs, ys)
+
+    def sums(ps, qs, groups):
+        if sum(map(len, groups)) > 1:
+            kernel.append(len(groups))
+        return real_sums(ps, qs, groups)
+
+    monkeypatch.setattr(decomp, "series_dot", dot)
+    monkeypatch.setattr(fracterm, "fourier_sums", sums)
+    ladm_solve(spec, 8)
+    assert dots == [g + 1 for g in range(8) for _ in range(2)]
+    assert len(kernel) == 24
 
 
 def _bits(series):

@@ -22,6 +22,7 @@ from fracdecomp.fracterm import (
     gamma,
     initial_value,
     series_add,
+    series_dot,
     series_equal,
     series_mul,
     series_scale,
@@ -30,7 +31,8 @@ from fracdecomp.fracterm import (
     to_series,
 )
 from fracdecomp.grammar import parse_expr, parse_series
-from fracdecomp.symx import Const, Sin, Var, evaluate, poly_add, poly_of, poly_scale
+from fracdecomp.symx import (Const, Cos, Pow, Sin, Var, evaluate, fourier_sums, poly_add,
+                             poly_mul, poly_of, poly_scale)
 
 X = Var("x")
 
@@ -310,6 +312,90 @@ def test_series_canonical_invariants(pairs):
     for a, b in zip(mus, mus[1:]):
         assert b - a > 1e-12
     assert not s.truncated
+
+
+def _reference_series_mul(a, b):
+    # the product as it was formed before series_dot: the pairs of one
+    # product grouped by exponent, one fourier_sums call, else poly_mul per
+    # pair, and _from_pairs
+    mus = [ta.mu + tb.mu for ta in a.terms for tb in b.terms]
+    ps, qs = [t.poly for t in a.terms], [t.poly for t in b.terms]
+    groups = fracterm._mu_groups(mus)
+    sums = fourier_sums(ps, qs, groups)
+    if sums is None:
+        pairs = list(zip(mus, (poly_mul(p, q) for p in ps for q in qs)))
+    else:
+        pairs = [(mus[group[0]], p) for group, p in zip(groups, sums)]
+    return fracterm._from_pairs(pairs, a.truncated or b.truncated)
+
+
+def _bits(series):
+    return series.truncated, [(t.mu.hex(), [(mono, c.hex()) for mono, c in t.poly.items()])
+                              for t in series.terms]
+
+
+_TWO_PI = 2.0 * math.pi
+
+
+@st.composite
+def _coeff(draw, kind):
+    # a Fourier poly on the base 2 pi x, a polynomial in x, or x^k times sines
+    # of incommensurate angles (the generic product); signed magnitudes in
+    # [0.5, 2], so no product is dust
+    e = Const(0.0)
+    for _ in range(draw(st.integers(1, 3))):
+        c = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+        m = float(draw(st.integers(0, 3)))
+        if kind == "fourier":
+            trig = draw(st.sampled_from([Sin, Cos]))
+            e = e + (Const(c) if m == 0.0 else Const(c) * trig(Const(m * _TWO_PI) * X))
+        elif kind == "poly":
+            e = e + Const(c) * Pow(X, m)
+        else:
+            e = e + Const(c) * Pow(X, m) * Sin(Const(draw(st.sampled_from([1.0, math.e]))) * X)
+    return poly_of(e)
+
+
+@st.composite
+def _series_lists(draw):
+    # one list kind per example, so the kernel path is taken when both lists
+    # are Fourier; "mixed" draws a kind per term; empty series included
+    kind = draw(st.sampled_from(["fourier", "poly", "mixed"]))
+    n = draw(st.integers(1, 4))
+    lists = []
+    for _ in range(2):
+        series = []
+        for _ in range(n):
+            terms = []
+            for _ in range(draw(st.integers(0, 3))):
+                k = draw(st.sampled_from(["fourier", "poly", "generic"])) \
+                    if kind == "mixed" else kind
+                terms.append(TimeTerm(draw(st.sampled_from([0.0, 0.5, 0.75, 1.0, 1.5])),
+                                      draw(_coeff(k))))
+            series.append(Series(terms))
+        lists.append(series)
+    return lists
+
+
+@settings(max_examples=150, deadline=None)
+@given(_series_lists())
+def test_series_dot_is_the_chained_product_sum(lists):
+    xs, ys = lists
+    got = series_dot(xs, ys)
+    want = Series.zero()
+    for a, b in zip(xs, ys):
+        want = series_add(want, _reference_series_mul(a, b))
+    # the same exponents, and each monomial within 1e-14 of the largest
+    # |coefficient| of its term: only the order of one grade's sums moved
+    assert [t.mu for t in got.terms] == [t.mu for t in want.terms]
+    for tg, tw in zip(got.terms, want.terms):
+        scale = max(abs(c) for c in tw.poly.values())
+        for mono in set(tg.poly) | set(tw.poly):
+            gap = abs(tg.poly.get(mono, 0.0) - tw.poly.get(mono, 0.0))
+            assert gap <= 1e-14 * scale, (tw.mu, mono, gap / scale)
+    # one pair is the product as it was formed before, bit for bit
+    assert _bits(series_dot(xs[:1], ys[:1])) == _bits(_reference_series_mul(xs[0], ys[0]))
+    assert _bits(series_mul(xs[0], ys[0])) == _bits(_reference_series_mul(xs[0], ys[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracdecomp import symx
 from fracdecomp.fracterm import Series
 from fracdecomp.grammar import GrammarError, parse_expr, parse_spatial
 from fracdecomp.symx import (
@@ -15,6 +17,7 @@ from fracdecomp.symx import (
     Cos,
     Exp,
     ExprError,
+    FactorTable,
     Pow,
     PowerDomainError,
     Sin,
@@ -29,6 +32,7 @@ from fracdecomp.symx import (
     poly_substitute,
     sample_points,
     simplify,
+    sorted_items,
 )
 
 X = Var("x")
@@ -128,14 +132,50 @@ def test_zero_check_keeps_a_poly_it_cannot_sample():
 def test_zero_check_never_calls_a_non_finite_sample_zero():
     # inf <= 1e-12 * (1 + inf) holds, so an infinite coefficient, or an atom
     # whose value overflows on the zero-check box, once read as zero and the
-    # term was dropped from its series
+    # term was dropped from its series; 1e300 * x^200 overflows on that box
+    # (0, 2), whatever the problem's domain, and warns nothing
     for p in ({((X, 1.0),): math.inf}, {((X, 1.0),): -math.inf},
-              poly_of(Exp(Const(800.0) * X)), {((X, 1.0),): math.nan}):
-        assert is_zero_expr(p) is False, p
+              poly_of(Exp(Const(800.0) * X)), {((X, 1.0),): math.nan},
+              poly_of(Const(1e300) * Pow(X, 200.0))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_zero_expr(p) is False, p
     assert len(Series([(1.0, Const(math.inf) * X)]).terms) == 1
     # finite samples decide as before: dust is zero, a small term is not
     assert is_zero_expr(poly_of(Const(1e-14) * X + Const(1e-14) * Sin(X))) is True
     assert is_zero_expr(poly_of(Const(1e-9) * X)) is False
+
+
+def test_only_a_read_that_can_overflow_enters_errstate(monkeypatch):
+    # the overflow guard costs a read np.errstate only where the bound on its
+    # products nears the float range; ordinary reads take the plain loop
+    entered = []
+    real = np.errstate
+    monkeypatch.setattr(symx.np, "errstate", lambda **kw: entered.append(kw) or real(**kw))
+    table = FactorTable(sample_points((0.0, 2.0)))
+    plain = poly_of(Const(2.5e24) * Sin(Const(6.0) * X) * Pow(X, 3.0) + Const(-7.0) * X)
+    table.jet_sums(sorted_items(plain), {"x": 2})
+    assert entered == []
+    big = poly_of(Const(1e300) * Pow(X, 200.0) + X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, jets = table.jet_sums(sorted_items(big), {"x": 2})
+    assert len(entered) == 1
+    # the bits are the unguarded loop's: products that overflow are inf
+    xs = sample_points((0.0, 2.0))["x"]
+    with real(over="ignore"):
+        want = (1e300 * xs ** 200.0 + xs, 1e300 * (200.0 * xs ** 199.0) + 1.0,
+                1e300 * (39800.0 * xs ** 198.0))
+    assert np.isinf(want[0]).any() and np.isfinite(want[0]).any()
+    assert np.array_equal(value, want[0])
+    assert np.array_equal(jets["x", 1], want[1]) and np.array_equal(jets["x", 2], want[2])
+    # a bound on one factor at a time misses a product: 1e200 * x^150 and
+    # exp(100 x) are finite on (0, 2), 1e200 * x^150 * exp(100 x) is not
+    two = poly_of(Const(1e200) * Pow(X, 150.0) * Exp(Const(100.0) * X))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = FactorTable(sample_points((0.0, 2.0))).poly_row(sorted_items(two))
+    assert len(entered) == 2 and np.isinf(row).any() and np.isfinite(row).any()
 
 
 def test_folding_a_constant_that_overflows_names_the_function():

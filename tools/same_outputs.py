@@ -87,8 +87,29 @@ nonlinear = u*u_xx
 """
 POLE_ARGS = ["-m", "both", "-n", "1", "-a", "0.5"]
 
+# Degree-3 ladm: a cubic keeps every grade of its first product before the
+# last, so each A_n sums products over several pairs per grade. On Fourier
+# coefficients those grades run on the harmonic kernel ...
+CUBIC_TRIG_FILE = """\
+domain = 0, 1
+exact = t*sin(pi*x)
+nonlinear = u^2*u_xx
+"""
+CUBIC_TRIG_ARGS = ["-m", "ladm", "-n", "4", "-a", "0.5,1.0"]
+
+# ... and on polynomial ones through the generic product.
+CUBIC_POLY_FILE = """\
+domain = 0, 1
+exact = t*x*(1 - x) + t^alpha*x^2
+linear = 2x:-0.5
+nonlinear = 0.5*u^2*u_x
+"""
+CUBIC_POLY_ARGS = ["-m", "ladm", "-n", "3", "-a", "0.5,1.0"]
+
 FILE_CASES = (("cubic2d.txt", TWO_D_FILE, TWO_D_ARGS), ("trig.txt", TRIG_FILE, TRIG_ARGS),
-              ("pole.txt", POLE_FILE, POLE_ARGS))
+              ("pole.txt", POLE_FILE, POLE_ARGS),
+              ("cubic_trig.txt", CUBIC_TRIG_FILE, CUBIC_TRIG_ARGS),
+              ("cubic_poly.txt", CUBIC_POLY_FILE, CUBIC_POLY_ARGS))
 
 FILES = ("points.csv", "plot.dat", "summary.csv")
 
