@@ -23,11 +23,11 @@ Two iterations over the series class:
 The returned approximation after n iterations is sum_{i<=n} u*_i.
 
 Neither solver redoes what an earlier step already built: ``ladm_solve``
-differentiates each u_k once and forms A_n alone, each grade of a product
-in one ``series_dot`` call (``adomian_polys`` returns A_0..A_n through the
-same grade-n routine). Nor does either build what no later step reads: A_N
-and B*_N only feed u_{N+1}, so the final record of an N-iteration solve
-carries no polynomial.
+differentiates each u_k once, keeps the inner grades of a degree-3 product,
+and forms A_n alone, each grade of a product in one ``series_dot`` call
+(``adomian_polys`` returns A_0..A_n through the same grade-n routine). Nor
+does either build what no later step reads: A_N and B*_N only feed
+u_{N+1}, so the final record of an N-iteration solve carries no polynomial.
 
 No solver takes a growth cap: every series is held to the one pair that
 ``fracterm`` fixes, so a library solve is the CLI's solve. A step whose
@@ -177,7 +177,8 @@ class NonlinearOpSpec:
 
     def apply(self, u: Series) -> Series:
         # N(u) is grade 0 of the Adomian bookkeeping with u as the only grade
-        return _adomian_grade(self, {k: [spatial_apply(u, *k)] for k in self.factor_keys()}, 0)
+        return _adomian_grade(self, {k: [spatial_apply(u, *k)] for k in self.factor_keys()},
+                              {}, 0)
 
     def factor_keys(self) -> List[Tuple[int, str]]:
         """The distinct (order, var) spatial derivatives the products multiply,
@@ -391,20 +392,26 @@ def _grade_product(a: Sequence[Series], b: Sequence[Series], g: int) -> Series:
 
 
 def _adomian_grade(nonlinear: NonlinearOpSpec,
-                   derivs: Dict[Tuple[int, str], Sequence[Series]], n: int) -> Series:
+                   derivs: Dict[Tuple[int, str], Sequence[Series]],
+                   inner: Dict[tuple, List[Series]], n: int) -> Series:
     """A_n alone, from derivs[(order, var)][k] = d^order u_k / d var^order, k <= n.
 
-    A product of degree d convolves its factors left to right; the inner
-    convolutions keep grades 0..n, the last one only grade n.
+    A product of degree d convolves its factors left to right; the last
+    convolution forms only grade n. The inner ones keep their grades in
+    inner, under the factor keys multiplied so far, and form only the grades
+    missing up to n: grade g reads grades 0..g alone, so a kept grade is the
+    one a fresh build would form.
     """
     acc = None
     for p in nonlinear.products:
-        chain = [derivs[(f.order, f.var)] for f in p.factors for _ in range(f.power)]
-        graded = chain[0]
-        for nxt in chain[1:-1]:
-            graded = [_grade_product(graded, nxt, g) for g in range(n + 1)]
+        chain = [(f.order, f.var) for f in p.factors for _ in range(f.power)]
+        graded = derivs[chain[0]]
+        for i in range(1, len(chain) - 1):
+            prev, graded = graded, inner.setdefault(tuple(chain[:i + 1]), [])
+            for g in range(len(graded), n + 1):
+                graded.append(_grade_product(prev, derivs[chain[i]], g))
         if len(chain) > 1:
-            term = _grade_product(graded, chain[-1], n)
+            term = _grade_product(graded, derivs[chain[-1]], n)
         else:
             term = graded[n]
         term = series_scale(term, p.coeff)
@@ -424,7 +431,8 @@ def adomian_polys(nonlinear: NonlinearOpSpec, u_list: Sequence[Series]) -> List[
         raise DecompError("adomian_polys needs at least u_0")
     derivs = {(order, var): [spatial_apply(u, order, var) for u in u_list]
               for order, var in nonlinear.factor_keys()}
-    return [_adomian_grade(nonlinear, derivs, j) for j in range(len(u_list))]
+    inner: Dict[tuple, List[Series]] = {}
+    return [_adomian_grade(nonlinear, derivs, inner, j) for j in range(len(u_list))]
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +484,12 @@ def ladm_solve(problem, iterations: int) -> SolveTrace:
     alpha = problem.alpha
     records = []
     # per (order, var) factor, the derivatives of u_0..u_n: each u_k is
-    # differentiated once, and A_n is built alone from them
+    # differentiated once, and A_n is built alone from them and from the
+    # inner grades kept since A_0
     derivs: Dict[Tuple[int, str], List[Series]] = (
         {key: [] for key in problem.nonlinear.factor_keys()}
         if problem.nonlinear is not None else {})
+    inner: Dict[tuple, List[Series]] = {}
     partial = Series.zero()
     truncated = False
     stopped = False
@@ -491,7 +501,7 @@ def ladm_solve(problem, iterations: int) -> SolveTrace:
         if problem.nonlinear is not None and n < iterations:
             for (order, var), ds in derivs.items():
                 ds.append(spatial_apply(u, order, var))
-            poly = _adomian_grade(problem.nonlinear, derivs, n)
+            poly = _adomian_grade(problem.nonlinear, derivs, inner, n)
         step_trunc = _any_truncated(u, partial) or (poly is not None and poly.truncated)
         truncated = truncated or step_trunc
         records.append(IterationRecord(n, u, u, poly, partial, time.perf_counter() - t0))

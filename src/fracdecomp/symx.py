@@ -3,9 +3,12 @@
 Node set: real constants, variables ``x``/``y`` (``t`` appears only
 transiently while parsing time-dependent input), n-ary sums and products,
 powers with a real exponent, and ``sin``/``cos``/``exp``. Expressions are
-immutable. ``simplify`` rewrites to a multinomial normal form over
-irreducible atoms (variables and transcendental nodes), so structural
-equality of simplified expressions doubles as semantic equality for
+immutable and built once per structure: a constructor returns the node
+already built with the same type and normalized fields, so equality of
+expressions is identity, and a monomial merge or a dict keyed on atoms
+compares nodes by ``is``. ``simplify`` rewrites to a multinomial normal
+form over irreducible atoms (variables and transcendental nodes), so
+identity of simplified expressions doubles as semantic equality for
 polynomial content; polys that share no normal form are compared with
 ``equal_sampled`` on deterministic quasi-random points.
 
@@ -100,15 +103,33 @@ class PowerDomainError(ExprError):
     pass
 
 
+# every node built, under its type and normalized fields; a constructor
+# returns the entry when there is one, and no entry is ever removed
+_NODES: Dict[tuple, "Expr"] = {}
+
+
 class Expr:
-    """Immutable expression node with cached hash and normal form."""
+    """Immutable expression node, built once per structure.
 
-    __slots__ = ("_hash", "_canon", "_skey")
+    Each constructor normalizes its fields and returns the node already in
+    ``_NODES`` under the same type and fields, so two expressions are equal
+    exactly when they are the same object: equality and hashing are
+    Python's identity defaults. A node caches its sort key and normal form.
+    """
 
-    def __init__(self) -> None:
-        self._hash = None
-        self._canon = None
-        self._skey = None
+    __slots__ = ("_canon", "_skey")
+
+    @classmethod
+    def _node(cls, key: tuple, **fields) -> "Expr":
+        """The node of type cls under key, built with fields the first time."""
+        key = (cls,) + key
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = object.__new__(cls)
+            node._canon = node._skey = None
+            for name, value in fields.items():
+                setattr(node, name, value)
+        return node
 
     # -- construction sugar --------------------------------------------
 
@@ -146,27 +167,6 @@ class Expr:
             return Prod((self, Const(1.0 / den.value)))
         return Prod((self, Pow(den, -1.0)))
 
-    # -- identity --------------------------------------------------------
-
-    def _fields(self) -> tuple:
-        raise NotImplementedError
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(self) is not type(other):
-            return NotImplemented if not isinstance(other, Expr) else False
-        if hash(self) != hash(other):
-            return False
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((type(self).__name__,) + self._fields())
-            self._hash = h
-        return h
-
     def __str__(self) -> str:
         return _render(self, 0)
 
@@ -177,12 +177,10 @@ class Expr:
 class Const(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: Scalar):
-        super().__init__()
-        self.value = float(value)
-
-    def _fields(self):
-        return (self.value,)
+    def __new__(cls, value: Scalar):
+        value = float(value)
+        # -0.0 == 0.0, so the sign of a zero is part of the key
+        return cls._node((value, math.copysign(1.0, value)), value=value)
 
 
 class Var(Expr):
@@ -190,40 +188,30 @@ class Var(Expr):
 
     _ALLOWED = ("x", "y", "t")
 
-    def __init__(self, name: str):
-        super().__init__()
-        if name not in self._ALLOWED:
-            raise ExprError(f"unknown variable {name!r}; expected one of {self._ALLOWED}")
-        self.name = name
-
-    def _fields(self):
-        return (self.name,)
+    def __new__(cls, name: str):
+        if name not in cls._ALLOWED:
+            raise ExprError(f"unknown variable {name!r}; expected one of {cls._ALLOWED}")
+        return cls._node((name,), name=name)
 
 
 class Sum(Expr):
     __slots__ = ("args",)
 
-    def __init__(self, args: tuple):
-        super().__init__()
+    def __new__(cls, args: tuple):
+        args = tuple(args)
         if not args:
             raise ExprError("empty sum")
-        self.args = tuple(args)
-
-    def _fields(self):
-        return self.args
+        return cls._node(args, args=args)
 
 
 class Prod(Expr):
     __slots__ = ("args",)
 
-    def __init__(self, args: tuple):
-        super().__init__()
+    def __new__(cls, args: tuple):
+        args = tuple(args)
         if not args:
             raise ExprError("empty product")
-        self.args = tuple(args)
-
-    def _fields(self):
-        return self.args
+        return cls._node(args, args=args)
 
 
 class Pow(Expr):
@@ -231,24 +219,16 @@ class Pow(Expr):
 
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base: Expr, exponent: Scalar):
-        super().__init__()
-        self.base = base
-        self.exponent = _snap(float(exponent))
-
-    def _fields(self):
-        return (self.base, self.exponent)
+    def __new__(cls, base: Expr, exponent: Scalar):
+        exponent = _snap(float(exponent))
+        return cls._node((base, exponent), base=base, exponent=exponent)
 
 
 class _Unary(Expr):
     __slots__ = ("arg",)
 
-    def __init__(self, arg: Expr):
-        super().__init__()
-        self.arg = arg
-
-    def _fields(self):
-        return (self.arg,)
+    def __new__(cls, arg: Expr):
+        return cls._node((arg,), arg=arg)
 
 
 class Sin(_Unary):
@@ -314,19 +294,6 @@ def _skey_of(e: Expr):
     return k
 
 
-# Structurally equal atoms are folded to one representative so that monomial
-# merges and dict lookups run on object identity.
-_ATOM_INTERN: Dict[Expr, Expr] = {}
-
-
-def _intern_atom(atom: Expr) -> Expr:
-    found = _ATOM_INTERN.get(atom)
-    if found is None:
-        _ATOM_INTERN[atom] = atom
-        return atom
-    return found
-
-
 def sorted_items(p: Poly) -> list:
     """p's ``(mono, c)`` items in monomial order, the order in which
     ``expr_of_poly`` lays out terms: by total degree (``math.fsum`` of the
@@ -366,8 +333,8 @@ def poly_scale(p: Poly, k: float) -> Poly:
 
 
 def _mono_mul(m1: Mono, m2: Mono) -> Mono:
-    # both sides are sorted by atom sort key with interned atoms, so this is
-    # a linear merge deciding collisions by object identity
+    # both sides are sorted by atom sort key, and an atom is one node per
+    # structure, so this is a linear merge deciding collisions by identity
     if not m1:
         return m2
     if not m2:
@@ -462,10 +429,9 @@ TRIG_EXPAND_MAX = 512
 TRIG_MULTIPLE_MAX = 4096
 
 _TRIG_UNSET = object()
-# atom -> (is_sin, base_key, ratio, base_poly) or None; atoms are interned, so
-# a lookup mostly hits on identity
+# atom -> (is_sin, base_key, ratio, base_poly) or None
 _TRIG_INFO: Dict[Expr, object] = {}
-# (base_key, angle_scale, is_sin) -> interned multiple-angle atom
+# (base_key, angle_scale, is_sin) -> multiple-angle atom
 _TRIG_ATOMS: Dict[tuple, Expr] = {}
 
 
@@ -486,8 +452,7 @@ def _trig_info(atom: Expr):
 
 
 def _mono_has_trig_product(mono: Mono) -> bool:
-    first = None
-    seen = None
+    bases = []
     for atom, k in mono:
         if not isinstance(atom, (Sin, Cos)):
             continue
@@ -496,17 +461,9 @@ def _mono_has_trig_product(mono: Mono) -> bool:
         info = _trig_info(atom)
         if info is None:
             continue
-        h = hash(info[1])
-        if first is None:
-            first = h
-        elif h == first:
+        if info[1] in bases:
             return True
-        else:
-            if seen is None:
-                seen = {first}
-            if h in seen:
-                return True
-            seen.add(h)
+        bases.append(info[1])
     return False
 
 
@@ -558,7 +515,7 @@ def _trig_atom_for(base_key: Expr, base_poly: Poly, angle_scale: float,
     atom = _TRIG_ATOMS.get(key)
     if atom is None:
         arg = expr_of_poly(poly_scale(base_poly, angle_scale))
-        atom = _intern_atom(Sin(arg) if want_sin else Cos(arg))
+        atom = Sin(arg) if want_sin else Cos(arg)
         _TRIG_ATOMS[key] = atom
     return atom
 
@@ -583,7 +540,7 @@ def _fourier_poly_items(p: Poly):
             return None
         if base_key is None:
             base_key, base_poly = info[1], info[3]
-        elif info[1] is not base_key and info[1] != base_key:
+        elif info[1] is not base_key:
             return None
         items.append((info[2], info[0], c))
     if base_key is None:
@@ -602,7 +559,7 @@ def fourier_sums(ps: List[Poly], qs: List[Poly], groups: List[List[int]]):
     forms = []
     for p in ps + qs:
         f = _fourier_poly_items(p)
-        if f is None or (forms and f[0] is not forms[0][0] and f[0] != forms[0][0]):
+        if f is None or (forms and f[0] is not forms[0][0]):
             return None
         forms.append(f)
     g = _pair_angle(_form_ratios(forms[:len(ps)]), _form_ratios(forms[len(ps):]))
@@ -801,7 +758,7 @@ def _atom_poly(atom: Expr, exponent: float = 1.0) -> Poly:
     exponent = _snap(exponent)
     if exponent == 0.0:
         return {(): 1.0}
-    return {((_intern_atom(atom), exponent),): 1.0}
+    return {((atom, exponent),): 1.0}
 
 
 def poly_of(e: Expr) -> Poly:
@@ -939,8 +896,7 @@ def _product(polys) -> Poly:
 
 
 # (atom, exponent, var) -> derivative of atom^exponent, and (atom, exponent,
-# var, 2) -> its second derivative; atoms are interned and the cached polys
-# are only ever read
+# var, 2) -> its second derivative; the cached polys are only ever read
 _FACTOR_DIFF: Dict[tuple, Poly] = {}
 
 
@@ -1067,8 +1023,9 @@ def contains(e: Expr, name: str) -> bool:
 
 
 # (var, value) -> {atom: the poly of the atom with the value substituted, or
-# _NO_VAR when the atom does not hold the variable}; keyed on the atom, never
-# on its id, and the cached polys are only ever read
+# _NO_VAR when the atom does not hold the variable}; keyed on the atom node,
+# which the key keeps alive, never on a bare id a freed atom could pass on,
+# and the cached polys are only ever read
 _SUBSTITUTED: Dict[Tuple[str, float], Dict[Expr, object]] = {}
 _NO_VAR = object()
 

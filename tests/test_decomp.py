@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from fracdecomp import decomp, fracterm
+from fracdecomp import decomp, fracterm, symx
 from fracdecomp.decomp import (
     BoundaryData,
     DecompError,
@@ -231,13 +231,9 @@ def test_ladm_grade_n_adomian_matches_all_grades(pid, nonlinear):
         _assert_close_series(poly, _adomian_all_grades(spec.nonlinear, us[:n + 1])[n])
 
 
-def test_ladm_forms_each_adomian_grade_in_one_product_call(monkeypatch):
-    # grade g of a degree-2 product is one series_dot over its g + 1 pairs,
-    # not a chain of products each re-merged into a running sum: p7's two
-    # degree-2 products take 16 calls over A_0..A_7, and the Fourier kernel
-    # runs once for each and once for each of the 8 products by the forcing
-    # coefficient (p7 at n = 8 made 80 multi-pair kernel calls as a chain)
-    spec = builtin("p7", alpha=0.75)
+def _grade_calls(monkeypatch, spec, n):
+    """The length of each series_dot call of ladm_solve(spec, n), and the
+    group count of each multi-pair fourier_sums call."""
     dots, kernel = [], []
     real_dot, real_sums = decomp.series_dot, fracterm.fourier_sums
 
@@ -252,9 +248,39 @@ def test_ladm_forms_each_adomian_grade_in_one_product_call(monkeypatch):
 
     monkeypatch.setattr(decomp, "series_dot", dot)
     monkeypatch.setattr(fracterm, "fourier_sums", sums)
-    ladm_solve(spec, 8)
+    ladm_solve(spec, n)
+    return dots, kernel
+
+
+def test_ladm_forms_each_adomian_grade_in_one_product_call(monkeypatch):
+    # grade g of a degree-2 product is one series_dot over its g + 1 pairs,
+    # not a chain of products each re-merged into a running sum: p7's two
+    # degree-2 products take 16 calls over A_0..A_7, and the Fourier kernel
+    # runs once for each and once for each of the 8 products by the forcing
+    # coefficient (p7 at n = 8 made 80 multi-pair kernel calls as a chain)
+    dots, kernel = _grade_calls(monkeypatch, builtin("p7", alpha=0.75), 8)
     assert dots == [g + 1 for g in range(8) for _ in range(2)]
     assert len(kernel) == 24
+
+
+def test_ladm_keeps_the_inner_grades_of_a_cubic(monkeypatch):
+    # u^2 * u_x keeps u^2's grades across steps, as the derivatives are kept:
+    # each A_n forms grade n of u^2 and grade n of the product, 12 calls at
+    # n = 6, where rebuilding u^2's grades 0..n at every step made 27
+    spec = dataclasses.replace(builtin("p6", alpha=0.75), nonlinear=CUBIC)
+    dots, _ = _grade_calls(monkeypatch, spec, 6)
+    assert dots == [g + 1 for g in range(6) for _ in range(2)]
+
+
+def test_a_repeated_solve_builds_no_new_node():
+    # symx keeps every expression node it builds for the life of the
+    # process, so a solve run again must find each node it needs already
+    # built; the table grows with the structures met, not with the runs
+    spec = builtin("p7", alpha=0.75)
+    mldm_solve(spec, 4)
+    size = len(symx._NODES)
+    mldm_solve(spec, 4)
+    assert len(symx._NODES) == size
 
 
 def _bits(series):

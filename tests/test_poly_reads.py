@@ -397,13 +397,12 @@ def test_sorted_items_keeps_the_order_on_random_polys():
         p = poly_of(_random_coeff(rng, two_d, rng.choice([1, 2, 5, 12, 30])))
         _assert_same_order(p)
         _assert_same_order(dict(reversed(list(p.items()))))
-    # equal atoms that are distinct objects share a rank
-    sin_a, sin_b, x = Sin(Y), Sin(Y), symx._intern_atom(X)
-    assert sin_a == sin_b and sin_a is not sin_b
-    p = {((x, 1.0), (sin_b, 1.0)): 1.0, ((sin_a, 2.0),): 2.0, ((sin_a, 1.0),): 3.0,
-         ((x, 2.0),): 4.0, ((x, 1.0), (sin_a, 1.0), (Cos(Y), 1.0)): 5.0,
+    # hand-built monomials that share one sin(y) atom
+    sin_y = Sin(Y)
+    p = {((X, 1.0), (sin_y, 1.0)): 1.0, ((sin_y, 2.0),): 2.0, ((sin_y, 1.0),): 3.0,
+         ((X, 2.0),): 4.0, ((X, 1.0), (sin_y, 1.0), (Cos(Y), 1.0)): 5.0,
          # a tie on the first factor is broken by the second
-         ((sin_b, 1.0), (Exp(Y), 1.0)): 6.0, ((sin_a, 1.0), (Cos(Y), 1.0)): 7.0}
+         ((sin_y, 1.0), (Exp(Y), 1.0)): 6.0, ((sin_y, 1.0), (Cos(Y), 1.0)): 7.0}
     _assert_same_order(p)
     _assert_same_order(dict(reversed(list(p.items()))))
 
@@ -670,19 +669,26 @@ def test_substitute_matches_fresh_table_on_solver_terms():
     assert _snapshot(symx._SUBSTITUTED) == snapshot
 
 
-def test_substitute_with_equal_but_distinct_atoms():
-    # atoms built outside poly_of are not interned: equal, distinct objects
-    x = symx._intern_atom(X)
+def test_substitute_with_atoms_built_outside_poly_of():
+    # atoms built by hand, again in each pass: every pass builds the same
+    # nodes, so the passes after the first read the substitution tables and
+    # add no entry to them
+    first, entries = None, None
     for _ in range(3):
         sin_y, exp_y = Sin(Var("y")), Exp(Const(2.0) * Var("y"))
         sin_x = Sin(Const(math.pi) * Var("x"))
-        p = {((x, 1.0), (sin_y, 1.0)): 3.0,
+        first = first or (sin_y, exp_y, sin_x)
+        assert all(a is b for a, b in zip((sin_y, exp_y, sin_x), first))
+        p = {((X, 1.0), (sin_y, 1.0)): 3.0,
              ((sin_y, 2.0),): -1.5,
-             ((x, 2.0), (exp_y, 1.0)): 0.25,
+             ((X, 2.0), (exp_y, 1.0)): 0.25,
              ((sin_x, 1.0), (exp_y, 1.0)): 4.0}
         for value in (0.0, 0.5, 2.0):
             _assert_same_poly(poly_substitute(p, "x", value),
                               _reference_substitute(p, "x", value))
+        count = sum(len(symx._SUBSTITUTED[("x", v)]) for v in (0.0, 0.5, 2.0))
+        assert entries in (None, count)
+        entries = count
 
 
 def test_substitute_table_outlives_freed_atoms():

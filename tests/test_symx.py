@@ -20,7 +20,9 @@ from fracdecomp.symx import (
     FactorTable,
     Pow,
     PowerDomainError,
+    Prod,
     Sin,
+    Sum,
     Var,
     contains,
     diff,
@@ -34,6 +36,7 @@ from fracdecomp.symx import (
     simplify,
     sorted_items,
 )
+from test_poly_reads import _random_coeff
 
 X = Var("x")
 Y = Var("y")
@@ -191,6 +194,34 @@ def test_folding_a_constant_that_overflows_names_the_function():
 # ---------------------------------------------------------------------------
 # simplify
 # ---------------------------------------------------------------------------
+
+
+def test_each_structure_is_one_node():
+    # a constructor returns the node built before from equal normalized
+    # fields, so equal expressions are one object
+    assert Const(2) is Const(2.0)
+    assert Var("x") is X
+    assert Pow(X, 2 + 1e-13) is Pow(X, 2.0)             # the exponent snap
+    assert Sum((X, Const(1.0))) is Sum([X, Const(1.0)])
+    assert Prod((Const(2.0), X)) is Const(2.0) * X
+    for fn in (Sin, Cos, Exp):
+        assert fn(Const(math.pi) * X) is fn(Const(math.pi) * X)
+    assert parse_spatial("sin(pi*x)*(1+x)^0.5") is parse_spatial("sin(pi*x)*(1+x)^0.5")
+    # -0.0 == 0.0, but a node keeps the fields it was built from
+    neg = Const(-0.0)
+    assert neg is not Const(0.0) and neg is Const(-0.0)
+    assert math.copysign(1.0, neg.value) == -1.0
+    assert math.copysign(1.0, Const(0.0).value) == 1.0
+    for bad in (lambda: Var("z"), lambda: Sum(()), lambda: Prod(())):
+        with pytest.raises(ExprError):
+            bad()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.booleans(), st.integers(1, 12))
+def test_random_trees_built_twice_are_one_node(seed, two_d, monomials):
+    first = _random_coeff(random.Random(seed), two_d, monomials)
+    assert _random_coeff(random.Random(seed), two_d, monomials) is first
 
 
 def test_simplify_zero_annihilation():

@@ -379,11 +379,10 @@ def test_zero_check_samples_match_monomial_loop(case):
 def test_zero_check_samples_on_hand_built_polys():
     # dicts the normal form would not produce: explicit zero and negative-zero
     # coefficients and monomials that all cancel on the sample points
-    x, y = symx._intern_atom(X), symx._intern_atom(Y)
     polys = [
-        {((x, 1.0),): -0.0, ((y, 1.0),): -0.0},
-        {(): 0.0, ((x, 2.0),): 1e-300, ((x, 2.0), (y, 1.0)): -1e-300},
-        {((x, 0.5),): 1.0, ((x, 0.5), (y, 3.0)): 2.0, (): -4.0},
+        {((X, 1.0),): -0.0, ((Y, 1.0),): -0.0},
+        {(): 0.0, ((X, 2.0),): 1e-300, ((X, 2.0), (Y, 1.0)): -1e-300},
+        {((X, 0.5),): 1.0, ((X, 0.5), (Y, 3.0)): 2.0, (): -4.0},
     ]
     for p in polys:
         assert symx._zero_check_samples(p).tobytes() == _reference_samples(p).tobytes()

@@ -122,7 +122,7 @@ def _assert_same_dict(got, want, mono):
 
 
 def _atom(e):
-    # the interned atom poly_of gives a sin/cos/exp or opaque power node
+    # the atom poly_of gives a sin/cos/exp or opaque power node
     (mono, c), = poly_of(e).items()
     assert c == 1.0 and len(mono) == 1
     return mono[0][0]
@@ -148,7 +148,7 @@ def _random_monomial(rng, max_power):
         trig = rng.choice([Sin, Cos])
         factors.append((_atom(trig(Const(ratio) * var)), float(rng.randint(1, max_power))))
     if rng.random() < 0.5:                      # x^k, inert
-        factors.append((symx._intern_atom(X), float(rng.randint(1, 3))))
+        factors.append((X, float(rng.randint(1, 3))))
     if rng.random() < 0.2:                      # a trig power the rewrite leaves
         factors.append((_atom(Cos(Const(3.0) * Y)), rng.choice([0.5, 1.5])))
     return _monomial(factors)
@@ -181,18 +181,17 @@ def test_linearize_matches_on_signs_and_lone_factors():
     s1, c1 = _atom(Sin(X)), _atom(Cos(X))
     s2, cm2 = _atom(Sin(Const(2.0) * X)), _atom(Cos(Const(-2.0) * X))
     sm1, sh = _atom(Sin(Const(-1.0) * X)), _atom(Sin(Const(0.5) * X))
-    x = symx._intern_atom(X)
     cases = [
         ((s1, 1.0),), ((s1, 2.0),), ((c1, 3.0),), ((sm1, 3.0),), ((cm2, 2.0),),
         _monomial([(s1, 1.0), (c1, 1.0)]),
         _monomial([(s2, 1.0), (sm1, 1.0)]),
-        _monomial([(sh, 5.0), (s2, 2.0), (x, 2.0)]),
+        _monomial([(sh, 5.0), (s2, 2.0), (X, 2.0)]),
         _monomial([(s1, 1.0), (_atom(Sin(Y)), 1.0)]),            # two lone factors
         _monomial([(s1, 1.0), (_atom(Sin(Const(math.sqrt(2.0)) * X)), 2.0)]),
         _monomial([(s1, 2.0), (_atom(Pow(Const(1.0) + X, 0.5)), 1.0)]),
         # far-apart multiples of one angle: (x*sin(x)*sin(1000x))^12, whose
         # harmonics spread over 0..12012 with fewer than a hundred nonzero
-        _monomial([(x, 12.0), (s1, 12.0), (_atom(Sin(Const(1000.0) * X)), 12.0)]),
+        _monomial([(X, 12.0), (s1, 12.0), (_atom(Sin(Const(1000.0) * X)), 12.0)]),
     ]
     for mono in cases:
         for coeff in (1.0, -3.0):
