@@ -1,33 +1,31 @@
 """Decomposition solvers for D^alpha u + Qu + Nu = h on a box.
 
-Two iterations over the series class:
+One loop, ``_decompose``, runs both methods: u_0 = f + I^alpha h, then
+u_{n+1} = -I^alpha(Q u*_n + P_n). The minus sign encodes the PDE as
+D^alpha u = h - Qu - Nu, under which every benchmark converges. A method
+supplies only its step rule, making u*_n, the partial sum and P_n from u_n:
 
-* ``ladm_solve`` -- the classical decomposition: u_0 = f + I^alpha h, then
-  u_{j+1} = -I^alpha(Q u_j + A_j) with Adomian polynomials A_j. The minus
-  sign encodes the PDE as D^alpha u = h - Qu - Nu, which is the orientation
-  under which every benchmark converges.
+* ``ladm_solve`` -- the classical decomposition: u*_n = u_n, and P_n is the
+  Adomian polynomial A_n.
 
-* ``mldm_solve`` -- the boundary-corrected variant. After each new term the
-  n-term partial sum is pulled onto the Dirichlet data by linear blending
-  (``boundary_correct``), and the recursion advances through the corrected
-  increments u*_n = S*_n - S*_{n-1}:
+* ``mldm_solve`` -- the boundary-corrected variant: the raw partial sum is
+  pulled onto the Dirichlet data by linear blending (``boundary_correct``)
+  into S*_n, u*_n = S*_n - S*_{n-1}, and P_n is the difference polynomial
+  B*_n = N(S*_n) - N(S*_{n-1}) (B*_0 = N(u*_0)). The correction is affine,
+  so u*_0 is u_0 corrected against the full boundary data, every later
+  u*_n is u_n corrected against zero data, and each S*_n interpolates the
+  boundary exactly.
 
-      u_{n+1} = -I^alpha(Q u*_n + B*_n),
-
-  where the B*_n are the telescoping difference polynomials
-  B*_0 = N(u*_0), B*_n = N(sum_{i<=n} u*_i) - N(sum_{i<=n-1} u*_i).
-  Because the correction is affine, u*_0 is u_0 corrected against the full
-  boundary data and every later u*_n is u_n corrected against zero residual
-  data; each corrected partial sum interpolates the boundary exactly.
-
-The returned approximation after n iterations is sum_{i<=n} u*_i.
+The approximation after n iterations is sum_{i<=n} u*_i. The seed, the
+recursion, the record, its timer and the growth-cap stop live in
+``_decompose`` alone, so a per-step hook goes there, where record n is built.
 
 Neither solver redoes what an earlier step already built: ``ladm_solve``
 differentiates each u_k once, keeps the inner grades of a degree-3 product,
 and forms A_n alone, each grade of a product in one ``series_dot`` call
-(``adomian_polys`` returns A_0..A_n through the same grade-n routine). Nor
-does either build what no later step reads: A_N and B*_N only feed
-u_{N+1}, so the final record of an N-iteration solve carries no polynomial.
+(``adomian_polys`` pushes u_0..u_n through the same routine). Nor does
+either build what no later step reads: A_N and B*_N only feed u_{N+1}, so
+the final record of an N-iteration solve carries no polynomial.
 
 No solver takes a growth cap: every series is held to the one pair that
 ``fracterm`` fixes, so a library solve is the CLI's solve. A step whose
@@ -40,7 +38,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .symx import Const, Cos, Expr, Sin, Var, poly_of, poly_substitute, simplify
 from .fracterm import (
@@ -122,12 +120,7 @@ class LinearOpSpec:
     def describe(self) -> str:
         if not self.terms:
             return "0"
-        bits = []
-        for t in self.terms:
-            head = "u" if t.order == 0 else ("u_" + t.var * t.order)
-            c = "" if t.coeff == 1.0 else ("-" if t.coeff == -1.0 else f"{t.coeff:g}*")
-            bits.append(f"{c}{head}")
-        return " + ".join(bits).replace("+ -", "- ")
+        return _describe((t.coeff, "", ((t.order, t.var, 1),)) for t in self.terms)
 
 
 @dataclass(frozen=True)
@@ -177,8 +170,7 @@ class NonlinearOpSpec:
 
     def apply(self, u: Series) -> Series:
         # N(u) is grade 0 of the Adomian bookkeeping with u as the only grade
-        return _adomian_grade(self, {k: [spatial_apply(u, *k)] for k in self.factor_keys()},
-                              {}, 0)
+        return _AdomianGrades(self).push(u)
 
     def factor_keys(self) -> List[Tuple[int, str]]:
         """The distinct (order, var) spatial derivatives the products multiply,
@@ -187,18 +179,22 @@ class NonlinearOpSpec:
                                   for p in self.products for f in p.factors))
 
     def describe(self) -> str:
-        bits = []
-        for p in self.products:
-            facs = []
-            for f in p.factors:
-                head = "u" if f.order == 0 else ("u_" + f.var * f.order)
-                facs.append(head if f.power == 1 else f"{head}^{f.power}")
-            body = "*".join(facs)
-            if p.series_coeff is not None:
-                body = f"({p.series_coeff})*{body}"
-            c = "" if p.coeff == 1.0 else ("-" if p.coeff == -1.0 else f"{p.coeff:g}*")
-            bits.append(f"{c}{body}")
-        return " + ".join(bits).replace("+ -", "- ")
+        return _describe((p.coeff, "" if p.series_coeff is None else f"({p.series_coeff})*",
+                          tuple((f.order, f.var, f.power) for f in p.factors))
+                         for p in self.products)
+
+
+def _describe(terms: Iterable[Tuple[float, str, Sequence[Tuple[int, str, int]]]]) -> str:
+    """Operator text of (coeff, lead, factors) terms: the coefficient ("" for
+    1, "-" for -1, else "c*"), the lead, then the (order, var, power) factors
+    u, u_x, u_xx (with ^power past 1) joined by "*"; "+ -" prints as "- "."""
+    bits = []
+    for coeff, lead, factors in terms:
+        body = "*".join(("u" if order == 0 else "u_" + var * order)
+                        + ("" if power == 1 else f"^{power}") for order, var, power in factors)
+        c = "" if coeff == 1.0 else ("-" if coeff == -1.0 else f"{coeff:g}*")
+        bits.append(c + lead + body)
+    return " + ".join(bits).replace("+ -", "- ")
 
 
 # ---------------------------------------------------------------------------
@@ -391,34 +387,47 @@ def _grade_product(a: Sequence[Series], b: Sequence[Series], g: int) -> Series:
     return series_dot(a[:g + 1], b[g::-1])
 
 
-def _adomian_grade(nonlinear: NonlinearOpSpec,
-                   derivs: Dict[Tuple[int, str], Sequence[Series]],
-                   inner: Dict[tuple, List[Series]], n: int) -> Series:
-    """A_n alone, from derivs[(order, var)][k] = d^order u_k / d var^order, k <= n.
+class _AdomianGrades:
+    """A_0, A_1, ... of one nonlinearity, A_n formed alone when u_n is pushed.
 
-    A product of degree d convolves its factors left to right; the last
-    convolution forms only grade n. The inner ones keep their grades in
-    inner, under the factor keys multiplied so far, and form only the grades
-    missing up to n: grade g reads grades 0..g alone, so a kept grade is the
-    one a fresh build would form.
+    Each u_k is differentiated once, into derivs[(order, var)][k]. A product
+    of degree d convolves its factors left to right; the last convolution
+    forms only grade n. The inner ones keep their grades in inner, under the
+    factor keys multiplied so far, and form only the grades missing up to n:
+    grade g reads grades 0..g alone, so a kept grade is the one a fresh
+    build would form.
     """
-    acc = None
-    for p in nonlinear.products:
-        chain = [(f.order, f.var) for f in p.factors for _ in range(f.power)]
-        graded = derivs[chain[0]]
-        for i in range(1, len(chain) - 1):
-            prev, graded = graded, inner.setdefault(tuple(chain[:i + 1]), [])
-            for g in range(len(graded), n + 1):
-                graded.append(_grade_product(prev, derivs[chain[i]], g))
-        if len(chain) > 1:
-            term = _grade_product(graded, derivs[chain[-1]], n)
-        else:
-            term = graded[n]
-        term = series_scale(term, p.coeff)
-        if p.series_coeff is not None:
-            term = series_mul(term, p.series_coeff)
-        acc = term if acc is None else series_add(acc, term)
-    return acc
+
+    def __init__(self, nonlinear: NonlinearOpSpec):
+        self.nonlinear = nonlinear
+        self.derivs: Dict[Tuple[int, str], List[Series]] = {
+            key: [] for key in nonlinear.factor_keys()}
+        self.inner: Dict[tuple, List[Series]] = {}
+        self.n = 0
+
+    def push(self, u: Series) -> Series:
+        """A_n, for u the n-th term pushed (u_0 first)."""
+        n, derivs = self.n, self.derivs
+        self.n += 1
+        for (order, var), ds in derivs.items():
+            ds.append(spatial_apply(u, order, var))
+        acc = None
+        for p in self.nonlinear.products:
+            chain = [(f.order, f.var) for f in p.factors for _ in range(f.power)]
+            graded = derivs[chain[0]]
+            for i in range(1, len(chain) - 1):
+                prev, graded = graded, self.inner.setdefault(tuple(chain[:i + 1]), [])
+                for g in range(len(graded), n + 1):
+                    graded.append(_grade_product(prev, derivs[chain[i]], g))
+            if len(chain) > 1:
+                term = _grade_product(graded, derivs[chain[-1]], n)
+            else:
+                term = graded[n]
+            term = series_scale(term, p.coeff)
+            if p.series_coeff is not None:
+                term = series_mul(term, p.series_coeff)
+            acc = term if acc is None else series_add(acc, term)
+        return acc
 
 
 def adomian_polys(nonlinear: NonlinearOpSpec, u_list: Sequence[Series]) -> List[Series]:
@@ -429,10 +438,8 @@ def adomian_polys(nonlinear: NonlinearOpSpec, u_list: Sequence[Series]) -> List[
     """
     if not u_list:
         raise DecompError("adomian_polys needs at least u_0")
-    derivs = {(order, var): [spatial_apply(u, order, var) for u in u_list]
-              for order, var in nonlinear.factor_keys()}
-    inner: Dict[tuple, List[Series]] = {}
-    return [_adomian_grade(nonlinear, derivs, inner, j) for j in range(len(u_list))]
+    grades = _AdomianGrades(nonlinear)
+    return [grades.push(u) for u in u_list]
 
 
 # ---------------------------------------------------------------------------
@@ -473,47 +480,48 @@ class SolveTrace:
         return self.records[n].partial_sum
 
 
-def _any_truncated(*series: Series) -> bool:
-    return any(s.truncated for s in series)
+def _decompose(problem, iterations: int, method: str, weights: Optional[str],
+               step: Callable[[Series, Series, bool], tuple]) -> SolveTrace:
+    """The one decomposition loop: iterations+1 records, n = 0..iterations.
+
+    It seeds u_0 and forms u_n = -I^alpha(Q u*_{n-1} + P_{n-1}) from the
+    previous record; step(u_n, S_{n-1}, want_poly) returns the rest of
+    record n, (u*_n, S_n, P_n), and wants P_n only if the problem is
+    nonlinear and a u_{n+1} is to come (else P_n is None).
+    A record whose series meets a growth cap ends the solve.
+    """
+    if iterations < 0:
+        raise DecompError("iterations must be >= 0")
+    alpha = problem.alpha
+    nonlinear = problem.nonlinear is not None
+    records: List[IterationRecord] = []
+    u = series_add(problem.f, frac_integral(problem.h, alpha))
+    for n in range(iterations + 1):
+        t0 = time.perf_counter()
+        prev_sum = Series.zero()
+        if n > 0:
+            prev = records[-1]
+            prev_sum, rhs = prev.partial_sum, problem.linear.apply(prev.u_star)
+            if prev.poly is not None:
+                rhs = series_add(rhs, prev.poly)
+            u = series_scale(frac_integral(rhs, alpha), -1.0)
+        u_star, partial, poly = step(u, prev_sum, nonlinear and n < iterations)
+        records.append(IterationRecord(n, u, u_star, poly, partial, time.perf_counter() - t0))
+        # the truncated flag survives every series operation, so a cap met
+        # inside a step shows on what the step returns
+        if any(s is not None and s.truncated for s in (u, u_star, partial, poly)):
+            return SolveTrace(method, alpha, weights, tuple(records), True, n < iterations)
+    return SolveTrace(method, alpha, weights, tuple(records), False, False)
 
 
 def ladm_solve(problem, iterations: int) -> SolveTrace:
     """Classical decomposition trace with iterations+1 records (n = 0..iterations)."""
-    if iterations < 0:
-        raise DecompError("iterations must be >= 0")
-    alpha = problem.alpha
-    records = []
-    # per (order, var) factor, the derivatives of u_0..u_n: each u_k is
-    # differentiated once, and A_n is built alone from them and from the
-    # inner grades kept since A_0
-    derivs: Dict[Tuple[int, str], List[Series]] = (
-        {key: [] for key in problem.nonlinear.factor_keys()}
-        if problem.nonlinear is not None else {})
-    inner: Dict[tuple, List[Series]] = {}
-    partial = Series.zero()
-    truncated = False
-    stopped = False
-    u = series_add(problem.f, frac_integral(problem.h, alpha))
-    for n in range(iterations + 1):
-        t0 = time.perf_counter()
-        partial = series_add(partial, u)
-        poly = None
-        if problem.nonlinear is not None and n < iterations:
-            for (order, var), ds in derivs.items():
-                ds.append(spatial_apply(u, order, var))
-            poly = _adomian_grade(problem.nonlinear, derivs, inner, n)
-        step_trunc = _any_truncated(u, partial) or (poly is not None and poly.truncated)
-        truncated = truncated or step_trunc
-        records.append(IterationRecord(n, u, u, poly, partial, time.perf_counter() - t0))
-        if step_trunc:
-            stopped = n < iterations
-            break
-        if n < iterations:
-            rhs = problem.linear.apply(u)
-            if poly is not None:
-                rhs = series_add(rhs, poly)
-            u = series_scale(frac_integral(rhs, alpha), -1.0)
-    return SolveTrace("ladm", alpha, None, tuple(records), truncated, stopped)
+    grades = _AdomianGrades(problem.nonlinear) if problem.nonlinear is not None else None
+
+    def step(u, prev_sum, want_poly):
+        return u, series_add(prev_sum, u), grades.push(u) if want_poly else None
+
+    return _decompose(problem, iterations, "ladm", None, step)
 
 
 def mldm_solve(problem, iterations: int, weights: str = "normalized") -> SolveTrace:
@@ -523,45 +531,24 @@ def mldm_solve(problem, iterations: int, weights: str = "normalized") -> SolveTr
     corrected partial sum S*_n; S*_n interpolates the boundary data exactly
     at every n.
     """
-    if iterations < 0:
-        raise DecompError("iterations must be >= 0")
     if problem.bd is None:
         raise DecompError("mldm_solve needs boundary data")
     if problem.dimension == 2:
         check_corner_compatibility(problem.bd, problem.domain, problem.domain_y)
-    alpha = problem.alpha
-    records = []
-    truncated = False
-    stopped = False
     raw_sum = Series.zero()
-    s_star_prev = Series.zero()
     n_star_prev = Series.zero()     # N(S*_{n-1}) for the difference polynomials
-    ustar_prev: Optional[Series] = None
-    u = series_add(problem.f, frac_integral(problem.h, alpha))
-    for n in range(iterations + 1):
-        t0 = time.perf_counter()
-        if n > 0:
-            rhs = problem.linear.apply(ustar_prev)
-            if problem.nonlinear is not None:
-                rhs = series_add(rhs, records[-1].poly)
-            u = series_scale(frac_integral(rhs, alpha), -1.0)
+
+    def step(u, s_star_prev, want_poly):
+        nonlocal raw_sum, n_star_prev
         raw_sum = series_add(raw_sum, u)
         s_star = boundary_correct(raw_sum, problem.bd, problem.domain, problem.domain_y,
                                   weights)
         u_star = series_add(s_star, series_scale(s_star_prev, -1.0))
         poly = None
-        if problem.nonlinear is not None and n < iterations:
+        if want_poly:
             n_star = problem.nonlinear.apply(s_star)
             poly = series_add(n_star, series_scale(n_star_prev, -1.0))
             n_star_prev = n_star
-        step_trunc = _any_truncated(u, raw_sum, s_star, u_star) or \
-            (poly is not None and poly.truncated)
-        truncated = truncated or step_trunc
-        records.append(IterationRecord(n, u, u_star, poly, s_star,
-                                       time.perf_counter() - t0))
-        if step_trunc:
-            stopped = n < iterations
-            break
-        s_star_prev = s_star
-        ustar_prev = u_star
-    return SolveTrace("mldm", alpha, weights, tuple(records), truncated, stopped)
+        return u_star, s_star, poly
+
+    return _decompose(problem, iterations, "mldm", weights, step)

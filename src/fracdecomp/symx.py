@@ -131,6 +131,13 @@ class Expr:
                 setattr(node, name, value)
         return node
 
+    def __reduce__(self):
+        # copy and pickle rebuild a node through its constructor, which
+        # returns the node itself; the constructor takes the fields of the
+        # nearest class that declares any
+        fields = next(c.__slots__ for c in type(self).__mro__ if c.__slots__)
+        return type(self), tuple(getattr(self, f) for f in fields)
+
     # -- construction sugar --------------------------------------------
 
     @staticmethod

@@ -440,6 +440,113 @@ def test_mldm_difference_polynomials():
 
 
 # ---------------------------------------------------------------------------
+# The shared loop against the two loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_ladm_solve(problem, iterations):
+    """ladm as its own loop, the way it ran before both methods shared
+    ``decomp._decompose``: the partial sum, A_n and the cap stop kept here."""
+    alpha = problem.alpha
+    records = []
+    grades = (decomp._AdomianGrades(problem.nonlinear)
+              if problem.nonlinear is not None else None)
+    partial = Series.zero()
+    truncated = stopped = False
+    u = series_add(problem.f, fracterm.frac_integral(problem.h, alpha))
+    for n in range(iterations + 1):
+        partial = series_add(partial, u)
+        poly = None
+        if problem.nonlinear is not None and n < iterations:
+            poly = grades.push(u)
+        step_trunc = u.truncated or partial.truncated or (poly is not None and poly.truncated)
+        truncated = truncated or step_trunc
+        records.append(decomp.IterationRecord(n, u, u, poly, partial, 0.0))
+        if step_trunc:
+            stopped = n < iterations
+            break
+        if n < iterations:
+            rhs = problem.linear.apply(u)
+            if poly is not None:
+                rhs = series_add(rhs, poly)
+            u = series_scale(fracterm.frac_integral(rhs, alpha), -1.0)
+    return decomp.SolveTrace("ladm", alpha, None, tuple(records), truncated, stopped)
+
+
+def _reference_mldm_solve(problem, iterations, weights="normalized"):
+    """mldm as its own loop, the way it ran before both methods shared
+    ``decomp._decompose``."""
+    alpha = problem.alpha
+    records = []
+    truncated = stopped = False
+    raw_sum = s_star_prev = n_star_prev = Series.zero()
+    ustar_prev = None
+    u = series_add(problem.f, fracterm.frac_integral(problem.h, alpha))
+    for n in range(iterations + 1):
+        if n > 0:
+            rhs = problem.linear.apply(ustar_prev)
+            if problem.nonlinear is not None:
+                rhs = series_add(rhs, records[-1].poly)
+            u = series_scale(fracterm.frac_integral(rhs, alpha), -1.0)
+        raw_sum = series_add(raw_sum, u)
+        s_star = boundary_correct(raw_sum, problem.bd, problem.domain, problem.domain_y,
+                                  weights)
+        u_star = series_add(s_star, series_scale(s_star_prev, -1.0))
+        poly = None
+        if problem.nonlinear is not None and n < iterations:
+            n_star = problem.nonlinear.apply(s_star)
+            poly = series_add(n_star, series_scale(n_star_prev, -1.0))
+            n_star_prev = n_star
+        step_trunc = any(s.truncated for s in (u, raw_sum, s_star, u_star)) or \
+            (poly is not None and poly.truncated)
+        truncated = truncated or step_trunc
+        records.append(decomp.IterationRecord(n, u, u_star, poly, s_star, 0.0))
+        if step_trunc:
+            stopped = n < iterations
+            break
+        s_star_prev = s_star
+        ustar_prev = u_star
+    return decomp.SolveTrace("mldm", alpha, weights, tuple(records), truncated, stopped)
+
+
+def _assert_same_trace(got, want):
+    # every field but the timings, each series to the bit
+    for field in ("method", "alpha", "weights", "truncated", "stopped_early"):
+        assert getattr(got, field) == getattr(want, field), field
+    assert len(got.records) == len(want.records)
+    for a, b in zip(got.records, want.records):
+        assert a.n == b.n
+        for field in ("u", "u_star", "poly", "partial_sum"):
+            assert _bits(getattr(a, field)) == _bits(getattr(b, field)), (a.n, field)
+
+
+@pytest.mark.parametrize("pid", [f"p{i}" for i in range(1, 8)])
+def test_one_loop_runs_both_methods_as_their_own_loops_did(pid):
+    # both problem modes, three orders and three iteration counts, ladm and
+    # mldm under both weight families
+    for alpha in (0.5, 0.75, 1.0):
+        for mode in ("manufactured", "paper-literal"):
+            spec = builtin(pid, alpha, mode)
+            for n in (0, 1, 3):
+                _assert_same_trace(ladm_solve(spec, n), _reference_ladm_solve(spec, n))
+                for weights in ("normalized", "paper-literal"):
+                    _assert_same_trace(mldm_solve(spec, n, weights),
+                                       _reference_mldm_solve(spec, n, weights))
+
+
+@pytest.mark.parametrize("solve,reference", [(ladm_solve, _reference_ladm_solve),
+                                             (mldm_solve, _reference_mldm_solve)])
+def test_one_loop_stops_at_a_cap_as_their_own_loops_did(monkeypatch, solve, reference):
+    # MAX_MU = 12 cuts p6's nonlinearity at the first step that squares an
+    # iterate past t^12: the record is kept and the solve stops early
+    monkeypatch.setattr(fracterm, "MAX_MU", 12.0)
+    spec = builtin("p6", 1.0)
+    got = solve(spec, 4)
+    assert got.truncated and got.stopped_early and len(got.records) < 5
+    _assert_same_trace(got, reference(spec, 4))
+
+
+# ---------------------------------------------------------------------------
 # ladm_solve
 # ---------------------------------------------------------------------------
 

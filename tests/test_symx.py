@@ -1,6 +1,8 @@
 """Expression engine: differentiation, evaluation, simplification, grammar."""
 
+import copy
 import math
+import pickle
 import random
 import warnings
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from fracdecomp import symx
 from fracdecomp.fracterm import Series
 from fracdecomp.grammar import GrammarError, parse_expr, parse_spatial
+from fracdecomp.problems import builtin
 from fracdecomp.symx import (
     Const,
     Cos,
@@ -215,6 +218,29 @@ def test_each_structure_is_one_node():
     for bad in (lambda: Var("z"), lambda: Sum(()), lambda: Prod(())):
         with pytest.raises(ExprError):
             bad()
+
+
+def _spec_atoms(spec):
+    # every atom of every monomial of the spec's series, in dict order
+    series = [spec.f, spec.h, spec.exact, *spec.bd.faces().values()]
+    series += [p.series_coeff for p in spec.nonlinear.products if p.series_coeff is not None]
+    return [atom for s in series for t in s.terms for mono in t.poly for atom, _ in mono]
+
+
+def test_a_copied_or_unpickled_node_is_the_node():
+    # copy and pickle rebuild a node through its constructor, which hands
+    # back the one node of that structure
+    neg = Const(-0.0)
+    assert copy.copy(neg) is neg and copy.deepcopy(neg) is neg
+    assert math.copysign(1.0, pickle.loads(pickle.dumps(neg)).value) == -1.0
+    e = parse_spatial("sin(pi*x)*(1+x)^0.5 + exp(-x)")
+    for node in (Sin(X), Var("y"), e, Pow(X, -1.5)):
+        assert copy.copy(node) is node and copy.deepcopy(node) is node
+        assert pickle.loads(pickle.dumps(node)) is node
+    spec = builtin("p7", 0.75)
+    atoms = _spec_atoms(spec)
+    assert atoms and all(a is b for a, b in zip(_spec_atoms(copy.deepcopy(spec)), atoms,
+                                                strict=True))
 
 
 @settings(max_examples=150, deadline=None)

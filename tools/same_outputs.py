@@ -10,9 +10,9 @@ kernel:
 
     python3 tools/same_outputs.py . . --env OPENBLAS_CORETYPE=Prescott
 
-Both run the same solves (``CASES``, paper-literal ones among them, and
-each problem file of ``FILE_CASES`` written to the temporary directory and
-solved with its arguments) in fresh interpreters with
+Both run the same solves (``CASES``, paper-literal modes and weights
+among them, and each problem file of ``FILE_CASES`` written to the
+temporary directory and solved with its arguments) in fresh interpreters with
 ``PYTHONPATH=ROOT/src``, each into a directory of its own under a
 temporary directory. points.csv and plot.dat must be equal byte for byte,
 summary.csv with its wall-clock ``seconds`` column masked, and every solve
@@ -50,6 +50,11 @@ CASES.append(["-p", "p1", "--mode", "paper-literal", "--allow-inconsistent",
               "-m", "both", "-n", "2"])
 CASES.append(["-p", "p4", "--mode", "paper-literal", "--allow-inconsistent",
               "-m", "both", "-n", "2"])
+# the paper-literal blending weights (1 - x, x), which boundary_correct
+# returns unpolished: p2's box [0, 2]^2 is where they do not interpolate,
+# and p7 is nonlinear
+CASES += [["-p", pid, "-m", "mldm", "-n", "3", "--weights", "paper-literal"]
+          for pid in ("p2", "p7")]
 
 # No builtin is both 2D and nonlinear. This problem file takes y-derivatives
 # in its nonlinearity, a cubic and a time-dependent coefficient; it must
