@@ -151,7 +151,7 @@ _POWER_ALPHAS = (0.3, 0.5, 0.9, 1.0)
 _POWER_TIMES = (0.5, 1.0)
 
 
-def _check_power_rule(tol: float) -> Tuple[bool, str]:
+def _check_power_rule() -> Tuple[bool, str]:
     worst, where = 0.0, ""
     for lam in _POWER_LAMBDAS:
         for alpha in _POWER_ALPHAS:
@@ -163,8 +163,9 @@ def _check_power_rule(tol: float) -> Tuple[bool, str]:
                 rel = abs(lib - oracle) / abs(oracle)
                 if rel > worst:
                     worst, where = rel, f"lambda={lam:g} alpha={alpha:g} t={t:g}"
-    ok = worst <= tol
-    return ok, f"40 lattice points, worst rel {worst:.2e} at {where} (tol {tol:.0e})"
+    ok = worst <= POWER_RULE_TOL
+    return ok, (f"40 lattice points, worst rel {worst:.2e} at {where} "
+                f"(tol {POWER_RULE_TOL:.0e})")
 
 
 def _check_semigroup() -> Tuple[bool, str]:
@@ -434,7 +435,6 @@ def all_check_names() -> Tuple[str, ...]:
 
 
 def run_all(only: Optional[Sequence[str]] = None,
-            quad_tol: float = POWER_RULE_TOL,
             echo: Optional[Callable[[str], None]] = None) -> List[CheckResult]:
     """Run the suite (or the named subset) and return one record per check."""
     if only is not None:
@@ -448,7 +448,7 @@ def run_all(only: Optional[Sequence[str]] = None,
             continue
         start = time.perf_counter()
         try:
-            passed, detail = fn(quad_tol) if name == "power-rule" else fn()
+            passed, detail = fn()
         except Exception as exc:  # a crashed check is a failed check, keep going
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         seconds = time.perf_counter() - start

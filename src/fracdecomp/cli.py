@@ -51,9 +51,6 @@ EXIT_GATE = 3
 # write, so a grid far past this cap would exhaust memory instead of failing.
 MAX_OUTPUT_ROWS = 2_000_000
 
-_CONFIG_KEYS = ("problem", "file", "alpha", "method", "iters", "mode", "weights",
-                "grid", "tmax", "out", "jobs", "allow_inconsistent")
-
 
 def _fail(code: int, message: str) -> None:
     click.echo(message, err=True)
@@ -66,11 +63,11 @@ def _f(v) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Configuration file and flag merging.
+# Configuration file and option values.
 # ---------------------------------------------------------------------------
 
 
-def _read_config(path: str) -> Dict[str, str]:
+def _read_config(path: str, known: Tuple[str, ...]) -> Dict[str, str]:
     """key = value file, same fields as the flags; a section header is optional."""
     try:
         text = Path(path).read_text()
@@ -87,22 +84,35 @@ def _read_config(path: str) -> Dict[str, str]:
     for section in parser.sections():
         for key, value in parser[section].items():
             key = key.replace("-", "_")
-            if key not in _CONFIG_KEYS:
+            if key not in known:
                 raise ProblemError(f"{path}: unknown config key {key!r}; "
-                                   f"known: {', '.join(_CONFIG_KEYS)}")
+                                   f"known: {', '.join(known)}")
             merged[key] = value.strip()
     return merged
 
 
-def _pick(flag, cfg: Dict[str, str], key: str, default, cast):
-    if flag is not None:
-        return flag
-    if key in cfg:
+def _config_defaults(ctx: click.Context, param: click.Parameter, path: Optional[str]):
+    """--config callback: the file's values become the command's defaults.
+
+    Each value is converted by its own option's type, so a config value is
+    checked exactly as its flag is, and a flag or environment variable still
+    beats it (click's order: command line, environment, default map, default).
+    """
+    if path is None:
+        return
+    options = {p.name: p for p in ctx.command.params if p is not param}
+    try:
+        cfg = _read_config(path, tuple(options))
+    except ProblemError as exc:
+        _fail(EXIT_INPUT, str(exc))
+    defaults = {}
+    for key, text in cfg.items():
+        option = options[key]
         try:
-            return cast(cfg[key])
-        except ValueError as exc:
-            raise ProblemError(f"config {key}: {exc}") from None
-    return default
+            defaults[key] = option.type.convert(text, option, ctx)
+        except click.BadParameter as exc:
+            _fail(EXIT_INPUT, f"config {key}: {exc.message}")
+    ctx.default_map = defaults
 
 
 def _parse_alphas(text: str) -> Tuple[float, ...]:
@@ -134,15 +144,6 @@ def _parse_grid(text: str) -> Tuple[int, ...]:
         raise ProblemError(f"bad grid {text!r}; expected nx,nt or nx,ny,nt "
                            "with counts >= 2")
     return counts
-
-
-def _bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -235,63 +236,41 @@ def main():
 
 @main.command("solve")
 @click.option("--problem", "-p", help="builtin problem id (see 'list')")
-@click.option("--file", "-f", "file_", type=click.Path(), help="problem definition file")
-@click.option("--alpha", "-a", "alpha_", help="comma-separated orders in (0, 1]")
+@click.option("--file", "-f", type=click.Path(), help="problem definition file")
+@click.option("--alpha", "-a", help="comma-separated orders in (0, 1]")
 @click.option("--method", "-m", type=click.Choice(["ladm", "mldm", "both"]),
-              default=None, help="classical, boundary-corrected, or both")
-@click.option("--iters", "-n", type=int, default=None, help="iterations beyond u_0")
-@click.option("--mode", type=click.Choice(list(problems.MODES)), default=None,
+              default="mldm", help="classical, boundary-corrected, or both")
+@click.option("--iters", "-n", type=int, default=3, help="iterations beyond u_0")
+@click.option("--mode", type=click.Choice(list(problems.MODES)), default="manufactured",
               help="source mode: manufactured (consistent) or paper-literal")
 @click.option("--weights", type=click.Choice(["normalized", "paper-literal"]),
-              default=None, help="boundary correction weight family")
-@click.option("--grid", "grid_", help="point counts: nx,nt or nx,ny,nt")
-@click.option("--tmax", type=float, default=None, help="end of the time window")
-@click.option("--out", "-o", envvar="FRACDECOMP_OUT", default=None,
+              default="normalized", help="boundary correction weight family")
+@click.option("--grid", help="point counts: nx,nt or nx,ny,nt")
+@click.option("--tmax", type=float, default=DEFAULT_TMAX, help="end of the time window")
+@click.option("--out", "-o", envvar="FRACDECOMP_OUT", default="out",
               help="output directory (env FRACDECOMP_OUT)")
-@click.option("--jobs", "-j", type=int, default=None,
+@click.option("--jobs", "-j", type=int, default=1,
               help="worker processes for (alpha, method) fan-out")
 @click.option("--allow-inconsistent", is_flag=True, default=False,
               help="solve paper-literal problems even when the audit flags them")
-@click.option("--config", "-c", "config_", type=click.Path(),
-              help="key = value defaults, overridden by flags")
-def cmd_solve(problem, file_, alpha_, method, iters, mode, weights, grid_, tmax,
-              out, jobs, allow_inconsistent, config_):
+@click.option("--config", "-c", type=click.Path(), is_eager=True, expose_value=False,
+              callback=_config_defaults, help="key = value defaults, overridden by flags")
+def cmd_solve(problem, file, alpha, method, iters, mode, weights, grid, tmax,
+              out, jobs, allow_inconsistent):
     """Solve a problem and write points.csv, summary.csv and plot.dat."""
     try:
-        cfg = _read_config(config_) if config_ else {}
-        problem = _pick(problem, cfg, "problem", None, str)
-        file_ = _pick(file_, cfg, "file", None, str)
-        alpha_text = _pick(alpha_, cfg, "alpha", None, str)
-        method = _pick(method, cfg, "method", "mldm", str)
-        iters = _pick(iters, cfg, "iters", 3, int)
-        mode = _pick(mode, cfg, "mode", "manufactured", str)
-        weights = _pick(weights, cfg, "weights", "normalized", str)
-        grid_text = _pick(grid_, cfg, "grid", None, str)
-        counts = _parse_grid(grid_text) if grid_text else None
-        tmax = _pick(tmax, cfg, "tmax", DEFAULT_TMAX, float)
-        out = _pick(out, cfg, "out", "out", str)
-        jobs = _pick(jobs, cfg, "jobs", 1, int)
-        allow_inconsistent = allow_inconsistent or _pick(None, cfg,
-                                                         "allow_inconsistent",
-                                                         False, _bool)
-
-        if method not in ("ladm", "mldm", "both"):
-            raise ProblemError(f"unknown method {method!r}")
-        if mode not in problems.MODES:
-            raise ProblemError(f"unknown mode {mode!r}")
-        if weights not in ("normalized", "paper-literal"):
-            raise ProblemError(f"unknown weights {weights!r}")
+        counts = _parse_grid(grid) if grid else None
         if iters < 0:
             raise ProblemError(f"iters must be >= 0, got {iters}")
         if not 0.0 < tmax < float("inf"):
             raise ProblemError(f"tmax must be positive and finite, got {tmax:g}")
         if jobs < 1:
             raise ProblemError(f"jobs must be >= 1, got {jobs}")
-        if (problem is None) == (file_ is None):
+        if (problem is None) == (file is None):
             raise ProblemError("give exactly one of --problem or --file")
-        kind, ident = ("builtin", problem) if problem else ("file", file_)
-        if alpha_text is not None:
-            alphas = _parse_alphas(alpha_text)
+        kind, ident = ("builtin", problem) if problem else ("file", file)
+        if alpha is not None:
+            alphas = _parse_alphas(alpha)
         else:
             # a problem file's own alpha field, else 1.0
             own = problems.file_alpha(ident) if kind == "file" else None
@@ -395,9 +374,7 @@ def cmd_list():
 
 @main.command("verify")
 @click.option("--only", help="comma-separated check names (see run output)")
-@click.option("--quad-tol", type=float, default=None,
-              help="override the power-rule tolerance (default 1e-8)")
-def cmd_verify(only, quad_tol):
+def cmd_verify(only):
     """Run the self-check suite; exit 1 if any check fails."""
     # imported here: only verify needs the check suite, not a solve
     from . import acceptance
@@ -406,10 +383,7 @@ def cmd_verify(only, quad_tol):
     if only:
         names = tuple(s.strip() for s in only.split(",") if s.strip())
     try:
-        results = acceptance.run_all(
-            only=names,
-            quad_tol=acceptance.POWER_RULE_TOL if quad_tol is None else quad_tol,
-            echo=click.echo)
+        results = acceptance.run_all(only=names, echo=click.echo)
     except ValueError as exc:
         _fail(EXIT_INPUT, str(exc))
     if not results:

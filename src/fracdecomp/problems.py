@@ -434,10 +434,19 @@ def _spec(pid: str, title: str, name: str, fields: Dict[str, str], alpha: float,
         except ExprError as exc:
             raise ProblemError(f"{name}: {key}: {exc}") from None
 
+    def series_field(key: str, parse):
+        """A parsed series field, refused whole if a coefficient is inf or nan."""
+        s = parsed(key, parse)
+        if s is not None and not all(math.isfinite(c) for term in s.terms
+                                     for c in term.poly.values()):
+            raise ProblemError(f"{name}: {key}: a coefficient of {fields[key]!r} "
+                               "is not finite")
+        return s
+
     linear = _parse_linear_field(name, fields.get("linear", ""))
     nonlinear = parsed("nonlinear", lambda text, a: _parse_nonlinear_field(name, text, a))
-    exact = parsed("exact", parse_series)
-    source = parsed("source", parse_series)
+    exact = series_field("exact", parse_series)
+    source = series_field("source", parse_series)
     if exact is None and source is None:
         raise ProblemError(f"{name}: need 'exact' (manufactured) or 'source' (literal)")
     if exact is None:
@@ -451,7 +460,7 @@ def _spec(pid: str, title: str, name: str, fields: Dict[str, str], alpha: float,
     def data(key: str, parse, derive):
         """A literal field as given, else the exact solution's restriction."""
         if literal and key in fields:
-            return parsed(key, parse)
+            return series_field(key, parse)
         if exact is None:
             raise ProblemError(f"{name}: missing '{key}' and no exact to derive it from")
         return derive()

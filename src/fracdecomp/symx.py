@@ -1357,7 +1357,8 @@ def _zero_check_samples(p: Poly) -> np.ndarray:
 
 
 def fmt_number(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
+    # the magnitude test first: int() of inf or nan raises, and both render by repr
+    if abs(v) < 1e15 and v == int(v):
         return str(int(v))
     return repr(v)
 

@@ -136,6 +136,50 @@ def test_solve_config_file_and_flag_override(runner, tmp_path):
     assert len(_lines(out2 / "summary.csv")) == 1 + 2
 
 
+def test_solve_config_values_are_checked_by_their_option_types(runner, tmp_path):
+    out = tmp_path / "o"
+    cases = {"method = foo": "config method: 'foo' is not one of "
+                             "'ladm', 'mldm', 'both'.",
+             "iters = three": "config iters: 'three' is not a valid integer.",
+             "allow-inconsistent = maybe": "config allow_inconsistent: 'maybe' "
+                                           "is not a valid boolean."}
+    for line, message in cases.items():
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"problem = p5\n{line}\n")
+        r = runner.invoke(main, ["solve", "--config", str(cfg), "--out", str(out)])
+        assert r.exit_code == 2, (line, r.output)
+        said = r.output.strip().splitlines()
+        assert len(said) == 1 and said[0].startswith(message), (line, said)
+        assert not out.exists(), line
+
+
+def test_solve_out_precedence_flag_env_config_default(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FRACDECOMP_OUT", raising=False)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = p5\niters = 0\nout = from_config\n")
+    env = {"FRACDECOMP_OUT": "from_env"}
+    for args, env_out, wrote in ((["-p", "p5", "-n", "0"], None, "out"),
+                                 (["--config", str(cfg)], None, "from_config"),
+                                 (["--config", str(cfg)], env, "from_env"),
+                                 (["--config", str(cfg), "-o", "from_flag"], env,
+                                  "from_flag")):
+        r = runner.invoke(main, ["solve", *args], env=env_out)
+        assert r.exit_code == 0, (args, r.output)
+        assert f"wrote {os.path.join(wrote, 'points.csv')}" in r.output, args
+        assert (tmp_path / wrote / "summary.csv").exists(), args
+
+
+def test_solve_p6_past_the_gamma_overflow(runner, tmp_path):
+    # mldm's fifth iterate reaches exponents where the Lanczos gamma overflows
+    out = tmp_path / "run"
+    r = runner.invoke(main, ["solve", "-p", "p6", "-n", "5", "--out", str(out)])
+    assert r.exit_code == 0, r.output
+    rows = [row.split(",") for row in _lines(out / "summary.csv")[1:]]
+    assert [row[2] for row in rows] == [str(n) for n in range(6)]
+    assert float(rows[-1][3]) < 1e-5 and float(rows[-1][5]) < 1e-4
+
+
 def test_solve_problem_file(runner, tmp_path):
     prob = tmp_path / "adv.txt"
     prob.write_text("alpha = 0.9\ndomain = 0, 1\nlinear = 1x:1.0\n"
@@ -187,6 +231,11 @@ def test_solve_input_validation_exit_codes(runner, tmp_path):
         "inf_nonlinear.txt": "domain = 0, 1\nexact = t*x^3\nnonlinear = 1e999*u^2\n",
         "big_nonlinear.txt": "domain = 0, 1\nexact = t*x^3\nnonlinear = u - 1e200*1e200*u\n",
         "short_linear.txt": "domain = 0, 1\nexact = t*x^3\nlinear = 2x:1e\n",
+        # an infinite constant in a series field: the literal source once
+        # crashed in the rendering of the audit, an exact one once exited 2
+        # with a bare "cannot convert float NaN to integer"
+        "inf_source.txt": "domain = 0, 1\nexact = t*x\nsource = 1e999*t\n",
+        "inf_exact.txt": "domain = 0, 1\nexact = t*x + 1e999*t^2\n",
     }
     for name, text in bad_files.items():
         (tmp_path / name).write_text(text)
@@ -195,6 +244,7 @@ def test_solve_input_validation_exit_codes(runner, tmp_path):
     # the file's own alpha is read only when no -a is given
     file_cases["abc_alpha.txt"] = ["solve", "--file", str(tmp_path / "abc_alpha.txt"),
                                    "--out", out]
+    file_cases["inf_source.txt"] += ["--mode", "paper-literal"]
     # t^mu overflows past t = 1e308, and 0 * inf is nan at x = 0: the grid
     # values are not finite, so nothing is written
     huge_tmax = ["solve", "-p", "p1", "--tmax", "1e308", "--out", out]
@@ -255,6 +305,10 @@ def test_solve_input_validation_exit_codes(runner, tmp_path):
                        ("big_nonlinear.txt", "1e200*1e200*u")):
         assert said[name] == [f"{name}: nonlinear: the constant of term {term!r} "
                               "is not finite"]
+    assert said["inf_source.txt"] == ["inf_source.txt: source: a coefficient of "
+                                      "'1e999*t' is not finite"]
+    assert said["inf_exact.txt"] == ["inf_exact.txt: exact: a coefficient of "
+                                     "'t*x + 1e999*t^2' is not finite"]
     assert said["huge_tmax"] == ["series is not finite at 820 of 861 grid points "
                                  "(inf or nan); the values overflow a float"]
 
@@ -448,9 +502,10 @@ def test_verify_single_check_passes(runner):
     assert "PASS" in r.output and "gamma" in r.output
 
 
-def test_verify_unattainable_quad_tol_fails_honestly(runner):
-    r = runner.invoke(main, ["verify", "--only", "power-rule",
-                             "--quad-tol", "1e-14"])
+def test_verify_unattainable_quad_tol_fails_honestly(runner, monkeypatch):
+    from fracdecomp import acceptance
+    monkeypatch.setattr(acceptance, "POWER_RULE_TOL", 1e-14)
+    r = runner.invoke(main, ["verify", "--only", "power-rule"])
     assert r.exit_code == 1
     assert "FAIL" in r.output
 

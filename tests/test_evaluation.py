@@ -262,16 +262,25 @@ def test_derivative_grids_match_on_products_of_factors():
         "x*y*sin(x + y)*t + exp(x*y)*y^2*t^0.75 + cos(x)*sin(2*y)", None), g2)
 
 
+# (exact, nonlinearity, whether the residual meets a pole at x = 0): u_x of
+# t*x^0.5 holds x^-0.5, which has no value at x = 0; u_xx of t*x^1.5 does
+# too, but its u_x (1.5*t*x^0.5) is fine there, so only a residual that asks
+# for the second derivative may fail. The "uxx_three_halves" file is
+# POLE_FILE of tools/same_outputs.py.
+POLE_CASES = {"ux_half": ("t*x^0.5", "u*u_x", True),
+              "uxx_three_halves": ("t*x^1.5", "u*u_xx", True),
+              "ux_three_halves": ("t*x^1.5", "u*u_x", False)}
+
+
+def pole_case_file(name: str) -> str:
+    exact, nonlinear, _ = POLE_CASES[name]
+    return f"domain = 0, 1\nexact = {exact}\nnonlinear = {nonlinear}\n"
+
+
 def test_residual_evaluates_only_the_derivatives_it_needs(tmp_path):
-    # u_x of t*x^0.5 holds x^-0.5, which has no value at x = 0; u_xx of
-    # t*x^1.5 does too, but its u_x (1.5*t*x^0.5) is fine there, so only a
-    # residual that asks for the second derivative may fail
-    cases = {"ux_half": ("t*x^0.5", "u*u_x", True),
-             "uxx_three_halves": ("t*x^1.5", "u*u_xx", True),
-             "ux_three_halves": ("t*x^1.5", "u*u_x", False)}
-    for name, (exact, nonlinear, fails) in cases.items():
+    for name, (_, _, fails) in POLE_CASES.items():
         path = tmp_path / f"{name}.txt"
-        path.write_text(f"domain = 0, 1\nexact = {exact}\nnonlinear = {nonlinear}\n")
+        path.write_text(pole_case_file(name))
         spec = load_problem_file(path, 0.5)
         g = default_grid(spec)
         if fails:

@@ -100,6 +100,25 @@ def test_frac_integral_gamma_cancellation():
         assert abs(c - 1.0) <= 1e-14
 
 
+def test_power_rule_ratio_past_gamma_overflow():
+    # Gamma(201) overflows a float, so the ratio goes through lgamma; below
+    # the overflow it is still the plain quotient of the Lanczos values
+    ref = math.exp(math.lgamma(201.0) - math.lgamma(201.5))
+    assert fracterm._gamma_ratio(201.0, 201.5) == ref
+    # the Lanczos form returns inf here without raising, which once made
+    # the Caputo ratio inf
+    assert math.isinf(gamma(142.3))
+    assert fracterm._gamma_ratio(142.3, 141.8) == math.exp(math.lgamma(142.3)
+                                                           - math.lgamma(141.8))
+    assert fracterm._gamma_ratio(11.0, 11.5) == gamma(11.0) / gamma(11.5)
+    s = frac_integral(Series.of(200.0, 1.0), 0.5)
+    assert s.terms[0].mu == 200.5
+    assert evaluate(s.terms[0].coeff, {}) == ref
+    back = caputo(s, 0.5)
+    assert back.terms[0].mu == 200.0
+    assert abs(evaluate(back.terms[0].coeff, {}) - 1.0) <= 1e-12
+
+
 def test_frac_integral_rejects_nonpositive_alpha():
     with pytest.raises(SeriesError):
         frac_integral(Series.of(1.0, 1.0), 0.0)

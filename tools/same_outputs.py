@@ -58,7 +58,8 @@ CASES += [["-p", pid, "-m", "mldm", "-n", "3", "--weights", "paper-literal"]
 
 # No builtin is both 2D and nonlinear. This problem file takes y-derivatives
 # in its nonlinearity, a cubic and a time-dependent coefficient; it must
-# match TWO_D_FILE of tests/test_evaluation.py. Past -n 1 it is slow.
+# match TWO_D_FILE of tests/test_evaluation.py (tests/test_tools.py checks
+# this copy and the two below). Past -n 1 it is slow.
 TWO_D_FILE = """\
 domain = 0, 1
 domain_y = 0, 1
@@ -83,8 +84,7 @@ TRIG_ARGS = ["-m", "both", "-n", "2", "-a", "0.5,0.75,1.0"]
 # The residual of this file takes u_xx, whose factor row 0.75*x^-0.5 has no
 # value at x = 0, so every solve of it exits 2 with the one line of the
 # first factor that raises. It must match the "uxx_three_halves" case of
-# test_residual_evaluates_only_the_derivatives_it_needs in
-# tests/test_evaluation.py.
+# POLE_CASES in tests/test_evaluation.py.
 POLE_FILE = """\
 domain = 0, 1
 exact = t*x^1.5
