@@ -8,8 +8,11 @@ partition cleanly: 0 success, 1 verification failure, 2 input error,
 
 Every solve is deterministic: identical configuration yields byte-identical
 points and plot files (the summary CSV's wall-clock column is the one
-physical field). Jobs fan out over a process pool when ``--jobs`` asks for
-it; results are reassembled in configuration order, never completion order.
+physical field). A solve builds one spec per alpha and one grid; the specs
+pass the input checks and the consistency gate, and each (alpha, method)
+job solves its spec as built on that grid. Jobs fan out over a process
+pool when ``--jobs`` asks for it; results are reassembled in configuration
+order, never completion order.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .evaluation import (
     DEFAULT_NY,
     DEFAULT_TMAX,
     EvalError,
+    Grid,
     convergence_report,
     default_grid,
 )
@@ -135,7 +139,10 @@ def _parse_alphas(text: str) -> Tuple[float, ...]:
     return tuple(out)
 
 
-def _parse_grid(text: str) -> Tuple[int, ...]:
+def _grid_counts(text: Optional[str]) -> Tuple[int, int, int]:
+    """(nx, ny, nt) from --grid's nx,nt or nx,ny,nt; ny is unused by 1D problems."""
+    if not text:
+        return DEFAULT_NX, DEFAULT_NY, DEFAULT_NT
     try:
         counts = tuple(int(p) for p in text.split(","))
     except ValueError:
@@ -143,13 +150,13 @@ def _parse_grid(text: str) -> Tuple[int, ...]:
     if len(counts) not in (2, 3) or any(c < 2 for c in counts):
         raise ProblemError(f"bad grid {text!r}; expected nx,nt or nx,ny,nt "
                            "with counts >= 2")
-    return counts
+    return (counts[0], DEFAULT_NY, counts[1]) if len(counts) == 2 else counts
 
 
 # ---------------------------------------------------------------------------
-# Solve jobs. Workers rebuild the problem from its identifier and return only
-# strings, so results pickle cheaply and assembly order is fixed by the
-# configuration, not the pool.
+# Solve jobs. Each job gets the spec that passed the input checks and the run's
+# one grid (a worker receives them pickled) and returns only strings, so
+# assembly order is fixed by the configuration, not the pool.
 # ---------------------------------------------------------------------------
 
 
@@ -159,23 +166,11 @@ def _build_spec(kind: str, ident: str, alpha: float, mode: str):
     return problems.load_problem_file(ident, alpha, mode)
 
 
-def _grid_counts(counts: Optional[Tuple[int, ...]]) -> Tuple[int, int, int]:
-    """(nx, ny, nt) from the --grid counts; ny is unused by 1D problems."""
-    if counts is None:
-        return DEFAULT_NX, DEFAULT_NY, DEFAULT_NT
-    if len(counts) == 2:
-        return counts[0], DEFAULT_NY, counts[1]
-    return counts
-
-
-def _run_job(packed: tuple) -> Dict[str, object]:
-    (kind, ident, alpha, method, iters, mode, weights, counts, tmax) = packed
-    spec = _build_spec(kind, ident, alpha, mode)
+def _run_job(spec, method: str, iters: int, weights: str, grid: Grid) -> Dict[str, object]:
     if method == "mldm":
         trace = mldm_solve(spec, iters, weights=weights)
     else:
         trace = ladm_solve(spec, iters)
-    grid = default_grid(spec, *_grid_counts(counts), tmax=tmax)
     # the report evaluates every series once; its last row holds the final
     # partial sum's grid and the exact grid the files are written from
     report = convergence_report([trace], spec, grid)
@@ -187,7 +182,7 @@ def _run_job(packed: tuple) -> Dict[str, object]:
     axes = (grid.xs, grid.ts) if spec.dimension == 1 else (grid.xs, grid.ys, grid.ts)
     fields = [*np.meshgrid(*axes, indexing="ij"), approx, known, np.abs(approx - known)]
     columns = [map(repr, f.ravel().tolist()) for f in fields]
-    points = list(map(",".join, zip(repeat(f"{method},{_f(alpha)},{n_final}"), *columns)))
+    points = list(map(",".join, zip(repeat(f"{method},{_f(spec.alpha)},{n_final}"), *columns)))
 
     summary: List[str] = []
     table: List[str] = []
@@ -204,11 +199,11 @@ def _run_job(packed: tuple) -> Dict[str, object]:
     # final-time profile along x (2D: sliced at the middle y line)
     t_last = float(grid.ts[-1])
     if spec.dimension == 1:
-        label = f"# {spec.pid} {method} alpha={alpha:g} iters={n_final} t={t_last:g}"
+        label = f"# {spec.pid} {method} alpha={spec.alpha:g} iters={n_final} t={t_last:g}"
         prof_a, prof_e = approx[:, -1], (exact[:, -1] if exact is not None else None)
     else:
         j_mid = grid.ys.size // 2
-        label = (f"# {spec.pid} {method} alpha={alpha:g} iters={n_final} "
+        label = (f"# {spec.pid} {method} alpha={spec.alpha:g} iters={n_final} "
                  f"t={t_last:g} y={float(grid.ys[j_mid]):g}")
         prof_a = approx[:, j_mid, -1]
         prof_e = exact[:, j_mid, -1] if exact is not None else None
@@ -221,7 +216,7 @@ def _run_job(packed: tuple) -> Dict[str, object]:
 
     return {"points": points, "summary": summary, "table": table,
             "curve": "\n".join(lines), "truncated": trace.truncated,
-            "method": method, "alpha": alpha}
+            "method": method, "alpha": spec.alpha}
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +254,7 @@ def cmd_solve(problem, file, alpha, method, iters, mode, weights, grid, tmax,
               out, jobs, allow_inconsistent):
     """Solve a problem and write points.csv, summary.csv and plot.dat."""
     try:
-        counts = _parse_grid(grid) if grid else None
+        nx, ny, nt = _grid_counts(grid)
         if iters < 0:
             raise ProblemError(f"iters must be >= 0, got {iters}")
         if not 0.0 < tmax < float("inf"):
@@ -276,11 +271,10 @@ def cmd_solve(problem, file, alpha, method, iters, mode, weights, grid, tmax,
             own = problems.file_alpha(ident) if kind == "file" else None
             alphas = (1.0 if own is None else own,)
 
-        # build every spec up front: input errors surface here, and the
-        # consistency gate must run before any solving starts
+        # every spec is built once, here: input errors surface before any
+        # solving starts, and the jobs solve the specs that passed the gate
         specs = [_build_spec(kind, ident, a, mode) for a in alphas]
         methods = ["ladm", "mldm"] if method == "both" else [method]
-        nx, ny, nt = _grid_counts(counts)
         points = nx * nt * (ny if specs[0].dimension == 2 else 1)
         rows = points * len(alphas) * len(methods)
         if rows > MAX_OUTPUT_ROWS:
@@ -298,29 +292,24 @@ def cmd_solve(problem, file, alpha, method, iters, mode, weights, grid, tmax,
                 click.echo("pass --allow-inconsistent to solve it as printed",
                            err=True)
                 raise SystemExit(EXIT_GATE)
+
+        # every alpha of a run shares the problem's domain, so one grid serves all
+        lattice = default_grid(specs[0], nx, ny, nt, tmax=tmax)
+        pairs = [(spec, m) for spec in specs for m in methods]
+        args = (*zip(*pairs), repeat(iters), repeat(weights), repeat(lattice))
+        if jobs > 1 and len(pairs) > 1:
+            # the fork start method launches every worker up front
+            with concurrent.futures.ProcessPoolExecutor(min(jobs, len(pairs))) as pool:
+                results = list(pool.map(_run_job, *args))
+        else:
+            results = list(map(_run_job, *args))
     except GrammarError as exc:
         _fail(EXIT_INPUT, exc.pointer())
     except (ProblemError, DecompError, SeriesError, EvalError, ValueError) as exc:
         _fail(EXIT_INPUT, str(exc))
     except ExprError as exc:
-        # e.g. a face of the exact solution with no value on the boundary
-        _fail(EXIT_INPUT, f"the series cannot be evaluated on the domain: {exc}")
-
-    packed = [(kind, ident, a, m, iters, mode, weights, counts, tmax)
-              for a in alphas for m in methods]
-    try:
-        if jobs > 1 and len(packed) > 1:
-            # the fork start method launches every worker up front
-            with concurrent.futures.ProcessPoolExecutor(min(jobs, len(packed))) as pool:
-                results = list(pool.map(_run_job, packed))
-        else:
-            results = [_run_job(p) for p in packed]
-    except GrammarError as exc:
-        _fail(EXIT_INPUT, exc.pointer())
-    except (ProblemError, DecompError, SeriesError, EvalError) as exc:
-        _fail(EXIT_INPUT, str(exc))
-    except ExprError as exc:
-        # e.g. a negative power of x met at x = 0, on the grid or a boundary
+        # e.g. a face of the exact solution with no value on the boundary, or
+        # a negative power of x met at x = 0 on the grid
         _fail(EXIT_INPUT, f"the series cannot be evaluated on the domain: {exc}")
 
     dimension = specs[0].dimension

@@ -8,7 +8,8 @@ power rule it cross-checks. A series is read on the grid through one
 into each term's values and, for the residual's nonlinearity, its spatial
 derivatives by the product rule (``FactorTable.jet_sums``), so no
 derivative series is built; this module only scales each term's sums by
-t^mu and checks that they are finite.
+t^mu and checks that they are finite. ``residual`` is the one residual:
+``convergence_report`` hands it the grids it already holds.
 """
 
 from __future__ import annotations
@@ -222,7 +223,10 @@ def _nonlinear_grid(nonlinear, derivs: Dict[Tuple[int, str], np.ndarray], grid: 
     return out
 
 
-def residual(approx: Series, spec, grid: Grid) -> float:
+@np.errstate(all="ignore")
+def residual(approx: Series, spec, grid: Grid,
+             coeff_grids: Optional[Sequence[Optional[np.ndarray]]] = None,
+             derivs: Optional[Dict[Tuple[int, str], np.ndarray]] = None) -> float:
     """Sup-norm over the grid of D^alpha u + Qu + Nu - h at u = approx.
 
     D^alpha u + Qu - h is assembled as one series, and one truncated by the
@@ -230,19 +234,13 @@ def residual(approx: Series, spec, grid: Grid) -> float:
     No step here raises an exponent or multiplies series. Nu is added on
     the grid (``_nonlinear_grid``): the spatial derivatives it needs are
     assembled by the product rule from the grid rows of approx's factors,
-    so no derivative series and no series product is formed.
+    so no derivative series and no series product is formed. A caller that
+    holds the grids of the nonlinearity's series coefficients
+    (``_coeff_grids``) or of approx's derivatives (``_derivative_grids``)
+    passes them.
     """
-    return _residual(approx, spec, grid, _coeff_grids(spec.nonlinear, grid))
-
-
-@np.errstate(all="ignore")
-def _residual(approx: Series, spec, grid: Grid,
-              coeff_grids: Sequence[Optional[np.ndarray]],
-              derivs: Optional[Dict[Tuple[int, str], np.ndarray]] = None) -> float:
-    """``residual``, with the grids of the nonlinearity's series
-    coefficients (``_coeff_grids`` of spec on grid) given, and optionally
-    the ``_derivative_grids`` of approx that the nonlinearity takes, so
-    that ``convergence_report`` evaluates each series once."""
+    if coeff_grids is None:
+        coeff_grids = _coeff_grids(spec.nonlinear, grid)
     res = caputo(approx, spec.alpha)
     res = series_add(res, spec.linear.apply(approx))
     res = series_add(res, series_scale(spec.h, -1.0))
@@ -365,6 +363,6 @@ def convergence_report(traces: Sequence, spec, grid: Grid) -> List[ConvergenceRo
                 max_abs, l2 = None, None
             rows.append(ConvergenceRow(trace.method, trace.alpha, rec.n,
                                        max_abs, l2,
-                                       _residual(partial, spec, grid, coeff_grids, grids),
+                                       residual(partial, spec, grid, coeff_grids, grids),
                                        seconds, values, exact))
     return rows

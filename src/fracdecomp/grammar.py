@@ -177,12 +177,20 @@ class _Parser:
         if not isinstance(arg, Const):
             raise GrammarError("gamma(...) needs a constant argument", pos, self.text)
         try:
-            return fracterm.gamma(arg.value)
+            value = fracterm.gamma(arg.value)
         except fracterm.GammaError as exc:
             raise GrammarError(str(exc), pos, self.text) from None
         except OverflowError:
-            raise GrammarError(f"gamma({arg.value:g}) overflows a float",
-                               pos, self.text) from None
+            value = math.inf
+        if math.isinf(value) and arg.value > 0.0:
+            # a Lanczos factor overflows from z ~ 142.2, long before Gamma does
+            try:
+                value = math.gamma(arg.value)
+            except OverflowError:
+                pass
+        if math.isinf(value):
+            raise GrammarError(f"gamma({arg.value:g}) overflows a float", pos, self.text)
+        return value
 
     def led(self, tok: _Token, left: Expr) -> Expr:
         if tok.kind == "+":

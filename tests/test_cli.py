@@ -13,6 +13,7 @@ import fracdecomp.evaluation as evaluation
 import fracdecomp.fracterm as ft
 from fracdecomp.cli import main
 from fracdecomp.symx import PowerDomainError
+from test_evaluation import TWO_D_FILE
 
 
 @pytest.fixture
@@ -103,14 +104,40 @@ def test_solve_outputs_are_deterministic(runner, tmp_path):
 
 
 def test_solve_parallel_matches_serial(runner, tmp_path):
-    base = ["solve", "-p", "p5", "--alpha", "0.7,1.0", "--method", "both",
-            "--iters", "1"]
-    serial, parallel = tmp_path / "s", tmp_path / "p"
-    assert runner.invoke(main, base + ["--out", str(serial)]).exit_code == 0
-    assert runner.invoke(main, base + ["--jobs", "2",
-                                       "--out", str(parallel)]).exit_code == 0
-    assert (serial / "points.csv").read_bytes() == (parallel / "points.csv").read_bytes()
-    assert (serial / "plot.dat").read_bytes() == (parallel / "plot.dat").read_bytes()
+    # the 2D file's workers get pickled specs whose nonlinearity carries a
+    # brace series coefficient, a y-derivative and a cubic
+    prob = tmp_path / "cubic2d.txt"
+    prob.write_text(TWO_D_FILE)
+    for name, base in (("p5", ["-p", "p5", "--alpha", "0.7,1.0", "--iters", "1"]),
+                       ("2d", ["--file", str(prob), "-a", "0.5,1.0", "-n", "1"])):
+        serial, parallel = tmp_path / f"s_{name}", tmp_path / f"p_{name}"
+        for jobs, out in (("1", serial), ("2", parallel)):
+            r = runner.invoke(main, ["solve", *base, "--method", "both", "--jobs", jobs,
+                                     "--out", str(out)])
+            assert r.exit_code == 0, (name, r.output)
+        for f in ("points.csv", "plot.dat"):
+            assert (serial / f).read_bytes() == (parallel / f).read_bytes(), (name, f)
+
+
+def test_solve_builds_each_spec_once(runner, tmp_path, monkeypatch):
+    # one spec per alpha: the jobs solve the specs the consistency gate saw
+    built, gated, solved = [], [], []
+    real_spec, real_check = cli._build_spec, cli.problems.validate_consistency
+    real_ladm, real_mldm = cli.ladm_solve, cli.mldm_solve
+    monkeypatch.setattr(cli, "_build_spec",
+                        lambda *args: built.append(real_spec(*args)) or built[-1])
+    monkeypatch.setattr(cli.problems, "validate_consistency",
+                        lambda spec: gated.append(spec) or real_check(spec))
+    monkeypatch.setattr(cli, "ladm_solve",
+                        lambda spec, *a, **kw: solved.append(spec) or real_ladm(spec, *a, **kw))
+    monkeypatch.setattr(cli, "mldm_solve",
+                        lambda spec, *a, **kw: solved.append(spec) or real_mldm(spec, *a, **kw))
+    r = runner.invoke(main, ["solve", "-p", "p5", "-m", "both", "-a", "0.5,1.0",
+                             "-n", "1", "-o", str(tmp_path / "o")])
+    assert r.exit_code == 0, r.output
+    assert len(built) == 2
+    assert [id(s) for s in gated] == [id(s) for s in built]
+    assert [id(s) for s in solved] == [id(built[0])] * 2 + [id(built[1])] * 2
 
 
 def test_solve_honors_out_env_var(runner, tmp_path):
@@ -178,6 +205,20 @@ def test_solve_p6_past_the_gamma_overflow(runner, tmp_path):
     rows = [row.split(",") for row in _lines(out / "summary.csv")[1:]]
     assert [row[2] for row in rows] == [str(n) for n in range(6)]
     assert float(rows[-1][3]) < 1e-5 and float(rows[-1][5]) < 1e-4
+
+
+def test_solve_folds_gamma_past_the_lanczos_overflow(runner, tmp_path):
+    # gamma(150) and gamma(142.3) are finite though the Lanczos form
+    # overflows there (gamma(200) is refused in the exit-code test)
+    for z in ("150", "142.3"):
+        prob = tmp_path / f"g{z}.txt"
+        prob.write_text(f"domain = 0, 1\nexact = t*x*gamma({z})\n")
+        out = tmp_path / f"o{z}"
+        r = runner.invoke(main, ["solve", "--file", str(prob), "-n", "1",
+                                 "--out", str(out)])
+        assert r.exit_code == 0, (z, r.output)
+        rows = [row.split(",") for row in _lines(out / "summary.csv")[1:]]
+        assert rows and all(float(row[3]) == 0.0 for row in rows), rows
 
 
 def test_solve_problem_file(runner, tmp_path):
@@ -380,7 +421,7 @@ def test_solve_evaluates_each_series_once(runner, tmp_path, monkeypatch):
     r = runner.invoke(main, ["solve", "-p", "p7", "-m", "mldm", "-n", "3", "-a", "0.75",
                              "-o", str(tmp_path / "o")])
     assert r.exit_code == 0, r.output
-    job_spec = specs[-1]                # an earlier one is the input check's
+    (job_spec,) = specs                 # the input check's spec is the job's
     partials = [rec.partial_sum for rec in traces[0].records]
     fixed = [job_spec.exact] + [p.series_coeff for p in job_spec.nonlinear.products
                                 if p.series_coeff is not None]
@@ -465,8 +506,8 @@ def test_solve_starts_no_more_workers_than_jobs(runner, tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Recording)
     r = runner.invoke(main, ["solve", "-p", "p5", "--alpha", "0.5,1.0", "-m", "both",

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # spans.install raises when a traced function is bound in no package module,
@@ -36,3 +38,7 @@ def test_traced_solve_runs_both_methods(tmp_path):
     names = json.loads(counters.read_text())["names"]
     for name in ("decomp.ladm_solve", "decomp.mldm_solve", "evaluation.residual"):
         assert name in names, name
+    # a name is registered when its wrapper is installed; the report's
+    # residuals must also have been recorded as spans
+    name_idx = np.load(tmp_path / "spans.npz")["name_idx"]
+    assert np.count_nonzero(name_idx == names.index("evaluation.residual")) >= 1

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracdecomp import symx
-from fracdecomp.fracterm import Series
+from fracdecomp.fracterm import Series, gamma
 from fracdecomp.grammar import GrammarError, parse_expr, parse_spatial
 from fracdecomp.problems import builtin
 from fracdecomp.symx import (
@@ -401,6 +401,19 @@ def test_parse_alpha_and_gamma_fold_to_constants():
     e = parse_expr("t^(2 - alpha) / gamma(3 - alpha)", alpha=0.5)
     v = evaluate(e, {"t": 2.0})
     assert abs(v - 2.0 ** 1.5 / math.gamma(2.5)) <= 1e-14
+
+
+def test_gamma_folds_past_the_lanczos_overflow():
+    # the Lanczos gamma overflows from z ~ 142.2, Gamma itself only past 171.6
+    for z in (150.0, 142.3):
+        got = parse_spatial(f"gamma({z!r})")
+        assert isinstance(got, Const) and math.isfinite(got.value), z
+        assert abs(got.value - math.gamma(z)) <= 1e-13 * math.gamma(z), z
+    # below the overflow the fold is the Lanczos value, bit for bit
+    for z in (0.3, 5.5, 100.5, 142.2):
+        assert parse_spatial(f"gamma({z!r})").value == gamma(z), z
+    with pytest.raises(GrammarError, match=r"gamma\(172\) overflows a float"):
+        parse_spatial("gamma(172)")
 
 
 def test_parse_error_carries_position():

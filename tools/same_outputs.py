@@ -111,10 +111,13 @@ nonlinear = 0.5*u^2*u_x
 """
 CUBIC_POLY_ARGS = ["-m", "ladm", "-n", "3", "-a", "0.5,1.0"]
 
+# The 2D file once more with a worker pool: each job's spec and grid then
+# reach a worker pickled, brace coefficient and cubic included.
 FILE_CASES = (("cubic2d.txt", TWO_D_FILE, TWO_D_ARGS), ("trig.txt", TRIG_FILE, TRIG_ARGS),
               ("pole.txt", POLE_FILE, POLE_ARGS),
               ("cubic_trig.txt", CUBIC_TRIG_FILE, CUBIC_TRIG_ARGS),
-              ("cubic_poly.txt", CUBIC_POLY_FILE, CUBIC_POLY_ARGS))
+              ("cubic_poly.txt", CUBIC_POLY_FILE, CUBIC_POLY_ARGS),
+              ("cubic2d.txt", TWO_D_FILE, TWO_D_ARGS + ["-j", "2"]))
 
 FILES = ("points.csv", "plot.dat", "summary.csv")
 
