@@ -193,16 +193,14 @@ def _check_boundary() -> Tuple[bool, str]:
         spec = problems.builtin(pid, 1.0)
         trace = _trace("mldm", pid, 1.0, 4)
         grid = evaluation.default_grid(spec)
-        geometry = problems.face_geometry(spec.domain, spec.domain_y)
         for n in range(5):
             s = trace.partial(n)
-            for face, g in spec.bd.faces().items():
-                _, var, at = geometry[face]
+            for key, (var, at, g) in spec.bd.faces.items():
                 gap = series_add(series_substitute(s, var, at), series_scale(g, -1.0))
                 # the gap is constant along var; a box face varies along the other axis
                 d = float(np.abs(evaluation.evaluate_series_grid(gap, grid)).max())
                 if d > worst:
-                    worst, where = d, f"{pid} n={n} {face}"
+                    worst, where = d, f"{pid} n={n} {key}"
     ok = worst <= BOUNDARY_TOL
     at = f" at {where}" if where else ""
     return ok, (f"all builtins, corrected sums n<=4, every face: worst "

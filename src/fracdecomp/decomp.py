@@ -38,7 +38,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .symx import Const, Cos, Expr, Sin, Var, poly_of, poly_substitute, simplify
 from .fracterm import (
@@ -60,7 +61,10 @@ __all__ = [
     "NonlinearFactor",
     "NonlinearProduct",
     "NonlinearOpSpec",
+    "Face",
     "BoundaryData",
+    "face_geometry",
+    "check_corner_compatibility",
     "IterationRecord",
     "SolveTrace",
     "boundary_correct",
@@ -202,55 +206,59 @@ def _describe(terms: Iterable[Tuple[float, str, Sequence[Tuple[int, str, int]]]]
 # ---------------------------------------------------------------------------
 
 
+class Face(NamedTuple):
+    """A Dirichlet face: the variable it fixes, its value, and the data on it."""
+
+    var: str
+    at: float
+    g: Series
+
+
+def face_geometry(domain, domain_y=None) -> Dict[str, Tuple[str, float]]:
+    """The Dirichlet faces of an interval (``domain_y`` None) or a box:
+    problem-file key -> (the variable the face fixes, its value), the low end
+    of each axis first, x before y."""
+    if domain_y is None:
+        return {"bc.l": ("x", float(domain[0])), "bc.L": ("x", float(domain[1]))}
+    return {"bc.x0": ("x", float(domain[0])), "bc.x1": ("x", float(domain[1])),
+            "bc.y0": ("y", float(domain_y[0])), "bc.y1": ("y", float(domain_y[1]))}
+
+
 @dataclass(frozen=True)
 class BoundaryData:
-    """Dirichlet data: (g0, g1) on a 1D interval or four faces on a box.
+    """Dirichlet data: problem-file key -> Face, in ``face_geometry`` order,
+    so the faces pair up as the low and the high end of each axis. A box's
+    x-faces are functions of (y, t), its y-faces of (x, t)."""
 
-    2D face conventions: gx0/gx1 are functions of (y, t) on x = l_x / x = L_x;
-    gy0/gy1 are functions of (x, t) on y = l_y / y = L_y.
-    """
-
-    dimension: int
-    g0: Optional[Series] = None
-    g1: Optional[Series] = None
-    gx0: Optional[Series] = None
-    gx1: Optional[Series] = None
-    gy0: Optional[Series] = None
-    gy1: Optional[Series] = None
+    faces: Dict[str, Face]
 
     @staticmethod
-    def interval(g0: Series, g1: Series) -> "BoundaryData":
-        return BoundaryData(1, g0=g0, g1=g1)
+    def _of(data: Sequence[Series], domain, domain_y=None) -> "BoundaryData":
+        return BoundaryData({key: Face(var, at, g) for (key, (var, at)), g
+                             in zip(face_geometry(domain, domain_y).items(), data)})
 
     @staticmethod
-    def box(gx0: Series, gx1: Series, gy0: Series, gy1: Series) -> "BoundaryData":
-        return BoundaryData(2, gx0=gx0, gx1=gx1, gy0=gy0, gy1=gy1)
+    def interval(g0: Series, g1: Series, domain) -> "BoundaryData":
+        return BoundaryData._of((g0, g1), domain)
 
-    def faces(self):
-        if self.dimension == 1:
-            return {"g0": self.g0, "g1": self.g1}
-        return {"gx0": self.gx0, "gx1": self.gx1, "gy0": self.gy0, "gy1": self.gy1}
+    @staticmethod
+    def box(gx0: Series, gx1: Series, gy0: Series, gy1: Series,
+            domain, domain_y) -> "BoundaryData":
+        return BoundaryData._of((gx0, gx1, gy0, gy1), domain, domain_y)
 
 
-def check_corner_compatibility(bd: BoundaryData, domain_x, domain_y) -> None:
-    """The four faces must agree where they meet (tol 1e-12), else correcting
-    x then y cannot hit all faces."""
-    if bd.dimension != 2:
-        return
-    lx, Lx = domain_x
-    ly, Ly = domain_y
-    corners = [
-        (bd.gx0, "y", ly, bd.gy0, "x", lx),
-        (bd.gx0, "y", Ly, bd.gy1, "x", lx),
-        (bd.gx1, "y", ly, bd.gy0, "x", Lx),
-        (bd.gx1, "y", Ly, bd.gy1, "x", Lx),
-    ]
-    for fa, va, pa, fb, vb, pb in corners:
-        a = series_substitute(fa, va, pa)
-        b = series_substitute(fb, vb, pb)
-        if not series_equal(a, b, tol=CORNER_TOL):
+def check_corner_compatibility(bd: BoundaryData) -> None:
+    """Faces of different axes must agree where they meet (tol 1e-12), else
+    correcting one axis after the other cannot hit them all. An interval has
+    no corners."""
+    for a, b in combinations(bd.faces.values(), 2):
+        if a.var == b.var:
+            continue
+        ga = series_substitute(a.g, b.var, b.at)
+        gb = series_substitute(b.g, a.var, a.at)
+        if not series_equal(ga, gb, tol=CORNER_TOL):
             raise DecompError(
-                f"incompatible corner data at ({vb}={pb}, {va}={pa}): {a} vs {b}")
+                f"incompatible corner data at ({a.var}={a.at}, {b.var}={b.at}): {ga} vs {gb}")
 
 
 def _weights(lo: float, hi: float, var: str, mode: str) -> Tuple[Expr, Expr]:
@@ -351,24 +359,19 @@ def _endpoint_value(f: Expr, var: str, at: float) -> float:
     return poly_substitute(poly_of(f), var, at).get((), 0.0)
 
 
-def boundary_correct(u: Series, bd: BoundaryData, domain,
-                     domain_y=None, weights: str = "normalized") -> Series:
-    """Blend u onto the Dirichlet data with affine weights.
+def boundary_correct(u: Series, bd: BoundaryData, weights: str = "normalized") -> Series:
+    """Blend u onto the Dirichlet data with affine weights, one axis at a time.
 
-    1D: u* = u + w_l(x)[g0 - u(l,.)] + w_L(x)[g1 - u(L,.)], where the
-    normalized weights are (L-x)/(L-l) and (x-l)/(L-l) (the paper-literal
-    toggle keeps (1-x) and x, which only interpolate on [0,1]). In 2D the
-    same blend runs in x, then in y on the x-corrected sum; with compatible
-    corners the result matches all four faces exactly.
+    Along an axis [l, L]: u* = u + w_l[g_l - u(l,.)] + w_L[g_L - u(L,.)],
+    where the normalized weights are (L-v)/(L-l) and (v-l)/(L-l) (the
+    paper-literal toggle keeps (1-v) and v, which only interpolate on
+    [0,1]). On a box the blend runs in x, then in y on the x-corrected sum;
+    with compatible corners the result matches all four faces exactly.
     """
-    lo, hi = float(domain[0]), float(domain[1])
-    if bd.dimension == 1:
-        return _correct_1d(u, bd.g0, bd.g1, lo, hi, "x", weights)
-    if domain_y is None:
-        raise DecompError("2D correction needs domain_y")
-    out = _correct_1d(u, bd.gx0, bd.gx1, lo, hi, "x", weights)
-    return _correct_1d(out, bd.gy0, bd.gy1, float(domain_y[0]), float(domain_y[1]),
-                       "y", weights)
+    faces = list(bd.faces.values())
+    for lo, hi in zip(faces[::2], faces[1::2]):
+        u = _correct_1d(u, lo.g, hi.g, lo.at, hi.at, lo.var, weights)
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -533,16 +536,14 @@ def mldm_solve(problem, iterations: int, weights: str = "normalized") -> SolveTr
     """
     if problem.bd is None:
         raise DecompError("mldm_solve needs boundary data")
-    if problem.dimension == 2:
-        check_corner_compatibility(problem.bd, problem.domain, problem.domain_y)
+    check_corner_compatibility(problem.bd)
     raw_sum = Series.zero()
     n_star_prev = Series.zero()     # N(S*_{n-1}) for the difference polynomials
 
     def step(u, s_star_prev, want_poly):
         nonlocal raw_sum, n_star_prev
         raw_sum = series_add(raw_sum, u)
-        s_star = boundary_correct(raw_sum, problem.bd, problem.domain, problem.domain_y,
-                                  weights)
+        s_star = boundary_correct(raw_sum, problem.bd, weights)
         u_star = series_add(s_star, series_scale(s_star_prev, -1.0))
         poly = None
         if want_poly:

@@ -182,14 +182,14 @@ class _Parser:
             raise GrammarError(str(exc), pos, self.text) from None
         except OverflowError:
             value = math.inf
-        if math.isinf(value) and arg.value > 0.0:
-            # a Lanczos factor overflows from z ~ 142.2, long before Gamma does
+        if math.isinf(value) or value == 0.0:
+            # the Lanczos form overflows past z ~ 142.2 long before Gamma does,
+            # and its reflection then gives 0 or overflows past z ~ -141.2
             try:
                 value = math.gamma(arg.value)
             except OverflowError:
-                pass
-        if math.isinf(value):
-            raise GrammarError(f"gamma({arg.value:g}) overflows a float", pos, self.text)
+                raise GrammarError(f"gamma({arg.value:g}) overflows a float",
+                                   pos, self.text) from None
         return value
 
     def led(self, tok: _Token, left: Expr) -> Expr:

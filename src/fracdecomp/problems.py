@@ -34,11 +34,13 @@ from .fracterm import Series, caputo, initial_value, series_add, series_equal, \
     series_mul, series_scale, series_substitute
 from .decomp import (
     BoundaryData,
+    Face,
     LinearOpSpec,
     NonlinearFactor,
     NonlinearOpSpec,
     NonlinearProduct,
     check_corner_compatibility,
+    face_geometry,
 )
 from .grammar import GrammarError, parse_expr, parse_series, parse_spatial
 from .symx import ExprError
@@ -54,7 +56,6 @@ __all__ = [
     "validate_consistency",
     "load_problem_file",
     "file_alpha",
-    "face_geometry",
 ]
 
 MODES = ("manufactured", "paper-literal")
@@ -108,16 +109,6 @@ def manufacture_source(exact: Series, linear: LinearOpSpec,
     if nonlinear is not None:
         h = series_add(h, nonlinear.apply(exact))
     return h
-
-
-def face_geometry(domain: Tuple[float, float], domain_y: Optional[Tuple[float, float]]
-                  ) -> Dict[str, Tuple[str, str, float]]:
-    """Each Dirichlet face of an interval (``domain_y`` None) or a box:
-    BoundaryData key -> (problem-file key, the variable it fixes, its value)."""
-    if domain_y is None:
-        return {"g0": ("bc.l", "x", domain[0]), "g1": ("bc.L", "x", domain[1])}
-    return {"gx0": ("bc.x0", "x", domain[0]), "gx1": ("bc.x1", "x", domain[1]),
-            "gy0": ("bc.y0", "y", domain_y[0]), "gy1": ("bc.y1", "y", domain_y[1])}
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +262,9 @@ def validate_consistency(spec: ProblemSpec) -> ConsistencyReport:
 
     ic_ok = series_equal(spec.f, initial_value(spec.exact), domain=dom, tol=DATA_TOL)
 
-    faces = spec.bd.faces()
-    bc_ok = all(series_equal(faces[face], series_substitute(spec.exact, var, at),
+    bc_ok = all(series_equal(face.g, series_substitute(spec.exact, face.var, face.at),
                              domain=dom, tol=DATA_TOL)
-                for face, (_, var, at) in face_geometry(spec.domain, spec.domain_y).items())
+                for face in spec.bd.faces.values())
 
     detail = ""
     if not source_ok:
@@ -423,6 +413,11 @@ def _spec(pid: str, title: str, name: str, fields: Dict[str, str], alpha: float,
     domain_y = (_parse_interval(name, "domain_y", fields["domain_y"])
                 if "domain_y" in fields else None)
     dimension = 1 if domain_y is None else 2
+    geometry = face_geometry(domain, domain_y)
+    for key in fields:
+        if key.startswith("bc.") and key not in geometry:
+            raise ProblemError(f"{name}: {key!r} is not a face of this problem; "
+                               f"its faces are {', '.join(geometry)}")
 
     def parsed(key: str, parse):
         if key not in fields:
@@ -467,14 +462,13 @@ def _spec(pid: str, title: str, name: str, fields: Dict[str, str], alpha: float,
 
     f = data("ic", lambda text, a: Series.of(0.0, parse_spatial(text, a)),
              lambda: initial_value(exact))
-    bd = BoundaryData(dimension, **{
-        face: data(key, parse_series, lambda: series_substitute(exact, var, at))
-        for face, (key, var, at) in face_geometry(domain, domain_y).items()})
+    bd = BoundaryData({
+        key: Face(var, at, data(key, parse_series, lambda: series_substitute(exact, var, at)))
+        for key, (var, at) in geometry.items()})
     h = source if literal else manufacture_source(exact, linear, nonlinear, alpha)
     spec = ProblemSpec(pid, title, dimension, domain, domain_y, alpha, mode,
                        f, bd, linear, nonlinear, h, exact, note)
-    if dimension == 2:
-        check_corner_compatibility(bd, domain, domain_y)
+    check_corner_compatibility(bd)
     return spec
 
 

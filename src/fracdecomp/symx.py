@@ -1272,12 +1272,14 @@ class FactorTable:
 
     def close(self, a: Poly, b: Poly, tol: float) -> bool:
         """True iff |a - b| <= tol * (1 + |a|) at every point, each poly summed
-        in ``sorted_items`` order, as ``evaluate(expr_of_poly(p))`` sums it."""
+        in ``sorted_items`` order, as ``evaluate(expr_of_poly(p))`` sums it.
+        A sample that is not finite is close to nothing."""
         va = self.poly_row(sorted_items(a))
         vb = self.poly_row(sorted_items(b))
-        # inf - inf is nan, which is not close, and no RuntimeWarning
+        # an infinite va passes the bound (inf <= inf), so it is refused apart
         with np.errstate(over="ignore", invalid="ignore"):
-            return bool(np.all(np.abs(va - vb) <= tol * (1.0 + np.abs(va))))
+            return bool(np.all((np.abs(va - vb) <= tol * (1.0 + np.abs(va)))
+                               & np.isfinite(va)))
 
 
 # ---------------------------------------------------------------------------

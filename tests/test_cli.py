@@ -73,6 +73,39 @@ def test_solve_literal_mode_override(runner, tmp_path):
     assert len(summary) == 1 + 2
 
 
+def test_solve_refuses_a_face_key_of_the_other_dimension(runner, tmp_path):
+    # a 1D file's bc.x0 and a 2D file's bc.l name no face of their problem;
+    # both once solved with the key never read
+    files = {
+        "line.txt": ("domain = 0, 1\nexact = t*x\nsource = x\nbc.l = 0\nbc.x0 = 5*t\n",
+                     "line.txt: 'bc.x0' is not a face of this problem; "
+                     "its faces are bc.l, bc.L"),
+        "box.txt": ("domain = 0, 2\ndomain_y = 0, 2\nexact = t^2*(x*(2 - x) + y*(2 - y))\n"
+                    "source = 1\nbc.l = 7*t\n",
+                    "box.txt: 'bc.l' is not a face of this problem; "
+                    "its faces are bc.x0, bc.x1, bc.y0, bc.y1"),
+    }
+    for name, (text, said) in files.items():
+        (tmp_path / name).write_text(text)
+        for mode in ("manufactured", "paper-literal"):
+            r = runner.invoke(main, ["solve", "-f", str(tmp_path / name), "--mode", mode,
+                                     "-n", "1", "--out", str(tmp_path / "o")])
+            assert r.exit_code == 2, (name, mode, r.output)
+            assert r.output.strip().splitlines() == [said], (name, mode)
+            assert not (tmp_path / "o").exists()
+
+
+def test_solve_literal_gate_refuses_an_infinite_source_sample(runner, tmp_path):
+    # exp(1000 x) overflows on the domain (1, 2): the source is not the
+    # manufactured one there, so the gate refuses it before any solve
+    prob = tmp_path / "steep.txt"
+    prob.write_text("domain = 1, 2\nexact = t*x\nsource = x + t*exp(1000*x)\n")
+    r = runner.invoke(main, ["solve", "-f", str(prob), "--mode", "paper-literal",
+                             "-n", "1", "--out", str(tmp_path / "o")])
+    assert r.exit_code == 3, r.output
+    assert "inconsistent (source)" in r.output
+
+
 def test_solve_alpha_fan_plot_blocks(runner, tmp_path):
     out = tmp_path / "run"
     r = runner.invoke(main, ["solve", "-p", "p5", "--alpha", "0.6,0.8,1.0",

@@ -50,8 +50,8 @@ def test_boundary_correct_quadratic_example():
     # u = x^2 t^2 + 0.2 x^4 t^5 on [0,1] with g0 = 0, g1 = t^2 leaves a
     # residual 0.2 t^5 at x = 1; blending weight x moves it to x^4 - x
     u = parse_series("x^2*t^2 + 0.2*x^4*t^5")
-    bd = BoundaryData.interval(Series.zero(), parse_series("t^2"))
-    got = boundary_correct(u, bd, (0.0, 1.0))
+    bd = BoundaryData.interval(Series.zero(), parse_series("t^2"), (0.0, 1.0))
+    got = boundary_correct(u, bd)
     want = parse_series("x^2*t^2 + 0.2*t^5*(x^4 - x)")
     assert series_equal(got, want, (0.0, 1.0), 1e-12)
 
@@ -60,8 +60,8 @@ def test_boundary_correct_interpolates_exactly():
     # not approximately: the defect series after substitution has no terms
     u = parse_series("x^2*t^2 + 0.2*x^4*t^5")
     g1 = parse_series("t^2")
-    bd = BoundaryData.interval(Series.zero(), g1)
-    star = boundary_correct(u, bd, (0.0, 1.0))
+    bd = BoundaryData.interval(Series.zero(), g1, (0.0, 1.0))
+    star = boundary_correct(u, bd)
     at0 = series_substitute(star, "x", 0.0)
     at1 = series_substitute(star, "x", 1.0)
     assert at0.terms == ()
@@ -70,24 +70,24 @@ def test_boundary_correct_interpolates_exactly():
 
 def test_boundary_correct_keeps_satisfying_input():
     u = parse_series("sin(pi*x)*t + x*t^2")
-    bd = BoundaryData.interval(Series.zero(), parse_series("t^2"))
-    got = boundary_correct(u, bd, (0.0, 1.0))
+    bd = BoundaryData.interval(Series.zero(), parse_series("t^2"), (0.0, 1.0))
+    got = boundary_correct(u, bd)
     assert series_equal(got, u, (0.0, 1.0), 1e-12)
 
 
 def test_boundary_correct_preserves_initial_trace():
     # data compatible at t = 0, so the correction only moves mu > 0 terms
     u = parse_series("x + x^2*t^2")
-    bd = BoundaryData.interval(Series.zero(), parse_series("1 + t^3"))
-    got = boundary_correct(u, bd, (0.0, 1.0))
+    bd = BoundaryData.interval(Series.zero(), parse_series("1 + t^3"), (0.0, 1.0))
+    got = boundary_correct(u, bd)
     assert series_equal(initial_value(got), initial_value(u), (0.0, 1.0))
 
 
 def test_paper_literal_weights_match_on_unit_interval():
     u = parse_series("x^2*t^2 + 0.2*x^4*t^5")
-    bd = BoundaryData.interval(Series.zero(), parse_series("t^2"))
-    a = boundary_correct(u, bd, (0.0, 1.0), weights="normalized")
-    b = boundary_correct(u, bd, (0.0, 1.0), weights="paper-literal")
+    bd = BoundaryData.interval(Series.zero(), parse_series("t^2"), (0.0, 1.0))
+    a = boundary_correct(u, bd, weights="normalized")
+    b = boundary_correct(u, bd, weights="paper-literal")
     assert series_equal(a, b, (0.0, 1.0), 1e-12)
 
 
@@ -95,9 +95,9 @@ def test_paper_literal_weights_miss_on_wider_interval():
     # (1-x, x) blending only interpolates when the interval is [0,1]
     u = parse_series("x*(2 - x)*t + t^2")
     g1 = parse_series("t^2 + 1")
-    bd = BoundaryData.interval(parse_series("t^2"), g1)
-    exact = boundary_correct(u, bd, (0.0, 2.0), weights="normalized")
-    off = boundary_correct(u, bd, (0.0, 2.0), weights="paper-literal")
+    bd = BoundaryData.interval(parse_series("t^2"), g1, (0.0, 2.0))
+    exact = boundary_correct(u, bd, weights="normalized")
+    off = boundary_correct(u, bd, weights="paper-literal")
     d_exact = series_add(series_substitute(exact, "x", 2.0), series_scale(g1, -1.0))
     d_off = series_add(series_substitute(off, "x", 2.0), series_scale(g1, -1.0))
     assert d_exact.terms == ()
@@ -106,16 +106,16 @@ def test_paper_literal_weights_miss_on_wider_interval():
 
 def test_boundary_correct_degenerate_domain():
     u = parse_series("x*t")
-    bd = BoundaryData.interval(Series.zero(), Series.zero())
+    bd = BoundaryData.interval(Series.zero(), Series.zero(), (1.0, 1.0))
     with pytest.raises(DecompError):
-        boundary_correct(u, bd, (1.0, 1.0))
+        boundary_correct(u, bd)
 
 
 def test_boundary_correct_unknown_weights():
     u = parse_series("x*t")
-    bd = BoundaryData.interval(Series.zero(), Series.zero())
+    bd = BoundaryData.interval(Series.zero(), Series.zero(), (0.0, 1.0))
     with pytest.raises(DecompError):
-        boundary_correct(u, bd, (0.0, 1.0), weights="hermite")
+        boundary_correct(u, bd, weights="hermite")
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +489,7 @@ def _reference_mldm_solve(problem, iterations, weights="normalized"):
                 rhs = series_add(rhs, records[-1].poly)
             u = series_scale(fracterm.frac_integral(rhs, alpha), -1.0)
         raw_sum = series_add(raw_sum, u)
-        s_star = boundary_correct(raw_sum, problem.bd, problem.domain, problem.domain_y,
-                                  weights)
+        s_star = boundary_correct(raw_sum, problem.bd, weights)
         u_star = series_add(s_star, series_scale(s_star_prev, -1.0))
         poly = None
         if problem.nonlinear is not None and n < iterations:
@@ -587,7 +586,7 @@ def test_mldm_first_correction_and_iterate():
 def test_mldm_partial_sums_interpolate_boundary():
     spec = builtin("p6", alpha=0.75)
     trace = mldm_solve(spec, 3)
-    g1 = spec.bd.g1
+    g1 = spec.bd.faces["bc.L"].g
     for rec in trace.records:
         at0 = series_substitute(rec.partial_sum, "x", 0.0)
         at1 = series_substitute(rec.partial_sum, "x", 1.0)
@@ -601,7 +600,7 @@ def test_mldm_reduces_to_ladm_without_boundary_defect():
     exact = parse_series("(1 + t^2)*sin(pi*x)")
     f = parse_series("sin(pi*x)")
     h = parse_series("2*t*sin(pi*x)")
-    bd = BoundaryData.interval(Series.zero(), Series.zero())
+    bd = BoundaryData.interval(Series.zero(), Series.zero(), (0.0, 1.0))
     spec = ProblemSpec(
         pid="toy", title="identity correction", dimension=1,
         domain=(0.0, 1.0), domain_y=None, alpha=1.0, mode="manufactured",
@@ -627,16 +626,18 @@ def test_mldm_2d_faces_exact():
         spec = builtin("p2", alpha=alpha)
         trace = mldm_solve(spec, 1)
         approx = trace.approximation
-        for var, val, face in (("x", 0.0, spec.bd.gx0), ("x", 2.0, spec.bd.gx1),
-                               ("y", 0.0, spec.bd.gy0), ("y", 2.0, spec.bd.gy1)):
+        assert [(var, val) for var, val, _ in spec.bd.faces.values()] == \
+            [("x", 0.0), ("x", 2.0), ("y", 0.0), ("y", 2.0)]
+        for var, val, face in spec.bd.faces.values():
             got = series_substitute(approx, var, val)
             assert series_equal(got, face, dom, 1e-11), (alpha, var, val)
 
 
 def test_mldm_2d_corner_incompatibility():
     spec = builtin("p2", alpha=1.0)
-    bad = BoundaryData.box(spec.bd.gx0, spec.bd.gx1, spec.bd.gy0,
-                           series_add(spec.bd.gy1, Series.of(0.0, 1.0)))
+    gx0, gx1, gy0, gy1 = (face.g for face in spec.bd.faces.values())
+    bad = BoundaryData.box(gx0, gx1, gy0, series_add(gy1, Series.of(0.0, 1.0)),
+                           spec.domain, spec.domain_y)
     spec = dataclasses.replace(spec, bd=bad)
     with pytest.raises(DecompError):
         mldm_solve(spec, 1)

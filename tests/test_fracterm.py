@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import pytest
 import scipy.integrate
@@ -31,8 +32,8 @@ from fracdecomp.fracterm import (
     to_series,
 )
 from fracdecomp.grammar import parse_expr, parse_series
-from fracdecomp.symx import (Const, Cos, Pow, Sin, Var, evaluate, fourier_sums, poly_add,
-                             poly_mul, poly_of, poly_scale)
+from fracdecomp.symx import (Const, Cos, Exp, Pow, Sin, Var, evaluate, fourier_sums,
+                             poly_add, poly_mul, poly_of, poly_scale)
 
 X = Var("x")
 
@@ -263,7 +264,7 @@ def test_operations_share_polys_without_mutating_them():
         series_substitute(a, "x", 1.0),
         frac_integral(a, 0.6),
         caputo(b, 0.6),
-        boundary_correct(a, BoundaryData.interval(g, g), (0.0, 1.0)),
+        boundary_correct(a, BoundaryData.interval(g, g, (0.0, 1.0))),
     ]
     assert [[dict(t.poly) for t in s.terms] for s in inputs] == before
     for s in outputs:
@@ -463,3 +464,15 @@ def test_series_equal_distinguishes():
     b = parse_series("cos(x)*t", None)
     assert not series_equal(a, b)
     assert series_equal(a, a)
+
+
+def test_series_equal_refuses_samples_that_are_not_finite():
+    # exp(1000 x) overflows on (1, 2), and inf - 0 <= tol * (1 + inf) holds,
+    # so a sample that is not finite must be refused apart
+    big = Series.of(1.0, Exp(Const(1000.0) * X))
+    neg = series_scale(big, -1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in ((big, Series.zero()), (neg, Series.zero()), (Series.zero(), big),
+                     (big, neg), (big, big)):
+            assert not series_equal(a, b, domain=(1.0, 2.0))

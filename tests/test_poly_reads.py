@@ -21,8 +21,7 @@ from fracdecomp.decomp import adomian_polys, ladm_solve, mldm_solve
 from fracdecomp.evaluation import default_grid, evaluate_series_grid, make_grid
 from fracdecomp.fracterm import Series
 from fracdecomp.grammar import parse_series
-from fracdecomp.problems import (MODES, builtin, face_geometry, load_problem_file,
-                                 manufacture_source)
+from fracdecomp.problems import MODES, builtin, load_problem_file, manufacture_source
 from fracdecomp.symx import (
     Const,
     Cos,
@@ -315,7 +314,7 @@ def _sampled_corpus(pid):
         for alpha in (0.5, 0.75, 1.0):
             spec = builtin(pid, alpha, mode)
             named = [("h", spec.h), ("exact", spec.exact), ("f", spec.f)]
-            named += list(spec.bd.faces().items())
+            named += [(key, face.g) for key, face in spec.bd.faces.items()]
             for solve in (ladm_solve, mldm_solve):
                 for rec in solve(spec, 3).records:
                     named.append((f"{solve.__name__} S{rec.n}", rec.partial_sum))
@@ -349,9 +348,8 @@ def test_sampled_reads_match_tree_evaluation_on_the_corpus(pid):
         pairs = [(spec.h, manufacture_source(exact, spec.linear, spec.nonlinear,
                                              spec.alpha)),
                  (spec.f, fracterm.initial_value(exact))]
-        geometry = face_geometry(spec.domain, spec.domain_y)
-        pairs += [(g, fracterm.series_substitute(exact, *geometry[face][1:]))
-                  for face, g in spec.bd.faces().items()]
+        pairs += [(g, fracterm.series_substitute(exact, var, at))
+                  for var, at, g in spec.bd.faces.values()]
         sums = [s for name, s in named if " S" in name]
         pairs += [(s, exact) for s in sums] + list(zip(sums[1:], sums))
         for a, b in pairs:

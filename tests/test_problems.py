@@ -85,10 +85,7 @@ def test_builtin_manufactured_data_is_compatible():
     # with it at the shared edges (t = 0 on each face, x = ends at t = 0)
     for pid in PROBLEM_IDS:
         spec = builtin(pid, alpha=0.7)
-        for key, g in spec.bd.faces().items():
-            var = "y" if key in ("gy0", "gy1") else "x"
-            dom = spec.domain_y if key in ("gy0", "gy1") else spec.domain
-            at = dom[0] if key.endswith("0") else dom[1]
+        for key, (var, at, g) in spec.bd.faces.items():
             other = "x" if var == "y" else "y"
             pt = {var: at, other: 0.7}
             face0 = eval_series(g, {other: 0.7}, 0.0)
@@ -226,17 +223,17 @@ def _reference_boundary(exact, d: _BuiltinDef, alpha: float, mode: str) -> Bound
         if d.dimension == 1:
             lo, hi = d.domain
             return BoundaryData.interval(series_substitute(exact, "x", lo),
-                                         series_substitute(exact, "x", hi))
+                                         series_substitute(exact, "x", hi), d.domain)
         (lx, Lx), (ly, Ly) = d.domain, d.domain_y
         return BoundaryData.box(series_substitute(exact, "x", lx),
                                 series_substitute(exact, "x", Lx),
                                 series_substitute(exact, "y", ly),
-                                series_substitute(exact, "y", Ly))
+                                series_substitute(exact, "y", Ly), d.domain, d.domain_y)
     if d.dimension == 1:
         return BoundaryData.interval(parse_series(d.bc["g0"], alpha),
-                                     parse_series(d.bc["g1"], alpha))
+                                     parse_series(d.bc["g1"], alpha), d.domain)
     return BoundaryData.box(*(parse_series(d.bc[k], alpha)
-                              for k in ("gx0", "gx1", "gy0", "gy1")))
+                              for k in ("gx0", "gx1", "gy0", "gy1")), d.domain, d.domain_y)
 
 
 def _reference_builtin(pid: str, alpha: float, mode: str) -> ProblemSpec:
@@ -251,8 +248,7 @@ def _reference_builtin(pid: str, alpha: float, mode: str) -> ProblemSpec:
     else:
         f = Series.of(0.0, parse_spatial(d.f, alpha))
         h = parse_series(d.h, alpha)
-    if d.dimension == 2:
-        check_corner_compatibility(bd, d.domain, d.domain_y)
+    check_corner_compatibility(bd)
     return ProblemSpec(pid, d.title, d.dimension, d.domain, d.domain_y, alpha, mode,
                        f, bd, linear, nonlinear, h, exact, d.note)
 
@@ -272,7 +268,7 @@ def test_builtin_records_match_the_reference_definitions(pid):
                 (want.dimension, want.domain, want.domain_y, want.alpha), where
             assert got.exact == want.exact and got.h == want.h, where
             assert got.f == want.f, where
-            assert got.bd.faces() == want.bd.faces(), where
+            assert got.bd == want.bd, where
             assert got.linear == want.linear, where
             assert got.nonlinear == want.nonlinear, where
             if got.nonlinear is not None:
@@ -477,6 +473,6 @@ def test_literal_file_derives_omitted_data_from_exact(tmp_path):
     spec = load_problem_file(p, mode="paper-literal")
     assert spec.h == parse_series("x")
     assert spec.f == parse_series("1")
-    assert spec.bd.g0 == parse_series("1")
-    assert spec.bd.g1 == parse_series("7")
+    assert spec.bd.faces["bc.l"].g == parse_series("1")
+    assert spec.bd.faces["bc.L"].g == parse_series("7")
     assert validate_consistency(spec).labels() == ["bc", "source"]

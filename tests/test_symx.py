@@ -222,7 +222,7 @@ def test_each_structure_is_one_node():
 
 def _spec_atoms(spec):
     # every atom of every monomial of the spec's series, in dict order
-    series = [spec.f, spec.h, spec.exact, *spec.bd.faces().values()]
+    series = [spec.f, spec.h, spec.exact, *(face.g for face in spec.bd.faces.values())]
     series += [p.series_coeff for p in spec.nonlinear.products if p.series_coeff is not None]
     return [atom for s in series for t in s.terms for mono in t.poly for atom, _ in mono]
 
@@ -414,6 +414,21 @@ def test_gamma_folds_past_the_lanczos_overflow():
         assert parse_spatial(f"gamma({z!r})").value == gamma(z), z
     with pytest.raises(GrammarError, match=r"gamma\(172\) overflows a float"):
         parse_spatial("gamma(172)")
+
+
+def test_gamma_folds_large_negative_arguments():
+    # past z ~ -141.2 the reflection divides by a Lanczos value that
+    # overflows, though Gamma there is tiny and finite
+    for z in (-141.3, -141.5, -150.5):
+        got = parse_spatial(f"gamma({z!r})").value
+        assert got != 0.0 and abs(got - math.gamma(z)) <= 1e-13 * abs(math.gamma(z)), z
+    # Gamma(-180.5) underflows to -0.0 in the C library too
+    assert parse_spatial("gamma(-180.5)").value == 0.0
+    with pytest.raises(GrammarError, match=r"gamma\(172\) overflows a float"):
+        parse_spatial("gamma(172)")
+    # wherever the Lanczos value is finite and nonzero, the fold is that value
+    for z in (k / 7 for k in range(-986, 994) if k % 7):
+        assert parse_spatial(f"gamma({z!r})").value == gamma(z), z
 
 
 def test_parse_error_carries_position():

@@ -235,7 +235,7 @@ def _by_exponent(mus_p, mus_q):
 
 @pytest.mark.parametrize("pid", ["p6", "p7"])
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
-def test_poly_outer_matches_pairwise_on_solver_iterates(pid, alpha):
+def test_fourier_sums_match_pairwise_on_solver_iterates(pid, alpha):
     # the operands mldm multiplies: terms of S*_n and of its x-derivatives,
     # each pair alone and grouped by exponent as series_mul groups them
     s = mldm_solve(builtin(pid, alpha), 3).records[-1].partial_sum
@@ -296,7 +296,7 @@ def _random_groups(rng, n):
     return groups
 
 
-def test_poly_outer_matches_pairwise_on_random_mixed_polys():
+def test_fourier_sums_match_pairwise_on_random_mixed_polys():
     rng = random.Random(5150)
     for _ in range(40):
         ps = [p for p in (_random_poly(rng) for _ in range(rng.randint(1, 4))) if p]
@@ -318,7 +318,7 @@ def test_poly_mul_is_the_one_pair_kernel():
     assert kernel >= 20
 
 
-def test_poly_outer_common_angle_depends_on_both_operands():
+def test_fourier_sums_common_angle_depends_on_both_operands():
     # sin(x) shares g = 1 with cos(2x) but only g = 0.5 with sin(0.5x)
     p = poly_of(Sin(X) + Const(2.0) * Cos(Const(3.0) * X))
     q1 = poly_of(Cos(Const(2.0) * X))
@@ -327,7 +327,7 @@ def test_poly_outer_common_angle_depends_on_both_operands():
     _assert_sums_match([q1, q2], [p], [[0], [1], [0, 1]])
 
 
-def test_poly_outer_empty_operands():
+def test_fourier_sums_empty_operands():
     p = poly_of(Sin(X))
     assert fourier_sums([], [p], []) is None and fourier_sums([p], [], []) is None
     assert fourier_sums([{}, p], [p], [[0], [1]]) is None

@@ -43,9 +43,12 @@ CASES = [["-p", f"p{i}", "-m", "both", "-n", "4", "-a", "0.5,0.75,1.0"]
          for i in range(1, 8)]
 CASES.append(["-p", "p7", "-m", "ladm", "-n", "8", "-a", "0.73,0.75,0.77"])
 # the printed source, initial trace and faces: p5's are consistent, p1's
-# source is not and solves only with the override, and p4 is the one builtin
-# whose printed initial trace (x^2) is not zero
+# source is not and solves only with the override, p4 is the one builtin
+# whose printed initial trace (x^2) is not zero, and p2's are the only
+# printed box faces (bc.x0 ... bc.y1)
 CASES.append(["-p", "p5", "--mode", "paper-literal", "-m", "both", "-n", "2"])
+CASES.append(["-p", "p2", "--mode", "paper-literal", "-m", "both", "-n", "2",
+              "-a", "0.5,1.0"])
 CASES.append(["-p", "p1", "--mode", "paper-literal", "--allow-inconsistent",
               "-m", "both", "-n", "2"])
 CASES.append(["-p", "p4", "--mode", "paper-literal", "--allow-inconsistent",
