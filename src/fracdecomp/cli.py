@@ -17,8 +17,6 @@ order, never completion order.
 
 from __future__ import annotations
 
-import concurrent.futures
-import configparser
 import os
 from itertools import repeat
 from pathlib import Path
@@ -79,6 +77,8 @@ def _read_config(path: str, known: Tuple[str, ...]) -> Dict[str, str]:
         raise ProblemError(f"cannot read config {path}: {exc}") from None
     if not text.lstrip().startswith("["):
         text = "[solve]\n" + text
+    # imported here: a run with no config file does not pay for it
+    import configparser
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text)
@@ -298,6 +298,8 @@ def cmd_solve(problem, file, alpha, method, iters, mode, weights, grid, tmax,
         pairs = [(spec, m) for spec in specs for m in methods]
         args = (*zip(*pairs), repeat(iters), repeat(weights), repeat(lattice))
         if jobs > 1 and len(pairs) > 1:
+            # imported here: a serial run does not pay for it
+            import concurrent.futures
             # the fork start method launches every worker up front
             with concurrent.futures.ProcessPoolExecutor(min(jobs, len(pairs))) as pool:
                 results = list(pool.map(_run_job, *args))

@@ -3,12 +3,12 @@
 Everything here treats a Series as data to be evaluated, never transformed;
 the one genuinely numerical object is ``rl_integral_quadrature``, an oracle
 for the fractional integral that shares no code path with the closed-form
-power rule it cross-checks. A series is read on the grid through one
-``symx.FactorTable`` per call, which builds the factor rows and sums them
-into each term's values and, for the residual's nonlinearity, its spatial
-derivatives by the product rule (``FactorTable.jet_sums``), so no
-derivative series is built; this module only scales each term's sums by
-t^mu and checks that they are finite. ``residual`` is the one residual:
+power rule it cross-checks. A series is read on the grid through the
+grid's own ``symx.FactorTable`` (``Grid.table``), which builds each factor
+row once per grid and sums the rows into each term's values and, for the
+residual's nonlinearity, its spatial derivatives by the product rule
+(``FactorTable.jet_sums``), so no derivative series is built; this module
+only scales each term's sums by t^mu and checks that they are finite. ``residual`` is the one residual:
 ``convergence_report`` hands it the grids it already holds.
 """
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,7 +64,11 @@ class QuadratureError(EvalError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform evaluation lattice: space points by time points."""
+    """Uniform evaluation lattice: space points by time points.
+
+    The points are read-only, and the grid owns the factor table its series
+    are read through (``table``), so no table outlives or outgrows its grid.
+    """
 
     xs: np.ndarray
     ys: Optional[np.ndarray]
@@ -75,6 +80,20 @@ class Grid:
                 continue
             if arr.size < 2:
                 raise EvalError(f"grid needs at least 2 {name}-points, got {arr.size}")
+            # the grid's table holds rows read from these points
+            arr.flags.writeable = False
+
+    @cached_property
+    def table(self) -> FactorTable:
+        """The factor rows on the space grid: one table per grid, built on
+        first read and dropped with the grid. A pickled grid carries none."""
+        return FactorTable({"x": self.xs} if self.ys is None else
+                           {"x": self.xs[:, None], "y": self.ys[None, :]})
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("table", None)
+        return state
 
     @property
     def dimension(self) -> int:
@@ -110,8 +129,8 @@ def default_grid(spec, nx: int = DEFAULT_NX, ny: int = DEFAULT_NY, nt: int = DEF
 def evaluate_series_grid(series: Series, grid: Grid) -> np.ndarray:
     """Dense evaluation, shape (nx, nt) or (nx, ny, nt).
 
-    Coefficients are read from their polys through one factor table per
-    call (``symx.FactorTable``). A coefficient is its monomial rows in
+    Coefficients are read from their polys through the grid's factor table
+    (``Grid.table``). A coefficient is its monomial rows in
     ``sorted_items`` order summed from +0.0, as
     ``evaluate(expr_of_poly(poly))`` sums them; a lone monomial is not summed
     there, which only turns a -0.0 into +0.0, and that sign is lost anyway
@@ -128,10 +147,12 @@ def _derivative_grids(series: Series, keys, grid: Grid) -> Dict[Tuple[int, str],
     """The grid of d^order u / d var^order at u = series for each (order,
     var) in keys, built from the monomials with no derivative series.
 
-    Each term's value and derivative sums come from one factor table on the
-    space grid (``symx.FactorTable.jet_sums``, which carries each monomial's
-    derivatives by the product rule), asked for no derivative past the
-    highest order a key takes in each var; they are scaled by t^mu. The
+    Each term's value and derivative sums come from the grid's factor table
+    (``Grid.table``, read by ``symx.FactorTable.jet_sums``, which carries
+    each monomial's derivatives by the product rule), asked for no
+    derivative past the highest order a key takes in each var; they are
+    scaled by t^mu. The partial sums of a report share the grid's factor
+    rows and derivative rows, each built once. The
     order-0 grid is the series' evaluation (``evaluate_series_grid``). A
     value that is not finite raises ``EvalError``.
     """
@@ -139,8 +160,7 @@ def _derivative_grids(series: Series, keys, grid: Grid) -> Dict[Tuple[int, str],
     for order, var in keys:
         if order:
             orders[var] = max(orders.get(var, 0), order)
-    table = FactorTable({"x": grid.xs} if grid.ys is None else
-                        {"x": grid.xs[:, None], "y": grid.ys[None, :]})
+    table = grid.table
     space = table.space_shape
     value = np.zeros(space + (grid.ts.size,))
     grids = {(var, n): np.zeros_like(value) for var, top in orders.items()
@@ -341,8 +361,9 @@ def convergence_report(traces: Sequence, spec, grid: Grid) -> List[ConvergenceRo
     Each series is evaluated on the grid once per call: the exact solution
     and the nonlinearity's series coefficients for all records, and each
     partial sum by one ``_derivative_grids`` pass that also gives the
-    derivatives its residual takes. Rows keep those grids (``values``,
-    ``exact``) for a caller that writes them.
+    derivatives its residual takes, all through the grid's one factor
+    table. Rows keep those grids (``values``, ``exact``) for a caller that
+    writes them.
     """
     exact = evaluate_series_grid(spec.exact, grid) if spec.exact is not None else None
     coeff_grids = _coeff_grids(spec.nonlinear, grid)

@@ -20,7 +20,10 @@ only to render a term and by ``eval_series``, which evaluates at one point
 on the tree, through the read-only ``TimeTerm.coeff``.
 
 Exponents merge by one rule, ``_mu_groups``. ``_from_pairs`` sums each
-group's polys into a dict of its own, never into a poly a series holds.
+group's polys into a dict of its own, never into a poly a series holds, and
+decides all its new terms with one ``symx.zero_decisions`` read; a term it
+merged nothing into keeps its decision, and so does a negated term
+(``series_scale`` by -1).
 Every series product is a ``series_dot``, a sum of products sum_k xs[k] *
 ys[k] formed in one pass: the term pairs of all k are grouped by the same
 rule, and on Fourier coefficients one ``symx.fourier_sums`` call, a
@@ -46,7 +49,7 @@ from .symx import (
     evaluate,
     expr_of_poly,
     fourier_sums,
-    is_zero_expr,
+    is_zero_expr,  # noqa: F401 -- the one-poly zero check, bound here for span tracing
     poly_add,
     poly_add_into,
     poly_of,
@@ -54,6 +57,7 @@ from .symx import (
     poly_mul,
     poly_substitute,
     sample_points,
+    zero_decisions,
     fmt_number,
 )
 
@@ -265,9 +269,11 @@ def _from_pairs(pairs, truncated: bool) -> Series:
     its polys. A pair may carry a third item, the ``TimeTerm`` of a series it
     was read from. Every term a series holds was built here after its poly
     passed the zero check, so such a term that no other pair merges into is
-    kept as it is, with no second check.
+    kept as it is, with no second check. The new polys are decided together,
+    by one ``zero_decisions`` read.
     """
     terms = []
+    fresh = []   # the index in terms of each new (mu, poly)
     for group in _mu_groups([pair[0] for pair in pairs]):
         mu, p, *term = pairs[group[0]]
         if len(group) > 1:
@@ -280,13 +286,20 @@ def _from_pairs(pairs, truncated: bool) -> Series:
         elif term:
             terms.append(term[0])
             continue
-        if is_zero_expr(p):
+        fresh.append(len(terms))
+        terms.append((mu, p))
+    zero = zero_decisions([terms[i][1] for i in fresh])
+    for i, dropped in zip(fresh, zero):
+        mu, p = terms[i]
+        if dropped:
+            terms[i] = None
             continue
         if mu < 0.0:
             if mu < -MU_MERGE_TOL:
                 raise SeriesError(f"negative time exponent {mu}")
             mu = 0.0
-        terms.append(TimeTerm(mu, p))
+        terms[i] = TimeTerm(mu, p)
+    terms = [t for t in terms if t is not None]
 
     if terms and terms[-1].mu > MAX_MU:
         terms = [t for t in terms if t.mu <= MAX_MU]
@@ -308,6 +321,11 @@ def series_add(a: Series, b: Series) -> Series:
 
 
 def series_scale(a: Series, k: Union[float, int, Expr]) -> Series:
+    if isinstance(k, (int, float)) and k == -1.0:
+        # negation is exact, so every |sample| is unchanged and each term
+        # keeps its zero decision, with no second check
+        return _raw_series(tuple(TimeTerm(t.mu, poly_scale(t.poly, -1.0)) for t in a.terms),
+                           a.truncated)
     if isinstance(k, (int, float)):
         pairs = [(t.mu, poly_scale(t.poly, float(k))) for t in a.terms]
     else:

@@ -24,14 +24,19 @@ sin/cos over one base angle are rewritten onto multiple angles by the same
 kernel.
 ``diff`` differentiates a poly by the product and chain rules, with no tree;
 ``factor_diff`` gives the cached first or second derivative of one factor.
-Polys are read numerically through one factor table, ``FactorTable``: a
+Polys are read numerically through a factor table, ``FactorTable``: a
 row of values per factor (atom, k) on the points of an env and, on request,
-rows of its first and second x or y derivatives (from ``factor_diff``). One
-block loop, ``FactorTable.jet_sums``, multiplies them into monomial rows,
-carrying the derivatives by the product rule, and sums the rows in the
-caller's order; no row helper is exported. The zero check keeps one table
-on its points, ``equal_sampled`` and ``series_equal`` build one on a
-domain's sample points, and grid evaluation one on the space grid.
+rows of its first and second x or y derivatives (from ``factor_diff``),
+each kept under a row index. One read, ``FactorTable._read``, takes many
+polys at once: a block of monomials gathers its factors' rows by index,
+multiplies them into monomial rows, carrying the derivatives by the product
+rule, and sums each poly's rows in the caller's order from +0.0, so a poly
+sums the same bits read alone or with others; no row helper is exported.
+The zero check keeps one table on its points for the life of the process,
+and ``zero_decisions`` decides every new term of a canonicalization from
+one read of it (``is_zero_expr`` is its one-poly case). ``equal_sampled``
+and ``series_equal`` build a table on a domain's sample points, and each
+evaluation ``Grid`` owns one on its space grid.
 ``evaluate`` walks a tree: it fills the atom rows and serves
 ``fracterm.eval_series``.
 """
@@ -40,7 +45,8 @@ from __future__ import annotations
 
 import contextlib
 import math
-from typing import Dict, List, Mapping, Tuple, Union
+from itertools import chain
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -66,6 +72,7 @@ __all__ = [
     "equal_sampled",
     "sample_points",
     "is_zero_expr",
+    "zero_decisions",
     "FactorTable",
     "poly_substitute",
     "sorted_items",
@@ -1140,6 +1147,16 @@ def _add_rows(running, rows: np.ndarray) -> np.ndarray:
     return np.concatenate((running[None], rows)).sum(axis=0, initial=0.0)
 
 
+def _room(rows: np.ndarray, n: int) -> np.ndarray:
+    """rows, or a copy of them with room for at least n rows (zeros past the
+    old end), doubling so a table grown row by row copies O(n) rows."""
+    if n <= len(rows):
+        return rows
+    out = np.zeros((max(n, 2 * len(rows)), rows.shape[1]))
+    out[:len(rows)] = rows
+    return out
+
+
 class FactorTable:
     """The rows of monomial factors (atom, k) at the points of one env, each
     built once: values, and first or second x/y derivatives on request.
@@ -1150,6 +1167,16 @@ class FactorTable:
     coefficient is. A read builds the value rows of its items, monomial by
     monomial and factor by factor, before any derivative row, so a domain
     error is raised at the same factor as in a term-by-term evaluation.
+
+    Each factor's rows are kept under one row index, given when its value
+    row is built, and each monomial met is kept as the row indices of its
+    factors, so a table grows with the distinct factors and monomials it
+    reads. One read (``_read``) serves every caller. It takes many polys at
+    once, and a block of monomials gathers its factors' rows by index, so
+    the zero check decides every new term of a canonicalization in one read
+    (``poly_rows``). A table lives as long as its env: the zero check keeps
+    one for the life of the process, and a ``Grid`` owns one for its space
+    grid.
     """
 
     def __init__(self, env: Mapping[str, EnvValue]):
@@ -1159,29 +1186,20 @@ class FactorTable:
         size = math.prod(self.space_shape)
         self._ones = np.ones(size)
         self._zeros = np.zeros(size)
-        # monomials per block of rows: ROW_BLOCK values each
-        self._block = max(1, ROW_BLOCK // size)
-        # factor -> its rows: the value under 0, a derivative under (var, order)
-        self._rows: Dict[Tuple[Expr, float], dict] = {}
+        # the factor of each row index from 1; index 0 pads a monomial past
+        # its last factor, with ones for a value and zeros for a derivative
+        self._factors: List[Tuple[Expr, float]] = [None]
+        self._slots: Dict[Tuple[Expr, float], int] = {}
+        self._values = self._ones[None].copy()
+        # (var, order) -> the derivative rows by index, and the indices built
+        self._derivs: Dict[Tuple[str, int], np.ndarray] = {}
+        self._built: Dict[Tuple[str, int], set] = {}
+        # monomial -> the row index of each of its factors
+        self._monos: Dict[Mono, Tuple[int, ...]] = {}
         self._atoms: Dict[Expr, np.ndarray] = {}
         # the largest |value| in any row built, ones and zeros included; a
         # nan row makes it nan for good
         self._peak = 1.0
-
-    def _fill(self, items) -> List[List[dict]]:
-        """The rows of each factor of each monomial of items, the value row
-        built if missing; each factor is looked up once."""
-        table = self._rows
-        out = []
-        for mono, _ in items:
-            rows = []
-            for factor in mono:
-                got = table.get(factor)
-                if got is None:
-                    got = table[factor] = {0: self._value_row(*factor)}
-                rows.append(got)
-            out.append(rows)
-        return out
 
     # an atom that overflows gives inf, which the caller judges (not zero,
     # not close, not finite on the grid), not a RuntimeWarning
@@ -1200,82 +1218,160 @@ class FactorTable:
         if not top <= self._peak:
             self._peak = top
 
-    def _column(self, rows: List[List[dict]], j: int, key) -> np.ndarray:
-        """Row ``key`` of factor j of each monomial; past its last factor, a
-        monomial takes ones for a value and zeros for a derivative."""
-        pad = self._ones if key == 0 else self._zeros
-        return np.array([r[j][key] if j < len(r) else pad for r in rows])
+    def _slot(self, factor: Tuple[Expr, float]) -> int:
+        """The row index of a factor, its value row built if missing."""
+        j = self._slots.get(factor)
+        if j is None:
+            row = self._value_row(*factor)
+            j = len(self._factors)
+            self._values = _room(self._values, j + 1)
+            self._values[j] = row
+            self._factors.append(factor)
+            self._slots[factor] = j
+        return j
 
-    def jet_sums(self, items, orders: Mapping[str, int]):
-        """The sum of the items' monomial rows, and for each var in orders the
-        sums of their derivative rows in var up to order orders[var], keyed
-        (var, order): each summed in the order of the items from +0.0,
-        ``ROW_BLOCK`` values at a time.
+    def _derivative_rows(self, key: Tuple[str, int], used) -> np.ndarray:
+        """The rows of derivative key by index, built where missing for the
+        indices used, in their order."""
+        if key not in self._derivs:
+            self._derivs[key] = self._zeros[None].copy()
+            self._built[key] = {0}
+        built = self._built[key]
+        for j in used:
+            if j not in built:
+                p = factor_diff(*self._factors[j], *key)
+                row = self.poly_row(sorted_items(p)) if p else self._zeros
+                self._raise_peak(row)
+                self._derivs[key] = _room(self._derivs[key], j + 1)
+                self._derivs[key][j] = row
+                built.add(j)
+        return self._derivs[key]
+
+    def _read(self, item_lists, orders: Mapping[str, int], skip=()):
+        """For each list of items, the sum of its monomial rows, and for each
+        var in orders the sums of its derivative rows in var up to order
+        orders[var], keyed (var, order): one row per list, each summed in the
+        order of its items from +0.0, ``ROW_BLOCK`` values of monomial rows
+        at a time. Returns (sums, {key: sums}, read): a list whose value rows
+        raise one of ``skip`` is left at zeros and marked False in read.
 
         A monomial c * f_1 * ... * f_m is carried factor by factor with its
         derivatives by the product rule: at factor f, u'' <- u'' f + 2 u' f'
         + u f'', then u' <- u' f + u f', then u <- u f, from u = c and
-        u' = u'' = 0. The u rows are the products a ``Prod`` of the same
-        factors evaluates to, so items in ``sorted_items`` order sum as
-        ``evaluate(expr_of_poly(poly))`` does, bit for bit.
+        u' = u'' = 0; each factor's rows are gathered by row index. The u
+        rows are the products a ``Prod`` of the same factors evaluates to, so
+        items in ``sorted_items`` order sum as ``evaluate(expr_of_poly(poly))``
+        does, bit for bit. Each list's rows are summed with ``_add_rows`` on
+        its own slice of a block, one running sum across blocks, so a list
+        sums the same bits read alone or with others.
         """
-        rows = self._fill(items)
+        monos = self._monos
+        index: List[Tuple[int, ...]] = []
+        coeffs: List[float] = []
+        spans: List[Tuple[int, int, int]] = []      # (list, first monomial, end)
+        read: List[bool] = []
+        for i, items in enumerate(item_lists):
+            start = len(index)
+            try:
+                for mono, c in items:
+                    cols = monos.get(mono)
+                    if cols is None:
+                        cols = monos[mono] = tuple(map(self._slot, mono))
+                    index.append(cols)
+                    coeffs.append(c)
+            except skip:
+                del index[start:], coeffs[start:]
+                read.append(False)
+                continue
+            read.append(True)
+            if len(index) > start:
+                spans.append((i, start, len(index)))
         keys = [(var, n) for var, top in orders.items() for n in range(1, top + 1)]
-        for key in keys:
-            for (mono, _), factor_rows in zip(items, rows):
-                for factor, got in zip(mono, factor_rows):
-                    if key not in got:
-                        p = factor_diff(factor[0], factor[1], *key)
-                        got[key] = self.poly_row(sorted_items(p)) if p else self._zeros
-                        self._raise_peak(got[key])
-        coeffs = [c for _, c in items]
-        total = None
-        sums = dict.fromkeys(keys)
-        bound = 0.0
-        for i in range(0, len(items), self._block):
-            block = rows[i:i + self._block]
-            width = max(1, max(map(len, block)))
-            c = coeffs[i:i + self._block]
-            # with every row value at most P in size, the m factors of c * f_1
-            # * ... * f_m carry |u| <= |c| P^m and |u'|, |u''| <= m^2 |c| P^m,
-            # so the running sums stay below bound; only a read whose bound
-            # nears the float range pays for np.errstate
-            block_bound = sum(map(abs, c)) * width * width
-            for _ in range(width):
-                block_bound *= self._peak   # a float product overflows to inf, never raises
-            bound += block_bound
-            with (_UNGUARDED if bound < 1e300 else
-                  np.errstate(over="ignore", invalid="ignore")):
-                c = np.array(c, dtype=float)[:, None]
-                u = c * self._column(block, 0, 0)
-                jet = {key: c * self._column(block, 0, key) for key in keys}
-                for j in range(1, width):
-                    f = self._column(block, j, 0)
+        used = list(dict.fromkeys(chain.from_iterable(index))) if keys else ()
+        derivs = {key: self._derivative_rows(key, used) for key in keys}
+        size = self._ones.size
+        sums = np.zeros((len(read), size))
+        jets = {key: np.zeros_like(sums) for key in keys}
+        if not spans:
+            return sums, jets, read
+        # taken after the derivative rows, whose reads may add value rows
+        values = self._values
+        lens = np.fromiter(map(len, index), dtype=np.intp, count=len(index))
+        width = max(1, int(lens.max()))
+        cols = np.zeros((len(index), width), dtype=np.intp)
+        cols[np.arange(width) < lens[:, None]] = np.fromiter(
+            chain.from_iterable(index), dtype=np.intp, count=int(lens.sum()))
+        # with every row value at most P in size, the m factors of c * f_1 *
+        # ... * f_m carry |u| <= |c| P^m and |u'|, |u''| <= m^2 |c| P^m, so
+        # every running sum stays below bound; only a read whose bound nears
+        # the float range pays for np.errstate
+        bound = sum(map(abs, coeffs)) * width * width
+        for _ in range(width):
+            bound *= self._peak   # a float product overflows to inf, never raises
+        c_all = np.array(coeffs, dtype=float)[:, None]
+        block = max(1, ROW_BLOCK // size)
+        first = 0   # the first span not summed to its end
+        with (_UNGUARDED if bound < 1e300 else
+              np.errstate(over="ignore", invalid="ignore")):
+            for b0 in range(0, len(index), block):
+                b1 = b0 + block
+                cb = cols[b0:b1]
+                c = c_all[b0:b1]
+                # u = c * f_1, formed in the gathered rows (a product commutes
+                # bit for bit), so a block holds one copy of its rows
+                u = values[cb[:, 0]]
+                u *= c
+                jet = {key: derivs[key][cb[:, 0]] for key in keys}
+                for rows in jet.values():
+                    rows *= c
+                for j in range(1, max(1, int(lens[b0:b1].max()))):
+                    col = cb[:, j]
+                    f = values[col]
                     for var, top in orders.items():
-                        d1 = self._column(block, j, (var, 1))
+                        d1 = derivs[var, 1][col]
                         if top == 2:
                             jet[var, 2] = (jet[var, 2] * f + 2.0 * jet[var, 1] * d1
-                                           + u * self._column(block, j, (var, 2)))
+                                           + u * derivs[var, 2][col])
                         jet[var, 1] = jet[var, 1] * f + u * d1
                     u *= f
-                total = _add_rows(total, u)
-                for key in keys:
-                    sums[key] = _add_rows(sums[key], jet[key])
-        if total is None:
-            return self._zeros, dict.fromkeys(keys, self._zeros)
-        return total, sums
+                for i, a, b in spans[first:]:
+                    if a >= b1:
+                        break
+                    part = slice(max(a, b0) - b0, min(b, b1) - b0)
+                    resumed = a < b0
+                    sums[i] = _add_rows(sums[i] if resumed else None, u[part])
+                    for key in keys:
+                        jets[key][i] = _add_rows(jets[key][i] if resumed else None,
+                                                 jet[key][part])
+                    if b <= b1:
+                        first += 1
+        return sums, jets, read
+
+    def jet_sums(self, items, orders: Mapping[str, int]):
+        """The sum of the items' monomial rows, and for each var in orders the
+        sums of their derivative rows in var up to order orders[var], keyed
+        (var, order): the one-poly case of ``_read``."""
+        sums, jets, _ = self._read((items,), orders)
+        return sums[0], {key: rows[0] for key, rows in jets.items()}
+
+    def poly_rows(self, item_lists, skip=()):
+        """(rows, read): the sum of each list's monomial rows, in the given
+        order, from +0.0, one row per list of one read (``_read``), and
+        whether it was read: a list whose value rows raise one of ``skip``
+        is left at zeros and marked False, the others read as if alone."""
+        sums, _, read = self._read(item_lists, {}, skip)
+        return sums, read
 
     def poly_row(self, items) -> np.ndarray:
         """The sum of the items' monomial rows, in the given order, from +0.0;
         ``zeros`` for no items."""
-        return self.jet_sums(items, {})[0]
+        return self._read((items,), {})[0][0]
 
     def close(self, a: Poly, b: Poly, tol: float) -> bool:
         """True iff |a - b| <= tol * (1 + |a|) at every point, each poly summed
         in ``sorted_items`` order, as ``evaluate(expr_of_poly(p))`` sums it.
         A sample that is not finite is close to nothing."""
-        va = self.poly_row(sorted_items(a))
-        vb = self.poly_row(sorted_items(b))
+        (va, vb), _ = self.poly_rows((sorted_items(a), sorted_items(b)))
         # an infinite va passes the bound (inf <= inf), so it is refused apart
         with np.errstate(over="ignore", invalid="ignore"):
             return bool(np.all((np.abs(va - vb) <= tol * (1.0 + np.abs(va)))
@@ -1333,24 +1429,41 @@ def is_zero_expr(p: Poly) -> bool:
     points. A p that cannot be evaluated on the sampling box (a fractional
     power of a base negative there) is not zero: the term is kept, and
     evaluation on the problem's own domain decides. Nor is a p with a sample
-    that is not finite (an infinite coefficient, or a value that overflows)."""
-    if not p:
-        return True
-    if len(p) == 1 and () in p:
-        return abs(p[()]) <= ZERO_COEFF_TOL
-    try:
-        v = np.abs(_zero_check_samples(p))
-    except PowerDomainError:
-        return False
-    # inf <= 1e-12 * (1 + inf) holds, so an infinite sample is refused apart
-    return bool(np.all((v <= ZERO_COEFF_TOL * (1.0 + v)) & (v < math.inf)))
+    that is not finite (an infinite coefficient, or a value that overflows).
+    The one-poly case of ``zero_decisions``."""
+    return zero_decisions((p,))[0]
+
+
+def zero_decisions(polys: Sequence[Poly]) -> List[bool]:
+    """``is_zero_expr`` of each poly, deciding all the sampled ones from one
+    read of the zero-check table (``FactorTable.poly_rows``), which sums each
+    poly's rows as a read of it alone does. The empty poly is zero, and a
+    constant is decided by |c| <= 1e-12 with no read."""
+    out: List[bool] = []
+    sampled = []
+    for p in polys:
+        if len(p) == 1 and () in p:
+            out.append(abs(p[()]) <= ZERO_COEFF_TOL)
+        else:
+            out.append(not p)
+            if p:
+                sampled.append(len(out) - 1)
+    if sampled:
+        rows, read = _ZERO_CHECK.poly_rows([polys[i].items() for i in sampled],
+                                           skip=PowerDomainError)
+        v = np.abs(rows)
+        # inf <= 1e-12 * (1 + inf) holds, so an infinite sample is refused apart
+        small = np.all((v <= ZERO_COEFF_TOL * (1.0 + v)) & (v < math.inf), axis=1)
+        for i, ok, zero in zip(sampled, read, small.tolist()):
+            out[i] = ok and zero
+    return out
 
 
 def _zero_check_samples(p: Poly) -> np.ndarray:
     """The values of p on the zero-check points, its rows summed in dict
     order from +0.0, so every bit, down to the sign of a zero, matches a
-    monomial-by-monomial loop."""
-    return _ZERO_CHECK.poly_row(list(p.items()))
+    monomial-by-monomial loop: the one-poly case of the zero-check read."""
+    return _ZERO_CHECK.poly_rows((p.items(),))[0][0]
 
 
 # ---------------------------------------------------------------------------

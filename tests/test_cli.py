@@ -1,5 +1,6 @@
 """Command line contract: exit codes, file outputs, determinism."""
 
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -542,7 +543,8 @@ def test_solve_starts_no_more_workers_than_jobs(runner, tmp_path, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Recording)
+    # cli imports the pool module on the --jobs path only
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     r = runner.invoke(main, ["solve", "-p", "p5", "--alpha", "0.5,1.0", "-m", "both",
                              "--iters", "1", "--grid", "3,3", "--jobs", "100000",
                              "--out", str(tmp_path / "o")])
