@@ -6,10 +6,16 @@ for the fractional integral that shares no code path with the closed-form
 power rule it cross-checks. A series is read on the grid through the
 grid's own ``symx.FactorTable`` (``Grid.table``), which builds each factor
 row once per grid and sums the rows into each term's values and, for the
-residual's nonlinearity, its spatial derivatives by the product rule
-(``FactorTable.jet_sums``), so no derivative series is built; this module
-only scales each term's sums by t^mu and checks that they are finite. ``residual`` is the one residual:
-``convergence_report`` hands it the grids it already holds.
+residual's nonlinearity, its spatial derivatives by the product rule, so no
+derivative series is built; this module only scales each term's sums by
+t^mu and checks that they are finite. One grid reader, ``_series_grids``,
+reads many series in one table read (``FactorTable._read``): each term is
+one list of it, sorted on the monomial keys the table keeps. A report reads
+all the partial sums of a trace, with their derivatives, in one such read,
+and each derivative key's missing factor rows take one more read.
+``_derivative_grids`` is the one-series case and ``evaluate_series_grid``
+its order-0 case. ``residual`` is the one residual: ``convergence_report``
+hands it the grids it already holds.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .symx import FactorTable, sorted_items
+from .symx import ExprError, FactorTable
 from .fracterm import (
     Series,
     caputo,
@@ -142,38 +148,67 @@ def evaluate_series_grid(series: Series, grid: Grid) -> np.ndarray:
     return _derivative_grids(series, [(0, "x")], grid)[0, "x"]
 
 
-@np.errstate(all="ignore")
 def _derivative_grids(series: Series, keys, grid: Grid) -> Dict[Tuple[int, str], np.ndarray]:
     """The grid of d^order u / d var^order at u = series for each (order,
-    var) in keys, built from the monomials with no derivative series.
+    var) in keys, built from the monomials with no derivative series: the
+    one-series case of ``_series_grids``, so one table read for all its
+    terms, and one more per derivative key whose factor rows the grid's
+    table does not hold yet. The order-0 grid is the series' evaluation
+    (``evaluate_series_grid``). A value that is not finite raises
+    ``EvalError``, checked key by key in the order of keys.
+    """
+    return _checked(_series_grids([series], keys, grid)[0])
 
-    Each term's value and derivative sums come from the grid's factor table
-    (``Grid.table``, read by ``symx.FactorTable.jet_sums``, which carries
-    each monomial's derivatives by the product rule), asked for no
-    derivative past the highest order a key takes in each var; they are
-    scaled by t^mu. The partial sums of a report share the grid's factor
-    rows and derivative rows, each built once. The
-    order-0 grid is the series' evaluation (``evaluate_series_grid``). A
-    value that is not finite raises ``EvalError``.
+
+@np.errstate(all="ignore")
+def _series_grids(series_list: Sequence[Series], keys, grid: Grid,
+                  skip=()) -> List[Optional[Dict[Tuple[int, str], np.ndarray]]]:
+    """For each series, its grids keyed (order, var) for each key, as
+    ``_derivative_grids`` gives them but not yet checked finite, all from
+    one read of the grid's factor table (``Grid.table``).
+
+    Every term of every series is one list of that read
+    (``symx.FactorTable._read``, which carries each monomial's derivatives
+    by the product rule), in the table's ``sorted_items`` order, asked for
+    no derivative past the highest order a key takes in each var. A list
+    sums the same bits read alone or with others, so each term's sums are
+    those of a read of its series alone; they are scaled by t^mu and added
+    into their series' grids in term order. A series with a term whose rows
+    raise one of ``skip`` is None; read alone, it raises what was skipped.
     """
     orders: Dict[str, int] = {}
     for order, var in keys:
         if order:
             orders[var] = max(orders.get(var, 0), order)
     table = grid.table
+    terms = [term for series in series_list for term in series.terms]
+    sums, jets, read = table._read([table.sorted_items(term.poly) for term in terms],
+                                   orders, skip)
     space = table.space_shape
-    value = np.zeros(space + (grid.ts.size,))
-    grids = {(var, n): np.zeros_like(value) for var, top in orders.items()
-             for n in range(1, top + 1)}
-    for term in series.terms:
-        coeff, sums = table.jet_sums(sorted_items(term.poly), orders)
-        # np.power(0.0, 0.0) is 1.0, which is the t -> 0+ convention here
-        tpow = np.power(grid.ts, term.mu)
-        value += coeff.reshape(space)[..., None] * tpow
-        for key, grid_values in grids.items():
-            grid_values += sums[key].reshape(space)[..., None] * tpow
-    return {(order, var): _finite(value if order == 0 else grids[var, order], "series")
-            for order, var in keys}
+    out: List[Optional[Dict[Tuple[int, str], np.ndarray]]] = []
+    end = 0
+    for series in series_list:
+        first, end = end, end + len(series.terms)
+        if not all(read[first:end]):
+            out.append(None)
+            continue
+        value = np.zeros(space + (grid.ts.size,))
+        grids = {(var, n): np.zeros_like(value) for var, top in orders.items()
+                 for n in range(1, top + 1)}
+        for i in range(first, end):
+            # np.power(0.0, 0.0) is 1.0, which is the t -> 0+ convention here
+            tpow = np.power(grid.ts, terms[i].mu)
+            value += sums[i].reshape(space)[..., None] * tpow
+            for key, grid_values in grids.items():
+                grid_values += jets[key][i].reshape(space)[..., None] * tpow
+        out.append({(order, var): value if order == 0 else grids[var, order]
+                    for order, var in keys})
+    return out
+
+
+def _checked(grids: Dict[Tuple[int, str], np.ndarray]) -> Dict[Tuple[int, str], np.ndarray]:
+    """grids, each checked finite (``_finite``) in key order."""
+    return {key: _finite(values, "series") for key, values in grids.items()}
 
 
 def _finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -359,10 +394,14 @@ def convergence_report(traces: Sequence, spec, grid: Grid) -> List[ConvergenceRo
     """One row per (trace, iteration): errors vs exact plus PDE residual.
 
     Each series is evaluated on the grid once per call: the exact solution
-    and the nonlinearity's series coefficients for all records, and each
-    partial sum by one ``_derivative_grids`` pass that also gives the
-    derivatives its residual takes, all through the grid's one factor
-    table. Rows keep those grids (``values``, ``exact``) for a caller that
+    and the nonlinearity's series coefficients for all records, and every
+    partial sum of a trace, with the derivatives its residual takes, by one
+    ``_series_grids`` read, all through the grid's one factor table. Each
+    row's grids are bit for bit those of ``_derivative_grids`` on its
+    partial sum alone. Errors keep the per-record order: a partial sum whose
+    rows raise is skipped by the read and read alone in its turn, after the
+    rows of the records before it, and a grid is checked finite in its
+    turn. Rows keep those grids (``values``, ``exact``) for a caller that
     writes them.
     """
     exact = evaluate_series_grid(spec.exact, grid) if spec.exact is not None else None
@@ -373,10 +412,13 @@ def convergence_report(traces: Sequence, spec, grid: Grid) -> List[ConvergenceRo
     rows: List[ConvergenceRow] = []
     for trace in traces:
         seconds = 0.0
-        for rec in trace.records:
+        read = _series_grids([rec.partial_sum for rec in trace.records], keys, grid,
+                             skip=ExprError)
+        for rec, grids in zip(trace.records, read):
             seconds += rec.seconds
             partial = rec.partial_sum
-            grids = _derivative_grids(partial, keys, grid)
+            grids = (_derivative_grids(partial, keys, grid) if grids is None
+                     else _checked(grids))
             values = grids[0, "x"]
             if exact is not None:
                 max_abs, l2 = _norms(np.abs(values - exact))

@@ -22,7 +22,8 @@ kernel runs. ``poly_mul`` runs it on one pair, and
 takes any other pair through the generic monomial product, whose products of
 sin/cos over one base angle are rewritten onto multiple angles by the same
 kernel.
-``diff`` differentiates a poly by the product and chain rules, with no tree;
+``diff`` differentiates a poly by the product and chain rules, with no tree
+(a one-factor monomial scales its factor's cached derivative);
 ``factor_diff`` gives the cached first or second derivative of one factor.
 Polys are read numerically through a factor table, ``FactorTable``: a
 row of values per factor (atom, k) on the points of an env and, on request,
@@ -32,11 +33,16 @@ polys at once: a block of monomials gathers its factors' rows by index,
 multiplies them into monomial rows, carrying the derivatives by the product
 rule, and sums each poly's rows in the caller's order from +0.0, so a poly
 sums the same bits read alone or with others; no row helper is exported.
+A read builds the derivative rows it lacks with one more read per
+derivative key, of all their ``factor_diff`` polys at once, and a table
+keeps each monomial's ``sorted_items`` key beside its row indices
+(``FactorTable.sorted_items``), so a key is computed once per table.
 The zero check keeps one table on its points for the life of the process,
 and ``zero_decisions`` decides every new term of a canonicalization from
 one read of it (``is_zero_expr`` is its one-poly case). ``equal_sampled``
 and ``series_equal`` build a table on a domain's sample points, and each
-evaluation ``Grid`` owns one on its space grid.
+evaluation ``Grid`` owns one on its space grid, through which a report
+reads all the partial sums of a trace at once.
 ``evaluate`` walks a tree: it fills the atom rows and serves
 ``fracterm.eval_series``.
 """
@@ -308,14 +314,18 @@ def _skey_of(e: Expr):
     return k
 
 
+def _mono_key(mono: Mono) -> tuple:
+    """A monomial's place in monomial order: total degree (``math.fsum`` of
+    the exponents), then factor by factor atom sort key and exponent."""
+    return (math.fsum(k for _, k in mono), tuple((_skey_of(a), k) for a, k in mono))
+
+
 def sorted_items(p: Poly) -> list:
-    """p's ``(mono, c)`` items in monomial order, the order in which
-    ``expr_of_poly`` lays out terms: by total degree (``math.fsum`` of the
-    exponents), then factor by factor by atom sort key and exponent."""
+    """p's ``(mono, c)`` items in monomial order (``_mono_key``), the order in
+    which ``expr_of_poly`` lays out terms; a tie keeps dict order."""
     if len(p) < 2:
         return list(p.items())
-    return sorted(p.items(), key=lambda kv: (math.fsum(k for _, k in kv[0]),
-                                              tuple((_skey_of(a), k) for a, k in kv[0])))
+    return sorted(p.items(), key=lambda kv: _mono_key(kv[0]))
 
 
 def _mono_sorted(items) -> Mono:
@@ -879,12 +889,21 @@ def diff(p: Poly, var: Union[str, Var]) -> Poly:
     the tree derivative of ``expr_of_poly(p)``: monomials in ``sorted_items``
     order, each by the product rule as left-to-right ``poly_mul`` chains (the
     coefficient first unless it is 1.0), summed per monomial, then in total.
+    A one-factor monomial c * a^k is its factor's cached derivative scaled by
+    c, the one float operation of its chain ({c} * d is {m: c * w} with zero
+    products dropped), so it takes no ``poly_mul``.
     """
     name = var.name if isinstance(var, Var) else var
     if name not in Var._ALLOWED:
         raise ExprError(f"cannot differentiate with respect to {name!r}")
     out: Poly = {}
     for mono, c in sorted_items(p):
+        if len(mono) == 1:
+            dj = _factor_diff(*mono[0], name)
+            if c != 1.0:
+                dj = {m: cw for m, w in dj.items() if (cw := c * w) != 0.0}
+            poly_add_into(out, dj)
+            continue
         lead = [] if c == 1.0 else [{(): c}]
         # {1} * a^k is poly_of(a^k): it linearises a trig power
         factors = [poly_mul({(): 1.0}, _atom_poly(a, k)) for a, k in mono]
@@ -1170,13 +1189,16 @@ class FactorTable:
 
     Each factor's rows are kept under one row index, given when its value
     row is built, and each monomial met is kept as the row indices of its
-    factors, so a table grows with the distinct factors and monomials it
-    reads. One read (``_read``) serves every caller. It takes many polys at
-    once, and a block of monomials gathers its factors' rows by index, so
-    the zero check decides every new term of a canonicalization in one read
-    (``poly_rows``). A table lives as long as its env: the zero check keeps
-    one for the life of the process, and a ``Grid`` owns one for its space
-    grid.
+    factors and, once sorted, its ``sorted_items`` key (``sorted_items``),
+    so a table grows with the distinct factors and monomials it reads. One
+    read (``_read``) serves every caller. It takes many polys at once, and a
+    block of monomials gathers its factors' rows by index, so the zero check
+    decides every new term of a canonicalization in one read
+    (``poly_rows``), and a report reads every partial sum of a trace, with
+    its derivatives, in one. The derivative rows a read lacks are built by
+    one nested read per derivative key (``_derivative_rows``). A table lives
+    as long as its env: the zero check keeps one for the life of the
+    process, and a ``Grid`` owns one for its space grid.
     """
 
     def __init__(self, env: Mapping[str, EnvValue]):
@@ -1194,8 +1216,10 @@ class FactorTable:
         # (var, order) -> the derivative rows by index, and the indices built
         self._derivs: Dict[Tuple[str, int], np.ndarray] = {}
         self._built: Dict[Tuple[str, int], set] = {}
-        # monomial -> the row index of each of its factors
+        # monomial -> the row index of each of its factors, and beside it
+        # monomial -> its ``_mono_key``, computed once per table
         self._monos: Dict[Mono, Tuple[int, ...]] = {}
+        self._keys: Dict[Mono, tuple] = {}
         self._atoms: Dict[Expr, np.ndarray] = {}
         # the largest |value| in any row built, ones and zeros included; a
         # nan row makes it nan for good
@@ -1230,30 +1254,47 @@ class FactorTable:
             self._slots[factor] = j
         return j
 
-    def _derivative_rows(self, key: Tuple[str, int], used) -> np.ndarray:
-        """The rows of derivative key by index, built where missing for the
-        indices used, in their order."""
-        if key not in self._derivs:
-            self._derivs[key] = self._zeros[None].copy()
+    def _derivative_rows(self, key: Tuple[str, int], used, skip=()):
+        """(rows, failed): the rows of derivative key by index, those missing
+        for the indices used built from one read of their ``factor_diff``
+        polys, in the order of used; an index whose row raises one of skip is
+        left unbuilt and returned in failed."""
+        rows = self._derivs.get(key)
+        if rows is None:
+            rows = self._derivs[key] = self._zeros[None].copy()
             self._built[key] = {0}
         built = self._built[key]
-        for j in used:
-            if j not in built:
-                p = factor_diff(*self._factors[j], *key)
-                row = self.poly_row(sorted_items(p)) if p else self._zeros
-                self._raise_peak(row)
-                self._derivs[key] = _room(self._derivs[key], j + 1)
-                self._derivs[key][j] = row
-                built.add(j)
-        return self._derivs[key]
+        missing = [j for j in used if j not in built]
+        if not missing:
+            return rows, ()
+        new, read = self.poly_rows([self.sorted_items(factor_diff(*self._factors[j], *key))
+                                    for j in missing], skip)
+        rows = self._derivs[key] = _room(rows, max(missing) + 1)
+        rows[missing] = new
+        self._raise_peak(new)
+        built.update(j for j, ok in zip(missing, read) if ok)
+        return rows, [j for j, ok in zip(missing, read) if not ok]
+
+    def sorted_items(self, p: Poly) -> list:
+        """``sorted_items(p)``, each monomial's key computed once per table and
+        kept beside its row indices, so a poly read again sorts on stored
+        keys."""
+        if len(p) < 2:
+            return list(p.items())
+        keys = self._keys
+        for mono in p:
+            if mono not in keys:
+                keys[mono] = _mono_key(mono)
+        return sorted(p.items(), key=lambda kv: keys[kv[0]])
 
     def _read(self, item_lists, orders: Mapping[str, int], skip=()):
         """For each list of items, the sum of its monomial rows, and for each
         var in orders the sums of its derivative rows in var up to order
         orders[var], keyed (var, order): one row per list, each summed in the
         order of its items from +0.0, ``ROW_BLOCK`` values of monomial rows
-        at a time. Returns (sums, {key: sums}, read): a list whose value rows
-        raise one of ``skip`` is left at zeros and marked False in read.
+        at a time. Returns (sums, {key: sums}, read): a list whose value or
+        derivative rows raise one of ``skip`` is left at zeros and marked
+        False in read, and the others read as if alone.
 
         A monomial c * f_1 * ... * f_m is carried factor by factor with its
         derivatives by the product rule: at factor f, u'' <- u'' f + 2 u' f'
@@ -1288,7 +1329,17 @@ class FactorTable:
                 spans.append((i, start, len(index)))
         keys = [(var, n) for var, top in orders.items() for n in range(1, top + 1)]
         used = list(dict.fromkeys(chain.from_iterable(index))) if keys else ()
-        derivs = {key: self._derivative_rows(key, used) for key in keys}
+        derivs, failed = {}, set()
+        for key in keys:
+            derivs[key], bad = self._derivative_rows(key, used, skip)
+            failed.update(bad)
+        if failed:
+            # a list whose derivative rows raise one of skip is left unread
+            # too; its monomials are carried in the blocks but never summed
+            for i, a, b in spans:
+                if not failed.isdisjoint(chain.from_iterable(index[a:b])):
+                    read[i] = False
+            spans = [span for span in spans if read[span[0]]]
         size = self._ones.size
         sums = np.zeros((len(read), size))
         jets = {key: np.zeros_like(sums) for key in keys}
@@ -1346,13 +1397,6 @@ class FactorTable:
                     if b <= b1:
                         first += 1
         return sums, jets, read
-
-    def jet_sums(self, items, orders: Mapping[str, int]):
-        """The sum of the items' monomial rows, and for each var in orders the
-        sums of their derivative rows in var up to order orders[var], keyed
-        (var, order): the one-poly case of ``_read``."""
-        sums, jets, _ = self._read((items,), orders)
-        return sums[0], {key: rows[0] for key, rows in jets.items()}
 
     def poly_rows(self, item_lists, skip=()):
         """(rows, read): the sum of each list's monomial rows, in the given

@@ -412,16 +412,16 @@ def test_solve_grid_domain_error_exits_2(runner, tmp_path, monkeypatch):
     prob.write_text("domain = 0, 1\nexact = t^3*x^0.75*(2+x)^(-1)\n"
                     "linear = 2x:0.5, 1x:1.0\n")
     raised = []
-    real = evaluation._derivative_grids
+    real = evaluation._series_grids
 
-    def watched(series, keys, grid):
+    def watched(series_list, keys, grid, skip=()):
         try:
-            return real(series, keys, grid)
+            return real(series_list, keys, grid, skip)
         except PowerDomainError as exc:
             raised.append(exc)
             raise
 
-    monkeypatch.setattr(evaluation, "_derivative_grids", watched)
+    monkeypatch.setattr(evaluation, "_series_grids", watched)
     out = tmp_path / "o"
     for method, through_grid in (("ladm", 1), ("mldm", 0)):
         raised.clear()
@@ -442,11 +442,11 @@ def test_solve_evaluates_each_series_once(runner, tmp_path, monkeypatch):
     # written approx column; the exact solution and the nonlinearity's
     # series coefficient are evaluated once for all records
     seen, specs, traces = [], [], []
-    real_grids, real_spec, real_solve = (evaluation._derivative_grids, cli._build_spec,
+    real_grids, real_spec, real_solve = (evaluation._series_grids, cli._build_spec,
                                          cli.mldm_solve)
-    monkeypatch.setattr(evaluation, "_derivative_grids",
-                        lambda series, keys, grid: seen.append(series)
-                        or real_grids(series, keys, grid))
+    monkeypatch.setattr(evaluation, "_series_grids",
+                        lambda series_list, keys, grid, skip=(): seen.extend(series_list)
+                        or real_grids(series_list, keys, grid, skip))
     monkeypatch.setattr(cli, "_build_spec",
                         lambda *args: specs.append(real_spec(*args)) or specs[-1])
     monkeypatch.setattr(cli, "mldm_solve",

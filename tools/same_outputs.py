@@ -41,7 +41,9 @@ from pathlib import Path
 
 CASES = [["-p", f"p{i}", "-m", "both", "-n", "4", "-a", "0.5,0.75,1.0"]
          for i in range(1, 8)]
+# with the 0.75 of the cases above, every order the benchmark solves
 CASES.append(["-p", "p7", "-m", "ladm", "-n", "8", "-a", "0.73,0.75,0.77"])
+CASES.append(["-p", "p7", "-m", "mldm", "-n", "4", "-a", "0.78,0.79"])
 # the printed source, initial trace and faces: p5's are consistent, p1's
 # source is not and solves only with the override, p4 is the one builtin
 # whose printed initial trace (x^2) is not zero, and p2's are the only
