@@ -19,8 +19,7 @@ import os
 import random
 import tempfile
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,8 +53,7 @@ ANCHOR_TOL = 1e-10
 FLOOR_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     seconds: float

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -88,23 +88,31 @@ class DecompError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearTerm:
+class _Checked:
+    """Base of a record whose ``__new__`` checks its fields: ``_make``, and
+    so ``_replace``, builds through that check too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class LinearTerm(_Checked, namedtuple("LinearTerm", "order var coeff")):
     """coeff * (d^order/d var^order) u; order 0 ignores var."""
 
-    order: int
-    var: str
-    coeff: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.order not in (0, 1, 2):
-            raise DecompError(f"linear term order {self.order} unsupported")
-        if self.var not in ("x", "y"):
-            raise DecompError(f"linear term variable {self.var!r} unsupported")
+    def __new__(cls, order: int, var: str, coeff: float):
+        if order not in (0, 1, 2):
+            raise DecompError(f"linear term order {order} unsupported")
+        if var not in ("x", "y"):
+            raise DecompError(f"linear term variable {var!r} unsupported")
+        return super().__new__(cls, order, var, coeff)
 
 
-@dataclass(frozen=True)
-class LinearOpSpec:
+class LinearOpSpec(NamedTuple):
     terms: Tuple[LinearTerm, ...] = ()
 
     @staticmethod
@@ -127,23 +135,20 @@ class LinearOpSpec:
         return _describe((t.coeff, "", ((t.order, t.var, 1),)) for t in self.terms)
 
 
-@dataclass(frozen=True)
-class NonlinearFactor:
+class NonlinearFactor(_Checked, namedtuple("NonlinearFactor", "order var power")):
     """(d^order/d var^order u)^power inside a product."""
 
-    order: int
-    var: str = "x"
-    power: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.order not in (0, 1, 2):
-            raise DecompError(f"nonlinear factor order {self.order} unsupported")
-        if self.power < 1:
+    def __new__(cls, order: int, var: str = "x", power: int = 1):
+        if order not in (0, 1, 2):
+            raise DecompError(f"nonlinear factor order {order} unsupported")
+        if power < 1:
             raise DecompError("nonlinear factor power must be >= 1")
+        return super().__new__(cls, order, var, power)
 
 
-@dataclass(frozen=True)
-class NonlinearProduct:
+class NonlinearProduct(NamedTuple):
     coeff: float
     factors: Tuple[NonlinearFactor, ...]
     series_coeff: Optional[Series] = None
@@ -152,8 +157,7 @@ class NonlinearProduct:
         return sum(f.power for f in self.factors)
 
 
-@dataclass(frozen=True)
-class NonlinearOpSpec:
+class NonlinearOpSpec(_Checked, namedtuple("NonlinearOpSpec", "products")):
     """Sum of products of spatial derivatives of u, total degree <= 3.
 
     A product may carry a multiplicative Series coefficient; a degree-1
@@ -162,15 +166,16 @@ class NonlinearOpSpec:
     corrected increment (lagged).
     """
 
-    products: Tuple[NonlinearProduct, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.products:
+    def __new__(cls, products: Tuple[NonlinearProduct, ...]):
+        if not products:
             raise DecompError("empty nonlinear operator; use None instead")
-        for p in self.products:
+        for p in products:
             if p.degree() > MAX_NONLINEAR_DEGREE:
                 raise DecompError(
                     f"nonlinearity degree {p.degree()} beyond supported {MAX_NONLINEAR_DEGREE}")
+        return super().__new__(cls, products)
 
     def apply(self, u: Series) -> Series:
         # N(u) is grade 0 of the Adomian bookkeeping with u as the only grade
@@ -224,8 +229,7 @@ def face_geometry(domain, domain_y=None) -> Dict[str, Tuple[str, float]]:
             "bc.y0": ("y", float(domain_y[0])), "bc.y1": ("y", float(domain_y[1]))}
 
 
-@dataclass(frozen=True)
-class BoundaryData:
+class BoundaryData(NamedTuple):
     """Dirichlet data: problem-file key -> Face, in ``face_geometry`` order,
     so the faces pair up as the low and the high end of each axis. A box's
     x-faces are functions of (y, t), its y-faces of (x, t)."""
@@ -450,8 +454,7 @@ def adomian_polys(nonlinear: NonlinearOpSpec, u_list: Sequence[Series]) -> List[
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     """One step of a solve.
 
     ``poly`` is A_n (ladm) or B*_n (mldm), which only u_{n+1} needs: it is
@@ -466,8 +469,7 @@ class IterationRecord:
     seconds: float
 
 
-@dataclass(frozen=True)
-class SolveTrace:
+class SolveTrace(NamedTuple):
     method: str
     alpha: float
     weights: Optional[str]

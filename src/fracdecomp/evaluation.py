@@ -21,9 +21,8 @@ hands it the grids it already holds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,26 +67,29 @@ class QuadratureError(EvalError):
     pass
 
 
-@dataclass(frozen=True)
 class Grid:
     """Uniform evaluation lattice: space points by time points.
 
-    The points are read-only, and the grid owns the factor table its series
-    are read through (``table``), so no table outlives or outgrows its grid.
+    The points are read-only and no field can be assigned, and the grid
+    owns the factor table its series are read through (``table``), so no
+    table outlives or outgrows its grid.
     """
 
-    xs: np.ndarray
-    ys: Optional[np.ndarray]
-    ts: np.ndarray
-
-    def __post_init__(self):
-        for arr, name in ((self.xs, "x"), (self.ys, "y"), (self.ts, "t")):
+    def __init__(self, xs: np.ndarray, ys: Optional[np.ndarray], ts: np.ndarray):
+        for arr, name in ((xs, "x"), (ys, "y"), (ts, "t")):
             if arr is None:
                 continue
             if arr.size < 2:
                 raise EvalError(f"grid needs at least 2 {name}-points, got {arr.size}")
             # the grid's table holds rows read from these points
             arr.flags.writeable = False
+        vars(self).update(xs=xs, ys=ys, ts=ts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
     def table(self) -> FactorTable:
@@ -219,8 +221,7 @@ def _finite(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(NamedTuple):
     """Pointwise |approx - exact| with sup and root-mean-square summaries."""
 
     table: np.ndarray
@@ -375,8 +376,7 @@ def rl_integral_quadrature(f: Callable[[float], float], alpha: float, t: float) 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     method: str
     alpha: float
     iterations: int
@@ -385,9 +385,26 @@ class ConvergenceRow:
     residual: float
     seconds: float
     # the partial sum and the exact solution on the report's grid (exact is
-    # None without one, and every row of a report shares its array)
-    values: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    exact: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    # None without one, and every row of a report shares its array); ==,
+    # hash and repr read only the seven summary fields above
+    values: Optional[np.ndarray] = None
+    exact: Optional[np.ndarray] = None
+
+    def __eq__(self, other):
+        if not isinstance(other, ConvergenceRow):
+            return NotImplemented
+        return self[:-2] == other[:-2]
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self):
+        return hash(self[:-2])
+
+    def __repr__(self):
+        return "ConvergenceRow(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self[:-2])) + ")"
 
 
 def convergence_report(traces: Sequence, spec, grid: Grid) -> List[ConvergenceRow]:

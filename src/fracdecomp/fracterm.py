@@ -37,8 +37,7 @@ product, so its rounding differs from a chain of ``series_mul`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Tuple, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Tuple, Union
 
 from .symx import (
     Expr,
@@ -160,8 +159,7 @@ def gamma(z: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TimeTerm:
+class TimeTerm(NamedTuple):
     """One series term: c(x[, y]) * t^mu with mu >= 0.
 
     ``poly`` is c in symx's multinomial normal form. Series share these dicts,

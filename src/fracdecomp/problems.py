@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .fracterm import Series, caputo, initial_value, series_add, series_equal, \
     series_mul, series_scale, series_substitute
@@ -70,8 +69,7 @@ class ProblemError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(NamedTuple):
     pid: str
     title: str
     dimension: int
@@ -208,8 +206,7 @@ SOURCE_TOL = 1e-9
 DATA_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     pid: str
     alpha: float
     mode: str

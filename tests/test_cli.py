@@ -514,8 +514,10 @@ def test_solve_whose_samples_overflow_raises_no_warning(tmp_path):
 
 
 def test_cli_import_loads_neither_acceptance_nor_scipy():
+    # nor dataclasses: the package's records are NamedTuples, built with no
+    # generated code at import
     code = ("import sys, fracdecomp.cli; "
-            "print(sorted(m for m in ('fracdecomp.acceptance', 'scipy') "
+            "print(sorted(m for m in ('dataclasses', 'fracdecomp.acceptance', 'scipy') "
             "if m in sys.modules))")
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))

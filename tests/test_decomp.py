@@ -1,6 +1,5 @@
 """Boundary correction, decomposition polynomials, and the two solvers."""
 
-import dataclasses
 import hashlib
 import os
 import random
@@ -215,7 +214,7 @@ def test_ladm_grade_n_adomian_matches_all_grades(pid, nonlinear):
     # convolution up to the order in which one grade's products are summed
     spec = builtin(pid, alpha=0.75)
     if nonlinear is not None:
-        spec = dataclasses.replace(spec, nonlinear=nonlinear)
+        spec = spec._replace(nonlinear=nonlinear)
     trace = ladm_solve(spec, 4)
     assert len(trace.records) == 5
     us = [r.u for r in trace.records]
@@ -267,7 +266,7 @@ def test_ladm_keeps_the_inner_grades_of_a_cubic(monkeypatch):
     # u^2 * u_x keeps u^2's grades across steps, as the derivatives are kept:
     # each A_n forms grade n of u^2 and grade n of the product, 12 calls at
     # n = 6, where rebuilding u^2's grades 0..n at every step made 27
-    spec = dataclasses.replace(builtin("p6", alpha=0.75), nonlinear=CUBIC)
+    spec = builtin("p6", alpha=0.75)._replace(nonlinear=CUBIC)
     dots, _ = _grade_calls(monkeypatch, spec, 6)
     assert dots == [g + 1 for g in range(6) for _ in range(2)]
 
@@ -318,7 +317,7 @@ def test_nonlinear_apply_matches_product_by_product(pid, nonlinear, solve):
     # sums grow too fast to take here)
     spec = builtin(pid, alpha=0.75)
     if nonlinear is not None:
-        spec = dataclasses.replace(spec, nonlinear=nonlinear)
+        spec = spec._replace(nonlinear=nonlinear)
     for rec in solve(spec, 3).records:
         u = rec.partial_sum
         assert _bits(spec.nonlinear.apply(u)) == \
@@ -615,7 +614,7 @@ def test_mldm_reduces_to_ladm_without_boundary_defect():
 
 def test_mldm_needs_boundary_data():
     spec = builtin("p6", alpha=1.0)
-    spec = dataclasses.replace(spec, bd=None)
+    spec = spec._replace(bd=None)
     with pytest.raises(DecompError):
         mldm_solve(spec, 1)
 
@@ -638,6 +637,6 @@ def test_mldm_2d_corner_incompatibility():
     gx0, gx1, gy0, gy1 = (face.g for face in spec.bd.faces.values())
     bad = BoundaryData.box(gx0, gx1, gy0, series_add(gy1, Series.of(0.0, 1.0)),
                            spec.domain, spec.domain_y)
-    spec = dataclasses.replace(spec, bd=bad)
+    spec = spec._replace(bd=bad)
     with pytest.raises(DecompError):
         mldm_solve(spec, 1)
