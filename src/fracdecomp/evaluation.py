@@ -9,7 +9,7 @@ row once per grid and sums the rows into each term's values and, for the
 residual's nonlinearity, its spatial derivatives by the product rule, so no
 derivative series is built; this module only scales each term's sums by
 t^mu and checks that they are finite. One grid reader, ``_series_grids``,
-reads many series in one table read (``FactorTable._read``): each term is
+reads many series in one table read (``FactorTable.read``): each term is
 one list of it, sorted on the monomial keys the table keeps. A report reads
 all the partial sums of a trace, with their derivatives, in one such read,
 and each derivative key's missing factor rows take one more read.
@@ -104,10 +104,6 @@ class Grid:
         return state
 
     @property
-    def dimension(self) -> int:
-        return 1 if self.ys is None else 2
-
-    @property
     def shape(self) -> Tuple[int, ...]:
         if self.ys is None:
             return (self.xs.size, self.ts.size)
@@ -132,8 +128,6 @@ def default_grid(spec, nx: int = DEFAULT_NX, ny: int = DEFAULT_NY, nt: int = DEF
     return make_grid(spec.domain, spec.domain_y, nx=nx, ny=ny, nt=nt, tmax=tmax)
 
 
-# overflow is reported once, by _finite, not as a RuntimeWarning per operation
-@np.errstate(all="ignore")
 def evaluate_series_grid(series: Series, grid: Grid) -> np.ndarray:
     """Dense evaluation, shape (nx, nt) or (nx, ny, nt).
 
@@ -162,6 +156,8 @@ def _derivative_grids(series: Series, keys, grid: Grid) -> Dict[Tuple[int, str],
     return _checked(_series_grids([series], keys, grid)[0])
 
 
+# the t^mu scaling may overflow past the table's read too: overflow is
+# reported once, by _finite, not as a RuntimeWarning per operation
 @np.errstate(all="ignore")
 def _series_grids(series_list: Sequence[Series], keys, grid: Grid,
                   skip=()) -> List[Optional[Dict[Tuple[int, str], np.ndarray]]]:
@@ -170,7 +166,7 @@ def _series_grids(series_list: Sequence[Series], keys, grid: Grid,
     one read of the grid's factor table (``Grid.table``).
 
     Every term of every series is one list of that read
-    (``symx.FactorTable._read``, which carries each monomial's derivatives
+    (``symx.FactorTable.read``, which carries each monomial's derivatives
     by the product rule), in the table's ``sorted_items`` order, asked for
     no derivative past the highest order a key takes in each var. A list
     sums the same bits read alone or with others, so each term's sums are
@@ -184,8 +180,8 @@ def _series_grids(series_list: Sequence[Series], keys, grid: Grid,
             orders[var] = max(orders.get(var, 0), order)
     table = grid.table
     terms = [term for series in series_list for term in series.terms]
-    sums, jets, read = table._read([table.sorted_items(term.poly) for term in terms],
-                                   orders, skip)
+    sums, jets, read = table.read([table.sorted_items(term.poly) for term in terms],
+                                  orders, skip)
     space = table.space_shape
     out: List[Optional[Dict[Tuple[int, str], np.ndarray]]] = []
     end = 0

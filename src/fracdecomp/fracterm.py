@@ -9,7 +9,9 @@ the Riemann-Liouville integral I^alpha and (for the residual check) the
 Caputo derivative of order 0 < alpha <= 1. Both fractional operators act
 termwise through the power rule, so the Laplace round trip
 L^{-1}{s^{-alpha} L{.}} is realized exactly as I^alpha with no transform
-objects. All gamma factors come from the Lanczos evaluator below.
+objects. Each gamma ratio of the power rule comes from the Lanczos
+evaluator below (``_gamma_ratio``), and through ``math.lgamma`` only where a
+Lanczos factor overflows a float.
 
 Each term keeps its coefficient c_k as a symx normal-form poly, so the ring,
 spatial and fractional operations, boundary substitution, the initial trace

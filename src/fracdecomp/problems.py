@@ -367,10 +367,19 @@ def _file_number(name: str, key: str, text: str) -> float:
 
 
 def _parse_interval(name: str, key: str, text: str) -> Tuple[float, float]:
+    """Two finite ends, distinct and with a finite width, else an error that
+    names the file and key."""
     bits = [b.strip() for b in text.split(",")]
     if len(bits) != 2:
         raise ProblemError(f"{name}: {key}: bad interval {text!r}; expected 'lo, hi'")
-    return tuple(_file_number(name, key, b) for b in bits)
+    lo, hi = (_file_number(name, key, b) for b in bits)
+    if lo == hi:
+        raise ProblemError(f"{name}: {key}: interval {text!r} has equal ends")
+    # the grid's points and the boundary weights divide by the width
+    if not math.isfinite(hi - lo):
+        raise ProblemError(f"{name}: {key}: the width of interval {text!r} "
+                           "overflows a float")
+    return lo, hi
 
 
 def _parse_fields(name: str, text: str) -> Dict[str, str]:

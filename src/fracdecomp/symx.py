@@ -28,11 +28,15 @@ kernel.
 Polys are read numerically through a factor table, ``FactorTable``: a
 row of values per factor (atom, k) on the points of an env and, on request,
 rows of its first and second x or y derivatives (from ``factor_diff``),
-each kept under a row index. One read, ``FactorTable._read``, takes many
-polys at once: a block of monomials gathers its factors' rows by index,
-multiplies them into monomial rows, carrying the derivatives by the product
-rule, and sums each poly's rows in the caller's order from +0.0, so a poly
-sums the same bits read alone or with others; no row helper is exported.
+each kept under a row index. ``FactorTable.read`` is the table's one entry
+point. It takes many polys at once: a block of monomials gathers its
+factors' rows by index, multiplies them into monomial rows, carrying the
+derivatives by the product rule, and sums each poly's rows in the caller's
+order from +0.0, so a poly sums the same bits read alone or with others; no
+row helper is exported. Every read runs under one overflow policy, a single
+``np.errstate(all="ignore")``: a value that overflows is an inf or nan
+sample, which its caller judges (not zero, not close, not finite on the
+grid), and never a RuntimeWarning.
 A read builds the derivative rows it lacks with one more read per
 derivative key, of all their ``factor_diff`` polys at once, and a table
 keeps each monomial's ``sorted_items`` key beside its row indices
@@ -49,10 +53,9 @@ reads all the partial sums of a trace at once.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from itertools import chain
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -1152,9 +1155,6 @@ def poly_substitute(p: Poly, name: str, value: float) -> Poly:
 # Values per block of monomial rows (8 bytes each).
 ROW_BLOCK = 1 << 16
 
-# the context of a read whose products cannot overflow
-_UNGUARDED = contextlib.nullcontext()
-
 
 def _add_rows(running, rows: np.ndarray) -> np.ndarray:
     """running + rows[0] + rows[1] + ..., in order from +0.0 (rows alone for
@@ -1191,14 +1191,14 @@ class FactorTable:
     row is built, and each monomial met is kept as the row indices of its
     factors and, once sorted, its ``sorted_items`` key (``sorted_items``),
     so a table grows with the distinct factors and monomials it reads. One
-    read (``_read``) serves every caller. It takes many polys at once, and a
+    read (``read``) serves every caller. It takes many polys at once, and a
     block of monomials gathers its factors' rows by index, so the zero check
-    decides every new term of a canonicalization in one read
-    (``poly_rows``), and a report reads every partial sum of a trace, with
-    its derivatives, in one. The derivative rows a read lacks are built by
-    one nested read per derivative key (``_derivative_rows``). A table lives
-    as long as its env: the zero check keeps one for the life of the
-    process, and a ``Grid`` owns one for its space grid.
+    decides every new term of a canonicalization in one read, and a report
+    reads every partial sum of a trace, with its derivatives, in one. The
+    derivative rows a read lacks are built by one nested read per
+    derivative key (``_derivative_rows``). A table lives as long as its env:
+    the zero check keeps one for the life of the process, and a ``Grid``
+    owns one for its space grid.
     """
 
     def __init__(self, env: Mapping[str, EnvValue]):
@@ -1221,26 +1221,14 @@ class FactorTable:
         self._monos: Dict[Mono, Tuple[int, ...]] = {}
         self._keys: Dict[Mono, tuple] = {}
         self._atoms: Dict[Expr, np.ndarray] = {}
-        # the largest |value| in any row built, ones and zeros included; a
-        # nan row makes it nan for good
-        self._peak = 1.0
 
-    # an atom that overflows gives inf, which the caller judges (not zero,
-    # not close, not finite on the grid), not a RuntimeWarning
-    @np.errstate(all="ignore")
     def _value_row(self, atom: Expr, k: float) -> np.ndarray:
         v = self._atoms.get(atom)
         if v is None:
             v = self._atoms[atom] = np.asarray(evaluate(atom, self._env), dtype=float)
         if k != 1.0:
             v = _pow_value(v, k)
-        self._raise_peak(v)
         return np.broadcast_to(v, self.space_shape).reshape(-1)
-
-    def _raise_peak(self, row: np.ndarray) -> None:
-        top = float(np.abs(row).max(initial=0.0))
-        if not top <= self._peak:
-            self._peak = top
 
     def _slot(self, factor: Tuple[Expr, float]) -> int:
         """The row index of a factor, its value row built if missing."""
@@ -1267,11 +1255,10 @@ class FactorTable:
         missing = [j for j in used if j not in built]
         if not missing:
             return rows, ()
-        new, read = self.poly_rows([self.sorted_items(factor_diff(*self._factors[j], *key))
-                                    for j in missing], skip)
+        new, _, read = self.read([self.sorted_items(factor_diff(*self._factors[j], *key))
+                                  for j in missing], skip=skip)
         rows = self._derivs[key] = _room(rows, max(missing) + 1)
         rows[missing] = new
-        self._raise_peak(new)
         built.update(j for j, ok in zip(missing, read) if ok)
         return rows, [j for j, ok in zip(missing, read) if not ok]
 
@@ -1287,14 +1274,17 @@ class FactorTable:
                 keys[mono] = _mono_key(mono)
         return sorted(p.items(), key=lambda kv: keys[kv[0]])
 
-    def _read(self, item_lists, orders: Mapping[str, int], skip=()):
+    # the one overflow policy: an overflow is an inf or nan sample, not a warning
+    @np.errstate(all="ignore")
+    def read(self, item_lists, orders: Optional[Mapping[str, int]] = None, skip=()):
         """For each list of items, the sum of its monomial rows, and for each
         var in orders the sums of its derivative rows in var up to order
         orders[var], keyed (var, order): one row per list, each summed in the
-        order of its items from +0.0, ``ROW_BLOCK`` values of monomial rows
-        at a time. Returns (sums, {key: sums}, read): a list whose value or
-        derivative rows raise one of ``skip`` is left at zeros and marked
-        False in read, and the others read as if alone.
+        order of its items from +0.0 (zeros for no items), ``ROW_BLOCK``
+        values of monomial rows at a time. Returns (sums, {key: sums},
+        read): a list whose value or derivative rows raise one of ``skip``
+        is left at zeros and marked False in read, and the others read as if
+        alone. The table's one read.
 
         A monomial c * f_1 * ... * f_m is carried factor by factor with its
         derivatives by the product rule: at factor f, u'' <- u'' f + 2 u' f'
@@ -1306,6 +1296,7 @@ class FactorTable:
         its own slice of a block, one running sum across blocks, so a list
         sums the same bits read alone or with others.
         """
+        orders = orders or {}
         monos = self._monos
         index: List[Tuple[int, ...]] = []
         coeffs: List[float] = []
@@ -1352,70 +1343,48 @@ class FactorTable:
         cols = np.zeros((len(index), width), dtype=np.intp)
         cols[np.arange(width) < lens[:, None]] = np.fromiter(
             chain.from_iterable(index), dtype=np.intp, count=int(lens.sum()))
-        # with every row value at most P in size, the m factors of c * f_1 *
-        # ... * f_m carry |u| <= |c| P^m and |u'|, |u''| <= m^2 |c| P^m, so
-        # every running sum stays below bound; only a read whose bound nears
-        # the float range pays for np.errstate
-        bound = sum(map(abs, coeffs)) * width * width
-        for _ in range(width):
-            bound *= self._peak   # a float product overflows to inf, never raises
         c_all = np.array(coeffs, dtype=float)[:, None]
         block = max(1, ROW_BLOCK // size)
         first = 0   # the first span not summed to its end
-        with (_UNGUARDED if bound < 1e300 else
-              np.errstate(over="ignore", invalid="ignore")):
-            for b0 in range(0, len(index), block):
-                b1 = b0 + block
-                cb = cols[b0:b1]
-                c = c_all[b0:b1]
-                # u = c * f_1, formed in the gathered rows (a product commutes
-                # bit for bit), so a block holds one copy of its rows
-                u = values[cb[:, 0]]
-                u *= c
-                jet = {key: derivs[key][cb[:, 0]] for key in keys}
-                for rows in jet.values():
-                    rows *= c
-                for j in range(1, max(1, int(lens[b0:b1].max()))):
-                    col = cb[:, j]
-                    f = values[col]
-                    for var, top in orders.items():
-                        d1 = derivs[var, 1][col]
-                        if top == 2:
-                            jet[var, 2] = (jet[var, 2] * f + 2.0 * jet[var, 1] * d1
-                                           + u * derivs[var, 2][col])
-                        jet[var, 1] = jet[var, 1] * f + u * d1
-                    u *= f
-                for i, a, b in spans[first:]:
-                    if a >= b1:
-                        break
-                    part = slice(max(a, b0) - b0, min(b, b1) - b0)
-                    resumed = a < b0
-                    sums[i] = _add_rows(sums[i] if resumed else None, u[part])
-                    for key in keys:
-                        jets[key][i] = _add_rows(jets[key][i] if resumed else None,
-                                                 jet[key][part])
-                    if b <= b1:
-                        first += 1
+        for b0 in range(0, len(index), block):
+            b1 = b0 + block
+            cb = cols[b0:b1]
+            c = c_all[b0:b1]
+            # u = c * f_1, formed in the gathered rows (a product commutes
+            # bit for bit), so a block holds one copy of its rows
+            u = values[cb[:, 0]]
+            u *= c
+            jet = {key: derivs[key][cb[:, 0]] for key in keys}
+            for rows in jet.values():
+                rows *= c
+            for j in range(1, max(1, int(lens[b0:b1].max()))):
+                col = cb[:, j]
+                f = values[col]
+                for var, top in orders.items():
+                    d1 = derivs[var, 1][col]
+                    if top == 2:
+                        jet[var, 2] = (jet[var, 2] * f + 2.0 * jet[var, 1] * d1
+                                       + u * derivs[var, 2][col])
+                    jet[var, 1] = jet[var, 1] * f + u * d1
+                u *= f
+            for i, a, b in spans[first:]:
+                if a >= b1:
+                    break
+                part = slice(max(a, b0) - b0, min(b, b1) - b0)
+                resumed = a < b0
+                sums[i] = _add_rows(sums[i] if resumed else None, u[part])
+                for key in keys:
+                    jets[key][i] = _add_rows(jets[key][i] if resumed else None,
+                                             jet[key][part])
+                if b <= b1:
+                    first += 1
         return sums, jets, read
-
-    def poly_rows(self, item_lists, skip=()):
-        """(rows, read): the sum of each list's monomial rows, in the given
-        order, from +0.0, one row per list of one read (``_read``), and
-        whether it was read: a list whose value rows raise one of ``skip``
-        is left at zeros and marked False, the others read as if alone."""
-        sums, _, read = self._read(item_lists, {}, skip)
-        return sums, read
-
-    def poly_row(self, items) -> np.ndarray:
-        """The sum of the items' monomial rows, in the given order, from +0.0;
-        ``zeros`` for no items."""
-        return self._read((items,), {})[0][0]
 
     def close(self, a: Poly, b: Poly, tol: float) -> bool:
         """True iff |a - b| <= tol * (1 + |a|) at every point, each poly summed
         in ``sorted_items`` order, as ``evaluate(expr_of_poly(p))`` sums it.
         A sample that is not finite is close to nothing."""
-        (va, vb), _ = self.poly_rows((sorted_items(a), sorted_items(b)))
+        (va, vb), _, _ = self.read((sorted_items(a), sorted_items(b)))
         # an infinite va passes the bound (inf <= inf), so it is refused apart
         with np.errstate(over="ignore", invalid="ignore"):
             return bool(np.all((np.abs(va - vb) <= tol * (1.0 + np.abs(va)))
@@ -1480,7 +1449,7 @@ def is_zero_expr(p: Poly) -> bool:
 
 def zero_decisions(polys: Sequence[Poly]) -> List[bool]:
     """``is_zero_expr`` of each poly, deciding all the sampled ones from one
-    read of the zero-check table (``FactorTable.poly_rows``), which sums each
+    read of the zero-check table (``FactorTable.read``), which sums each
     poly's rows as a read of it alone does. The empty poly is zero, and a
     constant is decided by |c| <= 1e-12 with no read."""
     out: List[bool] = []
@@ -1493,21 +1462,14 @@ def zero_decisions(polys: Sequence[Poly]) -> List[bool]:
             if p:
                 sampled.append(len(out) - 1)
     if sampled:
-        rows, read = _ZERO_CHECK.poly_rows([polys[i].items() for i in sampled],
-                                           skip=PowerDomainError)
+        rows, _, read = _ZERO_CHECK.read([polys[i].items() for i in sampled],
+                                         skip=PowerDomainError)
         v = np.abs(rows)
         # inf <= 1e-12 * (1 + inf) holds, so an infinite sample is refused apart
         small = np.all((v <= ZERO_COEFF_TOL * (1.0 + v)) & (v < math.inf), axis=1)
         for i, ok, zero in zip(sampled, read, small.tolist()):
             out[i] = ok and zero
     return out
-
-
-def _zero_check_samples(p: Poly) -> np.ndarray:
-    """The values of p on the zero-check points, its rows summed in dict
-    order from +0.0, so every bit, down to the sign of a zero, matches a
-    monomial-by-monomial loop: the one-poly case of the zero-check read."""
-    return _ZERO_CHECK.poly_rows((p.items(),))[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Reads of many polys at once, against the one-poly reads they batch.
 
 ``symx.zero_decisions`` decides every new term of a canonicalization from one
-read of the zero-check table; ``is_zero_expr`` and ``_zero_check_samples``
+read of the zero-check table; ``is_zero_expr`` and a read of one poly
 are its one-poly case, checked bit for bit against a monomial loop in
 ``test_symx_batched.py`` and ``test_poly_reads.py``. Negation keeps each
 term's decision. Each ``Grid`` owns one factor table on its space grid.
@@ -50,21 +50,21 @@ def test_bulk_zero_decisions_match_the_one_poly_check(pid, monkeypatch):
     # the bulk decision is the one-poly decision, and the row the bulk read
     # summed is the one-poly read's and the monomial loop's, bit for bit
     batches, reads = [], []
-    decide, read_rows = fracterm.zero_decisions, symx._ZERO_CHECK.poly_rows
+    decide, read_rows = fracterm.zero_decisions, symx._ZERO_CHECK.read
 
     def recording_decide(polys):
         got = decide(polys)
         batches.append((list(polys), got))
         return got
 
-    def recording_read(item_lists, skip=()):
+    def recording_read(item_lists, orders=None, skip=()):
         item_lists = [list(items) for items in item_lists]
-        rows, read = read_rows(item_lists, skip)
+        rows, jets, read = read_rows(item_lists, orders, skip)
         reads.append((item_lists, rows.copy(), read))
-        return rows, read
+        return rows, jets, read
 
     monkeypatch.setattr(fracterm, "zero_decisions", recording_decide)
-    monkeypatch.setattr(symx._ZERO_CHECK, "poly_rows", recording_read)
+    monkeypatch.setattr(symx._ZERO_CHECK, "read", recording_read)
     for alpha in (0.5, 0.75, 1.0):
         spec = builtin(pid, alpha)
         for solve in (ladm_solve, mldm_solve):
@@ -84,9 +84,9 @@ def test_bulk_zero_decisions_match_the_one_poly_check(pid, monkeypatch):
             p = dict(items)
             if not ok:
                 with pytest.raises(PowerDomainError):
-                    symx._zero_check_samples(p)
+                    symx._ZERO_CHECK.read((p.items(),))
                 continue
-            assert row.tobytes() == symx._zero_check_samples(p).tobytes()
+            assert row.tobytes() == symx._ZERO_CHECK.read((p.items(),))[0][0].tobytes()
             assert row.tobytes() == _reference_zero_samples(p).tobytes()
             sampled += 1
     assert decided >= 20 and sampled >= 20
@@ -105,8 +105,8 @@ def test_one_batch_decides_each_poly_as_if_alone():
         warnings.simplefilter("error")
         got = symx.zero_decisions(batch)
         alone = [symx.is_zero_expr(p) for p in batch]
-        rows, read = symx._ZERO_CHECK.poly_rows([p.items() for p in batch],
-                                                skip=PowerDomainError)
+        rows, _, read = symx._ZERO_CHECK.read([p.items() for p in batch],
+                                              skip=PowerDomainError)
     assert got == alone == [False, False, True]
     assert read == [True, False, True]
     assert not np.isfinite(rows[0]).all()
@@ -125,7 +125,7 @@ def test_a_batch_longer_than_a_block_continues_each_sum(monkeypatch):
     want = [_reference_zero_samples(p).tobytes() for p in polys]
     for rows_per_block in (1, 3, 1000):
         monkeypatch.setattr(symx, "ROW_BLOCK", rows_per_block * symx.SAMPLES)
-        rows, read = symx._ZERO_CHECK.poly_rows([p.items() for p in polys])
+        rows, _, read = symx._ZERO_CHECK.read([p.items() for p in polys])
         assert all(read) and [r.tobytes() for r in rows] == want
 
 

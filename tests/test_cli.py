@@ -513,6 +513,32 @@ def test_solve_whose_samples_overflow_raises_no_warning(tmp_path):
                 "the values overflow a float"]
 
 
+def test_solve_refuses_an_interval_with_equal_ends_or_an_infinite_width(tmp_path):
+    # a width that overflows once warned in the grid's linspace and ended in
+    # "series is not finite"; equal ends once solved with ladm on one x point
+    # repeated, and mldm refused them naming no file. Both methods now exit 2
+    # with one line naming the file and key, and with RuntimeWarning as an
+    # error nothing warns first
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    files = {"wide.txt": ("domain = -1e308, 1e308\nexact = t*x\n",
+                          "wide.txt: domain: the width of interval '-1e308, 1e308' "
+                          "overflows a float"),
+             "flat.txt": ("domain = 1, 1\nexact = t*x\n",
+                          "flat.txt: domain: interval '1, 1' has equal ends")}
+    for name, (text, line) in files.items():
+        (tmp_path / name).write_text(text)
+        for method in ("ladm", "mldm"):
+            out = tmp_path / f"o_{name}_{method}"
+            r = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                                "fracdecomp.cli", "solve", "-f", str(tmp_path / name),
+                                "-m", method, "-o", str(out)],
+                               env=env, capture_output=True, text=True, timeout=120)
+            assert r.returncode == 2, (name, method, r.stderr)
+            assert r.stderr.strip().splitlines() == [line], (name, method)
+            assert not out.exists()
+
+
 def test_cli_import_loads_neither_acceptance_nor_scipy():
     # nor dataclasses: the package's records are NamedTuples, built with no
     # generated code at import

@@ -208,7 +208,7 @@ def _monomial_scale(series, grid):
                         {"x": grid.xs[:, None], "y": grid.ys[None, :]})
     out = np.zeros(grid.shape)
     for term in series.terms:
-        r = sum(np.abs(table.poly_row([item])) for item in term.poly.items())
+        r = sum(np.abs(table.read(([item],))[0][0]) for item in term.poly.items())
         out += r.reshape(table.space_shape)[..., None] * np.power(grid.ts, term.mu)
     return float(out.max())
 

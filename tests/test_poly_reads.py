@@ -334,12 +334,12 @@ def test_sampled_reads_match_tree_evaluation_on_the_corpus(pid):
         table = symx.FactorTable(env)
         for name, s in named:
             for term in s.terms:
-                got = table.poly_row(symx.sorted_items(term.poly))
+                (got,), _, _ = table.read((symx.sorted_items(term.poly),))
                 want = np.broadcast_to(np.asarray(
                     evaluate(expr_of_poly(term.poly), env), dtype=float), got.shape)
                 where = (spec.pid, spec.mode, spec.alpha, name, term.mu)
                 assert np.abs(got).tobytes() == np.abs(want).tobytes(), where
-                zero = symx._zero_check_samples(term.poly)
+                (zero,), _, _ = symx._ZERO_CHECK.read((term.poly.items(),))
                 assert zero.tobytes() == _reference_zero_samples(term.poly).tobytes(), where
                 polys += 1
         # the decisions of the consistency audit, and of each partial sum

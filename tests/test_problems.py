@@ -412,6 +412,22 @@ def test_load_problem_file_missing_fields(tmp_path):
     assert "exact" in str(err.value) or "source" in str(err.value)
 
 
+def test_load_problem_file_bad_interval_names_its_key(tmp_path):
+    # equal ends, or a width past the float range, in either axis; a reversed
+    # interval of finite width is still read as given
+    p = tmp_path / "bad.txt"
+    for domain, domain_y, key in (("2, 2", "0, 1", "domain"),
+                                  ("0, 1", "-0.0, 0.0", "domain_y"),
+                                  ("0, 1", "1.7e308, -1.7e308", "domain_y")):
+        p.write_text(f"alpha = 0.5\ndomain = {domain}\ndomain_y = {domain_y}\n"
+                     "exact = t*x*y\n")
+        with pytest.raises(ProblemError) as err:
+            load_problem_file(p)
+        assert str(err.value).startswith(f"bad.txt: {key}: "), str(err.value)
+    p.write_text("alpha = 0.5\ndomain = 1, 0\nexact = t*x\n")
+    assert load_problem_file(p).domain == (1.0, 0.0)
+
+
 def test_load_problem_file_bad_alpha(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("alpha = 1.4\ndomain = 0, 1\nexact = t*x\n")

@@ -152,36 +152,27 @@ def test_zero_check_never_calls_a_non_finite_sample_zero():
     assert is_zero_expr(poly_of(Const(1e-9) * X)) is False
 
 
-def test_only_a_read_that_can_overflow_enters_errstate(monkeypatch):
-    # the overflow guard costs a read np.errstate only where the bound on its
-    # products nears the float range; ordinary reads take the plain loop
-    entered = []
-    real = np.errstate
-    monkeypatch.setattr(symx.np, "errstate", lambda **kw: entered.append(kw) or real(**kw))
+def test_a_read_that_overflows_warns_nothing():
+    # every read runs under one overflow policy: a product that overflows is
+    # an inf sample, with the bits of a plain loop, and never a RuntimeWarning
     table = FactorTable(sample_points((0.0, 2.0)))
-    plain = poly_of(Const(2.5e24) * Sin(Const(6.0) * X) * Pow(X, 3.0) + Const(-7.0) * X)
-    table._read((sorted_items(plain),), {"x": 2})
-    assert entered == []
     big = poly_of(Const(1e300) * Pow(X, 200.0) + X)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        (value,), jets, _ = table._read((sorted_items(big),), {"x": 2})
-    assert len(entered) == 1
-    # the bits are the unguarded loop's: products that overflow are inf
+        (value,), jets, _ = table.read((sorted_items(big),), {"x": 2})
     xs = sample_points((0.0, 2.0))["x"]
-    with real(over="ignore"):
+    with np.errstate(over="ignore"):
         want = (1e300 * xs ** 200.0 + xs, 1e300 * (200.0 * xs ** 199.0) + 1.0,
                 1e300 * (39800.0 * xs ** 198.0))
     assert np.isinf(want[0]).any() and np.isfinite(want[0]).any()
     assert np.array_equal(value, want[0])
     assert np.array_equal(jets["x", 1][0], want[1]) and np.array_equal(jets["x", 2][0], want[2])
-    # a bound on one factor at a time misses a product: 1e200 * x^150 and
-    # exp(100 x) are finite on (0, 2), 1e200 * x^150 * exp(100 x) is not
+    # 1e200 * x^150 and exp(100 x) are finite on (0, 2), their product is not
     two = poly_of(Const(1e200) * Pow(X, 150.0) * Exp(Const(100.0) * X))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        row = FactorTable(sample_points((0.0, 2.0))).poly_row(sorted_items(two))
-    assert len(entered) == 2 and np.isinf(row).any() and np.isfinite(row).any()
+        (row,), _, _ = FactorTable(sample_points((0.0, 2.0))).read((sorted_items(two),))
+    assert np.isinf(row).any() and np.isfinite(row).any()
 
 
 def test_folding_a_constant_that_overflows_names_the_function():

@@ -116,12 +116,23 @@ nonlinear = 0.5*u^2*u_x
 """
 CUBIC_POLY_ARGS = ["-m", "ladm", "-n", "3", "-a", "0.5,1.0"]
 
+# 1e300*x^200 overflows on the zero-check box (0, 2), so its zero checks
+# read inf samples, and its grid values and derivatives near the float range
+# at x = 1; the solve still writes its files. It is the (0, 1) file of
+# test_solve_whose_samples_overflow_raises_no_warning in tests/test_cli.py.
+OVERFLOW_FILE = """\
+domain = 0, 1
+exact = 1e300*t*x^200
+"""
+OVERFLOW_ARGS = ["-m", "both", "-n", "2", "-a", "0.5,1.0"]
+
 # The 2D file once more with a worker pool: each job's spec and grid then
 # reach a worker pickled, brace coefficient and cubic included.
 FILE_CASES = (("cubic2d.txt", TWO_D_FILE, TWO_D_ARGS), ("trig.txt", TRIG_FILE, TRIG_ARGS),
               ("pole.txt", POLE_FILE, POLE_ARGS),
               ("cubic_trig.txt", CUBIC_TRIG_FILE, CUBIC_TRIG_ARGS),
               ("cubic_poly.txt", CUBIC_POLY_FILE, CUBIC_POLY_ARGS),
+              ("overflow.txt", OVERFLOW_FILE, OVERFLOW_ARGS),
               ("cubic2d.txt", TWO_D_FILE, TWO_D_ARGS + ["-j", "2"]))
 
 FILES = ("points.csv", "plot.dat", "summary.csv")
