@@ -231,8 +231,18 @@ def grid_error(approx: Series, exact: Series, grid: Grid) -> ErrorReport:
 
 
 def _norms(table: np.ndarray) -> Tuple[float, float]:
-    """Sup and root-mean-square of a table of absolute errors."""
-    return float(table.max()), float(math.sqrt(float(np.mean(table ** 2))))
+    """Sup and root-mean-square of a table of absolute errors.
+
+    The squares are taken of the table scaled by a power of two near its
+    sup, so a finite table past 1e154 has a finite root-mean-square; the
+    scaling is exact, so the value is the unscaled one wherever that is
+    finite. A zero table has norms 0, and one holding an inf or a nan has its
+    sup for both."""
+    top = float(table.max())
+    if top == 0.0 or not math.isfinite(top):
+        return top, top
+    scale = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    return top, scale * math.sqrt(float(np.mean((table / scale) ** 2)))
 
 
 def _within_caps(series: Series, approx: Series) -> Series:

@@ -9,9 +9,9 @@ the Riemann-Liouville integral I^alpha and (for the residual check) the
 Caputo derivative of order 0 < alpha <= 1. Both fractional operators act
 termwise through the power rule, so the Laplace round trip
 L^{-1}{s^{-alpha} L{.}} is realized exactly as I^alpha with no transform
-objects. Each gamma ratio of the power rule comes from the Lanczos
-evaluator below (``_gamma_ratio``), and through ``math.lgamma`` only where a
-Lanczos factor overflows a float.
+objects. Each gamma ratio of the power rule is a quotient of the standard
+library's values (``_gamma_ratio``), and goes through ``math.lgamma`` only
+where Gamma overflows a float.
 
 Each term keeps its coefficient c_k as a symx normal-form poly, so the ring,
 spatial and fractional operations, boundary substitution, the initial trace
@@ -68,8 +68,6 @@ __all__ = [
     "SeriesError",
     "CaputoRangeError",
     "gamma",
-    "LANCZOS_G",
-    "LANCZOS_COEFFS",
     "TimeTerm",
     "Series",
     "MAX_TERMS",
@@ -94,7 +92,7 @@ MU_MERGE_TOL = 1e-12
 # CLI solve, verify and the residual -- is held to the same pair. A series
 # that would outgrow them is cut at the high end and marked ``truncated``.
 # The deepest builtin solves measured (four iterations, both methods) hold
-# under 30 terms with exponents below 100; ``gamma`` overflows past mu ~ 141,
+# under 30 terms with exponents below 100; ``gamma`` overflows past mu ~ 170.6,
 # where the power rule's ratio goes through ``math.lgamma`` instead, so
 # MAX_MU is a bound on growth, not a working range.
 MAX_TERMS = 8192
@@ -117,43 +115,16 @@ class CaputoRangeError(SeriesError):
     """A term's exponent falls in (0, alpha): the result would need t^(mu-alpha) < t^0."""
 
 
-# ---------------------------------------------------------------------------
-# Gamma: Lanczos approximation, g = 7 with 9 coefficients (double precision).
-# Relative error stays below 1e-13 on (0.5, 20]; arguments < 0.5 go through
-# the reflection formula. Poles at 0, -1, -2, ... raise.
-# ---------------------------------------------------------------------------
-
-LANCZOS_G = 7.0
-LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-
 def gamma(z: float) -> float:
+    """The standard library's Gamma. A nan or infinite argument, and a pole
+    at 0, -1, -2, ..., raise a ``GammaError``; past z ~ 171.6 ``math.gamma``
+    raises ``OverflowError``."""
     z = float(z)
-    if z != z:
-        raise GammaError("gamma of nan")
+    if not math.isfinite(z):
+        raise GammaError(f"gamma of {z}")
     if z <= 0.0 and z == math.floor(z):
         raise GammaPoleError(f"gamma pole at non-positive integer {z}")
-    if z < 0.5:
-        # Reflection: gamma(z) gamma(1-z) = pi / sin(pi z).
-        return math.pi / (math.sin(math.pi * z) * gamma(1.0 - z))
-    w = z - 1.0
-    acc = LANCZOS_COEFFS[0]
-    for i in range(1, len(LANCZOS_COEFFS)):
-        acc += LANCZOS_COEFFS[i] / (w + i)
-    s = w + LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * s ** (w + 0.5) * math.exp(-s) * acc
+    return math.gamma(z)
 
 
 # ---------------------------------------------------------------------------
@@ -397,16 +368,12 @@ def series_substitute(a: Series, name: str, value: float) -> Series:
 
 
 def _gamma_ratio(a: float, b: float) -> float:
-    """Gamma(a)/Gamma(b) for a, b > 0; through ``math.lgamma`` only where a
-    Lanczos factor overflows a float, so every finite ratio is unchanged.
-    ``gamma`` returns inf on z in about (142.22, 142.37) and raises past it."""
+    """Gamma(a)/Gamma(b) for a, b > 0; through ``math.lgamma`` only where
+    ``gamma`` overflows a float, past z ~ 171.6."""
     try:
-        num, den = gamma(a), gamma(b)
+        return gamma(a) / gamma(b)
     except OverflowError:
-        num = den = math.inf
-    if math.isinf(num) or math.isinf(den):
         return math.exp(math.lgamma(a) - math.lgamma(b))
-    return num / den
 
 
 def frac_integral(a: Series, alpha: float) -> Series:

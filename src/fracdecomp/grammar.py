@@ -177,20 +177,12 @@ class _Parser:
         if not isinstance(arg, Const):
             raise GrammarError("gamma(...) needs a constant argument", pos, self.text)
         try:
-            value = fracterm.gamma(arg.value)
+            return fracterm.gamma(arg.value)
         except fracterm.GammaError as exc:
             raise GrammarError(str(exc), pos, self.text) from None
         except OverflowError:
-            value = math.inf
-        if math.isinf(value) or value == 0.0:
-            # the Lanczos form overflows past z ~ 142.2 long before Gamma does,
-            # and its reflection then gives 0 or overflows past z ~ -141.2
-            try:
-                value = math.gamma(arg.value)
-            except OverflowError:
-                raise GrammarError(f"gamma({arg.value:g}) overflows a float",
-                                   pos, self.text) from None
-        return value
+            raise GrammarError(f"gamma({arg.value:g}) overflows a float",
+                               pos, self.text) from None
 
     def led(self, tok: _Token, left: Expr) -> Expr:
         if tok.kind == "+":

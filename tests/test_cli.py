@@ -1,6 +1,7 @@
 """Command line contract: exit codes, file outputs, determinism."""
 
 import concurrent.futures
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,6 @@ import pytest
 
 import fracdecomp.cli as cli
 import fracdecomp.evaluation as evaluation
-import fracdecomp.fracterm as ft
 from fracdecomp.cli import main
 from fracdecomp.symx import PowerDomainError
 from test_evaluation import TWO_D_FILE
@@ -232,7 +232,7 @@ def test_solve_out_precedence_flag_env_config_default(runner, tmp_path, monkeypa
 
 
 def test_solve_p6_past_the_gamma_overflow(runner, tmp_path):
-    # mldm's fifth iterate reaches exponents where the Lanczos gamma overflows
+    # mldm's fifth iterate reaches exponents where Gamma overflows a float
     out = tmp_path / "run"
     r = runner.invoke(main, ["solve", "-p", "p6", "-n", "5", "--out", str(out)])
     assert r.exit_code == 0, r.output
@@ -241,9 +241,9 @@ def test_solve_p6_past_the_gamma_overflow(runner, tmp_path):
     assert float(rows[-1][3]) < 1e-5 and float(rows[-1][5]) < 1e-4
 
 
-def test_solve_folds_gamma_past_the_lanczos_overflow(runner, tmp_path):
-    # gamma(150) and gamma(142.3) are finite though the Lanczos form
-    # overflows there (gamma(200) is refused in the exit-code test)
+def test_solve_folds_large_gamma_constants(runner, tmp_path):
+    # gamma(150) and gamma(142.3) are finite floats, folded as they are
+    # (gamma(200) overflows and is refused in the exit-code test)
     for z in ("150", "142.3"):
         prob = tmp_path / f"g{z}.txt"
         prob.write_text(f"domain = 0, 1\nexact = t*x*gamma({z})\n")
@@ -253,6 +253,22 @@ def test_solve_folds_gamma_past_the_lanczos_overflow(runner, tmp_path):
         assert r.exit_code == 0, (z, r.output)
         rows = [row.split(",") for row in _lines(out / "summary.csv")[1:]]
         assert rows and all(float(row[3]) == 0.0 for row in rows), rows
+
+
+def test_solve_error_norms_stay_finite_past_the_square_overflow(runner, tmp_path):
+    # the l2 column once squared the error table, so an error past ~1.3e154
+    # made it inf, and under -W error::RuntimeWarning a traceback and exit 1
+    for name, exact in (("scaled", "1e300*t^alpha*x"), ("big_gamma", "t*x*gamma(171.5)")):
+        prob = tmp_path / f"{name}.txt"
+        prob.write_text(f"domain = 0, 1\nexact = {exact}\n")
+        out = tmp_path / name
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            r = runner.invoke(main, ["solve", "--file", str(prob), "-m", "both", "-n", "1",
+                                     "-a", "0.5", "--out", str(out)])
+        assert r.exit_code == 0, (name, r.output)
+        rows = [row.split(",") for row in _lines(out / "summary.csv")[1:]]
+        assert rows and all(math.isfinite(float(row[4])) for row in rows), (name, rows)
 
 
 def test_solve_problem_file(runner, tmp_path):
@@ -279,6 +295,8 @@ def test_solve_input_validation_exit_codes(runner, tmp_path):
     out = str(tmp_path / "o")
     big_gamma = tmp_path / "big_gamma.txt"
     big_gamma.write_text("alpha = 0.9\ndomain = 0, 1\nexact = t*x*gamma(200)\n")
+    inf_gamma = tmp_path / "inf_gamma.txt"
+    inf_gamma.write_text("domain = 0, 1\nexact = t*x*gamma(-1e400)\n")
     nan_cfg = tmp_path / "nan.cfg"
     nan_cfg.write_text("problem = p5\ntmax = nan\n")
     # the dimension comes from domain_y alone; an unknown key, such as the
@@ -345,14 +363,20 @@ def test_solve_input_validation_exit_codes(runner, tmp_path):
         ["solve", "-p", "p5", "--grid", "1000001,3", "-m", "both", "--out", out],
         # a problem file that does not exist: a message, not a traceback
         ["solve", "--file", str(tmp_path / "missing.txt"), "--out", out],
-        # gamma(200) overflows a float: a grammar error, not a traceback
+        # gamma(-inf) once ended in a bare "math domain error"; it and
+        # gamma(200), which overflows a float, are located grammar errors
+        ["solve", "--file", str(inf_gamma), "--out", out],
         ["solve", "--file", str(big_gamma), "--out", out],
     ]
+    outputs = []
     for args in cases:
         r = runner.invoke(main, args)
         assert r.exit_code == 2, (args, r.output)
         assert not (tmp_path / "o").exists(), args
-    assert "^" in r.output and "overflows" in r.output
+        outputs.append(r.output)
+    assert outputs[-2].splitlines() == ["inf_gamma.txt: exact:", "t*x*gamma(-1e400)",
+                                        "    ^ gamma of -inf (column 5)"]
+    assert "^" in outputs[-1] and "overflows" in outputs[-1]
     said = {}
     for name, args in [*file_cases.items(), ("huge_tmax", huge_tmax)]:
         with warnings.catch_warnings(record=True) as caught:
@@ -615,10 +639,11 @@ def test_verify_unattainable_quad_tol_fails_honestly(runner, monkeypatch):
 
 
 def test_verify_detects_corrupted_gamma(runner, monkeypatch):
-    # nudge the first Lanczos coefficient by 1e-9 relative: the gamma
+    # bend the gamma the check reads by 1e-12 relative: the closed-form
     # probes must notice and the command must name the failing check
-    bent = (ft.LANCZOS_COEFFS[0] * (1.0 + 1e-9),) + ft.LANCZOS_COEFFS[1:]
-    monkeypatch.setattr(ft, "LANCZOS_COEFFS", bent)
+    from fracdecomp import acceptance
+    real = acceptance.gamma
+    monkeypatch.setattr(acceptance, "gamma", lambda z: real(z) * (1.0 + 1e-12))
     r = runner.invoke(main, ["verify", "--only", "gamma"])
     assert r.exit_code == 1
     assert "gamma" in r.output and "FAIL" in r.output

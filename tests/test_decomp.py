@@ -365,7 +365,7 @@ def test_library_solve_is_the_deep_solve():
     assert not trace.truncated and not trace.stopped_early
     final = trace.approximation
     assert (len(final.terms), final.terms[-1].mu) == (29, 87.25)
-    assert digest == "a595ffb582a35bd4d49ab1525cae2b1acb8f090f7e6cf2839432e58bcaef1198"
+    assert digest == "9c9c9a5f0c26930a4096ffdf274ee6a783a935a1b8df4dcf5951a05c8bc0e354"
 
 
 def _numpy_blas_is_openblas():

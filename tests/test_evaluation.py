@@ -98,6 +98,19 @@ def test_grid_error_symmetry_and_norm_order():
     assert ra.l2 <= ra.max_abs
 
 
+def test_grid_error_l2_is_finite_past_the_square_overflow():
+    # 1e300*t*x squared overflows a float; scaled by a power of two it does
+    # not, and below the overflow the scaled l2 is the unscaled one, bit for bit
+    g = make_grid((0.0, 1.0))
+    small = grid_error(Series.zero(), parse_series("t*x"), g)
+    assert small.l2 == math.sqrt(float(np.mean(small.table ** 2)))
+    big = grid_error(Series.zero(), parse_series("1e300*t*x"), g)
+    assert big.max_abs == 1e300
+    assert abs(big.l2 - 1e300 * small.l2) <= 1e-14 * big.l2
+    zero = grid_error(Series.zero(), Series.zero(), g)
+    assert (zero.max_abs, zero.l2) == (0.0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # residual
 # ---------------------------------------------------------------------------

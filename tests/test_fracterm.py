@@ -82,7 +82,7 @@ def test_frac_integral_of_zero():
 
 
 def test_frac_integral_of_one_is_t():
-    # Gamma(1)/Gamma(2) = 1 up to Lanczos noise in the last bit
+    # Gamma(1)/Gamma(2) = 1
     s = frac_integral(Series.of(0.0, 1.0), 1.0)
     assert len(s) == 1
     assert s.terms[0].mu == 1.0
@@ -102,15 +102,15 @@ def test_frac_integral_gamma_cancellation():
 
 
 def test_power_rule_ratio_past_gamma_overflow():
-    # Gamma(201) overflows a float, so the ratio goes through lgamma; below
-    # the overflow it is still the plain quotient of the Lanczos values
+    # Gamma overflows a float past z ~ 171.6, so the ratio goes through
+    # lgamma there; below the overflow it is the plain quotient of gamma's values
     ref = math.exp(math.lgamma(201.0) - math.lgamma(201.5))
     assert fracterm._gamma_ratio(201.0, 201.5) == ref
-    # the Lanczos form returns inf here without raising, which once made
-    # the Caputo ratio inf
-    assert math.isinf(gamma(142.3))
-    assert fracterm._gamma_ratio(142.3, 141.8) == math.exp(math.lgamma(142.3)
-                                                           - math.lgamma(141.8))
+    with pytest.raises(OverflowError):
+        gamma(172.0)
+    assert fracterm._gamma_ratio(172.3, 171.8) == math.exp(math.lgamma(172.3)
+                                                           - math.lgamma(171.8))
+    assert fracterm._gamma_ratio(150.0, 150.5) == gamma(150.0) / gamma(150.5)
     assert fracterm._gamma_ratio(11.0, 11.5) == gamma(11.0) / gamma(11.5)
     s = frac_integral(Series.of(200.0, 1.0), 0.5)
     assert s.terms[0].mu == 200.5

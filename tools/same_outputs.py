@@ -126,6 +126,22 @@ exact = 1e300*t*x^200
 """
 OVERFLOW_ARGS = ["-m", "both", "-n", "2", "-a", "0.5,1.0"]
 
+# An error past ~1.3e154, whose square overflows a float, must leave the l2
+# column finite. Each file scales its solution by a value near the float
+# range (1e300, Gamma(171.5)), so the rounding of a gamma ratio can make
+# such an error; which file errs depends on how the ratios round. They are
+# the two files of test_solve_error_norms_stay_finite_past_the_square_overflow
+# in tests/test_cli.py.
+SCALED_FILE = """\
+domain = 0, 1
+exact = 1e300*t^alpha*x
+"""
+BIG_GAMMA_FILE = """\
+domain = 0, 1
+exact = t*x*gamma(171.5)
+"""
+BIG_ERROR_ARGS = ["-m", "both", "-n", "1", "-a", "0.5"]
+
 # The 2D file once more with a worker pool: each job's spec and grid then
 # reach a worker pickled, brace coefficient and cubic included.
 FILE_CASES = (("cubic2d.txt", TWO_D_FILE, TWO_D_ARGS), ("trig.txt", TRIG_FILE, TRIG_ARGS),
@@ -133,6 +149,8 @@ FILE_CASES = (("cubic2d.txt", TWO_D_FILE, TWO_D_ARGS), ("trig.txt", TRIG_FILE, T
               ("cubic_trig.txt", CUBIC_TRIG_FILE, CUBIC_TRIG_ARGS),
               ("cubic_poly.txt", CUBIC_POLY_FILE, CUBIC_POLY_ARGS),
               ("overflow.txt", OVERFLOW_FILE, OVERFLOW_ARGS),
+              ("scaled.txt", SCALED_FILE, BIG_ERROR_ARGS),
+              ("big_gamma.txt", BIG_GAMMA_FILE, BIG_ERROR_ARGS),
               ("cubic2d.txt", TWO_D_FILE, TWO_D_ARGS + ["-j", "2"]))
 
 FILES = ("points.csv", "plot.dat", "summary.csv")
@@ -203,7 +221,7 @@ def _gap(old: str, new: str) -> float:
         return math.inf
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
-    return abs(b - a) / abs(a) if a != 0.0 else math.inf
+    return abs(b - a) / abs(a) if a != 0.0 and math.isfinite(a) else math.inf
 
 
 def _rows(path: Path):
