@@ -394,23 +394,34 @@ def test_parse_alpha_and_gamma_fold_to_constants():
     assert abs(v - 2.0 ** 1.5 / math.gamma(2.5)) <= 1e-14
 
 
-def test_gamma_fold_is_gamma():
-    # the fold is fracterm.gamma, bit for bit, wherever Gamma is a finite
-    # float: large arguments of either sign included, where Gamma is huge or
-    # tiny but finite and nonzero
-    for z in (150.0, 142.3, -141.3, -141.5, -150.5):
+def test_gamma_folds_past_the_lanczos_overflow():
+    # a Lanczos gamma overflows from z ~ 142.2, Gamma itself only past 171.6;
+    # the fold is fracterm.gamma, bit for bit, up to Gamma's own overflow
+    for z in (150.0, 142.3):
         got = parse_spatial(f"gamma({z!r})")
-        assert isinstance(got, Const) and math.isfinite(got.value) and got.value != 0.0, z
-        assert abs(got.value - math.gamma(z)) <= 1e-13 * abs(math.gamma(z)), z
-    for z in (0.3, 5.5, 100.5, 142.2, 150.0, 142.3, -141.3, -141.5, -150.5):
+        assert isinstance(got, Const) and math.isfinite(got.value), z
+        assert abs(got.value - math.gamma(z)) <= 1e-13 * math.gamma(z), z
+    for z in (0.3, 5.5, 100.5, 142.2, 142.3, 150.0):
         assert parse_spatial(f"gamma({z!r})").value == gamma(z), z
-    for z in (k / 7 for k in range(-986, 994) if k % 7):
-        assert parse_spatial(f"gamma({z!r})").value == gamma(z), z
-    # Gamma(-180.5) underflows to -0.0
-    assert parse_spatial("gamma(-180.5)").value == 0.0
     # past z ~ 171.6 Gamma overflows a float: a located grammar error
     with pytest.raises(GrammarError, match=r"gamma\(172\) overflows a float"):
         parse_spatial("gamma(172)")
+
+
+def test_gamma_folds_large_negative_arguments():
+    # past z ~ -141.2 Gamma is tiny but finite and nonzero, and so is the fold
+    for z in (-141.3, -141.5, -150.5):
+        got = parse_spatial(f"gamma({z!r})").value
+        assert got != 0.0 and abs(got - math.gamma(z)) <= 1e-13 * abs(math.gamma(z)), z
+    # Gamma(-180.5) underflows to -0.0
+    assert parse_spatial("gamma(-180.5)").value == 0.0
+    with pytest.raises(GrammarError, match=r"gamma\(172\) overflows a float"):
+        parse_spatial("gamma(172)")
+    # wherever Gamma is a finite float, the fold is fracterm.gamma, bit for bit
+    for z in (-141.3, -141.5, -150.5):
+        assert parse_spatial(f"gamma({z!r})").value == gamma(z), z
+    for z in (k / 7 for k in range(-986, 994) if k % 7):
+        assert parse_spatial(f"gamma({z!r})").value == gamma(z), z
 
 
 def test_parse_error_carries_position():
