@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .symx import ExprError, FactorTable
+from .symx import ExprError, FactorTable, sorted_items
 from .fracterm import (
     Series,
     caputo,
@@ -167,7 +167,7 @@ def _series_grids(series_list: Sequence[Series], keys, grid: Grid,
 
     Every term of every series is one list of that read
     (``symx.FactorTable.read``, which carries each monomial's derivatives
-    by the product rule), in the table's ``sorted_items`` order, asked for
+    by the product rule), in ``symx.sorted_items`` order, asked for
     no derivative past the highest order a key takes in each var. A list
     sums the same bits read alone or with others, so each term's sums are
     those of a read of its series alone; they are scaled by t^mu and added
@@ -180,7 +180,7 @@ def _series_grids(series_list: Sequence[Series], keys, grid: Grid,
             orders[var] = max(orders.get(var, 0), order)
     table = grid.table
     terms = [term for series in series_list for term in series.terms]
-    sums, jets, read = table.read([table.sorted_items(term.poly) for term in terms],
+    sums, jets, read = table.read([sorted_items(term.poly) for term in terms],
                                   orders, skip)
     space = table.space_shape
     out: List[Optional[Dict[Tuple[int, str], np.ndarray]]] = []

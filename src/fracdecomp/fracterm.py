@@ -24,8 +24,8 @@ on the tree, through the read-only ``TimeTerm.coeff``.
 Exponents merge by one rule, ``_mu_groups``. ``_from_pairs`` sums each
 group's polys into a dict of its own, never into a poly a series holds, and
 decides all its new terms with one ``symx.zero_decisions`` read; a term it
-merged nothing into keeps its decision, and so does a negated term
-(``series_scale`` by -1).
+merged nothing into keeps its decision, and so does a term scaled by +-1
+(``series_scale`` by 1 returns its series, by -1 negates it unchecked).
 Every series product is a ``series_dot``, a sum of products sum_k xs[k] *
 ys[k] formed in one pass: the term pairs of all k are grouped by the same
 rule, and on Fourier coefficients one ``symx.fourier_sums`` call, a
@@ -292,6 +292,9 @@ def series_add(a: Series, b: Series) -> Series:
 
 
 def series_scale(a: Series, k: Union[float, int, Expr]) -> Series:
+    if isinstance(k, (int, float)) and k == 1.0:
+        # scaling by one changes no bit, so a is its own product
+        return a
     if isinstance(k, (int, float)) and k == -1.0:
         # negation is exact, so every |sample| is unchanged and each term
         # keeps its zero decision, with no second check

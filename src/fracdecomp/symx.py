@@ -38,9 +38,9 @@ row helper is exported. Every read runs under one overflow policy, a single
 sample, which its caller judges (not zero, not close, not finite on the
 grid), and never a RuntimeWarning.
 A read builds the derivative rows it lacks with one more read per
-derivative key, of all their ``factor_diff`` polys at once, and a table
-keeps each monomial's ``sorted_items`` key beside its row indices
-(``FactorTable.sorted_items``), so a key is computed once per table.
+derivative key, of all their ``factor_diff`` polys at once. Monomial order
+(``sorted_items``) keeps each monomial's key once per process, so no read
+or rendering computes a key the process already has.
 The zero check keeps one table on its points for the life of the process,
 and ``zero_decisions`` decides every new term of a canonicalization from
 one read of it (``is_zero_expr`` is its one-poly case). ``equal_sampled``
@@ -49,6 +49,15 @@ evaluation ``Grid`` owns one on its space grid, through which a report
 reads all the partial sums of a trace at once.
 ``evaluate`` walks a tree: it fills the atom rows and serves
 ``fracterm.eval_series``.
+
+Exact restriction, ``poly_substitute``, gives boundary traces, corner checks
+and face data. Each monomial has one plan per (variable, value) for the life
+of the process: the multipliers of its factors that become constants, and
+the residual monomial it lands on, where ``math.fsum`` sums what lands. A
+factor that substitutes to a shape one monomial cannot carry, such as
+(x*y)^0.5 at x = 2, sends its monomial through the generic power expansion.
+``_poly_of`` snaps a sin or cos within 4 ulps of its argument to 0, so
+sin(2*pi*k*x) is exactly 0 on the trace x = 1.
 """
 
 from __future__ import annotations
@@ -317,10 +326,20 @@ def _skey_of(e: Expr):
     return k
 
 
+# monomial -> its ``_mono_key``; keyed on the monomial, which keeps its atoms
+# alive, and a key is only read once built
+_MONO_KEYS: Dict[Mono, tuple] = {}
+
+
 def _mono_key(mono: Mono) -> tuple:
-    """A monomial's place in monomial order: total degree (``math.fsum`` of
-    the exponents), then factor by factor atom sort key and exponent."""
-    return (math.fsum(k for _, k in mono), tuple((_skey_of(a), k) for a, k in mono))
+    """A monomial's place in monomial order, kept once per process: total
+    degree (``math.fsum`` of the exponents), then factor by factor atom sort
+    key and exponent."""
+    key = _MONO_KEYS.get(mono)
+    if key is None:
+        key = _MONO_KEYS[mono] = (math.fsum(k for _, k in mono),
+                                  tuple((_skey_of(a), k) for a, k in mono))
+    return key
 
 
 def sorted_items(p: Poly) -> list:
@@ -1058,94 +1077,82 @@ def contains(e: Expr, name: str) -> bool:
     return False
 
 
-# (var, value) -> {atom: the poly of the atom with the value substituted, or
-# _NO_VAR when the atom does not hold the variable}; keyed on the atom node,
-# which the key keeps alive, never on a bare id a freed atom could pass on,
-# and the cached polys are only ever read
-_SUBSTITUTED: Dict[Tuple[str, float], Dict[Expr, object]] = {}
-_NO_VAR = object()
+# (var, value) -> {monomial: its substitution plan}; keyed on the monomial,
+# which keeps its atoms alive, and a plan is only read once built
+_PLANS: Dict[Tuple[str, float], Dict[Mono, Optional[tuple]]] = {}
 
 
-def _substituted(table: Dict[Expr, object], atom: Expr, name: str, value: float):
-    hit = table.get(atom)
-    if hit is None:
-        hit = table[atom] = (poly_of(_substitute(atom, name, Const(value)))
-                             if contains(atom, name) else _NO_VAR)
-    return hit
+def _plan(mono: Mono, name: str, value: float) -> Optional[tuple]:
+    """(multipliers, residual monomial) of mono with value put for name, or
+    None for the generic expansion: an atom that substitutes to a constant
+    (0 for none) gives it to the power k, one that substitutes to 1 *
+    monomial (k an integer, or a lone factor) its atoms to the residual;
+    exponents merge and snap in atom order."""
+    repl = Const(value)
+    multipliers: List[float] = []
+    residual: Dict[Expr, float] = {}
+    for atom, k in mono:
+        if contains(atom, name):
+            hit = poly_of(_substitute(atom, name, repl))
+            if not hit:
+                multipliers.append(_pow_value(0.0, k))
+                continue
+            if len(hit) > 1:
+                return None
+            (sm, sc), = hit.items()
+            if not sm:
+                multipliers.append(_pow_value(sc, k))
+                continue
+            if sc != 1.0 or not (float(k).is_integer() or len(sm) == 1):
+                return None
+            parts = [(a, _snap(ak * k)) for a, ak in sm]
+        else:
+            parts = ((atom, k),)
+        for a, ak in parts:
+            residual[a] = _snap(residual[a] + ak) if a in residual else ak
+    return tuple(multipliers), _mono_sorted((a, k) for a, k in residual.items() if k != 0.0)
 
 
 def poly_substitute(p: Poly, name: str, value: float) -> Poly:
     """Substitute a number for a variable, exactly rounded per output monomial.
 
-    Everything landing on the same residual monomial is combined with
-    math.fsum, so the result does not depend on dict order, and a coefficient
-    multiplied by an atom value of 0 or +-1 (the boundary folds of a Fourier
-    lattice) passes through exactly. Boundary traces of series with large
-    cancelling coefficients stay reproducible to the last ulp, which is what
-    lets corrected partial sums interpolate their Dirichlet data.
+    Each coefficient takes its monomial's plan (``_plan``; one whose
+    building raises is not kept). Everything landing on the same residual
+    monomial is combined with math.fsum, so the result does not depend on
+    dict order, and a coefficient multiplied by an atom value of 0 or +-1
+    (the boundary folds of a Fourier lattice) passes through exactly.
+    Boundary traces of series with large cancelling coefficients stay
+    reproducible to the last ulp, which is what lets corrected partial sums
+    interpolate their Dirichlet data.
     """
     value = float(value)
-    table = _SUBSTITUTED.setdefault((name, value), {})
+    plans = _PLANS.setdefault((name, value), {})
     buckets: Dict[Mono, List[float]] = {}
-    bucket_order: List[Mono] = []
-    overflow: Poly = {}
+    generic: Poly = {}
     for mono, c in p.items():
-        factor = c
-        residual: List[Tuple[Expr, float]] = []
-        exotic = False
-        for atom, k in mono:
-            hit = _substituted(table, atom, name, value)
-            if hit is _NO_VAR:
-                residual.append((atom, k))
-                continue
-            if not hit:
-                factor = _pow_value(0.0, k) * factor
-                continue
-            if len(hit) == 1:
-                (sm, sc), = hit.items()
-                if not sm:
-                    factor *= _pow_value(sc, k)
-                    continue
-                k_int = float(k).is_integer()
-                if sc == 1.0 and (k_int or len(sm) == 1):
-                    for sub_atom, sub_k in sm:
-                        residual.append((sub_atom, _snap(sub_k * k)))
-                    continue
-            # substitution produced a shape the single-monomial algebra cannot
-            # carry exactly; push the whole input monomial through the generic
-            # power expansion instead
-            exotic = True
-            break
-        if exotic:
+        try:
+            plan = plans[mono]
+        except KeyError:
+            plan = plans[mono] = _plan(mono, name, value)
+        if plan is None:
             q: Poly = {(): c}
             for atom, k in mono:
-                hit = _substituted(table, atom, name, value)
-                base = atom if hit is _NO_VAR else expr_of_poly(hit)
+                base = (expr_of_poly(poly_of(_substitute(atom, name, Const(value))))
+                        if contains(atom, name) else atom)
                 q = poly_mul(q, poly_of(base if k == 1.0 else Pow(base, k)))
-            overflow = poly_add(overflow, q)
+            generic = poly_add(generic, q)
             continue
-        if factor == 0.0:
-            continue
-        merged: Dict[Expr, List] = {}
-        for atom, k in residual:
-            slot = merged.get(atom)
-            if slot is None:
-                merged[atom] = [atom, k]
-            else:
-                slot[1] = _snap(slot[1] + k)
-        key = _mono_sorted((a, k) for a, k in merged.values() if k != 0.0)
-        got = buckets.get(key)
-        if got is None:
-            buckets[key] = [factor]
-            bucket_order.append(key)
-        else:
-            got.append(factor)
+        multipliers, residual = plan
+        for m in multipliers:
+            c *= m
+        if c != 0.0:
+            buckets.setdefault(residual, []).append(c)
     out: Poly = {}
-    for key in bucket_order:
-        s = math.fsum(buckets[key])
+    for key, parts in buckets.items():
+        s = math.fsum(parts)
         if s != 0.0:
             out[key] = s
-    return poly_add(out, overflow) if overflow else out
+    return poly_add(out, generic) if generic else out
 
 
 # ---------------------------------------------------------------------------
@@ -1189,16 +1196,15 @@ class FactorTable:
 
     Each factor's rows are kept under one row index, given when its value
     row is built, and each monomial met is kept as the row indices of its
-    factors and, once sorted, its ``sorted_items`` key (``sorted_items``),
-    so a table grows with the distinct factors and monomials it reads. One
-    read (``read``) serves every caller. It takes many polys at once, and a
-    block of monomials gathers its factors' rows by index, so the zero check
-    decides every new term of a canonicalization in one read, and a report
-    reads every partial sum of a trace, with its derivatives, in one. The
-    derivative rows a read lacks are built by one nested read per
-    derivative key (``_derivative_rows``). A table lives as long as its env:
-    the zero check keeps one for the life of the process, and a ``Grid``
-    owns one for its space grid.
+    factors, so a table grows with the distinct factors and monomials it
+    reads. One read (``read``) serves every caller. It takes many polys at
+    once, and a block of monomials gathers its factors' rows by index, so
+    the zero check decides every new term of a canonicalization in one
+    read, and a report reads every partial sum of a trace, with its
+    derivatives, in one. The derivative rows a read lacks are built by one
+    nested read per derivative key (``_derivative_rows``). A table lives as
+    long as its env: the zero check keeps one for the life of the process,
+    and a ``Grid`` owns one for its space grid.
     """
 
     def __init__(self, env: Mapping[str, EnvValue]):
@@ -1216,10 +1222,8 @@ class FactorTable:
         # (var, order) -> the derivative rows by index, and the indices built
         self._derivs: Dict[Tuple[str, int], np.ndarray] = {}
         self._built: Dict[Tuple[str, int], set] = {}
-        # monomial -> the row index of each of its factors, and beside it
-        # monomial -> its ``_mono_key``, computed once per table
+        # monomial -> the row index of each of its factors
         self._monos: Dict[Mono, Tuple[int, ...]] = {}
-        self._keys: Dict[Mono, tuple] = {}
         self._atoms: Dict[Expr, np.ndarray] = {}
 
     def _value_row(self, atom: Expr, k: float) -> np.ndarray:
@@ -1255,24 +1259,12 @@ class FactorTable:
         missing = [j for j in used if j not in built]
         if not missing:
             return rows, ()
-        new, _, read = self.read([self.sorted_items(factor_diff(*self._factors[j], *key))
+        new, _, read = self.read([sorted_items(factor_diff(*self._factors[j], *key))
                                   for j in missing], skip=skip)
         rows = self._derivs[key] = _room(rows, max(missing) + 1)
         rows[missing] = new
         built.update(j for j, ok in zip(missing, read) if ok)
         return rows, [j for j, ok in zip(missing, read) if not ok]
-
-    def sorted_items(self, p: Poly) -> list:
-        """``sorted_items(p)``, each monomial's key computed once per table and
-        kept beside its row indices, so a poly read again sorts on stored
-        keys."""
-        if len(p) < 2:
-            return list(p.items())
-        keys = self._keys
-        for mono in p:
-            if mono not in keys:
-                keys[mono] = _mono_key(mono)
-        return sorted(p.items(), key=lambda kv: keys[kv[0]])
 
     # the one overflow policy: an overflow is an inf or nan sample, not a warning
     @np.errstate(all="ignore")

@@ -321,6 +321,17 @@ def test_series_add_keeps_unmerged_terms(monkeypatch):
     assert len(checked) == 1
 
 
+def test_series_scale_by_one_is_its_series(monkeypatch):
+    # scaling by exactly one changes no bit, so the series is its own
+    # product and no term is checked again
+    a = parse_series("x*t + sin(x)*t^2.5", None)
+    checked, real = [], fracterm.zero_decisions
+    monkeypatch.setattr(fracterm, "zero_decisions", lambda ps: checked.extend(ps) or real(ps))
+    for one in (1.0, 1):
+        assert series_scale(a, one) is a
+    assert checked == []
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=50.0,
                                     allow_nan=False),

@@ -636,14 +636,28 @@ def _assert_same_poly(got, want):
 
 
 def _snapshot(tables):
-    return {key: {atom: (hit if hit is symx._NO_VAR else dict(hit))
-                  for atom, hit in table.items()}
-            for key, table in tables.items()}
+    return {key: dict(table) for key, table in tables.items()}
 
 
-def test_substitute_matches_fresh_table_on_solver_terms():
-    cases = []
-    for spec in (builtin(pid, alpha) for pid in PIDS for alpha in (0.5, 1.0)):
+# tools/same_outputs.py solves a copy of this file; keep the two equal.
+# (x*y)^0.5 at x = 2 is sqrt(2)*y^0.5, and exp(x + y) at x = 1 is e*exp(y):
+# on its faces many monomials take the generic expansion, which no builtin
+# problem reaches
+BOX_FILE = """\
+domain = 1, 2
+domain_y = 1, 2
+exact = t*(x*y)^0.5 + t^alpha*exp(x + y)
+linear = 2x:-0.5, 2y:-0.5
+"""
+
+
+def test_substitute_matches_fresh_table_on_solver_terms(tmp_path):
+    path = tmp_path / "box.txt"
+    path.write_text(BOX_FILE)
+    box = [load_problem_file(path, alpha) for alpha in (0.5, 1.0)]
+    cases = [(t.poly, face.var, face.at) for spec in box
+             for face in spec.bd.faces.values() for t in face.g.terms]
+    for spec in [builtin(pid, alpha) for pid in PIDS for alpha in (0.5, 1.0)] + box:
         polys = []
         for rec in mldm_solve(spec, 2).records:
             series = [rec.u, rec.partial_sum]
@@ -662,15 +676,29 @@ def test_substitute_matches_fresh_table_on_solver_terms():
             _assert_same_poly(got, _reference_substitute(p, name, value))
             got.clear()                     # callers own what they get back
         if snapshot is None:
-            snapshot = _snapshot(symx._SUBSTITUTED)
-    # the cached polys were only read
-    assert _snapshot(symx._SUBSTITUTED) == snapshot
+            snapshot = _snapshot(symx._PLANS)
+    # the plans were only read
+    assert _snapshot(symx._PLANS) == snapshot
+    # the box file's faces send monomials through the generic expansion
+    generic = {(mono, name, value) for p, name, value in cases for mono in p
+               if symx._PLANS[name, float(value)][mono] is None}
+    assert len(generic) >= 32
+
+
+def test_a_plan_that_raises_is_not_kept():
+    # x^-1 at x = 0 raises while its plan is built: every call raises again,
+    # and no plan is left behind
+    mono = ((X, -1.0), (Y, 1.0))
+    for _ in range(2):
+        with pytest.raises(PowerDomainError):
+            poly_substitute({mono: 2.0}, "x", 0.0)
+        assert mono not in symx._PLANS["x", 0.0]
 
 
 def test_substitute_with_atoms_built_outside_poly_of():
     # atoms built by hand, again in each pass: every pass builds the same
-    # nodes, so the passes after the first read the substitution tables and
-    # add no entry to them
+    # nodes, so the passes after the first read the plan tables and add no
+    # entry to them
     first, entries = None, None
     for _ in range(3):
         sin_y, exp_y = Sin(Var("y")), Exp(Const(2.0) * Var("y"))
@@ -684,7 +712,7 @@ def test_substitute_with_atoms_built_outside_poly_of():
         for value in (0.0, 0.5, 2.0):
             _assert_same_poly(poly_substitute(p, "x", value),
                               _reference_substitute(p, "x", value))
-        count = sum(len(symx._SUBSTITUTED[("x", v)]) for v in (0.0, 0.5, 2.0))
+        count = sum(len(symx._PLANS[("x", v)]) for v in (0.0, 0.5, 2.0))
         assert entries in (None, count)
         entries = count
 

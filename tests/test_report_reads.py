@@ -6,7 +6,8 @@ derivatives its nonlinearity takes, in one read of the grid's factor table
 alone or with others, so each partial sum's grids are those of
 ``_derivative_grids`` on it alone, bit for bit, and a partial sum that
 cannot be read raises in its turn what the per-record loop raises. The
-table sorts each poly on monomial keys it keeps, in ``sorted_items`` order.
+table reads each poly in ``sorted_items`` order, which sorts on monomial keys
+kept once per process.
 """
 
 import random
@@ -25,9 +26,9 @@ from fracdecomp.evaluation import (
 )
 from fracdecomp.grammar import parse_series
 from fracdecomp.problems import builtin, load_problem_file
-from fracdecomp.symx import FactorTable, PowerDomainError, poly_of, sample_points
+from fracdecomp.symx import PowerDomainError, poly_of
 from test_evaluation import TWO_D_FILE
-from test_poly_reads import _random_coeff, _solver_series
+from test_poly_reads import _random_coeff, _reference_sorted_items, _solver_series
 
 PIDS = ["p1", "p2", "p3", "p4", "p5", "p6", "p7"]
 
@@ -192,29 +193,33 @@ def test_a_skipped_series_reads_as_none_and_the_others_as_alone():
 # ---------------------------------------------------------------------------
 
 
-def _assert_table_order(table, p):
-    got, want = table.sorted_items(p), symx.sorted_items(p)
+def _assert_table_order(p):
+    # the order a table reads a poly in, on kept keys, against keys
+    # computed afresh
+    got, want = symx.sorted_items(p), _reference_sorted_items(p)
     assert [m for m, _ in got] == [m for m, _ in want]
     assert all(g is w for (_, g), (_, w) in zip(got, want))
 
 
-@pytest.mark.parametrize("pid", PIDS)
-def test_table_order_is_sorted_items_on_solver_polys(pid):
-    polys = [t.poly for _, s in _solver_series(pid) for t in s.terms]
-    table = FactorTable(sample_points(None))
+def _assert_order_twice(polys):
+    kept = None
     for _ in range(2):   # the second pass sorts on kept keys only
         for p in polys:
-            _assert_table_order(table, p)
-            _assert_table_order(table, dict(reversed(list(p.items()))))
-    assert set(table._keys) == {m for p in polys if len(p) > 1 for m in p}
+            _assert_table_order(p)
+            _assert_table_order(dict(reversed(list(p.items()))))
+        kept = kept or dict(symx._MONO_KEYS)
+    assert {m for p in polys if len(p) > 1 for m in p} <= kept.keys()
+    assert len(symx._MONO_KEYS) == len(kept)
+    assert all(symx._MONO_KEYS[m] is key for m, key in kept.items())
+
+
+@pytest.mark.parametrize("pid", PIDS)
+def test_table_order_is_sorted_items_on_solver_polys(pid):
+    _assert_order_twice([t.poly for _, s in _solver_series(pid) for t in s.terms])
 
 
 def test_table_order_is_sorted_items_on_random_polys():
     rng = random.Random(9127)
-    table = FactorTable(sample_points(((0.0, 1.0), (0.0, 1.0))))
-    polys = [poly_of(_random_coeff(rng, rng.random() < 0.5, rng.choice([2, 5, 12, 30])))
-             for _ in range(200)]
-    for _ in range(2):
-        for p in polys:
-            _assert_table_order(table, p)
-            _assert_table_order(table, dict(reversed(list(p.items()))))
+    _assert_order_twice([poly_of(_random_coeff(rng, rng.random() < 0.5,
+                                               rng.choice([2, 5, 12, 30])))
+                         for _ in range(200)])

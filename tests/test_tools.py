@@ -19,6 +19,8 @@ def test_same_outputs_file_copies_match_the_tests():
     tool = _load("tools/same_outputs.py")
     evaluation = _load("tests/test_evaluation.py")
     linearize = _load("tests/test_symx_linearize.py")
+    poly_reads = _load("tests/test_poly_reads.py")
     assert tool.TWO_D_FILE == evaluation.TWO_D_FILE
     assert tool.TRIG_FILE == linearize.TRIG_FILE
     assert tool.POLE_FILE == evaluation.pole_case_file("uxx_three_halves")
+    assert tool.BOX_FILE == poly_reads.BOX_FILE

@@ -142,6 +142,18 @@ exact = t*x*gamma(171.5)
 """
 BIG_ERROR_ARGS = ["-m", "both", "-n", "1", "-a", "0.5"]
 
+# On this box's faces many monomials substitute to a shape one monomial
+# cannot carry exactly ((x*y)^0.5 at x = 2 is sqrt(2)*y^0.5), so its traces
+# take symx.poly_substitute's generic expansion, which no case above
+# reaches. It must match BOX_FILE of tests/test_poly_reads.py.
+BOX_FILE = """\
+domain = 1, 2
+domain_y = 1, 2
+exact = t*(x*y)^0.5 + t^alpha*exp(x + y)
+linear = 2x:-0.5, 2y:-0.5
+"""
+BOX_ARGS = ["-m", "both", "-n", "2", "-a", "0.5,1.0"]
+
 # The 2D file once more with a worker pool: each job's spec and grid then
 # reach a worker pickled, brace coefficient and cubic included.
 FILE_CASES = (("cubic2d.txt", TWO_D_FILE, TWO_D_ARGS), ("trig.txt", TRIG_FILE, TRIG_ARGS),
@@ -151,6 +163,7 @@ FILE_CASES = (("cubic2d.txt", TWO_D_FILE, TWO_D_ARGS), ("trig.txt", TRIG_FILE, T
               ("overflow.txt", OVERFLOW_FILE, OVERFLOW_ARGS),
               ("scaled.txt", SCALED_FILE, BIG_ERROR_ARGS),
               ("big_gamma.txt", BIG_GAMMA_FILE, BIG_ERROR_ARGS),
+              ("box.txt", BOX_FILE, BOX_ARGS),
               ("cubic2d.txt", TWO_D_FILE, TWO_D_ARGS + ["-j", "2"]))
 
 FILES = ("points.csv", "plot.dat", "summary.csv")
