@@ -55,7 +55,8 @@ and face data. Each monomial has one plan per (variable, value) for the life
 of the process: the multipliers of its factors that become constants, and
 the residual monomial it lands on, where ``math.fsum`` sums what lands. A
 factor that substitutes to a shape one monomial cannot carry, such as
-(x*y)^0.5 at x = 2, sends its monomial through the generic power expansion.
+(x*y)^0.5 at x = 2, sends its monomial through the generic power expansion,
+whose plan keeps the factor polys it multiplies.
 ``_poly_of`` snaps a sin or cos within 4 ulps of its argument to 0, so
 sin(2*pi*k*x) is exactly 0 on the trace x = 1.
 """
@@ -1079,38 +1080,41 @@ def contains(e: Expr, name: str) -> bool:
 
 # (var, value) -> {monomial: its substitution plan}; keyed on the monomial,
 # which keeps its atoms alive, and a plan is only read once built
-_PLANS: Dict[Tuple[str, float], Dict[Mono, Optional[tuple]]] = {}
+_PLANS: Dict[Tuple[str, float], Dict[Mono, tuple]] = {}
 
 
-def _plan(mono: Mono, name: str, value: float) -> Optional[tuple]:
+def _plan(mono: Mono, name: str, value: float) -> tuple:
     """(multipliers, residual monomial) of mono with value put for name, or
-    None for the generic expansion: an atom that substitutes to a constant
-    (0 for none) gives it to the power k, one that substitutes to 1 *
-    monomial (k an integer, or a lone factor) its atoms to the residual;
+    (None, factors) for the generic expansion: an atom that substitutes to a
+    constant (0 for none) gives it to the power k, one that substitutes to 1
+    * monomial (k an integer, or a lone factor) its atoms to the residual;
     exponents merge and snap in atom order."""
     repl = Const(value)
     multipliers: List[float] = []
     residual: Dict[Expr, float] = {}
     for atom, k in mono:
         if contains(atom, name):
-            hit = poly_of(_substitute(atom, name, repl))
-            if not hit:
-                multipliers.append(_pow_value(0.0, k))
-                continue
-            if len(hit) > 1:
-                return None
-            (sm, sc), = hit.items()
-            if not sm:
+            hit = poly_of(_substitute(atom, name, repl)) or {(): 0.0}
+            (sm, sc), *more = hit.items()
+            if not (sm or more):
                 multipliers.append(_pow_value(sc, k))
                 continue
-            if sc != 1.0 or not (float(k).is_integer() or len(sm) == 1):
-                return None
+            if more or sc != 1.0 or not (float(k).is_integer() or len(sm) == 1):
+                return None, _generic_factors(mono, name, repl)
             parts = [(a, _snap(ak * k)) for a, ak in sm]
         else:
             parts = ((atom, k),)
         for a, ak in parts:
             residual[a] = _snap(residual[a] + ak) if a in residual else ak
     return tuple(multipliers), _mono_sorted((a, k) for a, k in residual.items() if k != 0.0)
+
+
+def _generic_factors(mono: Mono, name: str, repl: Expr) -> Tuple[Poly, ...]:
+    """mono's factors with repl put for name, each to its power, as polys:
+    a shape the one-monomial algebra cannot carry exactly."""
+    bases = ((expr_of_poly(poly_of(_substitute(a, name, repl))) if contains(a, name) else a, k)
+             for a, k in mono)
+    return tuple(poly_of(b if k == 1.0 else Pow(b, k)) for b, k in bases)
 
 
 def poly_substitute(p: Poly, name: str, value: float) -> Poly:
@@ -1134,15 +1138,13 @@ def poly_substitute(p: Poly, name: str, value: float) -> Poly:
             plan = plans[mono]
         except KeyError:
             plan = plans[mono] = _plan(mono, name, value)
-        if plan is None:
+        multipliers, residual = plan
+        if multipliers is None:    # a generic plan: residual holds its factors
             q: Poly = {(): c}
-            for atom, k in mono:
-                base = (expr_of_poly(poly_of(_substitute(atom, name, Const(value))))
-                        if contains(atom, name) else atom)
-                q = poly_mul(q, poly_of(base if k == 1.0 else Pow(base, k)))
+            for factor in residual:
+                q = poly_mul(q, factor)
             generic = poly_add(generic, q)
             continue
-        multipliers, residual = plan
         for m in multipliers:
             c *= m
         if c != 0.0:

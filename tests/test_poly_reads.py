@@ -681,7 +681,7 @@ def test_substitute_matches_fresh_table_on_solver_terms(tmp_path):
     assert _snapshot(symx._PLANS) == snapshot
     # the box file's faces send monomials through the generic expansion
     generic = {(mono, name, value) for p, name, value in cases for mono in p
-               if symx._PLANS[name, float(value)][mono] is None}
+               if symx._PLANS[name, float(value)][mono][0] is None}
     assert len(generic) >= 32
 
 

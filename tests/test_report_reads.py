@@ -26,9 +26,9 @@ from fracdecomp.evaluation import (
 )
 from fracdecomp.grammar import parse_series
 from fracdecomp.problems import builtin, load_problem_file
-from fracdecomp.symx import PowerDomainError, poly_of
+from fracdecomp.symx import PowerDomainError, Pow, Var, poly_of
 from test_evaluation import TWO_D_FILE
-from test_poly_reads import _random_coeff, _reference_sorted_items, _solver_series
+from test_poly_reads import _assert_same_order, _random_coeff, _solver_series
 
 PIDS = ["p1", "p2", "p3", "p4", "p5", "p6", "p7"]
 
@@ -193,33 +193,29 @@ def test_a_skipped_series_reads_as_none_and_the_others_as_alone():
 # ---------------------------------------------------------------------------
 
 
-def _assert_table_order(p):
-    # the order a table reads a poly in, on kept keys, against keys
-    # computed afresh
-    got, want = symx.sorted_items(p), _reference_sorted_items(p)
-    assert [m for m, _ in got] == [m for m, _ in want]
-    assert all(g is w for (_, g), (_, w) in zip(got, want))
-
-
-def _assert_order_twice(polys):
+def _assert_order_twice(polys, monkeypatch):
+    monkeypatch.setattr(symx, "_MONO_KEYS", {})
     kept = None
     for _ in range(2):   # the second pass sorts on kept keys only
         for p in polys:
-            _assert_table_order(p)
-            _assert_table_order(dict(reversed(list(p.items()))))
-        kept = kept or dict(symx._MONO_KEYS)
-    assert {m for p in polys if len(p) > 1 for m in p} <= kept.keys()
+            _assert_same_order(p)
+            _assert_same_order(dict(reversed(list(p.items()))))
+        if kept is None:
+            kept = dict(symx._MONO_KEYS)
+    assert set(symx._MONO_KEYS) == {m for p in polys if len(p) > 1 for m in p}
     assert len(symx._MONO_KEYS) == len(kept)
     assert all(symx._MONO_KEYS[m] is key for m, key in kept.items())
 
 
 @pytest.mark.parametrize("pid", PIDS)
-def test_table_order_is_sorted_items_on_solver_polys(pid):
-    _assert_order_twice([t.poly for _, s in _solver_series(pid) for t in s.terms])
+def test_table_order_is_sorted_items_on_solver_polys(pid, monkeypatch):
+    _assert_order_twice([t.poly for _, s in _solver_series(pid) for t in s.terms], monkeypatch)
 
 
-def test_table_order_is_sorted_items_on_random_polys():
+def test_table_order_is_sorted_items_on_random_polys(monkeypatch):
     rng = random.Random(9127)
-    _assert_order_twice([poly_of(_random_coeff(rng, rng.random() < 0.5,
-                                               rng.choice([2, 5, 12, 30])))
-                         for _ in range(200)])
+    polys = [poly_of(_random_coeff(rng, rng.random() < 0.5, rng.choice([2, 5, 12, 30])))
+             for _ in range(200)]
+    # a lone monomial no other poly holds: one-monomial polys are not sorted
+    polys.append(poly_of(Pow(Var("x"), 7.5)))
+    _assert_order_twice(polys, monkeypatch)
