@@ -329,15 +329,17 @@ def _polish_1d(u: Series, g_lo: Series, g_hi: Series, lo: float, hi: float,
     cancels it; coefficients of the polish terms are at the dust scale, so
     convergent runs are untouched (the gate below never trips for them).
     """
-    span = hi - lo
-    v = Var(var)
-    q_step = _max_trig_scale(u, var) or math.pi
+    q_step = None
     q_next = 1.5
     for _ in range(POLISH_ROUNDS):
         lo_gap = _trace_gap(u, g_lo, var, lo)
         hi_gap = _trace_gap(u, g_hi, var, hi)
         if max(_gap_height(lo_gap), _gap_height(hi_gap)) <= POLISH_TOL:
             break
+        if q_step is None:
+            # the gate trips first in round 1, so this scans the u it was given
+            span, v = hi - lo, Var(var)
+            q_step = _max_trig_scale(u, var) or math.pi
         # two fresh slots per round: f1 = cos(q1 (x-lo)) hits (1, v1) at the
         # endpoints and f2 = w_hi cos(q2 (x-lo)) hits (~0, v2); solving the
         # triangular pair pins both ends, and the realized endpoint values

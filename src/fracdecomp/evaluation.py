@@ -159,8 +159,8 @@ def _derivative_grids(series: Series, keys, grid: Grid) -> Dict[Tuple[int, str],
 # the t^mu scaling may overflow past the table's read too: overflow is
 # reported once, by _finite, not as a RuntimeWarning per operation
 @np.errstate(all="ignore")
-def _series_grids(series_list: Sequence[Series], keys, grid: Grid,
-                  skip=()) -> List[Optional[Dict[Tuple[int, str], np.ndarray]]]:
+def _series_grids(series_list: Sequence[Series], keys,
+                  grid: Grid) -> List[Dict[Tuple[int, str], np.ndarray]]:
     """For each series, its grids keyed (order, var) for each key, as
     ``_derivative_grids`` gives them but not yet checked finite, all from
     one read of the grid's factor table (``Grid.table``).
@@ -171,8 +171,8 @@ def _series_grids(series_list: Sequence[Series], keys, grid: Grid,
     no derivative past the highest order a key takes in each var. A list
     sums the same bits read alone or with others, so each term's sums are
     those of a read of its series alone; they are scaled by t^mu and added
-    into their series' grids in term order. A series with a term whose rows
-    raise one of ``skip`` is None; read alone, it raises what was skipped.
+    into their series' grids in term order. The read sums or raises: a
+    factor row the grid cannot build raises, and no series is left out.
     """
     orders: Dict[str, int] = {}
     for order, var in keys:
@@ -180,16 +180,12 @@ def _series_grids(series_list: Sequence[Series], keys, grid: Grid,
             orders[var] = max(orders.get(var, 0), order)
     table = grid.table
     terms = [term for series in series_list for term in series.terms]
-    sums, jets, read = table.read([sorted_items(term.poly) for term in terms],
-                                  orders, skip)
+    sums, jets = table.read([sorted_items(term.poly) for term in terms], orders)
     space = table.space_shape
-    out: List[Optional[Dict[Tuple[int, str], np.ndarray]]] = []
+    out: List[Dict[Tuple[int, str], np.ndarray]] = []
     end = 0
     for series in series_list:
         first, end = end, end + len(series.terms)
-        if not all(read[first:end]):
-            out.append(None)
-            continue
         value = np.zeros(space + (grid.ts.size,))
         grids = {(var, n): np.zeros_like(value) for var, top in orders.items()
                  for n in range(1, top + 1)}
@@ -421,11 +417,12 @@ def convergence_report(traces: Sequence, spec, grid: Grid) -> List[ConvergenceRo
     partial sum of a trace, with the derivatives its residual takes, by one
     ``_series_grids`` read, all through the grid's one factor table. Each
     row's grids are bit for bit those of ``_derivative_grids`` on its
-    partial sum alone. Errors keep the per-record order: a partial sum whose
-    rows raise is skipped by the read and read alone in its turn, after the
-    rows of the records before it, and a grid is checked finite in its
-    turn. Rows keep those grids (``values``, ``exact``) for a caller that
-    writes them.
+    partial sum alone. Errors keep the per-record order: the read sums or
+    raises, and when it raises an ``ExprError`` each partial sum is read
+    alone in its turn, after the rows of the records before it, so the
+    record that cannot be read raises the same line; a grid is checked
+    finite in its turn. Rows keep those grids (``values``, ``exact``) for a
+    caller that writes them.
     """
     exact = evaluate_series_grid(spec.exact, grid) if spec.exact is not None else None
     coeff_grids = _coeff_grids(spec.nonlinear, grid)
@@ -435,8 +432,10 @@ def convergence_report(traces: Sequence, spec, grid: Grid) -> List[ConvergenceRo
     rows: List[ConvergenceRow] = []
     for trace in traces:
         seconds = 0.0
-        read = _series_grids([rec.partial_sum for rec in trace.records], keys, grid,
-                             skip=ExprError)
+        try:
+            read = _series_grids([rec.partial_sum for rec in trace.records], keys, grid)
+        except ExprError:
+            read = [None] * len(trace.records)
         for rec, grids in zip(trace.records, read):
             seconds += rec.seconds
             partial = rec.partial_sum

@@ -442,8 +442,8 @@ def eval_series(a: Series, point: Mapping[str, float], t: float) -> float:
 
 def series_equal(a: Series, b: Series, domain=None, tol: float = 1e-10) -> bool:
     """Termwise comparison: exponents matched within 1e-12, coefficients
-    sampled as ``symx.equal_sampled`` samples them, through one factor table
-    on the domain's sample points.
+    compared by ``FactorTable.close`` on one factor table on the domain's
+    sample points.
 
     A term missing on one side is compared against the zero function, so
     canonically dropped near-zero terms never produce spurious mismatches.

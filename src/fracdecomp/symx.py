@@ -9,8 +9,8 @@ expressions is identity, and a monomial merge or a dict keyed on atoms
 compares nodes by ``is``. ``simplify`` rewrites to a multinomial normal
 form over irreducible atoms (variables and transcendental nodes), so
 identity of simplified expressions doubles as semantic equality for
-polynomial content; polys that share no normal form are compared with
-``equal_sampled`` on deterministic quasi-random points.
+polynomial content; polys that share no normal form are compared on
+deterministic quasi-random points (``FactorTable.close``).
 
 Single-base Fourier polys on one angle unit multiply through one harmonic
 kernel, ``fourier_sums``: sums over groups of pairs from two lists, as a
@@ -33,20 +33,24 @@ point. It takes many polys at once: a block of monomials gathers its
 factors' rows by index, multiplies them into monomial rows, carrying the
 derivatives by the product rule, and sums each poly's rows in the caller's
 order from +0.0, so a poly sums the same bits read alone or with others; no
-row helper is exported. Every read runs under one overflow policy, a single
-``np.errstate(all="ignore")``: a value that overflows is an inf or nan
-sample, which its caller judges (not zero, not close, not finite on the
-grid), and never a RuntimeWarning.
+row helper is exported. A read sums or raises: a factor row it cannot
+build raises, and no caller learns another protocol. Every read runs under
+one overflow policy, a single ``np.errstate(all="ignore")``: a value that
+overflows is an inf or nan sample, which its caller judges (not zero, not
+close, not finite on the grid), and never a RuntimeWarning.
 A read builds the derivative rows it lacks with one more read per
 derivative key, of all their ``factor_diff`` polys at once. Monomial order
 (``sorted_items``) keeps each monomial's key once per process, so no read
 or rendering computes a key the process already has.
 The zero check keeps one table on its points for the life of the process,
 and ``zero_decisions`` decides every new term of a canonicalization from
-one read of it (``is_zero_expr`` is its one-poly case). ``equal_sampled``
-and ``series_equal`` build a table on a domain's sample points, and each
-evaluation ``Grid`` owns one on its space grid, through which a report
-reads all the partial sums of a trace at once.
+one read of it (``is_zero_expr`` is its one-poly case) by one rule: a poly
+is zero iff every sample is finite and within 1e-12 (1 + |v|) of zero. Its
+table reads a factor it cannot evaluate on the box as a row of NaN, so the
+rule keeps such a term as it keeps one that overflows. ``series_equal``
+builds a table on a domain's sample points, and each evaluation ``Grid``
+owns one on its space grid, through which a report reads all the partial
+sums of a trace at once.
 ``evaluate`` walks a tree: it fills the atom rows and serves
 ``fracterm.eval_series``.
 
@@ -88,7 +92,6 @@ __all__ = [
     "evaluate",
     "simplify",
     "contains",
-    "equal_sampled",
     "sample_points",
     "is_zero_expr",
     "zero_decisions",
@@ -110,7 +113,6 @@ EXPONENT_SNAP = 1e-12
 EXPAND_POW_MAX = 12
 # Points of a sampled comparison.
 SAMPLES = 64
-DEFAULT_TOL = 1e-10
 # Fallback sampling box for zero detection; any interval works for the
 # analytic node set (zero on 64 quasi-random points of a box ~ zero function).
 ZERO_CHECK_DOMAIN = ((0.0, 2.0), (0.0, 2.0))
@@ -1248,11 +1250,10 @@ class FactorTable:
             self._slots[factor] = j
         return j
 
-    def _derivative_rows(self, key: Tuple[str, int], used, skip=()):
-        """(rows, failed): the rows of derivative key by index, those missing
-        for the indices used built from one read of their ``factor_diff``
-        polys, in the order of used; an index whose row raises one of skip is
-        left unbuilt and returned in failed."""
+    def _derivative_rows(self, key: Tuple[str, int], used) -> np.ndarray:
+        """The rows of derivative key by index, those missing for the indices
+        used built from one read of their ``factor_diff`` polys, in the order
+        of used."""
         rows = self._derivs.get(key)
         if rows is None:
             rows = self._derivs[key] = self._zeros[None].copy()
@@ -1260,25 +1261,25 @@ class FactorTable:
         built = self._built[key]
         missing = [j for j in used if j not in built]
         if not missing:
-            return rows, ()
-        new, _, read = self.read([sorted_items(factor_diff(*self._factors[j], *key))
-                                  for j in missing], skip=skip)
+            return rows
+        new, _ = self.read([sorted_items(factor_diff(*self._factors[j], *key))
+                            for j in missing])
         rows = self._derivs[key] = _room(rows, max(missing) + 1)
         rows[missing] = new
-        built.update(j for j, ok in zip(missing, read) if ok)
-        return rows, [j for j, ok in zip(missing, read) if not ok]
+        built.update(missing)
+        return rows
 
     # the one overflow policy: an overflow is an inf or nan sample, not a warning
     @np.errstate(all="ignore")
-    def read(self, item_lists, orders: Optional[Mapping[str, int]] = None, skip=()):
+    def read(self, item_lists, orders: Optional[Mapping[str, int]] = None):
         """For each list of items, the sum of its monomial rows, and for each
         var in orders the sums of its derivative rows in var up to order
         orders[var], keyed (var, order): one row per list, each summed in the
         order of its items from +0.0 (zeros for no items), ``ROW_BLOCK``
-        values of monomial rows at a time. Returns (sums, {key: sums},
-        read): a list whose value or derivative rows raise one of ``skip``
-        is left at zeros and marked False in read, and the others read as if
-        alone. The table's one read.
+        values of monomial rows at a time. Returns (sums, {key: sums}). A
+        read sums or raises: a factor row it cannot build raises, as in a
+        term-by-term evaluation, and no list is left out. The table's one
+        read.
 
         A monomial c * f_1 * ... * f_m is carried factor by factor with its
         derivatives by the product rule: at factor f, u'' <- u'' f + 2 u' f'
@@ -1295,41 +1296,24 @@ class FactorTable:
         index: List[Tuple[int, ...]] = []
         coeffs: List[float] = []
         spans: List[Tuple[int, int, int]] = []      # (list, first monomial, end)
-        read: List[bool] = []
         for i, items in enumerate(item_lists):
             start = len(index)
-            try:
-                for mono, c in items:
-                    cols = monos.get(mono)
-                    if cols is None:
-                        cols = monos[mono] = tuple(map(self._slot, mono))
-                    index.append(cols)
-                    coeffs.append(c)
-            except skip:
-                del index[start:], coeffs[start:]
-                read.append(False)
-                continue
-            read.append(True)
+            for mono, c in items:
+                cols = monos.get(mono)
+                if cols is None:
+                    cols = monos[mono] = tuple(map(self._slot, mono))
+                index.append(cols)
+                coeffs.append(c)
             if len(index) > start:
                 spans.append((i, start, len(index)))
         keys = [(var, n) for var, top in orders.items() for n in range(1, top + 1)]
         used = list(dict.fromkeys(chain.from_iterable(index))) if keys else ()
-        derivs, failed = {}, set()
-        for key in keys:
-            derivs[key], bad = self._derivative_rows(key, used, skip)
-            failed.update(bad)
-        if failed:
-            # a list whose derivative rows raise one of skip is left unread
-            # too; its monomials are carried in the blocks but never summed
-            for i, a, b in spans:
-                if not failed.isdisjoint(chain.from_iterable(index[a:b])):
-                    read[i] = False
-            spans = [span for span in spans if read[span[0]]]
+        derivs = {key: self._derivative_rows(key, used) for key in keys}
         size = self._ones.size
-        sums = np.zeros((len(read), size))
+        sums = np.zeros((len(item_lists), size))
         jets = {key: np.zeros_like(sums) for key in keys}
         if not spans:
-            return sums, jets, read
+            return sums, jets
         # taken after the derivative rows, whose reads may add value rows
         values = self._values
         lens = np.fromiter(map(len, index), dtype=np.intp, count=len(index))
@@ -1372,13 +1356,13 @@ class FactorTable:
                                              jet[key][part])
                 if b <= b1:
                     first += 1
-        return sums, jets, read
+        return sums, jets
 
     def close(self, a: Poly, b: Poly, tol: float) -> bool:
         """True iff |a - b| <= tol * (1 + |a|) at every point, each poly summed
         in ``sorted_items`` order, as ``evaluate(expr_of_poly(p))`` sums it.
         A sample that is not finite is close to nothing."""
-        (va, vb), _, _ = self.read((sorted_items(a), sorted_items(b)))
+        (va, vb), _ = self.read((sorted_items(a), sorted_items(b)))
         # an infinite va passes the bound (inf <= inf), so it is refused apart
         with np.errstate(over="ignore", invalid="ignore"):
             return bool(np.all((np.abs(va - vb) <= tol * (1.0 + np.abs(va)))
@@ -1421,31 +1405,39 @@ def sample_points(domain) -> dict:
     return {"x": lx + fx * (hx - lx), "y": ly + fy * (hy - ly)}
 
 
-def equal_sampled(a: Poly, b: Poly, domain=None, tol: float = DEFAULT_TOL) -> bool:
-    """True iff |a - b| <= tol * (1 + |a|) at every sample point of domain."""
-    return FactorTable(sample_points(domain)).close(a, b, tol)
+class _ZeroCheckTable(FactorTable):
+    """The zero check's table: a factor that cannot be evaluated on the
+    sampling box (a fractional power of a base negative there) reads as a
+    row of NaN, so every poly holding it has a sample that is not finite."""
+
+    def _value_row(self, atom: Expr, k: float) -> np.ndarray:
+        try:
+            return super()._value_row(atom, k)
+        except PowerDomainError:
+            return np.full(self._ones.size, math.nan)
 
 
 # the factor rows on the zero-check points, kept for the life of the process
-_ZERO_CHECK = FactorTable(sample_points(ZERO_CHECK_DOMAIN))
+_ZERO_CHECK = _ZeroCheckTable(sample_points(ZERO_CHECK_DOMAIN))
 
 
 def is_zero_expr(p: Poly) -> bool:
     """Semi-decision for the zero function of a ``poly_of`` normal form, used
-    to drop series coefficients: |p| <= 1e-12 (1 + |p|) on the zero-check
-    points. A p that cannot be evaluated on the sampling box (a fractional
-    power of a base negative there) is not zero: the term is kept, and
-    evaluation on the problem's own domain decides. Nor is a p with a sample
-    that is not finite (an infinite coefficient, or a value that overflows).
-    The one-poly case of ``zero_decisions``."""
+    to drop series coefficients: every sample on the zero-check points is
+    finite and |p| <= 1e-12 (1 + |p|). That one rule also keeps a p with an
+    infinite coefficient, a value that overflows, or a factor that cannot be
+    evaluated on the sampling box (its samples read NaN): such a term is
+    kept, and evaluation on the problem's own domain decides. The one-poly
+    case of ``zero_decisions``."""
     return zero_decisions((p,))[0]
 
 
 def zero_decisions(polys: Sequence[Poly]) -> List[bool]:
     """``is_zero_expr`` of each poly, deciding all the sampled ones from one
     read of the zero-check table (``FactorTable.read``), which sums each
-    poly's rows as a read of it alone does. The empty poly is zero, and a
-    constant is decided by |c| <= 1e-12 with no read."""
+    poly's rows as a read of it alone does, and applying the one rule to
+    each: every sample finite and |v| <= 1e-12 (1 + |v|). The empty poly is
+    zero, and a constant is decided by |c| <= 1e-12 with no read."""
     out: List[bool] = []
     sampled = []
     for p in polys:
@@ -1456,13 +1448,12 @@ def zero_decisions(polys: Sequence[Poly]) -> List[bool]:
             if p:
                 sampled.append(len(out) - 1)
     if sampled:
-        rows, _, read = _ZERO_CHECK.read([polys[i].items() for i in sampled],
-                                         skip=PowerDomainError)
+        rows, _ = _ZERO_CHECK.read([polys[i].items() for i in sampled])
         v = np.abs(rows)
         # inf <= 1e-12 * (1 + inf) holds, so an infinite sample is refused apart
         small = np.all((v <= ZERO_COEFF_TOL * (1.0 + v)) & (v < math.inf), axis=1)
-        for i, ok, zero in zip(sampled, read, small.tolist()):
-            out[i] = ok and zero
+        for i, zero in zip(sampled, small.tolist()):
+            out[i] = zero
     return out
 
 

@@ -117,6 +117,19 @@ def test_boundary_correct_unknown_weights():
         boundary_correct(u, bd, weights="hermite")
 
 
+def test_polish_scans_trig_scales_only_when_its_gate_trips(monkeypatch):
+    # the polish gate trips on p7 alone among the builtins (at alpha 1, by
+    # n = 4); the scan of u's trig atoms runs once per polish that trips
+    calls, real = [], decomp._max_trig_scale
+    monkeypatch.setattr(decomp, "_max_trig_scale",
+                        lambda u, var: calls.append(var) or real(u, var))
+    for pid in ("p1", "p2", "p3", "p4", "p5", "p6"):
+        mldm_solve(builtin(pid, 1.0), 4)
+    assert calls == []
+    mldm_solve(builtin("p7", 1.0), 4)
+    assert calls == ["x", "x"]
+
+
 # ---------------------------------------------------------------------------
 # Adomian and difference polynomials
 # ---------------------------------------------------------------------------

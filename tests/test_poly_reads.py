@@ -334,12 +334,12 @@ def test_sampled_reads_match_tree_evaluation_on_the_corpus(pid):
         table = symx.FactorTable(env)
         for name, s in named:
             for term in s.terms:
-                (got,), _, _ = table.read((symx.sorted_items(term.poly),))
+                (got,), _ = table.read((symx.sorted_items(term.poly),))
                 want = np.broadcast_to(np.asarray(
                     evaluate(expr_of_poly(term.poly), env), dtype=float), got.shape)
                 where = (spec.pid, spec.mode, spec.alpha, name, term.mu)
                 assert np.abs(got).tobytes() == np.abs(want).tobytes(), where
-                (zero,), _, _ = symx._ZERO_CHECK.read((term.poly.items(),))
+                (zero,), _ = symx._ZERO_CHECK.read((term.poly.items(),))
                 assert zero.tobytes() == _reference_zero_samples(term.poly).tobytes(), where
                 polys += 1
         # the decisions of the consistency audit, and of each partial sum
@@ -649,6 +649,57 @@ domain_y = 1, 2
 exact = t*(x*y)^0.5 + t^alpha*exp(x + y)
 linear = 2x:-0.5, 2y:-0.5
 """
+
+# tools/same_outputs.py solves a copy of this file; keep the two equal.
+# (1.5 - x)^0.5 has no value past x = 1.5, inside the zero-check box (0, 2)
+OFF_BOX_FILE = """\
+domain = 0, 1
+exact = t*(1.5 - x)^0.5 + t^alpha*x
+nonlinear = u*u_x
+"""
+
+
+def _reference_zero_decision(p):
+    # the zero check as it stood: a poly the box cannot evaluate is not zero,
+    # and a finite sample within 1e-12 (1 + |v|) of zero is
+    if len(p) == 1 and () in p:
+        return abs(p[()]) <= symx.ZERO_COEFF_TOL
+    if not p:
+        return True
+    try:
+        v = np.abs(_reference_zero_samples(p))
+    except PowerDomainError:
+        return False
+    return bool(np.all(np.isfinite(v) & (v <= symx.ZERO_COEFF_TOL * (1.0 + v))))
+
+
+def test_zero_decisions_off_the_box_match_the_reference(tmp_path, monkeypatch):
+    # every poly decided while both methods solve and report on the file:
+    # a factor the box cannot evaluate reads NaN and keeps its poly, as the
+    # reference's domain error does
+    path = tmp_path / "off_box.txt"
+    path.write_text(OFF_BOX_FILE)
+    decided, decide = [], fracterm.zero_decisions
+
+    def recording(polys):
+        got = decide(polys)
+        decided.extend(zip(map(dict, polys), got))
+        return got
+
+    monkeypatch.setattr(fracterm, "zero_decisions", recording)
+    for alpha in (0.5, 1.0):
+        spec = load_problem_file(path, alpha)
+        evaluation.convergence_report([ladm_solve(spec, 2), mldm_solve(spec, 2)], spec,
+                                      default_grid(spec))
+    monkeypatch.undo()
+    off_box = 0
+    for p, zero in decided:
+        assert zero == _reference_zero_decision(p) == symx.is_zero_expr(p), p
+        try:
+            _reference_zero_samples(p)
+        except PowerDomainError:
+            off_box += 1
+    assert off_box >= 100 and len(decided) - off_box >= 100
 
 
 def test_substitute_matches_fresh_table_on_solver_terms(tmp_path):

@@ -19,14 +19,13 @@ from fracdecomp import evaluation, symx
 from fracdecomp.decomp import IterationRecord, SolveTrace, ladm_solve, mldm_solve
 from fracdecomp.evaluation import (
     _derivative_grids,
-    _series_grids,
     convergence_report,
     default_grid,
     residual,
 )
 from fracdecomp.grammar import parse_series
 from fracdecomp.problems import builtin, load_problem_file
-from fracdecomp.symx import PowerDomainError, Pow, Var, poly_of
+from fracdecomp.symx import Pow, Var, poly_of
 from test_evaluation import TWO_D_FILE
 from test_poly_reads import _assert_same_order, _random_coeff, _solver_series
 
@@ -170,22 +169,6 @@ def test_report_raises_what_the_per_record_loop_raises(case, tmp_path):
         convergence_report(traces, spec, default_grid(spec))
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
-
-
-def test_a_skipped_series_reads_as_none_and_the_others_as_alone():
-    spec = builtin("p7", 0.75)
-    grid = default_grid(spec)
-    series = [parse_series(text) for text in
-              ("t*x + t^2*sin(x)", "t*x^0.5 + t", "t*x^(-1)", "t^0.5*x^2")]
-    got = _series_grids(series, [(0, "x"), (1, "x")], grid, skip=PowerDomainError)
-    assert [g is None for g in got] == [False, True, True, False]
-    for s, g in zip(series, got):
-        if g is None:
-            with pytest.raises(PowerDomainError):
-                _derivative_grids(s, [(0, "x"), (1, "x")], grid)
-        else:
-            want = _derivative_grids(s, [(0, "x"), (1, "x")], default_grid(spec))
-            assert all(_same_bits(g[key], want[key]) for key in want)
 
 
 # ---------------------------------------------------------------------------

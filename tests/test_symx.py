@@ -29,7 +29,6 @@ from fracdecomp.symx import (
     Var,
     contains,
     diff,
-    equal_sampled,
     evaluate,
     expr_of_poly,
     is_zero_expr,
@@ -60,13 +59,15 @@ def test_diff_constant_is_zero():
 
 def test_diff_quadratic_profile():
     e = X * (Const(2.0) - X)
-    assert equal_sampled(diff(poly_of(e), "x"), poly_of(Const(2.0) - Const(2.0) * X), (0.0, 2.0))
+    assert FactorTable(sample_points((0.0, 2.0))).close(
+        diff(poly_of(e), "x"), poly_of(Const(2.0) - Const(2.0) * X), 1e-10)
 
 
 def test_diff_sine_chain_rule():
     e = Sin(Const(2.0 * math.pi) * X)
     want = Const(2.0 * math.pi) * Cos(Const(2.0 * math.pi) * X)
-    assert equal_sampled(diff(poly_of(e), "x"), poly_of(want), (0.0, 1.0))
+    assert FactorTable(sample_points((0.0, 1.0))).close(diff(poly_of(e), "x"), poly_of(want),
+                                                        1e-10)
 
 
 def _random_expr(rng):
@@ -159,7 +160,7 @@ def test_a_read_that_overflows_warns_nothing():
     big = poly_of(Const(1e300) * Pow(X, 200.0) + X)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        (value,), jets, _ = table.read((sorted_items(big),), {"x": 2})
+        (value,), jets = table.read((sorted_items(big),), {"x": 2})
     xs = sample_points((0.0, 2.0))["x"]
     with np.errstate(over="ignore"):
         want = (1e300 * xs ** 200.0 + xs, 1e300 * (200.0 * xs ** 199.0) + 1.0,
@@ -171,7 +172,7 @@ def test_a_read_that_overflows_warns_nothing():
     two = poly_of(Const(1e200) * Pow(X, 150.0) * Exp(Const(100.0) * X))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        (row,), _, _ = FactorTable(sample_points((0.0, 2.0))).read((sorted_items(two),))
+        (row,), _ = FactorTable(sample_points((0.0, 2.0))).read((sorted_items(two),))
     assert np.isinf(row).any() and np.isfinite(row).any()
 
 
@@ -249,7 +250,7 @@ def test_simplify_zero_annihilation():
 def test_simplify_polynomial_collection():
     expanded = simplify(X * (Const(2.0) - X))
     want = Const(2.0) * X - X * X
-    assert equal_sampled(poly_of(expanded), poly_of(want), (0.0, 2.0))
+    assert FactorTable(sample_points((0.0, 2.0))).close(poly_of(expanded), poly_of(want), 1e-10)
 
 
 def test_simplify_unit_factor():
@@ -294,28 +295,30 @@ def test_simplify_idempotent_and_value_preserving(e):
 
 
 # ---------------------------------------------------------------------------
-# equal_sampled
+# sampled comparison (FactorTable.close)
 # ---------------------------------------------------------------------------
 
 
 def test_equal_sampled_algebraic_identity():
-    assert equal_sampled(poly_of(Const(2.0) * X - X * X), poly_of(X * (Const(2.0) - X)),
-                         (0.0, 2.0), 1e-10)
+    table = FactorTable(sample_points((0.0, 2.0)))
+    assert table.close(poly_of(Const(2.0) * X - X * X), poly_of(X * (Const(2.0) - X)), 1e-10)
     # two normal forms of one function: exp(x)^2 and exp(2 x)
     a, b = poly_of(Exp(X) * Exp(X)), poly_of(Exp(Const(2.0) * X))
     assert a != b
-    assert equal_sampled(a, b, (0.0, 2.0), 1e-10)
+    assert table.close(a, b, 1e-10)
 
 
 def test_equal_sampled_distinguishes():
-    assert not equal_sampled(poly_of(Sin(X)), poly_of(Cos(X)), (0.0, 1.0), 1e-10)
+    assert not FactorTable(sample_points((0.0, 1.0))).close(poly_of(Sin(X)), poly_of(Cos(X)),
+                                                            1e-10)
 
 
 def test_equal_sampled_reflexive_symmetric():
     a = poly_of(Sin(X) * Exp(X) + X)
     b = poly_of(Cos(X) - X * X)
-    assert equal_sampled(a, a, (0.0, 1.0))
-    assert equal_sampled(a, b, (0.0, 1.0)) == equal_sampled(b, a, (0.0, 1.0))
+    table = FactorTable(sample_points((0.0, 1.0)))
+    assert table.close(a, a, 1e-10)
+    assert table.close(a, b, 1e-10) == table.close(b, a, 1e-10)
 
 
 def test_trig_products_keep_their_values():
@@ -364,8 +367,8 @@ def test_substitute_binds_one_variable():
     e = X * Y + Sin(X)
     s = expr_of_poly(poly_substitute(poly_of(e), "x", 1.0))
     assert not contains(s, "x")
-    assert equal_sampled(poly_of(s), poly_of(Y + Const(math.sin(1.0))),
-                         ((0.0, 2.0), (0.0, 2.0)))
+    assert FactorTable(sample_points(((0.0, 2.0), (0.0, 2.0)))).close(
+        poly_of(s), poly_of(Y + Const(math.sin(1.0))), 1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -370,7 +370,7 @@ def _zero_test_cases():
 def test_zero_check_samples_match_monomial_loop(case):
     p = poly_of(_zero_test_cases()[case])
     assert len(p) >= 2
-    (got,), _, _ = symx._ZERO_CHECK.read((p.items(),))
+    (got,), _ = symx._ZERO_CHECK.read((p.items(),))
     want = _reference_samples(p)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -385,7 +385,7 @@ def test_zero_check_samples_on_hand_built_polys():
         {((X, 0.5),): 1.0, ((X, 0.5), (Y, 3.0)): 2.0, (): -4.0},
     ]
     for p in polys:
-        (got,), _, _ = symx._ZERO_CHECK.read((p.items(),))
+        (got,), _ = symx._ZERO_CHECK.read((p.items(),))
         assert got.tobytes() == _reference_samples(p).tobytes()
         v = _reference_samples(p)
         want = bool(np.all(np.abs(v) <= 1e-12 * (1.0 + np.abs(v))))

@@ -24,3 +24,4 @@ def test_same_outputs_file_copies_match_the_tests():
     assert tool.TRIG_FILE == linearize.TRIG_FILE
     assert tool.POLE_FILE == evaluation.pole_case_file("uxx_three_halves")
     assert tool.BOX_FILE == poly_reads.BOX_FILE
+    assert tool.OFF_BOX_FILE == poly_reads.OFF_BOX_FILE

@@ -154,6 +154,17 @@ linear = 2x:-0.5, 2y:-0.5
 """
 BOX_ARGS = ["-m", "both", "-n", "2", "-a", "0.5,1.0"]
 
+# (1.5 - x)^0.5 has no value past x = 1.5 on the zero-check box (0, 2), so
+# the zero check reads every factor holding it as NaN and keeps its terms,
+# a rule no case above reaches. It must match OFF_BOX_FILE of
+# tests/test_poly_reads.py.
+OFF_BOX_FILE = """\
+domain = 0, 1
+exact = t*(1.5 - x)^0.5 + t^alpha*x
+nonlinear = u*u_x
+"""
+OFF_BOX_ARGS = ["-m", "both", "-n", "2", "-a", "0.5,1.0"]
+
 # The 2D file once more with a worker pool: each job's spec and grid then
 # reach a worker pickled, brace coefficient and cubic included.
 FILE_CASES = (("cubic2d.txt", TWO_D_FILE, TWO_D_ARGS), ("trig.txt", TRIG_FILE, TRIG_ARGS),
@@ -164,6 +175,7 @@ FILE_CASES = (("cubic2d.txt", TWO_D_FILE, TWO_D_ARGS), ("trig.txt", TRIG_FILE, T
               ("scaled.txt", SCALED_FILE, BIG_ERROR_ARGS),
               ("big_gamma.txt", BIG_GAMMA_FILE, BIG_ERROR_ARGS),
               ("box.txt", BOX_FILE, BOX_ARGS),
+              ("off_box.txt", OFF_BOX_FILE, OFF_BOX_ARGS),
               ("cubic2d.txt", TWO_D_FILE, TWO_D_ARGS + ["-j", "2"]))
 
 FILES = ("points.csv", "plot.dat", "summary.csv")
