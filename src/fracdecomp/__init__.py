@@ -9,7 +9,6 @@ self-check suite behind the CLI's verify command (acceptance).
 """
 
 from .decomp import (
-    BoundaryData,
     DecompError,
     IterationRecord,
     LinearOpSpec,
@@ -40,7 +39,6 @@ from .fracterm import (
     Series,
     SeriesError,
     caputo,
-    eval_series,
     frac_integral,
     gamma,
     initial_value,
@@ -68,7 +66,6 @@ from .problems import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryData",
     "CaputoRangeError",
     "ConsistencyReport",
     "DecompError",
@@ -95,7 +92,6 @@ __all__ = [
     "caputo",
     "convergence_report",
     "default_grid",
-    "eval_series",
     "evaluate_series_grid",
     "frac_integral",
     "gamma",

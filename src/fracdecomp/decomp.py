@@ -39,7 +39,7 @@ import math
 import time
 from collections import namedtuple
 from itertools import combinations
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .symx import Const, Cos, Expr, Sin, Var, poly_of, poly_substitute, simplify
 from .fracterm import (
@@ -62,7 +62,6 @@ __all__ = [
     "NonlinearProduct",
     "NonlinearOpSpec",
     "Face",
-    "BoundaryData",
     "face_geometry",
     "check_corner_compatibility",
     "IterationRecord",
@@ -158,7 +157,8 @@ class NonlinearProduct(NamedTuple):
 
 
 class NonlinearOpSpec(_Checked, namedtuple("NonlinearOpSpec", "products")):
-    """Sum of products of spatial derivatives of u, total degree <= 3.
+    """Sum of products of spatial derivatives of u, total degree <= 3; no
+    products is N = 0, whose apply and Adomian polynomials are zero.
 
     A product may carry a multiplicative Series coefficient; a degree-1
     product with such a coefficient is exactly a time-dependent linear
@@ -168,14 +168,15 @@ class NonlinearOpSpec(_Checked, namedtuple("NonlinearOpSpec", "products")):
 
     __slots__ = ()
 
-    def __new__(cls, products: Tuple[NonlinearProduct, ...]):
-        if not products:
-            raise DecompError("empty nonlinear operator; use None instead")
+    def __new__(cls, products: Tuple[NonlinearProduct, ...] = ()):
         for p in products:
             if p.degree() > MAX_NONLINEAR_DEGREE:
                 raise DecompError(
                     f"nonlinearity degree {p.degree()} beyond supported {MAX_NONLINEAR_DEGREE}")
         return super().__new__(cls, products)
+
+    def is_empty(self) -> bool:
+        return not self.products
 
     def apply(self, u: Series) -> Series:
         # N(u) is grade 0 of the Adomian bookkeeping with u as the only grade
@@ -229,33 +230,11 @@ def face_geometry(domain, domain_y=None) -> Dict[str, Tuple[str, float]]:
             "bc.y0": ("y", float(domain_y[0])), "bc.y1": ("y", float(domain_y[1]))}
 
 
-class BoundaryData(NamedTuple):
-    """Dirichlet data: problem-file key -> Face, in ``face_geometry`` order,
-    so the faces pair up as the low and the high end of each axis. A box's
-    x-faces are functions of (y, t), its y-faces of (x, t)."""
-
-    faces: Dict[str, Face]
-
-    @staticmethod
-    def _of(data: Sequence[Series], domain, domain_y=None) -> "BoundaryData":
-        return BoundaryData({key: Face(var, at, g) for (key, (var, at)), g
-                             in zip(face_geometry(domain, domain_y).items(), data)})
-
-    @staticmethod
-    def interval(g0: Series, g1: Series, domain) -> "BoundaryData":
-        return BoundaryData._of((g0, g1), domain)
-
-    @staticmethod
-    def box(gx0: Series, gx1: Series, gy0: Series, gy1: Series,
-            domain, domain_y) -> "BoundaryData":
-        return BoundaryData._of((gx0, gx1, gy0, gy1), domain, domain_y)
-
-
-def check_corner_compatibility(bd: BoundaryData) -> None:
+def check_corner_compatibility(bd: Mapping[str, Face]) -> None:
     """Faces of different axes must agree where they meet (tol 1e-12), else
     correcting one axis after the other cannot hit them all. An interval has
     no corners."""
-    for a, b in combinations(bd.faces.values(), 2):
+    for a, b in combinations(bd.values(), 2):
         if a.var == b.var:
             continue
         ga = series_substitute(a.g, b.var, b.at)
@@ -282,9 +261,10 @@ def _trace_gap(u: Series, g: Series, var: str, at: float) -> Series:
     return series_add(g, series_scale(tr, -1.0))
 
 
-def _gap_height(gap: Series) -> float:
+def coeff_height(series: Series) -> float:
+    """Largest |coefficient| over the monomials of every term (0 for none)."""
     worst = 0.0
-    for t in gap.terms:
+    for t in series.terms:
         for c in t.poly.values():
             worst = max(worst, abs(c))
     return worst
@@ -334,7 +314,7 @@ def _polish_1d(u: Series, g_lo: Series, g_hi: Series, lo: float, hi: float,
     for _ in range(POLISH_ROUNDS):
         lo_gap = _trace_gap(u, g_lo, var, lo)
         hi_gap = _trace_gap(u, g_hi, var, hi)
-        if max(_gap_height(lo_gap), _gap_height(hi_gap)) <= POLISH_TOL:
+        if max(coeff_height(lo_gap), coeff_height(hi_gap)) <= POLISH_TOL:
             break
         if q_step is None:
             # the gate trips first in round 1, so this scans the u it was given
@@ -365,8 +345,13 @@ def _endpoint_value(f: Expr, var: str, at: float) -> float:
     return poly_substitute(poly_of(f), var, at).get((), 0.0)
 
 
-def boundary_correct(u: Series, bd: BoundaryData, weights: str = "normalized") -> Series:
+def boundary_correct(u: Series, bd: Mapping[str, Face],
+                     weights: str = "normalized") -> Series:
     """Blend u onto the Dirichlet data with affine weights, one axis at a time.
+
+    bd maps each problem-file key to its Face, in ``face_geometry`` order, so
+    the faces pair up as the low and the high end of each axis; a box's
+    x-faces are functions of (y, t), its y-faces of (x, t).
 
     Along an axis [l, L]: u* = u + w_l[g_l - u(l,.)] + w_L[g_L - u(L,.)],
     where the normalized weights are (L-v)/(L-l) and (v-l)/(L-l) (the
@@ -374,7 +359,7 @@ def boundary_correct(u: Series, bd: BoundaryData, weights: str = "normalized") -
     [0,1]). On a box the blend runs in x, then in y on the x-corrected sum;
     with compatible corners the result matches all four faces exactly.
     """
-    faces = list(bd.faces.values())
+    faces = list(bd.values())
     for lo, hi in zip(faces[::2], faces[1::2]):
         u = _correct_1d(u, lo.g, hi.g, lo.at, hi.at, lo.var, weights)
     return u
@@ -436,7 +421,7 @@ class _AdomianGrades:
             if p.series_coeff is not None:
                 term = series_mul(term, p.series_coeff)
             acc = term if acc is None else series_add(acc, term)
-        return acc
+        return Series.zero() if acc is None else acc
 
 
 def adomian_polys(nonlinear: NonlinearOpSpec, u_list: Sequence[Series]) -> List[Series]:
@@ -460,13 +445,14 @@ class IterationRecord(NamedTuple):
     """One step of a solve.
 
     ``poly`` is A_n (ladm) or B*_n (mldm), which only u_{n+1} needs: it is
-    None on the final record, and for problems without a nonlinearity.
+    None on the final record alone. Without a nonlinearity it is the zero
+    series.
     """
 
     n: int
     u: Series                      # raw term from the recursion
     u_star: Series                 # corrected increment (ladm: == u)
-    poly: Optional[Series]         # A_n or B*_n, when u_{n+1} needs it
+    poly: Optional[Series]         # A_n or B*_n; None on the final record
     partial_sum: Series            # sum of u_star up to n
     seconds: float
 
@@ -493,14 +479,13 @@ def _decompose(problem, iterations: int, method: str, weights: Optional[str],
 
     It seeds u_0 and forms u_n = -I^alpha(Q u*_{n-1} + P_{n-1}) from the
     previous record; step(u_n, S_{n-1}, want_poly) returns the rest of
-    record n, (u*_n, S_n, P_n), and wants P_n only if the problem is
-    nonlinear and a u_{n+1} is to come (else P_n is None).
+    record n, (u*_n, S_n, P_n), and wants P_n only if a u_{n+1} is to come
+    (else P_n is None).
     A record whose series meets a growth cap ends the solve.
     """
     if iterations < 0:
         raise DecompError("iterations must be >= 0")
     alpha = problem.alpha
-    nonlinear = problem.nonlinear is not None
     records: List[IterationRecord] = []
     u = series_add(problem.f, frac_integral(problem.h, alpha))
     for n in range(iterations + 1):
@@ -508,11 +493,10 @@ def _decompose(problem, iterations: int, method: str, weights: Optional[str],
         prev_sum = Series.zero()
         if n > 0:
             prev = records[-1]
-            prev_sum, rhs = prev.partial_sum, problem.linear.apply(prev.u_star)
-            if prev.poly is not None:
-                rhs = series_add(rhs, prev.poly)
+            prev_sum = prev.partial_sum
+            rhs = series_add(problem.linear.apply(prev.u_star), prev.poly)
             u = series_scale(frac_integral(rhs, alpha), -1.0)
-        u_star, partial, poly = step(u, prev_sum, nonlinear and n < iterations)
+        u_star, partial, poly = step(u, prev_sum, n < iterations)
         records.append(IterationRecord(n, u, u_star, poly, partial, time.perf_counter() - t0))
         # the truncated flag survives every series operation, so a cap met
         # inside a step shows on what the step returns
@@ -523,7 +507,7 @@ def _decompose(problem, iterations: int, method: str, weights: Optional[str],
 
 def ladm_solve(problem, iterations: int) -> SolveTrace:
     """Classical decomposition trace with iterations+1 records (n = 0..iterations)."""
-    grades = _AdomianGrades(problem.nonlinear) if problem.nonlinear is not None else None
+    grades = _AdomianGrades(problem.nonlinear)
 
     def step(u, prev_sum, want_poly):
         return u, series_add(prev_sum, u), grades.push(u) if want_poly else None

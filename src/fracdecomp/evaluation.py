@@ -173,7 +173,10 @@ def _series_grids(series_list: Sequence[Series], keys,
     those of a read of its series alone; they are scaled by t^mu and added
     into their series' grids in term order. The read sums or raises: a
     factor row the grid cannot build raises, and no series is left out.
+    No keys ask for no grids, and nothing is read.
     """
+    if not keys:
+        return [{} for _ in series_list]
     orders: Dict[str, int] = {}
     for order, var in keys:
         if order:
@@ -251,8 +254,6 @@ def _within_caps(series: Series, approx: Series) -> Series:
 
 def _coeff_grids(nonlinear, grid: Grid) -> List[Optional[np.ndarray]]:
     """The grid of each product's series coefficient, in product order."""
-    if nonlinear is None:
-        return []
     return [None if p.series_coeff is None else evaluate_series_grid(p.series_coeff, grid)
             for p in nonlinear.products]
 
@@ -303,10 +304,9 @@ def residual(approx: Series, spec, grid: Grid,
     res = series_add(res, spec.linear.apply(approx))
     res = series_add(res, series_scale(spec.h, -1.0))
     values = evaluate_series_grid(_within_caps(res, approx), grid)
-    if spec.nonlinear is not None:
-        if derivs is None:
-            derivs = _derivative_grids(approx, spec.nonlinear.factor_keys(), grid)
-        values += _nonlinear_grid(spec.nonlinear, derivs, grid, coeff_grids)
+    if derivs is None:
+        derivs = _derivative_grids(approx, spec.nonlinear.factor_keys(), grid)
+    values += _nonlinear_grid(spec.nonlinear, derivs, grid, coeff_grids)
     return float(np.abs(_finite(values, "residual")).max())
 
 
@@ -426,9 +426,7 @@ def convergence_report(traces: Sequence, spec, grid: Grid) -> List[ConvergenceRo
     """
     exact = evaluate_series_grid(spec.exact, grid) if spec.exact is not None else None
     coeff_grids = _coeff_grids(spec.nonlinear, grid)
-    keys = [(0, "x")]
-    if spec.nonlinear is not None:
-        keys = list(dict.fromkeys(keys + spec.nonlinear.factor_keys()))
+    keys = list(dict.fromkeys([(0, "x")] + spec.nonlinear.factor_keys()))
     rows: List[ConvergenceRow] = []
     for trace in traces:
         seconds = 0.0

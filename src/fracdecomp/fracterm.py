@@ -18,8 +18,7 @@ spatial and fractional operations, boundary substitution, the initial trace
 (``initial_value``, a Series) and every sampled read run on polys from end
 to end: ``series_equal`` compares coefficients through one
 ``symx.FactorTable`` on the domain's sample points. An ``Expr`` is built
-only to render a term and by ``eval_series``, which evaluates at one point
-on the tree, through the read-only ``TimeTerm.coeff``.
+only to render a term, through the read-only ``TimeTerm.coeff``.
 
 Exponents merge by one rule, ``_mu_groups``. ``_from_pairs`` sums each
 group's polys into a dict of its own, never into a poly a series holds, and
@@ -39,7 +38,7 @@ product, so its rounding differs from a chain of ``series_mul`` and
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, NamedTuple, Sequence, Tuple, Union
+from typing import Iterable, NamedTuple, Sequence, Tuple, Union
 
 from .symx import (
     Expr,
@@ -47,7 +46,7 @@ from .symx import (
     Poly,
     contains,
     diff,
-    evaluate,
+    evaluate,  # noqa: F401 -- the tree evaluator, bound here for span tracing
     expr_of_poly,
     fourier_sums,
     is_zero_expr,  # noqa: F401 -- the one-poly zero check, bound here for span tracing
@@ -80,7 +79,6 @@ __all__ = [
     "series_substitute",
     "frac_integral",
     "caputo",
-    "eval_series",
     "series_equal",
     "to_series",
     "initial_value",
@@ -137,7 +135,7 @@ class TimeTerm(NamedTuple):
 
     ``poly`` is c in symx's multinomial normal form. Series share these dicts,
     so no operation may mutate one; ``coeff`` builds c as an ``Expr`` on
-    every access, to render the term and for ``eval_series``.
+    every access, to render the term.
     """
 
     mu: float
@@ -420,24 +418,8 @@ def initial_value(a: Series) -> Series:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation and comparison.
+# Comparison.
 # ---------------------------------------------------------------------------
-
-
-def eval_series(a: Series, point: Mapping[str, float], t: float) -> float:
-    """Evaluate at one space point and one time; 0^0 := 1 at t = 0."""
-    if t < 0.0:
-        raise SeriesError(f"series defined for t >= 0, got t={t}")
-    total = 0.0
-    for term in a.terms:
-        if term.mu == 0.0:
-            tp = 1.0
-        elif t == 0.0:
-            tp = 0.0
-        else:
-            tp = t ** term.mu
-        total += float(evaluate(term.coeff, point)) * tp
-    return total
 
 
 def series_equal(a: Series, b: Series, domain=None, tol: float = 1e-10) -> bool:

@@ -5,8 +5,10 @@ and ``pi``, the operators ``+ - * / ^`` (with ``^`` right-associative),
 parentheses, and the functions ``sin``, ``cos``, ``exp`` and ``gamma``.
 ``alpha`` is bound to a number at parse time and ``gamma(...)`` takes a
 constant argument, evaluated immediately; exponents must likewise fold to
-constants because power nodes carry a real exponent. Errors carry the
-offending position so the CLI can point at the character.
+constants because power nodes carry a real exponent. A chain of ``+`` and
+``-``, or of ``*`` and ``/``, builds one n-ary node, so a long sum is a flat
+tree; nesting is bounded by ``MAX_DEPTH``. Errors carry the offending
+position so the CLI can point at the character.
 """
 
 from __future__ import annotations
@@ -93,6 +95,9 @@ def _tokenize(text: str):
 
 _BINARY_BP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 _UNARY_BP = 25
+# Levels of nested subexpressions: the whole text is one, and each
+# parenthesis, function argument, sign or operand opens one more.
+MAX_DEPTH = 100
 
 
 class _Parser:
@@ -102,6 +107,7 @@ class _Parser:
         self.allow_t = allow_t
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -125,11 +131,17 @@ class _Parser:
         return e
 
     def expression(self, rbp: int) -> Expr:
+        if self.depth == MAX_DEPTH:
+            # located at the token that opens the level
+            raise GrammarError(f"expression nested deeper than {MAX_DEPTH} levels",
+                               self.tokens[self.i - 1].pos, self.text)
+        self.depth += 1
         left = self.nud(self.advance())
         while True:
             tok = self.peek()
             bp = _BINARY_BP.get(tok.kind, -1)
             if bp <= rbp:
+                self.depth -= 1
                 return left
             self.advance()
             left = self.led(tok, left)
@@ -185,20 +197,21 @@ class _Parser:
                                pos, self.text) from None
 
     def led(self, tok: _Token, left: Expr) -> Expr:
+        # a chain a + b - c or a * b / c extends its left operand's node
         if tok.kind == "+":
-            return Sum((left, self.expression(10)))
+            return Sum(_args(left, Sum) + (self.expression(10),))
         if tok.kind == "-":
-            return Sum((left, Prod((Const(-1.0), self.expression(10)))))
+            return Sum(_args(left, Sum) + (Prod((Const(-1.0), self.expression(10))),))
         if tok.kind == "*":
-            return Prod((left, self.expression(20)))
+            return Prod(_args(left, Prod) + (self.expression(20),))
         if tok.kind == "/":
             right = self.expression(20)
             rs = simplify(right)
             if isinstance(rs, Const):
                 if rs.value == 0.0:
                     raise GrammarError("division by zero", tok.pos, self.text)
-                return Prod((left, Const(1.0 / rs.value)))
-            return Prod((left, Pow(right, -1.0)))
+                return Prod(_args(left, Prod) + (Const(1.0 / rs.value),))
+            return Prod(_args(left, Prod) + (Pow(right, -1.0),))
         if tok.kind == "^":
             # Right-associative; the exponent must fold to a constant.
             right = self.expression(_BINARY_BP["^"] - 1)
@@ -207,6 +220,10 @@ class _Parser:
                 raise GrammarError("exponent must be constant", tok.pos, self.text)
             return Pow(left, rs.value)
         raise GrammarError(f"unexpected operator {tok.value!r}", tok.pos, self.text)
+
+
+def _args(e: Expr, kind: type) -> tuple:
+    return e.args if isinstance(e, kind) else (e,)
 
 
 def parse_expr(text: str, alpha: Optional[float] = None, allow_t: bool = True) -> Expr:

@@ -32,7 +32,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .fracterm import Series, caputo, initial_value, series_add, series_equal, \
     series_mul, series_scale, series_substitute
 from .decomp import (
-    BoundaryData,
     Face,
     LinearOpSpec,
     NonlinearFactor,
@@ -78,9 +77,9 @@ class ProblemSpec(NamedTuple):
     alpha: float
     mode: str
     f: Series
-    bd: BoundaryData
+    bd: Dict[str, Face]            # problem-file key -> Face, in face_geometry order
     linear: LinearOpSpec
-    nonlinear: Optional[NonlinearOpSpec]
+    nonlinear: NonlinearOpSpec
     h: Series
     exact: Optional[Series]
     note: str = ""
@@ -94,19 +93,17 @@ class ProblemSpec(NamedTuple):
         lhs = "D^a u"
         if not self.linear.is_empty():
             lhs += " + " + self.linear.describe()
-        if self.nonlinear is not None:
+        if not self.nonlinear.is_empty():
             lhs += " + " + self.nonlinear.describe()
         return lhs.replace("+ -", "- ") + " = h"
 
 
 def manufacture_source(exact: Series, linear: LinearOpSpec,
-                       nonlinear: Optional[NonlinearOpSpec], alpha: float) -> Series:
+                       nonlinear: NonlinearOpSpec, alpha: float) -> Series:
     """h such that the given exact series solves D^alpha u + Qu + Nu = h."""
     h = caputo(exact, alpha)
     h = series_add(h, linear.apply(exact))
-    if nonlinear is not None:
-        h = series_add(h, nonlinear.apply(exact))
-    return h
+    return series_add(h, nonlinear.apply(exact))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +258,7 @@ def validate_consistency(spec: ProblemSpec) -> ConsistencyReport:
 
     bc_ok = all(series_equal(face.g, series_substitute(spec.exact, face.var, face.at),
                              domain=dom, tol=DATA_TOL)
-                for face in spec.bd.faces.values())
+                for face in spec.bd.values())
 
     detail = ""
     if not source_ok:
@@ -425,9 +422,9 @@ def _spec(pid: str, title: str, name: str, fields: Dict[str, str], alpha: float,
             raise ProblemError(f"{name}: {key!r} is not a face of this problem; "
                                f"its faces are {', '.join(geometry)}")
 
-    def parsed(key: str, parse):
+    def parsed(key: str, parse, absent=None):
         if key not in fields:
-            return None
+            return absent
         try:
             return parse(fields[key], alpha)
         except GrammarError as exc:
@@ -445,7 +442,8 @@ def _spec(pid: str, title: str, name: str, fields: Dict[str, str], alpha: float,
         return s
 
     linear = _parse_linear_field(name, fields.get("linear", ""))
-    nonlinear = parsed("nonlinear", lambda text, a: _parse_nonlinear_field(name, text, a))
+    nonlinear = parsed("nonlinear", lambda text, a: _parse_nonlinear_field(name, text, a),
+                       NonlinearOpSpec())
     exact = series_field("exact", parse_series)
     source = series_field("source", parse_series)
     if exact is None and source is None:
@@ -468,9 +466,8 @@ def _spec(pid: str, title: str, name: str, fields: Dict[str, str], alpha: float,
 
     f = data("ic", lambda text, a: Series.of(0.0, parse_spatial(text, a)),
              lambda: initial_value(exact))
-    bd = BoundaryData({
-        key: Face(var, at, data(key, parse_series, lambda: series_substitute(exact, var, at)))
-        for key, (var, at) in geometry.items()})
+    bd = {key: Face(var, at, data(key, parse_series, lambda: series_substitute(exact, var, at)))
+          for key, (var, at) in geometry.items()}
     h = source if literal else manufacture_source(exact, linear, nonlinear, alpha)
     spec = ProblemSpec(pid, title, dimension, domain, domain_y, alpha, mode,
                        f, bd, linear, nonlinear, h, exact, note)

@@ -51,8 +51,7 @@ rule keeps such a term as it keeps one that overflows. ``series_equal``
 builds a table on a domain's sample points, and each evaluation ``Grid``
 owns one on its space grid, through which a report reads all the partial
 sums of a trace at once.
-``evaluate`` walks a tree: it fills the atom rows and serves
-``fracterm.eval_series``.
+``evaluate`` walks a tree: it fills the atom rows.
 
 Exact restriction, ``poly_substitute``, gives boundary traces, corner checks
 and face data. Each monomial has one plan per (variable, value) for the life
@@ -1016,7 +1015,10 @@ def _pow_value(b: EnvValue, p: float):
         raise PowerDomainError(f"negative base {b} with fractional exponent {p}")
     if p < 0.0 and b == 0.0:
         raise PowerDomainError(f"zero base with negative exponent {p}")
-    return b ** p
+    try:
+        return b ** p
+    except OverflowError:
+        raise ExprError(f"{b:g}^{p:g} overflows a float") from None
 
 
 def evaluate(e: Expr, env: Mapping[str, EnvValue]) -> EnvValue:
@@ -1153,7 +1155,13 @@ def poly_substitute(p: Poly, name: str, value: float) -> Poly:
             buckets.setdefault(residual, []).append(c)
     out: Poly = {}
     for key, parts in buckets.items():
-        s = math.fsum(parts)
+        try:
+            s = math.fsum(parts)
+        except (OverflowError, ValueError):
+            # past the float range mid-sum, or an inf and a -inf from
+            # multipliers that overflowed
+            raise ExprError(f"the sum of a coefficient at {name} = {value:g} "
+                            "overflows a float") from None
         if s != 0.0:
             out[key] = s
     return poly_add(out, generic) if generic else out
@@ -1494,11 +1502,12 @@ def _render(e: Expr, parent_prec: int) -> str:
         out = sign + "*".join(_render(a, 2) for a in args)
         return f"({out})" if parent_prec > 2 or (sign and parent_prec == 2) else out
     if isinstance(e, Pow):
-        base = _render(e.base, 3)
+        # ^ is right-associative, so a power as a base takes parentheses
+        base = _render(e.base, 4)
         exp = fmt_number(e.exponent)
         if e.exponent < 0 or not float(e.exponent).is_integer():
             exp = f"({exp})" if exp.startswith("-") or "." in exp else exp
-        return f"{base}^{exp}"
+        return f"({base}^{exp})" if parent_prec > 3 else f"{base}^{exp}"
     if isinstance(e, Sin):
         return f"sin({_render(e.arg, 0)})"
     if isinstance(e, Cos):

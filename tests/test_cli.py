@@ -13,6 +13,7 @@ import pytest
 import fracdecomp.cli as cli
 import fracdecomp.evaluation as evaluation
 from fracdecomp.cli import main
+from fracdecomp.grammar import MAX_DEPTH
 from fracdecomp.symx import PowerDomainError
 from test_evaluation import TWO_D_FILE
 
@@ -439,6 +440,22 @@ EXIT_2_CASES = {
                                "domain = 0, 1\nexact = t*x\n",
                                "paper-literal mode needs 'source'"),
     "verify_no_check": (["verify", "--only", ","], None, "no checks selected"),
+    # a face of the exact solution whose value overflows a float: a power of
+    # the domain's end, and the exactly rounded sum of a substituted coefficient
+    "face_power_overflows": (["solve", "-f", "{dir}/prob.txt", "-m", "ladm", "-n", "1",
+                              "-a", "0.5"], "domain = 0, 1e200\nexact = t*x^2\n",
+                             "1e+200^2 overflows a float"),
+    "face_sum_overflows": (["solve", "-f", "{dir}/prob.txt", "-m", "ladm", "-n", "1",
+                            "-a", "0.5"], "domain = 0, 1\nexact = t*(1e308*x + 1e308*x^2)\n",
+                           "the sum of a coefficient at x = 1 overflows a float"),
+    "face_terms_overflow": (["solve", "-f", "{dir}/prob.txt", "-m", "ladm", "-n", "1",
+                             "-a", "0.5"],
+                            "domain = 0, 1e10\nexact = t*(1e300*x - 1e300*x*cos(x))\n",
+                            "the sum of a coefficient at x = 1e+10 overflows a float"),
+    "nested_too_deep": (["solve", "-f", "{dir}/prob.txt", "-m", "ladm", "-n", "1",
+                         "-a", "0.5"],
+                        "domain = 0, 1\nexact = " + "(" * MAX_DEPTH + "t" + ")" * MAX_DEPTH
+                        + "\n", f"^ expression nested deeper than {MAX_DEPTH} levels"),
 }
 
 
@@ -454,6 +471,39 @@ def test_input_errors_exit_2_with_their_message(case, runner, tmp_path):
     assert isinstance(r.exception, SystemExit)
     assert fragment in r.output and "Traceback" not in r.output
     assert not out.exists()
+
+
+def _solve_text(runner, tmp_path, name, text, *args):
+    (tmp_path / name).mkdir()
+    prob = tmp_path / name / "prob.txt"
+    prob.write_text(text)
+    out = tmp_path / name / "o"
+    r = runner.invoke(main, ["solve", "-f", str(prob), "--grid", "5,3", "-o", str(out),
+                             *args])
+    return r, out
+
+
+def test_a_long_sum_and_nesting_at_the_bound_solve(runner, tmp_path):
+    # a chain parses to one node, so 600 terms recurse no deeper than two
+    terms = " + ".join(f"{k}*x^{k % 7}" for k in range(1, 601))
+    depth = MAX_DEPTH - 1           # the whole text is the first level
+    for name, exact in (("long", f"t*({terms})"), ("deep", "(" * depth + "t" + ")" * depth)):
+        r, out = _solve_text(runner, tmp_path, name, f"domain = 0, 1\nexact = {exact}\n",
+                             "-m", "ladm", "-n", "1", "-a", "0.5")
+        assert r.exit_code == 0, (name, r.output)
+        assert len(_lines(out / "summary.csv")) == 3
+
+
+def test_an_empty_nonlinear_line_is_no_nonlinearity(runner, tmp_path):
+    # N = 0 as an empty line, as an empty linear line is Q = 0: the outputs
+    # are those of the file without either line
+    text = "domain = 0, 1\nexact = t^2*x*(1 - x)\nlinear = 1x:1.0\n"
+    outputs = []
+    for name, extra in (("plain", ""), ("empty", "nonlinear =\n")):
+        r, out = _solve_text(runner, tmp_path, name, text + extra, "-m", "both", "-n", "2")
+        assert r.exit_code == 0, (name, r.output)
+        outputs.append([(out / f).read_bytes() for f in ("points.csv", "plot.dat")])
+    assert outputs[0] == outputs[1]
 
 
 def test_solve_takes_alpha_from_the_problem_file(runner, tmp_path):

@@ -11,14 +11,15 @@ import pytest
 
 from fracdecomp import decomp, fracterm, symx
 from fracdecomp.decomp import (
-    BoundaryData,
     DecompError,
+    Face,
     LinearOpSpec,
     NonlinearFactor,
     NonlinearOpSpec,
     NonlinearProduct,
     adomian_polys,
     boundary_correct,
+    face_geometry,
     ladm_solve,
     mldm_solve,
 )
@@ -40,6 +41,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SQUARE = NonlinearOpSpec((NonlinearProduct(1.0, (NonlinearFactor(0, "x", 2),)),))
 
 
+def _faces(data, domain, domain_y=None):
+    """Dirichlet data as ``ProblemSpec.bd`` holds it: key -> Face, the
+    series of data in ``face_geometry`` order."""
+    return {key: Face(var, at, g)
+            for (key, (var, at)), g in zip(face_geometry(domain, domain_y).items(), data)}
+
+
 # ---------------------------------------------------------------------------
 # boundary_correct
 # ---------------------------------------------------------------------------
@@ -49,7 +57,7 @@ def test_boundary_correct_quadratic_example():
     # u = x^2 t^2 + 0.2 x^4 t^5 on [0,1] with g0 = 0, g1 = t^2 leaves a
     # residual 0.2 t^5 at x = 1; blending weight x moves it to x^4 - x
     u = parse_series("x^2*t^2 + 0.2*x^4*t^5")
-    bd = BoundaryData.interval(Series.zero(), parse_series("t^2"), (0.0, 1.0))
+    bd = _faces((Series.zero(), parse_series("t^2")), (0.0, 1.0))
     got = boundary_correct(u, bd)
     want = parse_series("x^2*t^2 + 0.2*t^5*(x^4 - x)")
     assert series_equal(got, want, (0.0, 1.0), 1e-12)
@@ -59,7 +67,7 @@ def test_boundary_correct_interpolates_exactly():
     # not approximately: the defect series after substitution has no terms
     u = parse_series("x^2*t^2 + 0.2*x^4*t^5")
     g1 = parse_series("t^2")
-    bd = BoundaryData.interval(Series.zero(), g1, (0.0, 1.0))
+    bd = _faces((Series.zero(), g1), (0.0, 1.0))
     star = boundary_correct(u, bd)
     at0 = series_substitute(star, "x", 0.0)
     at1 = series_substitute(star, "x", 1.0)
@@ -69,7 +77,7 @@ def test_boundary_correct_interpolates_exactly():
 
 def test_boundary_correct_keeps_satisfying_input():
     u = parse_series("sin(pi*x)*t + x*t^2")
-    bd = BoundaryData.interval(Series.zero(), parse_series("t^2"), (0.0, 1.0))
+    bd = _faces((Series.zero(), parse_series("t^2")), (0.0, 1.0))
     got = boundary_correct(u, bd)
     assert series_equal(got, u, (0.0, 1.0), 1e-12)
 
@@ -77,14 +85,14 @@ def test_boundary_correct_keeps_satisfying_input():
 def test_boundary_correct_preserves_initial_trace():
     # data compatible at t = 0, so the correction only moves mu > 0 terms
     u = parse_series("x + x^2*t^2")
-    bd = BoundaryData.interval(Series.zero(), parse_series("1 + t^3"), (0.0, 1.0))
+    bd = _faces((Series.zero(), parse_series("1 + t^3")), (0.0, 1.0))
     got = boundary_correct(u, bd)
     assert series_equal(initial_value(got), initial_value(u), (0.0, 1.0))
 
 
 def test_paper_literal_weights_match_on_unit_interval():
     u = parse_series("x^2*t^2 + 0.2*x^4*t^5")
-    bd = BoundaryData.interval(Series.zero(), parse_series("t^2"), (0.0, 1.0))
+    bd = _faces((Series.zero(), parse_series("t^2")), (0.0, 1.0))
     a = boundary_correct(u, bd, weights="normalized")
     b = boundary_correct(u, bd, weights="paper-literal")
     assert series_equal(a, b, (0.0, 1.0), 1e-12)
@@ -94,7 +102,7 @@ def test_paper_literal_weights_miss_on_wider_interval():
     # (1-x, x) blending only interpolates when the interval is [0,1]
     u = parse_series("x*(2 - x)*t + t^2")
     g1 = parse_series("t^2 + 1")
-    bd = BoundaryData.interval(parse_series("t^2"), g1, (0.0, 2.0))
+    bd = _faces((parse_series("t^2"), g1), (0.0, 2.0))
     exact = boundary_correct(u, bd, weights="normalized")
     off = boundary_correct(u, bd, weights="paper-literal")
     d_exact = series_add(series_substitute(exact, "x", 2.0), series_scale(g1, -1.0))
@@ -105,14 +113,14 @@ def test_paper_literal_weights_miss_on_wider_interval():
 
 def test_boundary_correct_degenerate_domain():
     u = parse_series("x*t")
-    bd = BoundaryData.interval(Series.zero(), Series.zero(), (1.0, 1.0))
+    bd = _faces((Series.zero(), Series.zero()), (1.0, 1.0))
     with pytest.raises(DecompError):
         boundary_correct(u, bd)
 
 
 def test_boundary_correct_unknown_weights():
     u = parse_series("x*t")
-    bd = BoundaryData.interval(Series.zero(), Series.zero(), (0.0, 1.0))
+    bd = _faces((Series.zero(), Series.zero()), (0.0, 1.0))
     with pytest.raises(DecompError):
         boundary_correct(u, bd, weights="hermite")
 
@@ -354,7 +362,22 @@ def test_solver_records_do_not_depend_on_the_iteration_count(pid, solve):
         for field in ("u", "u_star", "partial_sum"):
             assert _bits(getattr(last, field)) == _bits(getattr(same, field)), field
         assert last.poly is None
-        assert (same.poly is None) == (spec.nonlinear is None)
+        # the record before the last holds P_n: without a nonlinearity, zero
+        assert same.poly.is_zero() == spec.nonlinear.is_empty()
+
+
+@pytest.mark.parametrize("solve", [ladm_solve, mldm_solve])
+def test_a_linear_problem_runs_on_zero_polys(solve):
+    # N = 0 is the empty operator: every record but the last holds the zero
+    # series as its A_n or B*_n, and adding it to Q u*_n moves no bit
+    for pid in ("p1", "p2", "p3", "p4", "p5"):
+        spec = builtin(pid, 0.75)
+        assert spec.nonlinear == NonlinearOpSpec() and spec.nonlinear.is_empty()
+        records = solve(spec, 3).records
+        assert [r.poly for r in records] == [Series.zero()] * 3 + [None], pid
+        for r in records:
+            rhs = spec.linear.apply(r.u_star)
+            assert _bits(series_add(rhs, Series.zero())) == _bits(rhs), (pid, r.n)
 
 
 def _p7_final_digest():
@@ -461,16 +484,13 @@ def _reference_ladm_solve(problem, iterations):
     ``decomp._decompose``: the partial sum, A_n and the cap stop kept here."""
     alpha = problem.alpha
     records = []
-    grades = (decomp._AdomianGrades(problem.nonlinear)
-              if problem.nonlinear is not None else None)
+    grades = decomp._AdomianGrades(problem.nonlinear)
     partial = Series.zero()
     truncated = stopped = False
     u = series_add(problem.f, fracterm.frac_integral(problem.h, alpha))
     for n in range(iterations + 1):
         partial = series_add(partial, u)
-        poly = None
-        if problem.nonlinear is not None and n < iterations:
-            poly = grades.push(u)
+        poly = grades.push(u) if n < iterations else None
         step_trunc = u.truncated or partial.truncated or (poly is not None and poly.truncated)
         truncated = truncated or step_trunc
         records.append(decomp.IterationRecord(n, u, u, poly, partial, 0.0))
@@ -478,9 +498,7 @@ def _reference_ladm_solve(problem, iterations):
             stopped = n < iterations
             break
         if n < iterations:
-            rhs = problem.linear.apply(u)
-            if poly is not None:
-                rhs = series_add(rhs, poly)
+            rhs = series_add(problem.linear.apply(u), poly)
             u = series_scale(fracterm.frac_integral(rhs, alpha), -1.0)
     return decomp.SolveTrace("ladm", alpha, None, tuple(records), truncated, stopped)
 
@@ -496,15 +514,13 @@ def _reference_mldm_solve(problem, iterations, weights="normalized"):
     u = series_add(problem.f, fracterm.frac_integral(problem.h, alpha))
     for n in range(iterations + 1):
         if n > 0:
-            rhs = problem.linear.apply(ustar_prev)
-            if problem.nonlinear is not None:
-                rhs = series_add(rhs, records[-1].poly)
+            rhs = series_add(problem.linear.apply(ustar_prev), records[-1].poly)
             u = series_scale(fracterm.frac_integral(rhs, alpha), -1.0)
         raw_sum = series_add(raw_sum, u)
         s_star = boundary_correct(raw_sum, problem.bd, weights)
         u_star = series_add(s_star, series_scale(s_star_prev, -1.0))
         poly = None
-        if problem.nonlinear is not None and n < iterations:
+        if n < iterations:
             n_star = problem.nonlinear.apply(s_star)
             poly = series_add(n_star, series_scale(n_star_prev, -1.0))
             n_star_prev = n_star
@@ -598,7 +614,7 @@ def test_mldm_first_correction_and_iterate():
 def test_mldm_partial_sums_interpolate_boundary():
     spec = builtin("p6", alpha=0.75)
     trace = mldm_solve(spec, 3)
-    g1 = spec.bd.faces["bc.L"].g
+    g1 = spec.bd["bc.L"].g
     for rec in trace.records:
         at0 = series_substitute(rec.partial_sum, "x", 0.0)
         at1 = series_substitute(rec.partial_sum, "x", 1.0)
@@ -612,11 +628,11 @@ def test_mldm_reduces_to_ladm_without_boundary_defect():
     exact = parse_series("(1 + t^2)*sin(pi*x)")
     f = parse_series("sin(pi*x)")
     h = parse_series("2*t*sin(pi*x)")
-    bd = BoundaryData.interval(Series.zero(), Series.zero(), (0.0, 1.0))
+    bd = _faces((Series.zero(), Series.zero()), (0.0, 1.0))
     spec = ProblemSpec(
         pid="toy", title="identity correction", dimension=1,
         domain=(0.0, 1.0), domain_y=None, alpha=1.0, mode="manufactured",
-        f=f, bd=bd, linear=LinearOpSpec(), nonlinear=None, h=h, exact=exact)
+        f=f, bd=bd, linear=LinearOpSpec(), nonlinear=NonlinearOpSpec(), h=h, exact=exact)
     a = ladm_solve(spec, 2)
     b = mldm_solve(spec, 2)
     for ra, rb in zip(a.records, b.records):
@@ -638,18 +654,18 @@ def test_mldm_2d_faces_exact():
         spec = builtin("p2", alpha=alpha)
         trace = mldm_solve(spec, 1)
         approx = trace.approximation
-        assert [(var, val) for var, val, _ in spec.bd.faces.values()] == \
+        assert [(var, val) for var, val, _ in spec.bd.values()] == \
             [("x", 0.0), ("x", 2.0), ("y", 0.0), ("y", 2.0)]
-        for var, val, face in spec.bd.faces.values():
+        for var, val, face in spec.bd.values():
             got = series_substitute(approx, var, val)
             assert series_equal(got, face, dom, 1e-11), (alpha, var, val)
 
 
 def test_mldm_2d_corner_incompatibility():
     spec = builtin("p2", alpha=1.0)
-    gx0, gx1, gy0, gy1 = (face.g for face in spec.bd.faces.values())
-    bad = BoundaryData.box(gx0, gx1, gy0, series_add(gy1, Series.of(0.0, 1.0)),
-                           spec.domain, spec.domain_y)
+    gx0, gx1, gy0, gy1 = (face.g for face in spec.bd.values())
+    bad = _faces((gx0, gx1, gy0, series_add(gy1, Series.of(0.0, 1.0))),
+                 spec.domain, spec.domain_y)
     spec = spec._replace(bd=bad)
     with pytest.raises(DecompError):
         mldm_solve(spec, 1)

@@ -61,10 +61,12 @@ def test_evaluate_series_grid_shapes():
 
 
 def test_evaluate_series_grid_time_zero_constant_term():
-    # t^0 evaluates to 1 on the t = 0 slice, not 0^0 = 0
+    # t^0 evaluates to 1 on the t = 0 slice, not 0^0 = 0; a fractional power
+    # of t vanishes there
     g = make_grid((0.0, 1.0), nx=5, nt=3)
     a = evaluate_series_grid(Series.of(0.0, 2.0), g)
     assert np.all(a[:, 0] == 2.0)
+    assert np.all(evaluate_series_grid(parse_series("x*t^0.5"), g)[:, 0] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +328,16 @@ def test_convergence_report_evaluates_fixed_series_once(monkeypatch):
 
 
 def test_applied_is_none_for_ladm_and_linear_problems():
-    # no record keeps N of its partial sum; the final record keeps no A_N or
-    # B*_N either, and a linear problem has no poly at all
+    # no record keeps N of its partial sum, for either method or a linear
+    # problem; poly is None on the final record alone, where no A_N or B*_N
+    # is formed, and a linear problem's earlier records hold the zero series
     spec = builtin("p6", 1.0)
     for solve in (ladm_solve, mldm_solve):
         records = solve(spec, 2).records
         assert not any(hasattr(r, "applied") for r in records)
         assert [r.poly is None for r in records] == [False, False, True]
-    assert all(r.poly is None for r in mldm_solve(builtin("p5", 1.0), 2).records)
+        assert [r.poly for r in solve(builtin("p5", 1.0), 2).records] == \
+            [Series.zero(), Series.zero(), None]
 
 
 # ---------------------------------------------------------------------------

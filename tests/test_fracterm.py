@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracdecomp import fracterm
-from fracdecomp.decomp import BoundaryData, boundary_correct
+from fracdecomp.decomp import Face, boundary_correct
+from fracdecomp.evaluation import evaluate_series_grid, make_grid
 from fracdecomp.fracterm import (
     CaputoRangeError,
     GammaPoleError,
@@ -18,7 +19,6 @@ from fracdecomp.fracterm import (
     SeriesError,
     TimeTerm,
     caputo,
-    eval_series,
     frac_integral,
     gamma,
     initial_value,
@@ -191,7 +191,7 @@ def test_initial_value_reads_constant_term():
     s = parse_series("t^(3 + alpha)*sin(x) + 1", 0.7)
     iv = initial_value(s)
     assert iv == Series.of(0.0, 1.0)
-    assert eval_series(iv, {"x": 0.83}, 0.0) == 1.0
+    assert evaluate_series_grid(iv, make_grid((0.83, 1.0), nt=2))[0, 0] == 1.0
     assert initial_value(Series.of(0.5, X)) == Series.zero()
 
 
@@ -264,7 +264,7 @@ def test_operations_share_polys_without_mutating_them():
         series_substitute(a, "x", 1.0),
         frac_integral(a, 0.6),
         caputo(b, 0.6),
-        boundary_correct(a, BoundaryData.interval(g, g, (0.0, 1.0))),
+        boundary_correct(a, {"bc.l": Face("x", 0.0, g), "bc.L": Face("x", 1.0, g)}),
     ]
     assert [[dict(t.poly) for t in s.terms] for s in inputs] == before
     for s in outputs:
@@ -433,25 +433,6 @@ def test_series_dot_is_the_chained_product_sum(lists):
 # ---------------------------------------------------------------------------
 # evaluation and conversion
 # ---------------------------------------------------------------------------
-
-
-def test_eval_series_at_time_zero():
-    # t^0 is 1 at t = 0; fractional powers vanish there
-    s = Series.of(0.0, X)
-    assert eval_series(s, {"x": 2.0}, 0.0) == 2.0
-    assert eval_series(Series.of(0.5, X), {"x": 2.0}, 0.0) == 0.0
-
-
-def test_eval_series_rejects_negative_time():
-    with pytest.raises(SeriesError):
-        eval_series(Series.of(1.0, 1.0), {"x": 0.0}, -0.1)
-
-
-def test_eval_series_value():
-    s = parse_series("x^2*t^2 + sin(x)*t^0.5 + 3", None)
-    x0, t0 = 0.7, 1.3
-    want = x0 ** 2 * t0 ** 2 + math.sin(x0) * math.sqrt(t0) + 3.0
-    assert abs(eval_series(s, {"x": x0}, t0) - want) <= 1e-14
 
 
 def test_to_series_splits_exponents():

@@ -79,7 +79,7 @@ def _solver_series(pid):
         for solve in (ladm_solve, mldm_solve):
             for rec in solve(spec, 3).records:
                 out.append((spec, rec.partial_sum))
-                if solve is mldm_solve and spec.nonlinear is not None:
+                if solve is mldm_solve and not spec.nonlinear.is_empty():
                     out.append((spec, spec.nonlinear.apply(rec.partial_sum)))
     return out
 
@@ -314,7 +314,7 @@ def _sampled_corpus(pid):
         for alpha in (0.5, 0.75, 1.0):
             spec = builtin(pid, alpha, mode)
             named = [("h", spec.h), ("exact", spec.exact), ("f", spec.f)]
-            named += [(key, face.g) for key, face in spec.bd.faces.items()]
+            named += [(key, face.g) for key, face in spec.bd.items()]
             for solve in (ladm_solve, mldm_solve):
                 for rec in solve(spec, 3).records:
                     named.append((f"{solve.__name__} S{rec.n}", rec.partial_sum))
@@ -349,7 +349,7 @@ def test_sampled_reads_match_tree_evaluation_on_the_corpus(pid):
                                              spec.alpha)),
                  (spec.f, fracterm.initial_value(exact))]
         pairs += [(g, fracterm.series_substitute(exact, var, at))
-                  for var, at, g in spec.bd.faces.values()]
+                  for var, at, g in spec.bd.values()]
         sums = [s for name, s in named if " S" in name]
         pairs += [(s, exact) for s in sums] + list(zip(sums[1:], sums))
         for a, b in pairs:
@@ -707,12 +707,12 @@ def test_substitute_matches_fresh_table_on_solver_terms(tmp_path):
     path.write_text(BOX_FILE)
     box = [load_problem_file(path, alpha) for alpha in (0.5, 1.0)]
     cases = [(t.poly, face.var, face.at) for spec in box
-             for face in spec.bd.faces.values() for t in face.g.terms]
+             for face in spec.bd.values() for t in face.g.terms]
     for spec in [builtin(pid, alpha) for pid in PIDS for alpha in (0.5, 1.0)] + box:
         polys = []
         for rec in mldm_solve(spec, 2).records:
             series = [rec.u, rec.partial_sum]
-            if spec.nonlinear is not None:
+            if not spec.nonlinear.is_empty():
                 series.append(spec.nonlinear.apply(rec.partial_sum))
             polys += [t.poly for s in series for t in s.terms]
         values = list(spec.domain) + [0.3]

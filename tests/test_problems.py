@@ -4,18 +4,19 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+import numpy as np
 import pytest
 
 from fracdecomp.decomp import (
-    BoundaryData,
+    Face,
     LinearOpSpec,
     NonlinearFactor,
     NonlinearOpSpec,
     NonlinearProduct,
     check_corner_compatibility,
 )
-from fracdecomp.fracterm import Series, eval_series, initial_value, series_equal, \
-    series_substitute
+from fracdecomp.evaluation import Grid, evaluate_series_grid
+from fracdecomp.fracterm import Series, initial_value, series_equal, series_substitute
 from fracdecomp.grammar import parse_series, parse_spatial
 from fracdecomp.problems import (
     MODES,
@@ -27,6 +28,7 @@ from fracdecomp.problems import (
     manufacture_source,
     validate_consistency,
 )
+from test_decomp import _faces
 
 PI = math.pi
 
@@ -85,11 +87,11 @@ def test_builtin_manufactured_data_is_compatible():
     # with it at the shared edges (t = 0 on each face, x = ends at t = 0)
     for pid in PROBLEM_IDS:
         spec = builtin(pid, alpha=0.7)
-        for key, (var, at, g) in spec.bd.faces.items():
-            other = "x" if var == "y" else "y"
-            pt = {var: at, other: 0.7}
-            face0 = eval_series(g, {other: 0.7}, 0.0)
-            f0 = eval_series(spec.f, pt, 0.0)
+        for key, (var, at, g) in spec.bd.items():
+            pt = {"x": 0.7, "y": 0.7, var: at}
+            grid = Grid(np.array([pt["x"], 2.0]), np.array([pt["y"], 2.0]),
+                        np.array([0.0, 1.0]))
+            face0, f0 = (evaluate_series_grid(s, grid)[0, 0, 0] for s in (g, spec.f))
             assert abs(face0 - f0) <= 1e-12, (pid, key)
 
 
@@ -218,28 +220,26 @@ _REFERENCE: Dict[str, _BuiltinDef] = {
 }
 
 
-def _reference_boundary(exact, d: _BuiltinDef, alpha: float, mode: str) -> BoundaryData:
+def _reference_boundary(exact, d: _BuiltinDef, alpha: float, mode: str) -> Dict[str, Face]:
     if mode == "manufactured":
         if d.dimension == 1:
             lo, hi = d.domain
-            return BoundaryData.interval(series_substitute(exact, "x", lo),
-                                         series_substitute(exact, "x", hi), d.domain)
-        (lx, Lx), (ly, Ly) = d.domain, d.domain_y
-        return BoundaryData.box(series_substitute(exact, "x", lx),
-                                series_substitute(exact, "x", Lx),
-                                series_substitute(exact, "y", ly),
-                                series_substitute(exact, "y", Ly), d.domain, d.domain_y)
-    if d.dimension == 1:
-        return BoundaryData.interval(parse_series(d.bc["g0"], alpha),
-                                     parse_series(d.bc["g1"], alpha), d.domain)
-    return BoundaryData.box(*(parse_series(d.bc[k], alpha)
-                              for k in ("gx0", "gx1", "gy0", "gy1")), d.domain, d.domain_y)
+            data = (series_substitute(exact, "x", lo), series_substitute(exact, "x", hi))
+        else:
+            (lx, Lx), (ly, Ly) = d.domain, d.domain_y
+            data = (series_substitute(exact, "x", lx), series_substitute(exact, "x", Lx),
+                    series_substitute(exact, "y", ly), series_substitute(exact, "y", Ly))
+    elif d.dimension == 1:
+        data = (parse_series(d.bc["g0"], alpha), parse_series(d.bc["g1"], alpha))
+    else:
+        data = tuple(parse_series(d.bc[k], alpha) for k in ("gx0", "gx1", "gy0", "gy1"))
+    return _faces(data, d.domain, d.domain_y)
 
 
 def _reference_builtin(pid: str, alpha: float, mode: str) -> ProblemSpec:
     d = _REFERENCE[pid]
     linear = LinearOpSpec.of(*d.linear)
-    nonlinear = _NONLINEAR[d.nonlinear]() if d.nonlinear else None
+    nonlinear = _NONLINEAR[d.nonlinear]() if d.nonlinear else NonlinearOpSpec()
     exact = parse_series(d.exact, alpha)
     bd = _reference_boundary(exact, d, alpha, mode)
     if mode == "manufactured":
@@ -271,9 +271,8 @@ def test_builtin_records_match_the_reference_definitions(pid):
             assert got.bd == want.bd, where
             assert got.linear == want.linear, where
             assert got.nonlinear == want.nonlinear, where
-            if got.nonlinear is not None:
-                assert [p.coeff for p in got.nonlinear.products] == \
-                    [p.coeff for p in want.nonlinear.products], where
+            assert [p.coeff for p in got.nonlinear.products] == \
+                [p.coeff for p in want.nonlinear.products], where
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +283,7 @@ def test_builtin_records_match_the_reference_definitions(pid):
 def test_manufacture_source_advection():
     alpha = 0.8
     exact = parse_series("t*sin(x)", alpha)
-    h = manufacture_source(exact, LinearOpSpec.of((1, "x", 1.0)), None, alpha)
+    h = manufacture_source(exact, LinearOpSpec.of((1, "x", 1.0)), NonlinearOpSpec(), alpha)
     want = parse_series("t^(1 - alpha)*sin(x)/gamma(2 - alpha) + t*cos(x)", alpha)
     assert series_equal(h, want, (0.0, PI), 1e-11)
 
@@ -292,7 +291,7 @@ def test_manufacture_source_advection():
 def test_manufacture_source_static_exact():
     # no time dependence: the Caputo part vanishes and h = Q(exact)
     exact = parse_series("sin(x)", 0.5)
-    h = manufacture_source(exact, LinearOpSpec.of((1, "x", 1.0)), None, 0.5)
+    h = manufacture_source(exact, LinearOpSpec.of((1, "x", 1.0)), NonlinearOpSpec(), 0.5)
     assert series_equal(h, parse_series("cos(x)", 0.5), (0.0, PI), 1e-12)
 
 
@@ -489,6 +488,6 @@ def test_literal_file_derives_omitted_data_from_exact(tmp_path):
     spec = load_problem_file(p, mode="paper-literal")
     assert spec.h == parse_series("x")
     assert spec.f == parse_series("1")
-    assert spec.bd.faces["bc.l"].g == parse_series("1")
-    assert spec.bd.faces["bc.L"].g == parse_series("7")
+    assert spec.bd["bc.l"].g == parse_series("1")
+    assert spec.bd["bc.L"].g == parse_series("7")
     assert validate_consistency(spec).labels() == ["bc", "source"]

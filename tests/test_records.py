@@ -52,7 +52,7 @@ def _records(spec):
     grid = default_grid(spec, nx=5, ny=5, nt=3)
     row = convergence_report([trace], spec, grid)[0]
     product = spec.nonlinear.products[0]
-    return [spec, spec.bd, spec.linear, spec.linear.terms[0], spec.nonlinear, product,
+    return [spec, spec.bd["bc.x0"], spec.linear, spec.linear.terms[0], spec.nonlinear, product,
             product.factors[0], spec.h.terms[0], trace, trace.records[0], row,
             grid_error(trace.approximation, spec.exact, grid), validate_consistency(spec),
             CheckResult("gamma", True, 0.1, None, "ok"), grid]
@@ -75,7 +75,6 @@ def test_no_field_of_a_record_can_be_assigned(two_d_spec):
     (lambda: LinearTerm(1, "z", 1.0), DecompError, "linear term variable 'z' unsupported"),
     (lambda: NonlinearFactor(3), DecompError, "nonlinear factor order 3 unsupported"),
     (lambda: NonlinearFactor(0, power=0), DecompError, "nonlinear factor power must be >= 1"),
-    (lambda: NonlinearOpSpec(()), DecompError, "empty nonlinear operator; use None instead"),
     (lambda: NonlinearOpSpec((NonlinearProduct(1.0, (NonlinearFactor(0, power=3),
                                                      NonlinearFactor(1))),)),
      DecompError, "nonlinearity degree 4 beyond supported 3"),
@@ -95,8 +94,9 @@ def test_a_checked_records_replace_checks_again():
     with pytest.raises(DecompError, match="nonlinear factor power must be >= 1"):
         NonlinearFactor(1)._replace(power=0)
     spec = NonlinearOpSpec((NonlinearProduct(1.0, (NonlinearFactor(0),)),))
-    with pytest.raises(DecompError, match="empty nonlinear operator"):
-        spec._replace(products=())
+    cube = NonlinearProduct(1.0, (NonlinearFactor(0, power=3), NonlinearFactor(1)))
+    with pytest.raises(DecompError, match="nonlinearity degree 4 beyond supported 3"):
+        spec._replace(products=(cube,))
     assert NonlinearFactor(1)._replace(var="y") == NonlinearFactor(1, "y")
 
 

@@ -33,10 +33,7 @@ PIDS = ["p1", "p2", "p3", "p4", "p5", "p6", "p7"]
 
 
 def _keys(spec):
-    keys = [(0, "x")]
-    if spec.nonlinear is not None:
-        keys = list(dict.fromkeys(keys + spec.nonlinear.factor_keys()))
-    return keys
+    return list(dict.fromkeys([(0, "x")] + spec.nonlinear.factor_keys()))
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:

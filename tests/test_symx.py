@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from fracdecomp import symx
 from fracdecomp.fracterm import Series, gamma
-from fracdecomp.grammar import GrammarError, parse_expr, parse_spatial
+from fracdecomp import grammar
+from fracdecomp.grammar import GrammarError, parse_expr, parse_series, parse_spatial
 from fracdecomp.problems import builtin
 from fracdecomp.symx import (
     Const,
@@ -214,7 +215,7 @@ def test_each_structure_is_one_node():
 
 def _spec_atoms(spec):
     # every atom of every monomial of the spec's series, in dict order
-    series = [spec.f, spec.h, spec.exact, *(face.g for face in spec.bd.faces.values())]
+    series = [spec.f, spec.h, spec.exact, *(face.g for face in spec.bd.values())]
     series += [p.series_coeff for p in spec.nonlinear.products if p.series_coeff is not None]
     return [atom for s in series for t in s.terms for mono in t.poly for atom, _ in mono]
 
@@ -432,6 +433,35 @@ def test_parse_error_carries_position():
         parse_expr("2 +* x")
     assert err.value.pos == 3
     assert "^" in err.value.pointer()
+
+
+def test_a_chain_parses_to_one_node():
+    # + and - extend the sum on their left, * and / the product, so a chain
+    # of any length is one level deep
+    e = grammar._Parser("x + 1 - y + x*y/2*x", None, True).parse()
+    assert isinstance(e, Sum) and len(e.args) == 4
+    assert isinstance(e.args[3], Prod) and len(e.args[3].args) == 4
+    terms = " + ".join(f"{k}*x" for k in range(1, 601))
+    assert str(parse_expr(terms)) == "180300*x"
+
+
+def test_nesting_is_bounded_with_a_located_error():
+    depth = grammar.MAX_DEPTH - 1        # the whole text is the first level
+    assert str(parse_expr("(" * depth + "x" + ")" * depth)) == "x"
+    text = "(" * (depth + 1) + "x" + ")" * (depth + 1)
+    with pytest.raises(GrammarError, match="nested deeper than 100 levels") as err:
+        parse_expr(text)
+    assert err.value.pos == depth
+    assert "^ expression nested deeper" in err.value.pointer()
+
+
+def test_a_power_of_a_power_renders_with_parentheses():
+    # ^ is right-associative: unparenthesised, the base power would read as
+    # (1.5 - x)^((-0.5)^2)
+    s = parse_series("t*(1.5 - x)^(-0.5) * (1.5 - x)^(-0.5)")
+    assert str(s) == "(((1.5 - x)^(-0.5))^2)*t"
+    back = parse_series(str(s))
+    assert [(t.mu, t.poly) for t in back.terms] == [(t.mu, t.poly) for t in s.terms]
 
 
 def test_parse_unclosed_paren():

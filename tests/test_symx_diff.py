@@ -106,7 +106,7 @@ def _record_polys(pid):
                 records = solve(spec, n).records
                 series = [s for rec in records
                           for s in (rec.u, rec.u_star, rec.poly, rec.partial_sum)]
-                if spec.nonlinear is not None:
+                if not spec.nonlinear.is_empty():
                     # what the solvers do not keep: mldm's N(S*_k), and the
                     # final record's A_n or B*_n
                     if solve is ladm_solve:
