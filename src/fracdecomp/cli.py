@@ -17,30 +17,51 @@ order, never completion order.
 
 from __future__ import annotations
 
+import gc
 import os
-from itertools import repeat
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple
 
-import click
-import numpy as np
+# These lines run before numpy loads (the package imports its submodules
+# lazily). No solve calls a BLAS routine (README, Reproducibility), so
+# OpenBLAS's worker threads would only cost start-up time; a caller's own
+# setting is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import problems
-from .decomp import DecompError, ladm_solve, mldm_solve
-from .evaluation import (
-    DEFAULT_NT,
-    DEFAULT_NX,
-    DEFAULT_NY,
-    DEFAULT_TMAX,
-    EvalError,
-    Grid,
-    convergence_report,
-    default_grid,
-)
-from .fracterm import SeriesError
-from .grammar import GrammarError
-from .problems import ProblemError
-from .symx import ExprError
+# The import builds a heap that lives as long as the process. The cyclic
+# collector does not run while it grows, and once built it is frozen, so
+# neither the solve's collections nor those of interpreter shutdown walk it.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    from itertools import product, repeat
+    from pathlib import Path
+    from typing import Dict, List, Optional, Tuple
+
+    from . import problems
+    from .decomp import DecompError, ladm_solve, mldm_solve
+    from .evaluation import (
+        DEFAULT_NT,
+        DEFAULT_NX,
+        DEFAULT_NY,
+        DEFAULT_TMAX,
+        EvalError,
+        Grid,
+        convergence_report,
+        default_grid,
+    )
+    from .fracterm import SeriesError
+    from .grammar import GrammarError
+    from .problems import ProblemError
+    from .symx import ExprError
+
+    # after the package's modules: without bytecode caches they compile
+    # before numpy loads, so numpy's import reuses the compiler's transient
+    # memory instead of adding it to the process's peak RSS (1-1.5 MB on p7)
+    import click
+    import numpy as np
+finally:
+    if _collecting:
+        gc.enable()
+gc.freeze()
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -178,11 +199,13 @@ def _run_job(spec, method: str, iters: int, weights: str, grid: Grid) -> Dict[st
 
     n_final = trace.records[-1].n
     known = exact if exact is not None else np.full(approx.shape, float("nan"))
-    # one text column per field, in row order: x outermost, then y, then t
+    # rows in order x outermost, then y, then t: each axis value is formatted
+    # once, and product() repeats its text in that order
     axes = (grid.xs, grid.ts) if spec.dimension == 1 else (grid.xs, grid.ys, grid.ts)
-    fields = [*np.meshgrid(*axes, indexing="ij"), approx, known, np.abs(approx - known)]
-    columns = [map(repr, f.ravel().tolist()) for f in fields]
-    points = list(map(",".join, zip(repeat(f"{method},{_f(spec.alpha)},{n_final}"), *columns)))
+    coords = map(",".join, product(*(list(map(repr, a.tolist())) for a in axes)))
+    values = [map(repr, f.ravel().tolist()) for f in (approx, known, np.abs(approx - known))]
+    points = list(map(",".join, zip(repeat(f"{method},{_f(spec.alpha)},{n_final}"),
+                                    coords, *values)))
 
     summary: List[str] = []
     table: List[str] = []

@@ -673,6 +673,93 @@ def test_cli_import_loads_neither_acceptance_nor_scipy():
     assert r.stdout.strip() == "[]"
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _python(*args, **env):
+    """A fresh interpreter on the package's sources; an env value of None
+    unsets that variable (this process's cli import has set
+    OPENBLAS_NUM_THREADS)."""
+    full = dict(os.environ, PYTHONPATH=SRC)
+    for name, value in env.items():
+        if value is None:
+            full.pop(name, None)
+        else:
+            full[name] = value
+    return subprocess.run([sys.executable, *args], env=full, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_package_import_loads_no_submodule_and_no_numpy():
+    r = _python("-c", "import sys, fracdecomp; print(sorted(m for m in sys.modules "
+                      "if m == 'numpy' or m.startswith(('numpy.', 'fracdecomp.'))))")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
+def test_package_exports_resolve_on_first_access():
+    # each export is the object its submodule defines; a submodule resolves
+    # after a bare import; unknown names raise AttributeError
+    code = """
+import importlib, sys
+import fracdecomp
+subs = ("decomp", "evaluation", "fracterm", "grammar", "problems")
+names = [n for n in fracdecomp.__all__ if n != "__version__"]
+for n in names:
+    value = getattr(fracdecomp, n)
+    assert any(getattr(importlib.import_module("fracdecomp." + m), n, None) is value
+               for m in subs), n
+star = {}
+exec("from fracdecomp import *", star)
+assert set(fracdecomp.__all__) <= set(star), set(fracdecomp.__all__) - set(star)
+assert set(fracdecomp.__all__) <= set(dir(fracdecomp))
+assert fracdecomp.symx is sys.modules["fracdecomp.symx"]
+try:
+    fracdecomp.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    r = _python("-c", code)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "module 'fracdecomp' has no attribute 'no_such_name'"
+
+
+@pytest.mark.parametrize("preset, seen", [(None, "1"), ("2", "2")])
+def test_cli_import_runs_openblas_on_one_thread_unless_set(preset, seen):
+    # the setting must precede numpy's import: OpenBLAS reads it once, when
+    # numpy loads, and then starts its worker threads (none on one core)
+    code = ("import os, fracdecomp.cli; print(os.environ['OPENBLAS_NUM_THREADS'], "
+            "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') "
+            "else 1)")
+    r = _python("-c", code, OPENBLAS_NUM_THREADS=preset)
+    assert r.returncode == 0, r.stderr
+    value, threads = r.stdout.split()
+    assert value == seen
+    if preset is None:
+        assert threads == "1"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_cli_import_keeps_the_collector_state_and_freezes_the_heap(enabled):
+    code = (f"import gc; {'' if enabled else 'gc.disable(); '}import fracdecomp.cli; "
+            "print(gc.isenabled(), gc.get_freeze_count() > 0)")
+    r = _python("-c", code)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == f"{enabled} True"
+
+
+def test_python_m_cli_exit_codes(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("domain = 0, 1\nexact = t*x +\n")
+    cases = ((["-p", "p1", "-n", "1"], 0), (["-f", str(bad)], 2),
+             (["-p", "p7", "--mode", "paper-literal", "-a", "0.75"], 3))
+    for k, (args, code) in enumerate(cases):
+        out = tmp_path / f"o{k}"
+        r = _python("-m", "fracdecomp.cli", "solve", *args, "-o", str(out))
+        assert r.returncode == code, (args, r.stderr)
+        assert (out / "points.csv").exists() == (code == 0)
+
+
 def test_solve_starts_no_more_workers_than_jobs(runner, tmp_path, monkeypatch):
     # an executor that records its size and maps in-process, so a huge -j
     # starts no process at all

@@ -1,7 +1,11 @@
 """tools/same_outputs.py solves copies of problem files that tests define;
-each copy must stay equal to the file its comment names."""
+each copy must stay equal to the file its comment names. tools/paired_runs.py
+runs and reports its pairs."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -25,3 +29,19 @@ def test_same_outputs_file_copies_match_the_tests():
     assert tool.POLE_FILE == evaluation.pole_case_file("uxx_three_halves")
     assert tool.BOX_FILE == poly_reads.BOX_FILE
     assert tool.OFF_BOX_FILE == poly_reads.OFF_BOX_FILE
+
+
+def test_paired_runs_reports_its_pairs_and_refuses_a_failing_run():
+    tool = str(ROOT / "tools" / "paired_runs.py")
+    r = subprocess.run([sys.executable, tool, ".", ".", "--pairs", "2", "--", "list"],
+                       cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    result = json.loads(r.stdout.splitlines()[-1])
+    assert result["args"] == ["list"] and result["pairs"] == 2
+    assert len(result["old_s"]) == len(result["new_s"]) == 2
+    assert result["new_wins"] + result["old_wins"] <= 2
+    assert result["old"]["q1"] <= result["old"]["median"] <= result["old"]["q3"]
+    r = subprocess.run([sys.executable, tool, ".", ".", "--pairs", "2", "--",
+                        "solve", "-p", "no_such_problem"],
+                       cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert r.returncode == 2 and "exit 2" in r.stderr, r.stderr
